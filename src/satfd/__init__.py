@@ -20,22 +20,14 @@ from .constellation import (
 )
 from .linkgraph import VisibilityGraph, build_visibility_graph, line_of_sight
 from .cliques import (
-    Clique,
     CliqueSchedule,
     build_clique_schedule,
-    cliques_containing,
     list_k_cliques,
-    remove_satellite,
 )
 from .ranging import FaultConfig, RangeMatrix, measure_ranges
 from .edm import (
-    Edm,
-    Gcedm,
-    GcedmAnalysis,
-    analyze,
     analyze_clique_batch,
     build_edm,
-    fault_vertex_index,
     geometric_center,
     numerical_rank,
 )
@@ -44,17 +36,14 @@ from .detector import (
     DetectorParams,
     VoteState,
     detect_faults,
-    detection_round,
 )
 from .calibration import (
     GammaFit,
     MlpPredictor,
     StatisticSample,
     build_training_set,
-    extract_features,
     fit_gamma,
     percentile,
-    predict_threshold,
     sample_statistics,
     train_predictor,
 )

@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import edm
-from .cliques import build_clique_schedule, list_k_cliques
-from .constellation import ConstellationConfig, orbital_period, propagate
-from .linkgraph import build_visibility_graph
-from .ranging import FaultConfig, measure_ranges
+from .cliques import build_clique_schedule, schedule_entry
+from .constellation import ConstellationConfig, orbital_period
+from .ranging import FaultConfig, RangeMatrix, measure_ranges
 from .seeds import CALIBRATION, TRAINING, substream
 
 FEATURE_DIM = 21  # 3 singular values + 3 vectors of length 6
@@ -80,20 +79,22 @@ def sample_statistics(
     seed: int,
     k: int = 6,
 ) -> StatisticSample:
-    """gamma_test of every k-clique at every epoch, no faults injected."""
+    """gamma_test of every k-clique at every epoch, no faults injected.
+
+    Epochs are built and analysed one at a time, so only one epoch's
+    cliques are held at once.
+    """
     vals = []
     for idx, t in enumerate(sampling_times(step, duration)):
-        ps = propagate(config, float(t))
-        graph = build_visibility_graph(ps, config.body.radius)
-        cliques = list_k_cliques(graph, k)
-        if not cliques:
-            continue
-        rm = measure_ranges(ps, graph, FaultConfig.none(), sigma_w, substream(seed, CALIBRATION, idx))
-        vals.append(edm.analyze_clique_batch(rm, cliques).gamma_test)
-    if not vals:
+        entry = schedule_entry(config, t, k)
+        rng = substream(seed, CALIBRATION, idx)
+        rm = measure_ranges(entry.positions, entry.graph, FaultConfig.none(), sigma_w, rng)
+        vals.append(edm.analyze_clique_batch(rm, entry.cliques).gamma_test)
+    values = np.sort(np.concatenate(vals))
+    if values.size == 0:
         raise EmptySampleError("no cliques over the entire sampling window")
     return StatisticSample(
-        values=np.sort(np.concatenate(vals)),
+        values=values,
         constellation=config.body.name,
         sigma_w=sigma_w,
         step=step,
@@ -151,20 +152,12 @@ def read_thresholds(path: str | Path) -> list[dict]:
 # standardized inputs and targets.
 # ---------------------------------------------------------------------------
 
-def extract_features(analysis: edm.GcedmAnalysis) -> np.ndarray:
-    """Feature vector [s1, s2, s3, u1^T, u2^T, u3^T] for a 6-vertex subgraph.
+def batch_features(batch: edm.BatchAnalysis) -> np.ndarray:
+    """Feature rows [s1, s2, s3, u1^T, u2^T, u3^T], shape (m, 21) for 6-cliques.
 
     Singular vectors are sign-canonicalized so the features are a function
     of the subgraph alone, not of SVD sign choices.
     """
-    if analysis.n != 6:
-        raise ValueError(f"features defined for 6-vertex subgraphs, got n={analysis.n}")
-    u = edm.canonicalize_signs(analysis.left_vectors[:, :3])
-    return np.concatenate([analysis.singular_values[:3], u.T.reshape(-1)])
-
-
-def batch_features(batch: edm.BatchAnalysis) -> np.ndarray:
-    """extract_features applied across a BatchAnalysis, shape (m, 21)."""
     lam = batch.singular_values[:, :3]
     u = edm.canonicalize_signs(batch.left_vectors[:, :, :3])
     k = batch.left_vectors.shape[1]
@@ -256,11 +249,6 @@ class MlpPredictor:
     @classmethod
     def load(cls, path: str | Path) -> "MlpPredictor":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def predict_threshold(model: MlpPredictor, features: np.ndarray) -> float:
-    """Single-subgraph convenience wrapper around MlpPredictor.predict."""
-    return float(model.predict(np.asarray(features)))
 
 
 def loss_and_grads(model: MlpPredictor, x_std: np.ndarray, y_std: np.ndarray):
@@ -373,41 +361,39 @@ def build_training_set(
     if n_noise < 300:
         raise ValueError("n_noise must be >= 300 to resolve the 99.7 percentile")
     period = orbital_period(config.satellites[0].a, config.body.mu)
-    times = sampling_times(step, period)
-    schedule = build_clique_schedule(config, times, k=6)
-
-    pool = [
-        (entry.t, clique)
-        for entry in schedule.entries
-        for clique in entry.cliques
-    ]
-    if not pool:
+    schedule = build_clique_schedule(config, sampling_times(step, period), k=6)
+    counts = np.array([len(entry.cliques) for entry in schedule.entries])
+    # Pool index i is row i - starts[e] of entry e, epochs in schedule order.
+    starts = np.cumsum(counts) - counts
+    pool_size = int(counts.sum())
+    if pool_size == 0:
         raise EmptySampleError("constellation has no 6-cliques on the sampling grid")
 
     pick = substream(seed, TRAINING, 0)
-    chosen = pick.integers(len(pool), size=n_geometries)
+    chosen = pick.integers(pool_size, size=n_geometries)
+    entry_of = np.searchsorted(starts, chosen, side="right") - 1
 
     iu = np.triu_indices(6, k=1)
     feats = np.empty((n_geometries, FEATURE_DIM))
     targets = np.empty(n_geometries)
-    for g, pool_idx in enumerate(chosen):
-        t, clique = pool[pool_idx]
-        pos = propagate(config, t).positions[list(clique)]
+    for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
+        entry = schedule.entries[e]
+        clique = entry.cliques[pool_idx - starts[e]][None]
+        pos = entry.positions.positions
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
+        exact = RangeMatrix(n=len(pos), r=np.where(entry.graph.adjacency, dist, 0.0))
+        feats[g] = batch_features(edm.analyze_clique_batch(exact, clique))[0]
 
-        gc = edm.geometric_center(edm.Edm(n=6, d=dist**2))
-        feats[g] = extract_features(edm.analyze(gc))
-
+        sub = dist[np.ix_(clique[0], clique[0])]
         rng = substream(seed, TRAINING, 1, g)
         w = np.zeros((n_noise, 6, 6))
         draws = rng.standard_normal((n_noise, iu[0].size)) * sigma_w
         w[:, iu[0], iu[1]] = draws
         w += w.transpose(0, 2, 1)
-        d = (dist + w) ** 2
+        d = (sub + w) ** 2
         d[:, np.arange(6), np.arange(6)] = 0.0
-        j = edm.centering_matrix(6)
-        s = np.linalg.svd(-0.5 * (j @ d @ j), compute_uv=False)
+        s = np.linalg.svd(edm.geometric_center(d), compute_uv=False)
         gammas = (s[:, 3] + s[:, 4]) / s[:, 0]
         targets[g] = np.percentile(gammas, tail_percentile)
     return feats, targets

@@ -12,7 +12,9 @@ Subcommands:
     report           summarize a results CSV and emit plot-ready series
 
 All outputs are UTF-8 CSV/JSON.  Every command is deterministic given its
-config and seed.
+config and seed.  Only calibrate, train-predictor and detect take --seed
+(montecarlo reads master_seed from its experiment file), and only
+montecarlo takes --threads.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import calibration, experiment
-from .cliques import cliques_containing, list_k_cliques
+from .cliques import build_clique_schedule, schedule_entry
 from .constellation import ConstellationConfig, orbital_period, propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
@@ -41,9 +45,11 @@ def _common_flags(parser: argparse.ArgumentParser, config: bool = True) -> None:
         parser.add_argument("--config", required=True,
                             help="constellation config path or bundled name "
                                  "(elfo_moon, walker_mars)")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+
+
+def _seed_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
 
 def _outdir(args) -> Path:
@@ -96,21 +102,21 @@ def cmd_graph(args) -> int:
 
 def cmd_cliques(args) -> int:
     config = _load_constellation(args)
-    graph = build_visibility_graph(propagate(config, args.t), config.body.radius)
-    found = list_k_cliques(graph, args.k)
+    found = schedule_entry(config, args.t, args.k).cliques
     out = _outdir(args)
     path = out / "cliques.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"v{i}" for i in range(args.k)])
-        for clique in found:
-            writer.writerow([repr(args.t)] + list(clique))
+        for clique in found.tolist():
+            writer.writerow([repr(args.t)] + clique)
+    counts = np.bincount(found.ravel(), minlength=config.n_satellites)
     counts_path = out / "clique_counts.csv"
     with open(counts_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sat_id", "n_cliques"])
-        for sat in range(config.n_satellites):
-            writer.writerow([sat, cliques_containing(found, sat)])
+        for sat, n_cliques in enumerate(counts.tolist()):
+            writer.writerow([sat, n_cliques])
     print(f"wrote {path} ({len(found)} cliques) and {counts_path}")
     return 0
 
@@ -160,25 +166,23 @@ def cmd_detect(args) -> int:
     params = DetectorParams(di=args.dl, delta_nf=args.delta_nf,
                             delta_rf=args.delta_rf, gamma_threshold=threshold)
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
-    clique_lists, ranges, epochs = [], [], []
-    for k in range(args.dl):
-        t = args.t0 + 60.0 * k
-        ps = propagate(config, t)
-        graph = build_visibility_graph(ps, config.body.radius)
-        clique_lists.append(list_k_cliques(graph, 6))
-        ranges.append(measure_ranges(ps, graph, faults, args.sigma_w,
-                                     substream(args.seed, EPOCH_NOISE, 0, k)))
-        epochs.append((t, graph))
+    times = args.t0 + 60.0 * np.arange(args.dl)
+    window = build_clique_schedule(config, times, params.k).entries
+    ranges = [
+        measure_ranges(entry.positions, entry.graph, faults, args.sigma_w,
+                       substream(args.seed, EPOCH_NOISE, 0, k))
+        for k, entry in enumerate(window)
+    ]
     if args.dump_ranges:
         path = _outdir(args) / "ranges.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "i", "j", "range_m"])
-            for (t, graph), rm in zip(epochs, ranges):
-                for i, j in graph.edges():
-                    writer.writerow([repr(t), i, j, repr(float(rm.r[i, j]))])
+            for entry, rm in zip(window, ranges):
+                for i, j in entry.graph.edges():
+                    writer.writerow([repr(entry.t), i, j, repr(float(rm.r[i, j]))])
         print(f"wrote {path}")
-    outcome = detect_faults(clique_lists, ranges, params)
+    outcome = detect_faults([entry.cliques for entry in window], ranges, params)
     report = {
         "fault_list": list(outcome.fault_list),
         "rounds": outcome.rounds,
@@ -230,6 +234,8 @@ def load_experiment_config(path: str | Path) -> dict:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.threads < 1:
+        raise CliError("--threads must be >= 1")
     raw = load_experiment_config(args.experiment)
     try:
         config = resolve_config(raw["constellation"])
@@ -330,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="percentile thresholds from sampling")
     _common_flags(p)
+    _seed_flag(p)
     p.add_argument("--sigma-w", type=float, default=1.0, help="range noise std (m)")
     p.add_argument("--percentiles", type=lambda s: [float(v) for v in s.split(",")],
                    default=[95.0, 99.0, 99.9])
@@ -340,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-predictor", help="fit the threshold predictor")
     _common_flags(p)
+    _seed_flag(p)
     p.add_argument("--sigma-w", type=float, default=1.0)
     p.add_argument("--n-geometries", type=int, default=5000)
     p.add_argument("--n-noise", type=int, default=2000)
@@ -349,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="single detection run with injected faults")
     _common_flags(p)
+    _seed_flag(p)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--fault-sats", default="", help="comma-separated satellite ids")
     p.add_argument("--magnitude", type=float, default=0.0, help="fault bias (m)")
@@ -364,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="seeded campaign over a parameter grid")
     _common_flags(p, config=False)
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--experiment", required=True, help="experiment config JSON")
     p.set_defaults(func=cmd_montecarlo)
 

@@ -16,16 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ConstellationConfig, propagate
+from .constellation import ConstellationConfig, PositionSet, propagate
 from .linkgraph import VisibilityGraph, build_visibility_graph
-
-Clique = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    t: float
-    cliques: tuple[Clique, ...]
+    """One epoch of the predicted topology.
+
+    cliques is the (m, k) integer array of satellite ids that
+    list_k_cliques returns for graph.
+    """
+
+    positions: PositionSet
+    graph: VisibilityGraph
+    cliques: np.ndarray
+
+    @property
+    def t(self) -> float:
+        return self.positions.t
 
 
 @dataclass(frozen=True)
@@ -40,13 +49,14 @@ class CliqueSchedule:
             raise ValueError("schedule epochs must be strictly increasing")
 
 
-def list_k_cliques(graph: VisibilityGraph, k: int) -> list[Clique]:
-    """All k-cliques of the graph, each once, lexicographically sorted."""
+def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
+    """All k-cliques of the graph, each once, as lexicographically sorted
+    rows of an (m, k) np.intp array; (0, k) when there are none."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = graph.n
     if k > n:
-        return []
+        return np.zeros((0, k), dtype=np.intp)
     adj = graph.adjacency
     # Rank vertices by ascending degree (ties by id); expanding only toward
     # higher-ranked neighbors bounds the recursion by the graph's degeneracy.
@@ -55,7 +65,7 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> list[Clique]:
     rank = {v: r for r, v in enumerate(order)}
 
     neighbors = [set(np.nonzero(adj[v])[0].tolist()) for v in range(n)]
-    out: list[Clique] = []
+    out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], candidates: set[int]):
         if len(prefix) == k:
@@ -67,25 +77,18 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> list[Clique]:
     for v in order:
         extend([v], {u for u in neighbors[v] if rank[u] > rank[v]})
     out.sort()
-    return out
+    return np.array(out, dtype=np.intp).reshape(len(out), k)
 
 
-def cliques_containing(cliques: list[Clique] | tuple[Clique, ...], sat: int) -> int:
-    """Number of cliques that include the given satellite id."""
-    return sum(1 for c in cliques if sat in c)
-
-
-def remove_satellite(cliques: list[Clique], sat: int) -> list[Clique]:
-    """Cliques that do not contain the given satellite, order preserved."""
-    return [c for c in cliques if sat not in c]
+def schedule_entry(config: ConstellationConfig, t: float, k: int) -> ScheduleEntry:
+    """Positions, visibility graph and k-cliques of the topology at epoch t."""
+    positions = propagate(config, float(t))
+    graph = build_visibility_graph(positions, config.body.radius)
+    return ScheduleEntry(positions=positions, graph=graph, cliques=list_k_cliques(graph, k))
 
 
 def build_clique_schedule(
     config: ConstellationConfig, times: list[float] | np.ndarray, k: int
 ) -> CliqueSchedule:
-    """Enumerate k-cliques of the propagated topology at each epoch."""
-    entries = []
-    for t in times:
-        graph = build_visibility_graph(propagate(config, float(t)), config.body.radius)
-        entries.append(ScheduleEntry(t=float(t), cliques=tuple(list_k_cliques(graph, k))))
-    return CliqueSchedule(entries=tuple(entries))
+    """schedule_entry at each epoch of times."""
+    return CliqueSchedule(entries=tuple(schedule_entry(config, t, k) for t in times))

@@ -15,13 +15,13 @@ evaluated on the observed subgraph's singular-value features.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import edm
-from .cliques import Clique
 from .ranging import RangeMatrix
 
 
@@ -33,8 +33,9 @@ class DetectorParams:
     di           : detection interval, number of 60 s epochs examined
     delta_nf     : least total number of fault-flagged subgraphs required
     delta_rf     : minimum vote share for a satellite to be declared faulty
-    gamma_threshold : fixed scalar threshold, or an object with a
-                   predict(features) method for per-subgraph thresholds
+    gamma_threshold : fixed scalar threshold (any real number, numpy
+                   scalars included), or an object with a predict(features)
+                   method for per-subgraph thresholds
     """
 
     k: int = 6
@@ -96,9 +97,14 @@ class _FlagTable:
     flagged: np.ndarray
 
 
+def is_scalar_threshold(threshold: object) -> bool:
+    """True for a fixed threshold, False for a per-subgraph predictor."""
+    return isinstance(threshold, numbers.Real)
+
+
 def _resolve_thresholds(params: DetectorParams, batch: edm.BatchAnalysis) -> np.ndarray:
     thr = params.gamma_threshold
-    if isinstance(thr, (int, float)):
+    if is_scalar_threshold(thr):
         return np.full(len(batch.cliques), float(thr))
     # Predictor mode: features come from the observed analyses (the first
     # three singular values and vectors are nearly noise-invariant).
@@ -112,44 +118,20 @@ def table_from_analyses(
     batches: Sequence[edm.BatchAnalysis], params: DetectorParams
 ) -> _FlagTable:
     """Apply the threshold rule to precomputed per-epoch clique analyses."""
-    verts, voted, flagged = [], [], []
-    for batch in batches:
-        if not batch.cliques:
-            continue
-        thr = _resolve_thresholds(params, batch)
-        verts.append(np.asarray(batch.cliques, dtype=int))
-        voted.append(batch.fault_vertex_global())
-        flagged.append(batch.gamma_test > thr)
-    if not verts:
-        k = params.k
-        return _FlagTable(
-            vertices=np.zeros((0, k), dtype=int),
-            voted=np.zeros(0, dtype=int),
-            flagged=np.zeros(0, dtype=bool),
-        )
     return _FlagTable(
-        vertices=np.concatenate(verts),
-        voted=np.concatenate(voted),
-        flagged=np.concatenate(flagged),
+        vertices=np.concatenate([b.cliques for b in batches]),
+        voted=np.concatenate([b.fault_vertex_global() for b in batches]),
+        flagged=np.concatenate([b.gamma_test > _resolve_thresholds(params, b) for b in batches]),
     )
 
 
-def _build_flag_table(
-    clique_lists: Sequence[Sequence[Clique]],
-    ranges: Sequence[RangeMatrix],
-    params: DetectorParams,
-) -> _FlagTable:
-    if len(clique_lists) != len(ranges):
-        raise ValueError("clique lists and range matrices must cover the same epochs")
-    batches = [
-        edm.analyze_clique_batch(rm, cliques)
-        for cliques, rm in zip(clique_lists, ranges)
-    ]
-    return table_from_analyses(batches, params)
-
-
 def _tally(table: _FlagTable, removed: Sequence[int], n_sats: int, params: DetectorParams):
-    """One voting round on the cached table.  Returns (VoteState, removal or None)."""
+    """One voting round on the cached table.  Returns (VoteState, removal or None).
+
+    A removal of None means terminate: either fewer than delta_nf cliques
+    were flagged in total, or no satellite collected a delta_rf share of
+    the votes.  Ties on the top vote count go to the lowest satellite id.
+    """
     alive = table.flagged.copy()
     for s in removed:
         alive &= ~np.any(table.vertices == s, axis=1)
@@ -161,24 +143,6 @@ def _tally(table: _FlagTable, removed: Sequence[int], n_sats: int, params: Detec
     if counts.max() / total < params.delta_rf:
         return votes, None
     return votes, int(np.argmax(counts))
-
-
-def detection_round(
-    clique_lists: Sequence[Sequence[Clique]],
-    ranges: Sequence[RangeMatrix],
-    params: DetectorParams,
-    n_sats: int | None = None,
-) -> tuple[VoteState, int | None]:
-    """Single voting round; returns the votes and the satellite to remove.
-
-    A removal of None means terminate: either fewer than delta_nf cliques
-    were flagged in total, or no satellite collected a delta_rf share of
-    the votes.  Ties on the top vote count go to the lowest satellite id.
-    """
-    if n_sats is None:
-        n_sats = ranges[0].n if ranges else 0
-    table = _build_flag_table(clique_lists, ranges, params)
-    return _tally(table, (), n_sats, params)
 
 
 def _greedy(table: _FlagTable, n_sats: int, params: DetectorParams) -> DetectionOutcome:
@@ -198,21 +162,26 @@ def _greedy(table: _FlagTable, n_sats: int, params: DetectorParams) -> Detection
 
 
 def detect_faults(
-    clique_lists: Sequence[Sequence[Clique]],
+    clique_lists: Sequence[np.ndarray],
     ranges: Sequence[RangeMatrix],
     params: DetectorParams,
 ) -> DetectionOutcome:
     """Greedy removal loop over one detection window.
 
-    clique_lists and ranges are aligned per epoch; measurements are
-    generated once per epoch by the caller and re-examined unchanged after
-    each removal.  Terminates in at most n_sats rounds.
+    clique_lists ((m, k) arrays) and ranges are aligned per epoch;
+    measurements are generated once per epoch by the caller and
+    re-examined unchanged after each removal.  Terminates in at most
+    n_sats rounds.
     """
     if len(clique_lists) != params.di:
         raise ValueError(f"window must have exactly di={params.di} epochs")
-    n_sats = ranges[0].n if ranges else 0
-    table = _build_flag_table(clique_lists, ranges, params)
-    return _greedy(table, n_sats, params)
+    if len(ranges) != len(clique_lists):
+        raise ValueError("clique lists and range matrices must cover the same epochs")
+    batches = [
+        edm.analyze_clique_batch(rm, cliques)
+        for cliques, rm in zip(clique_lists, ranges)
+    ]
+    return _greedy(table_from_analyses(batches, params), ranges[0].n, params)
 
 
 def detect_faults_from_analyses(

@@ -15,18 +15,17 @@ separates faulted from fault-free subgraphs, and the largest-magnitude
 entry of the 4th left singular vector points at the faulty vertex.
 
 All matrices here are tiny (k x k with k around 6), so full SVDs are used
-throughout; analyze_clique_batch stacks many cliques into one LAPACK call
-for the Monte-Carlo hot loops.
+throughout.  Every function works on a stack of cliques: cliques are an
+(m, k) integer array of satellite ids, and a single clique is a batch of
+one, so the Monte-Carlo hot loops run one stacked LAPACK call per epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cliques import Clique
 from .ranging import RangeMatrix
 
 
@@ -34,50 +33,22 @@ class MissingEdgeError(RuntimeError):
     """A clique refers to a pair with no measured range (stale schedule)."""
 
 
-@dataclass(frozen=True)
-class Edm:
-    """Squared measured ranges (m^2) of one subgraph; zero diagonal."""
-
-    n: int
-    d: np.ndarray
-
-
-@dataclass(frozen=True)
-class Gcedm:
-    """Geometrically centered distance matrix -1/2 J D J (m^2)."""
-
-    n: int
-    g: np.ndarray
-
-
-@dataclass(frozen=True)
-class GcedmAnalysis:
-    """Descending singular values, left singular vectors, and gamma_test."""
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    gamma_test: float
-
-    @property
-    def n(self) -> int:
-        return self.singular_values.shape[0]
-
-
-def build_edm(ranges: RangeMatrix, clique: Clique) -> Edm:
-    """Squared-range matrix restricted to the clique's vertices.
+def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
+    """Squared measured ranges (m^2) of each clique, (m, k, k), zero diagonals.
 
     Raises MissingEdgeError if any clique pair has no measured range
     (range 0 off-diagonal), which means the clique schedule is stale for
     this epoch's topology.
     """
-    idx = np.asarray(clique, dtype=int)
-    sub = ranges.r[np.ix_(idx, idx)]
-    off = ~np.eye(len(idx), dtype=bool)
-    if np.any(sub[off] <= 0.0):
-        raise MissingEdgeError(f"clique {clique} has unmeasured pairs")
+    k = cliques.shape[1]
+    sub = ranges.r[cliques[:, :, None], cliques[:, None, :]]
+    off = ~np.eye(k, dtype=bool)
+    missing = np.any(sub[:, off] <= 0.0, axis=1)
+    if missing.any():
+        raise MissingEdgeError(f"clique {cliques[missing.argmax()].tolist()} has unmeasured pairs")
     d = sub**2
-    np.fill_diagonal(d, 0.0)
-    return Edm(n=len(idx), d=d)
+    d[:, np.arange(k), np.arange(k)] = 0.0
+    return d
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -85,32 +56,13 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def geometric_center(edm: Edm) -> Gcedm:
-    """G = -1/2 J D J; symmetric with zero row and column sums."""
-    j = centering_matrix(edm.n)
-    g = -0.5 * (j @ edm.d @ j)
-    return Gcedm(n=edm.n, g=g)
+def geometric_center(d: np.ndarray) -> np.ndarray:
+    """G = -1/2 J D J over the last two axes of a (..., k, k) stack.
 
-
-def analyze(gcedm: Gcedm) -> GcedmAnalysis:
-    """Full SVD of the centered matrix plus the fault test statistic.
-
-    gamma_test = (s4 + s5) / s1 with singular values descending; defined
-    as 0 when s1 = 0 (an all-zero matrix should never flag a fault).
-    Requires n >= 5.
+    Each G is symmetric with zero row and column sums.
     """
-    if gcedm.n < 5:
-        raise ValueError(f"gamma_test undefined for n={gcedm.n} < 5")
-    u, s, _ = np.linalg.svd(gcedm.g)
-    gamma = 0.0 if s[0] == 0.0 else float((s[3] + s[4]) / s[0])
-    return GcedmAnalysis(singular_values=s, left_vectors=u, gamma_test=gamma)
-
-
-def fault_vertex_index(analysis: GcedmAnalysis) -> int:
-    """Local index of the suspected fault vertex: argmax |u4|, first on ties."""
-    if analysis.n < 5:
-        raise ValueError("needs at least 5 vertices")
-    return int(np.argmax(np.abs(analysis.left_vectors[:, 3])))
+    j = centering_matrix(d.shape[-1])
+    return -0.5 * (j @ d @ j)
 
 
 def numerical_rank(singular_values: np.ndarray, rel_tol: float) -> int:
@@ -138,59 +90,31 @@ def canonicalize_signs(u: np.ndarray) -> np.ndarray:
     return u * flip[..., None, :]
 
 
-# ---------------------------------------------------------------------------
-# Batched path for the Monte-Carlo and calibration hot loops.  One stacked
-# LAPACK SVD replaces a Python loop over cliques; results are identical to
-# mapping analyze() over the cliques (covered by tests).
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class BatchAnalysis:
     """Stacked analyses of m cliques against one range matrix."""
 
-    cliques: tuple[Clique, ...]
+    cliques: np.ndarray           # (m, k) satellite ids
     singular_values: np.ndarray   # (m, k) descending per row
     left_vectors: np.ndarray      # (m, k, k)
     gamma_test: np.ndarray        # (m,)
-    fault_vertex_local: np.ndarray  # (m,) argmax |u4| per clique
+    fault_vertex_local: np.ndarray  # (m,) argmax |u4| per clique, first on ties
 
     def fault_vertex_global(self) -> np.ndarray:
         """Map per-clique fault attributions to satellite ids."""
-        verts = np.asarray(self.cliques, dtype=int)
-        return verts[np.arange(len(self.cliques)), self.fault_vertex_local]
+        return self.cliques[np.arange(len(self.cliques)), self.fault_vertex_local]
 
 
-def analyze_clique_batch(ranges: RangeMatrix, cliques: Sequence[Clique]) -> BatchAnalysis:
-    """GCEDM analysis of many same-size cliques in one stacked SVD."""
-    cliques = tuple(cliques)
-    if not cliques:
-        k = 0
-        return BatchAnalysis(
-            cliques=cliques,
-            singular_values=np.zeros((0, k)),
-            left_vectors=np.zeros((0, k, k)),
-            gamma_test=np.zeros(0),
-            fault_vertex_local=np.zeros(0, dtype=int),
-        )
-    k = len(cliques[0])
-    if k < 5:
+def analyze_clique_batch(ranges: RangeMatrix, cliques: np.ndarray) -> BatchAnalysis:
+    """Full SVD of every clique's centered distance matrix plus gamma_test.
+
+    gamma_test = (s4 + s5) / s1 with singular values descending; defined
+    as 0 when s1 = 0 (an all-zero matrix should never flag a fault).
+    Requires cliques of k >= 5 vertices.
+    """
+    if cliques.shape[1] < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
-    if any(len(c) != k for c in cliques):
-        raise ValueError("all cliques in a batch must have equal size")
-
-    idx = np.asarray(cliques, dtype=int)           # (m, k)
-    sub = ranges.r[idx[:, :, None], idx[:, None, :]]  # (m, k, k)
-    off = ~np.eye(k, dtype=bool)
-    if np.any(sub[:, off] <= 0.0):
-        bad = np.nonzero(np.any(sub[:, off] <= 0.0, axis=1))[0][0]
-        raise MissingEdgeError(f"clique {cliques[bad]} has unmeasured pairs")
-
-    d = sub**2
-    d[:, np.arange(k), np.arange(k)] = 0.0
-    j = centering_matrix(k)
-    g = -0.5 * (j @ d @ j)
-
-    u, s, _ = np.linalg.svd(g)
+    u, s, _ = np.linalg.svd(geometric_center(build_edm(ranges, cliques)))
     lead = s[:, 0]
     gamma = np.divide(
         s[:, 3] + s[:, 4], lead, out=np.zeros(len(cliques)), where=lead > 0.0

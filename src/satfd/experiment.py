@@ -23,10 +23,11 @@ import numpy as np
 
 from . import edm
 from .calibration import MlpPredictor
-from .cliques import Clique, list_k_cliques
-from .constellation import ConstellationConfig, PositionSet, orbital_period, propagate
-from .detector import DetectorParams, detect_faults_from_analyses
-from .linkgraph import VisibilityGraph, build_visibility_graph
+# list_k_cliques is bound here only so that perfbench's tracer, which wraps
+# every module binding of a traced function, finds it in this module too.
+from .cliques import build_clique_schedule, list_k_cliques  # noqa: F401
+from .constellation import ConstellationConfig, orbital_period
+from .detector import DetectorParams, detect_faults_from_analyses, is_scalar_threshold
 from .ranging import FaultConfig, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, substream
 
@@ -41,7 +42,7 @@ class ThresholdSpec:
     @property
     def scalar(self) -> float:
         """Numeric value for reports; NaN for predictor thresholds."""
-        return float(self.value) if isinstance(self.value, (int, float)) else math.nan
+        return float(self.value) if is_scalar_threshold(self.value) else math.nan
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,6 @@ class ExperimentGrid:
             len(self.fault_counts) * len(self.magnitudes)
             * len(self.thresholds) * len(self.dls)
         )
-
-
-@dataclass(frozen=True)
-class TrialSpec:
-    """Conditions of one Monte-Carlo trial."""
-
-    trial_id: int
-    t0: float
-    fault_set: frozenset[int]
-    params: DetectorParams
-    sigma_w: float
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -136,19 +125,12 @@ class CellResult:
 # Campaign context: everything deterministic shared by all trials.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EpochData:
-    t: float
-    graph: VisibilityGraph
-    cliques: tuple[Clique, ...]
-
-
 class CampaignContext:
     """Precomputed epoch grid plus fixed detector settings for one campaign.
 
     The epoch grid covers one orbital period at the detection timestep,
     extended by (max DL - 1) epochs so any trial window fits.  Trials index
-    into this grid; the clique schedule is computed once.
+    into this grid's clique schedule, which is computed once.
     """
 
     def __init__(
@@ -173,17 +155,8 @@ class CampaignContext:
 
         period = orbital_period(config.satellites[0].a, config.body.mu)
         self.n_start_epochs = math.ceil(period / timestep)
-        max_dl = max(grid.dls)
-        self.epochs: list[EpochData] = []
-        self._positions: list[np.ndarray] = []
-        for i in range(self.n_start_epochs + max_dl - 1):
-            t = timestep * i
-            ps = propagate(config, t)
-            graph = build_visibility_graph(ps, config.body.radius)
-            self.epochs.append(
-                EpochData(t=t, graph=graph, cliques=tuple(list_k_cliques(graph, k)))
-            )
-            self._positions.append(ps.positions)
+        times = timestep * np.arange(self.n_start_epochs + max(grid.dls) - 1)
+        self.schedule = build_clique_schedule(config, times, k)
 
     @property
     def n_sats(self) -> int:
@@ -208,25 +181,11 @@ class CampaignContext:
         out = []
         for offset in range(n_epochs):
             g = t0_index + offset
-            ep = self.epochs[g]
+            entry = self.schedule.entries[g]
             rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
-            rm = measure_ranges(
-                PositionSet(t=ep.t, positions=self._positions[g]),
-                ep.graph, faults, self.sigma_w, rng,
-            )
-            out.append(edm.analyze_clique_batch(rm, ep.cliques))
+            rm = measure_ranges(entry.positions, entry.graph, faults, self.sigma_w, rng)
+            out.append(edm.analyze_clique_batch(rm, entry.cliques))
         return out
-
-
-def run_trial(ctx: CampaignContext, spec: TrialSpec) -> np.ndarray:
-    """Boolean per-satellite classification for one (trial, cell) pair."""
-    t0_index = int(round(spec.t0 / ctx.timestep))
-    faults = FaultConfig(fault_set=spec.fault_set, magnitude=spec.magnitude)
-    batches = ctx.epoch_analyses(spec.trial_id, t0_index, faults, spec.params.di)
-    outcome = detect_faults_from_analyses(batches, spec.params, ctx.n_sats)
-    classified = np.zeros(ctx.n_sats, dtype=bool)
-    classified[list(outcome.fault_list)] = True
-    return classified
 
 
 def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:

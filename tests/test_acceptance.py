@@ -145,15 +145,15 @@ def test_criterion_1_rank_laws():
     g_ok = g_exact = g_eligible = 0
     noisy_ok = 0
     for n, m, rm in random_rank_cases(sigma=0.0):
-        d = edm.build_edm(rm, tuple(range(n)))
-        s_d = np.linalg.svd(d.d, compute_uv=False)
+        d = edm.build_edm(rm, np.arange(n)[None])[0]
+        s_d = np.linalg.svd(d, compute_uv=False)
         rank_d = edm.numerical_rank(s_d, 1e-10)
         bound_d = min(3 + 2 + 2 * m, n)
         edm_ok += rank_d <= bound_d
         edm_exact += rank_d == bound_d
 
         g = edm.geometric_center(d)
-        s_g = np.linalg.svd(g.g, compute_uv=False)
+        s_g = np.linalg.svd(g, compute_uv=False)
         rank_g = edm.numerical_rank(s_g, 1e-10)
         bound_g = min(3 + 2 * m, n - 1)
         g_ok += rank_g <= bound_g
@@ -162,8 +162,8 @@ def test_criterion_1_rank_laws():
             g_exact += rank_g == bound_g
 
     for n, m, rm in random_rank_cases(sigma=1e-4):
-        g = edm.geometric_center(edm.build_edm(rm, tuple(range(n))))
-        s_g = np.linalg.svd(g.g, compute_uv=False)
+        g = edm.geometric_center(edm.build_edm(rm, np.arange(n)[None]))[0]
+        s_g = np.linalg.svd(g, compute_uv=False)
         noisy_ok += edm.numerical_rank(s_g, 1e-12) == n - 1
 
     elapsed = time.perf_counter() - start
@@ -191,10 +191,11 @@ def test_criterion_2_noiseless_sanity():
         diff = pts[:, None, :] - pts[None, :, :]
         r = np.sqrt((diff**2).sum(axis=2))
         np.fill_diagonal(r, 0.0)
-        g = edm.geometric_center(edm.build_edm(RangeMatrix(6, r), tuple(range(6))))
-        a = edm.analyze(g)
-        row_sums_ok = np.abs(g.g.sum(axis=1)).max() <= 1e-9 * np.abs(g.g).max()
-        clean += (a.gamma_test <= 1e-10) and row_sums_ok
+        clique = np.arange(6)[None]
+        g = edm.geometric_center(edm.build_edm(RangeMatrix(6, r), clique))[0]
+        a = edm.analyze_clique_batch(RangeMatrix(6, r), clique)
+        row_sums_ok = np.abs(g.sum(axis=1)).max() <= 1e-9 * np.abs(g).max()
+        clean += (a.gamma_test[0] <= 1e-10) and row_sums_ok
     verdict(clean == 1000, "criterion 2 (noiseless sanity)",
             f"{clean}/1000 cliques with gamma <= 1e-10 and centered row sums")
 
@@ -220,7 +221,8 @@ def test_criterion_3_clique_oracle():
                 c for c in itertools.combinations(range(n), k)
                 if all(adj[a, b] for a, b in itertools.combinations(c, 2))
             ]
-            match &= list_k_cliques(graph, k) == brute
+            brute = np.array(brute, dtype=np.intp).reshape(len(brute), k)
+            match &= np.array_equal(list_k_cliques(graph, k), brute)
         agree += match
     verdict(agree == graphs, "criterion 3 (clique oracle)",
             f"{agree}/{graphs} random graphs match brute force for k in 3..6")

@@ -3,22 +3,24 @@ import json
 import numpy as np
 import pytest
 
+import dataclasses
+
 from satfd import calibration, edm
 from satfd.calibration import (
     DegenerateFitError,
     MlpPredictor,
     StatisticSample,
+    batch_features,
     build_training_set,
-    extract_features,
     fit_gamma,
     loss_and_grads,
     percentile,
-    predict_threshold,
     sample_statistics,
     sampling_times,
     train_predictor,
 )
 from satfd.constellation import load_bundled
+from satfd.ranging import RangeMatrix
 
 
 def make_sample(values, **kw):
@@ -71,8 +73,6 @@ class TestPercentile:
     def test_scale_invariance_of_thresholds(self):
         # gamma_test is scale-free, so scaling all ranges (noise included)
         # leaves the sampled values (hence any percentile) unchanged
-        from satfd.ranging import RangeMatrix
-
         rng = np.random.default_rng(8)
         pts = rng.uniform(1.0, 2.0, size=(6, 3))
         diff = pts[:, None, :] - pts[None, :, :]
@@ -80,10 +80,11 @@ class TestPercentile:
         noise = rng.standard_normal((6, 6)) * 1e-6
         r = r + np.triu(noise, 1) + np.triu(noise, 1).T
 
-        base = edm.analyze(edm.geometric_center(edm.build_edm(RangeMatrix(6, r), tuple(range(6)))))
-        scaled = edm.analyze(edm.geometric_center(edm.build_edm(RangeMatrix(6, 1e4 * r), tuple(range(6)))))
-        assert base.gamma_test > 1e-9  # well above the SVD floor
-        assert scaled.gamma_test == pytest.approx(base.gamma_test, rel=1e-12)
+        clique = np.arange(6)[None]
+        base = edm.analyze_clique_batch(RangeMatrix(6, r), clique).gamma_test[0]
+        scaled = edm.analyze_clique_batch(RangeMatrix(6, 1e4 * r), clique).gamma_test[0]
+        assert base > 1e-9  # well above the SVD floor
+        assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_bounds(self):
         sample = make_sample([1.0, 2.0])
@@ -123,41 +124,41 @@ class TestThresholdFile:
         assert loaded[0]["n_samples"] == 1000
 
 
+def exact_ranges(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return RangeMatrix(n=len(pts), r=np.sqrt((diff**2).sum(axis=2)))
+
+
 class TestExtractFeatures:
     def analysis(self, seed=0, n=6):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, 1.0, size=(n, 3))
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = (diff**2).sum(axis=2)
-        return edm.analyze(edm.geometric_center(edm.Edm(n=n, d=d)))
+        return edm.analyze_clique_batch(exact_ranges(pts), np.arange(n)[None])
 
     def test_dimension_21(self):
-        feats = extract_features(self.analysis())
+        feats = batch_features(self.analysis())[0]
         assert feats.shape == (21,)
         assert np.all(np.diff(feats[:3]) <= 0.0)
 
     def test_rejects_wrong_size(self):
+        # features are defined for 6-vertex subgraphs; the predictor that
+        # consumes them rejects those of any other size
+        model = MlpPredictor.initialize(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            extract_features(self.analysis(n=7))
+            model.predict(batch_features(self.analysis(n=7)))
 
     def test_sign_flip_stability(self):
         a = self.analysis(4)
-        flipped = edm.GcedmAnalysis(
-            singular_values=a.singular_values,
-            left_vectors=a.left_vectors * -1.0,
-            gamma_test=a.gamma_test,
-        )
-        assert np.array_equal(extract_features(a), extract_features(flipped))
+        flipped = dataclasses.replace(a, left_vectors=a.left_vectors * -1.0)
+        assert np.array_equal(batch_features(a), batch_features(flipped))
 
     def test_relabeling_permutes_u_blocks_only(self):
         rng = np.random.default_rng(23)
         pts = rng.uniform(0.0, 1.0, size=(6, 3))
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = (diff**2).sum(axis=2)
-        base = extract_features(edm.analyze(edm.geometric_center(edm.Edm(6, d))))
+        rm = exact_ranges(pts)
+        base = batch_features(edm.analyze_clique_batch(rm, np.arange(6)[None]))[0]
         perm = rng.permutation(6)
-        dp = d[np.ix_(perm, perm)]
-        permuted = extract_features(edm.analyze(edm.geometric_center(edm.Edm(6, dp))))
+        permuted = batch_features(edm.analyze_clique_batch(rm, perm[None]))[0]
         assert permuted[:3] == pytest.approx(base[:3], rel=1e-12)
         for block in range(3):
             lo = 3 + 6 * block
@@ -180,8 +181,14 @@ class TestExtractFeatures:
         batch = edm.analyze_clique_batch(rm, cliques)
         feats = calibration.batch_features(batch)
         for row, clique in enumerate(cliques):
-            single = edm.analyze(edm.geometric_center(edm.build_edm(rm, clique)))
-            assert feats[row] == pytest.approx(extract_features(single), rel=1e-12, abs=1e-12)
+            # per-matrix numpy reference of the same features
+            d = rm.r[np.ix_(clique, clique)] ** 2
+            np.fill_diagonal(d, 0.0)
+            j = np.eye(6) - np.full((6, 6), 1.0 / 6)
+            u, s, _ = np.linalg.svd(-0.5 * (j @ d @ j))
+            u = u[:, :3] * np.sign(u[np.argmax(np.abs(u[:, :3]), axis=0), [0, 1, 2]])
+            want = np.concatenate([s[:3], u.T.reshape(-1)])
+            assert feats[row] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestMlp:
@@ -286,7 +293,7 @@ class TestMlp:
         rng = np.random.default_rng(2)
         model = MlpPredictor.initialize(rng)
         model.y_mean = -100.0  # force a negative raw output
-        assert predict_threshold(model, np.zeros(21)) == 0.0
+        assert model.predict(np.zeros(21)) == 0.0
         with pytest.raises(ValueError):
             model.predict(np.zeros(20))
 

@@ -159,6 +159,22 @@ class TestMonteCarloAndReport:
         main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        exp = self.experiment_file(tmp_path)
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path),
+                   "--threads", threads])
+        assert rc != 0
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_unread_options_not_accepted(self, tmp_path):
+        exp = self.experiment_file(tmp_path)
+        with pytest.raises(SystemExit):
+            main(["montecarlo", "--experiment", str(exp), "--seed", "3"])
+        with pytest.raises(SystemExit):
+            main(["propagate", "--config", "elfo_moon", "--threads", "2"])
+
     def test_empty_grid_rejected(self, tmp_path):
         exp = self.experiment_file(tmp_path, magnitudes_m=[])
         rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path)])

@@ -8,11 +8,9 @@ from satfd.cliques import (
     CliqueSchedule,
     ScheduleEntry,
     build_clique_schedule,
-    cliques_containing,
     list_k_cliques,
-    remove_satellite,
 )
-from satfd.constellation import load_bundled, orbital_period
+from satfd.constellation import PositionSet, load_bundled, orbital_period
 from satfd.linkgraph import VisibilityGraph
 
 
@@ -28,23 +26,25 @@ def complete_graph(n):
 
 
 def brute_force_cliques(graph, k):
-    """Oracle: filter all C(n, k) subsets."""
+    """Oracle: filter all C(n, k) subsets, as an (m, k) array."""
     adj = graph.adjacency
-    return [
+    rows = [
         c for c in itertools.combinations(range(graph.n), k)
         if all(adj[a, b] for a, b in itertools.combinations(c, 2))
     ]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k)
 
 
 class TestListKCliques:
     def test_k6_of_k6(self):
-        assert list_k_cliques(complete_graph(6), 6) == [tuple(range(6))]
+        assert np.array_equal(list_k_cliques(complete_graph(6), 6), [list(range(6))])
 
     def test_k8_binomial_count(self):
         assert len(list_k_cliques(complete_graph(8), 6)) == comb(8, 6)
 
     def test_empty_when_too_large(self):
-        assert list_k_cliques(complete_graph(4), 6) == []
+        found = list_k_cliques(complete_graph(4), 6)
+        assert found.shape == (0, 6) and found.dtype == np.intp
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(21)
@@ -54,7 +54,9 @@ class TestListKCliques:
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
             graph = make_graph(n, edges)
             for k in range(3, 7):
-                assert list_k_cliques(graph, k) == brute_force_cliques(graph, k)
+                found = list_k_cliques(graph, k)
+                assert found.dtype == np.intp
+                assert np.array_equal(found, brute_force_cliques(graph, k))
 
     def test_every_clique_fully_connected(self):
         rng = np.random.default_rng(33)
@@ -82,31 +84,23 @@ class TestListKCliques:
         times = np.linspace(0.0, period, 20)
         schedule = build_clique_schedule(config, times, k=6)
         for entry in schedule.entries:
-            for sat in range(12):
-                assert cliques_containing(entry.cliques, sat) >= 32
+            assert (np.bincount(entry.cliques.ravel(), minlength=12) >= 32).all()
 
 
 class TestCliqueOps:
     def test_containing_counts(self):
+        # per-satellite counts as the cliques command writes them
         cliques = list_k_cliques(complete_graph(6), 6)
-        assert cliques_containing(cliques, 3) == 1
-        assert cliques_containing([], 3) == 0
-
-    def test_remove_satellite(self):
-        assert remove_satellite([tuple(range(6))], 3) == []
-        assert remove_satellite([tuple(range(6))], 7) == [tuple(range(6))]
-
-    def test_remove_from_k8(self):
-        cliques = list_k_cliques(complete_graph(8), 6)
-        remaining = remove_satellite(cliques, 0)
-        # C(7,6) = 7 cliques avoid vertex 0
-        assert len(remaining) == comb(7, 6)
-        assert all(0 not in c for c in remaining)
+        assert np.bincount(cliques.ravel(), minlength=8)[3] == 1
+        empty = list_k_cliques(complete_graph(4), 6)
+        assert np.bincount(empty.ravel(), minlength=8)[3] == 0
 
 
 class TestSchedule:
     def test_epochs_strictly_increasing(self):
-        entry = ScheduleEntry(t=0.0, cliques=())
+        graph = complete_graph(6)
+        entry = ScheduleEntry(positions=PositionSet(t=0.0, positions=np.zeros((6, 3))),
+                              graph=graph, cliques=list_k_cliques(graph, 6))
         with pytest.raises(ValueError):
             CliqueSchedule(entries=(entry, entry))
 
@@ -114,4 +108,6 @@ class TestSchedule:
         config = load_bundled("elfo_moon")
         schedule = build_clique_schedule(config, [0.0, 60.0], k=6)
         assert [e.t for e in schedule.entries] == [0.0, 60.0]
-        assert all(len(c) == 6 for e in schedule.entries for c in e.cliques)
+        assert all(e.cliques.shape[1] == 6 for e in schedule.entries)
+        for e in schedule.entries:
+            assert np.array_equal(e.cliques, list_k_cliques(e.graph, 6))

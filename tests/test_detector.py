@@ -9,10 +9,9 @@ from satfd.detector import (
     VoteState,
     detect_faults,
     detect_faults_from_analyses,
-    detection_round,
 )
 from satfd.linkgraph import build_visibility_graph
-from satfd.ranging import FaultConfig, measure_ranges
+from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
 from satfd.seeds import substream
 
 P99 = 4.6e-7
@@ -29,20 +28,26 @@ def elfo_epoch(t=0.0, fault_set=frozenset(), magnitude=0.0, sigma=1.0, seed=0):
     return cliques, rm
 
 
+def first_round(clique_lists, ranges, params):
+    """Votes and removal of the first greedy round (None: it terminated)."""
+    out = detect_faults(clique_lists, ranges, params)
+    return out.vote_history[0], out.fault_list[0] if out.fault_list else None
+
+
 class TestDetectionRound:
     def test_no_fault_terminates(self):
         # at the 99.9 percentile threshold, ~0.1% of ~463 cliques flag;
         # far below delta_nf = 10
         cliques, rm = elfo_epoch(sigma=1.0, seed=3)
-        votes, removal = detection_round([cliques], [rm],
-                                         DetectorParams(di=1, gamma_threshold=P999))
+        votes, removal = first_round([cliques], [rm],
+                                     DetectorParams(di=1, gamma_threshold=P999))
         assert removal is None
         assert votes.total < 10
 
     def test_fault_removed(self):
         cliques, rm = elfo_epoch(t=3600.0, fault_set={5}, magnitude=20.0, seed=4)
-        votes, removal = detection_round([cliques], [rm],
-                                         DetectorParams(di=1, gamma_threshold=P99))
+        votes, removal = first_round([cliques], [rm],
+                                     DetectorParams(di=1, gamma_threshold=P99))
         assert removal == 5
         assert votes.ratios[5] == votes.counts[5] / votes.total
 
@@ -53,29 +58,31 @@ class TestDetectionRound:
         flagged = int((batch.gamma_test > P99).sum())
         assert flagged > 10
         at_boundary = DetectorParams(di=1, gamma_threshold=P99, delta_nf=flagged + 1)
-        _, removal = detection_round([cliques], [rm], at_boundary)
+        _, removal = first_round([cliques], [rm], at_boundary)
         assert removal is None
         at_count = DetectorParams(di=1, gamma_threshold=P99, delta_nf=flagged)
-        _, removal = detection_round([cliques], [rm], at_count)
+        _, removal = first_round([cliques], [rm], at_count)
         assert removal is not None
 
     def test_delta_rf_requires_concentration(self):
         cliques, rm = elfo_epoch(fault_set={3}, magnitude=20.0, seed=4)
         diffuse = DetectorParams(di=1, gamma_threshold=P99, delta_rf=0.99)
-        votes, removal = detection_round([cliques], [rm], diffuse)
+        votes, removal = first_round([cliques], [rm], diffuse)
         assert removal is None
         assert votes.total >= 10  # terminated by the ratio rule, not the count
 
     def test_empty_window_terminates(self):
-        votes, removal = detection_round([], [], DetectorParams(di=1, gamma_threshold=0.0),
-                                         n_sats=12)
+        # one epoch whose predicted topology holds no cliques at all
+        no_cliques = np.zeros((0, 6), dtype=np.intp)
+        votes, removal = first_round([no_cliques], [RangeMatrix(n=12, r=np.zeros((12, 12)))],
+                                     DetectorParams(di=1, gamma_threshold=0.0))
         assert removal is None
         assert votes.total == 0
 
     def test_vote_total_bounded_by_cliques(self):
         cliques, rm = elfo_epoch(fault_set={1, 5}, magnitude=20.0, seed=9)
-        votes, _ = detection_round([cliques], [rm],
-                                   DetectorParams(di=1, gamma_threshold=0.0))
+        votes, _ = first_round([cliques], [rm],
+                               DetectorParams(di=1, gamma_threshold=0.0))
         assert votes.total <= len(cliques)
         assert (votes.counts >= 0).all()
 
@@ -83,8 +90,8 @@ class TestDetectionRound:
         cliques, rm = elfo_epoch(fault_set={3}, magnitude=10.0, seed=12)
         totals = []
         for thr in (1e-7, 3e-7, 5e-7, 1e-6):
-            votes, _ = detection_round([cliques], [rm],
-                                       DetectorParams(di=1, gamma_threshold=thr))
+            votes, _ = first_round([cliques], [rm],
+                                   DetectorParams(di=1, gamma_threshold=thr))
             totals.append(votes.total)
         assert totals == sorted(totals, reverse=True)
 
@@ -158,6 +165,17 @@ class TestDetectFaults:
                             DetectorParams(di=1, gamma_threshold=0.0, delta_nf=1,
                                            delta_rf=0.01))
         assert 0 not in out.fault_list
+
+
+class TestScalarThresholds:
+    @pytest.mark.parametrize("thr", [np.float32(P99), np.float64(P99), np.int64(0)])
+    def test_numpy_scalars_match_python_float(self, thr):
+        cliques, rm = elfo_epoch(t=3600.0, fault_set={5}, magnitude=20.0, seed=4)
+        as_numpy = detect_faults([cliques], [rm], DetectorParams(di=1, gamma_threshold=thr))
+        as_float = detect_faults([cliques], [rm],
+                                 DetectorParams(di=1, gamma_threshold=float(thr)))
+        assert as_numpy.fault_list == as_float.fault_list
+        assert as_numpy.rounds == as_float.rounds
 
 
 class TestPredictedThreshold:

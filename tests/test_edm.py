@@ -26,17 +26,33 @@ def faulted_ranges(points, fault_ids=(), magnitude=0.0, sigma=0.0, rng=None):
     return RangeMatrix(n=n, r=r)
 
 
+def whole(n):
+    """The clique of all n vertices, as a batch of one."""
+    return np.arange(n)[None]
+
+
 def analysis_of(points, **kw):
+    """Analysis of the clique of all points: a batch of one."""
     rm = faulted_ranges(points, **kw)
-    clique = tuple(range(points.shape[0]))
-    return edm.analyze(edm.geometric_center(edm.build_edm(rm, clique)))
+    return edm.analyze_clique_batch(rm, whole(points.shape[0]))
+
+
+def reference_analysis(rm, clique):
+    """Per-matrix numpy reference: (singular values, left vectors, gamma, argmax |u4|)."""
+    r = rm.r[np.ix_(clique, clique)]
+    d = r**2
+    np.fill_diagonal(d, 0.0)
+    n = len(clique)
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    u, s, _ = np.linalg.svd(-0.5 * (j @ d @ j))
+    return s, u, (s[3] + s[4]) / s[0], int(np.argmax(np.abs(u[:, 3])))
 
 
 class TestBuildEdm:
     def test_unit_square_in_3d(self):
         square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
         rm = faulted_ranges(square)
-        d = edm.build_edm(rm, (0, 1, 2, 3)).d
+        d = edm.build_edm(rm, whole(4))[0]
         assert d[0, 1] == pytest.approx(1.0)
         assert d[0, 2] == pytest.approx(2.0)
         assert np.array_equal(d.diagonal(), np.zeros(4))
@@ -45,7 +61,7 @@ class TestBuildEdm:
         rng = np.random.default_rng(2)
         pts = rng.uniform(5.0, 9.0, size=(6, 3)) * 1e6
         rm = faulted_ranges(pts)
-        d = edm.build_edm(rm, tuple(range(6))).d
+        d = edm.build_edm(rm, whole(6))[0]
         diff = pts[:, None, :] - pts[None, :, :]
         want = (diff**2).sum(axis=2)
         np.fill_diagonal(want, 0.0)
@@ -57,53 +73,49 @@ class TestBuildEdm:
         rm = faulted_ranges(pts)
         rm.r[1, 4] = rm.r[4, 1] = 0.0  # simulate a stale schedule
         with pytest.raises(edm.MissingEdgeError):
-            edm.build_edm(rm, tuple(range(6)))
+            edm.build_edm(rm, whole(6))
 
     def test_single_point_degenerate(self):
         rm = RangeMatrix(n=1, r=np.zeros((1, 1)))
-        assert np.array_equal(edm.build_edm(rm, (0,)).d, np.zeros((1, 1)))
+        assert np.array_equal(edm.build_edm(rm, whole(1)), np.zeros((1, 1, 1)))
 
 
 class TestGeometricCenter:
     def test_zero_in_zero_out(self):
-        g = edm.geometric_center(edm.Edm(n=4, d=np.zeros((4, 4))))
-        assert np.array_equal(g.g, np.zeros((4, 4)))
+        g = edm.geometric_center(np.zeros((4, 4)))
+        assert np.array_equal(g, np.zeros((4, 4)))
 
     def test_noiseless_rank_three(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             pts = rng.uniform(0.0, 1.0, size=(6, 3))
             rm = faulted_ranges(pts)
-            g = edm.geometric_center(edm.build_edm(rm, tuple(range(6))))
-            s = np.linalg.svd(g.g, compute_uv=False)
+            g = edm.geometric_center(edm.build_edm(rm, whole(6)))[0]
+            s = np.linalg.svd(g, compute_uv=False)
             assert edm.numerical_rank(s, 1e-10) == 3
 
     def test_collinear_rank_one(self):
         pts = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0, -0.5]))
         rm = faulted_ranges(pts)
-        g = edm.geometric_center(edm.build_edm(rm, tuple(range(6))))
-        s = np.linalg.svd(g.g, compute_uv=False)
+        g = edm.geometric_center(edm.build_edm(rm, whole(6)))[0]
+        s = np.linalg.svd(g, compute_uv=False)
         assert edm.numerical_rank(s, 1e-10) == 1
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             pts = rng.uniform(0.0, 1.0, size=(7, 3))
-            g = edm.geometric_center(edm.build_edm(faulted_ranges(pts), tuple(range(7))))
-            scale = np.abs(g.g).max()
-            assert np.abs(g.g.sum(axis=0)).max() <= 1e-9 * scale
-            assert np.abs(g.g.sum(axis=1)).max() <= 1e-9 * scale
+            g = edm.geometric_center(edm.build_edm(faulted_ranges(pts), whole(7)))[0]
+            scale = np.abs(g).max()
+            assert np.abs(g.sum(axis=0)).max() <= 1e-9 * scale
+            assert np.abs(g.sum(axis=1)).max() <= 1e-9 * scale
 
 
 class TestAnalyze:
     def test_noiseless_gamma_negligible(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(2.0, 3.0, size=(6, 3)) * 1e6
-        assert analysis_of(pts).gamma_test <= 1e-10
-
-    def test_zero_matrix_convention(self):
-        a = edm.analyze(edm.Gcedm(n=6, g=np.zeros((6, 6))))
-        assert a.gamma_test == 0.0
+        assert analysis_of(pts).gamma_test[0] <= 1e-10
 
     def test_fault_raises_gamma_above_noise_floor(self):
         rng = np.random.default_rng(8)
@@ -111,33 +123,23 @@ class TestAnalyze:
         noisy = analysis_of(pts, sigma=1e-6, rng=np.random.default_rng(3))
         faulted = analysis_of(pts, fault_ids=[2], magnitude=1e-3,
                               sigma=1e-6, rng=np.random.default_rng(3))
-        assert 0.0 < noisy.gamma_test < faulted.gamma_test
+        assert 0.0 < noisy.gamma_test[0] < faulted.gamma_test[0]
 
     def test_small_matrix_rejected(self):
+        rm = faulted_ranges(np.random.default_rng(0).uniform(0.0, 1.0, size=(4, 3)))
         with pytest.raises(ValueError):
-            edm.analyze(edm.Gcedm(n=4, g=np.zeros((4, 4))))
+            edm.analyze_clique_batch(rm, whole(4))
 
     def test_descending_order_and_orthonormal(self):
         rng = np.random.default_rng(77)
         pts = rng.uniform(0.0, 1.0, size=(6, 3))
         a = analysis_of(pts, fault_ids=[1], magnitude=0.1)
-        assert np.all(np.diff(a.singular_values) <= 0.0)
-        assert np.allclose(a.left_vectors.T @ a.left_vectors, np.eye(6), atol=1e-9)
+        u = a.left_vectors[0]
+        assert np.all(np.diff(a.singular_values[0]) <= 0.0)
+        assert np.allclose(u.T @ u, np.eye(6), atol=1e-9)
 
 
 class TestFaultVertexIndex:
-    def test_argmax_of_u4(self):
-        u = np.eye(6)
-        u[:, 3] = [0.9, 0.1, 0.0, 0.0, 0.0, 0.0]
-        a = edm.GcedmAnalysis(singular_values=np.ones(6), left_vectors=u, gamma_test=0.0)
-        assert edm.fault_vertex_index(a) == 0
-
-    def test_tie_goes_to_lowest_index(self):
-        u = np.eye(6)
-        u[:, 3] = [0.5, -0.5, 0.0, 0.0, 0.0, 0.0]
-        a = edm.GcedmAnalysis(singular_values=np.ones(6), left_vectors=u, gamma_test=0.0)
-        assert edm.fault_vertex_index(a) == 0
-
     def test_recovers_fault_in_elfo_subgraph(self):
         # Attribution accuracy is geometry-dependent (near-coplanar healthy
         # satellites can hide the fault entirely); this subgraph is one of
@@ -145,15 +147,15 @@ class TestFaultVertexIndex:
         config = load_bundled("elfo_moon")
         ps = propagate(config, 7200.0)
         graph = build_visibility_graph(ps, config.body.radius)
-        clique = (0, 1, 2, 3, 5, 9)
-        assert clique in list_k_cliques(graph, 6)
+        clique = np.array([[0, 1, 2, 3, 5, 9]])
+        assert (list_k_cliques(graph, 6) == clique).all(axis=1).any()
         local_fault = 2
-        faults = FaultConfig(fault_set={clique[local_fault]}, magnitude=20.0)
+        faults = FaultConfig(fault_set={int(clique[0, local_fault])}, magnitude=20.0)
         hits = 0
         for draw in range(1000):
             rm = measure_ranges(ps, graph, faults, 1.0, substream(99, draw))
-            a = edm.analyze(edm.geometric_center(edm.build_edm(rm, clique)))
-            if edm.fault_vertex_index(a) == local_fault:
+            a = edm.analyze_clique_batch(rm, clique)
+            if a.fault_vertex_local[0] == local_fault:
                 hits += 1
         assert hits > 500
 
@@ -170,7 +172,7 @@ class TestNumericalRank:
         rng = np.random.default_rng(14)
         pts = rng.uniform(0.0, 1.0, size=(12, 3))
         rm = faulted_ranges(pts, fault_ids=[3, 8], magnitude=0.2)
-        g = edm.geometric_center(edm.build_edm(rm, tuple(range(12)))).g
+        g = edm.geometric_center(edm.build_edm(rm, whole(12)))[0]
         s = np.linalg.svd(g, compute_uv=False)
         assert edm.numerical_rank(s, 1e-10) == 7
         assert np.linalg.matrix_rank(g, tol=1e-10 * s[0]) == 7
@@ -197,7 +199,7 @@ class TestRankLaws:
         exact = 0
         cases = self.sweep()
         for n, m, rm in cases:
-            d = edm.build_edm(rm, tuple(range(n))).d
+            d = edm.build_edm(rm, whole(n))[0]
             s = np.linalg.svd(d, compute_uv=False)
             rank = edm.numerical_rank(s, 1e-10)
             bound = min(3 + 2 + 2 * m, n)
@@ -209,7 +211,7 @@ class TestRankLaws:
         exact = eligible = 0
         cases = self.sweep()
         for n, m, rm in cases:
-            g = edm.geometric_center(edm.build_edm(rm, tuple(range(n)))).g
+            g = edm.geometric_center(edm.build_edm(rm, whole(n)))[0]
             s = np.linalg.svd(g, compute_uv=False)
             rank = edm.numerical_rank(s, 1e-10)
             bound = min(3 + 2 * m, n - 1)
@@ -221,7 +223,7 @@ class TestRankLaws:
 
     def test_noisy_gcedm_full_centered_rank(self):
         for n, m, rm in self.sweep(sigma=1e-4):
-            g = edm.geometric_center(edm.build_edm(rm, tuple(range(n)))).g
+            g = edm.geometric_center(edm.build_edm(rm, whole(n)))[0]
             s = np.linalg.svd(g, compute_uv=False)
             assert edm.numerical_rank(s, 1e-12) == n - 1
 
@@ -231,31 +233,31 @@ class TestInvariances:
         rng = np.random.default_rng(6)
         pts = rng.uniform(0.0, 1.0, size=(6, 3))
         rm = faulted_ranges(pts, fault_ids=[4], magnitude=0.05)
-        base = edm.analyze(edm.geometric_center(edm.build_edm(rm, tuple(range(6)))))
+        base = edm.analyze_clique_batch(rm, whole(6))
         for _ in range(10):
             perm = rng.permutation(6)
             rperm = RangeMatrix(n=6, r=rm.r[np.ix_(perm, perm)])
-            other = edm.analyze(edm.geometric_center(edm.build_edm(rperm, tuple(range(6)))))
-            assert other.gamma_test == pytest.approx(base.gamma_test, rel=1e-12)
+            other = edm.analyze_clique_batch(rperm, whole(6))
+            assert other.gamma_test[0] == pytest.approx(base.gamma_test[0], rel=1e-12)
             # u4 entries follow the relabeling (up to overall SVD sign)
-            assert np.abs(other.left_vectors[:, 3]) == pytest.approx(
-                np.abs(base.left_vectors[perm, 3]), abs=1e-9
+            assert np.abs(other.left_vectors[0, :, 3]) == pytest.approx(
+                np.abs(base.left_vectors[0, perm, 3]), abs=1e-9
             )
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(16)
         pts = rng.uniform(0.0, 1.0, size=(6, 3))
         rm = faulted_ranges(pts, fault_ids=[0], magnitude=0.02)
-        base = edm.analyze(edm.geometric_center(edm.build_edm(rm, tuple(range(6)))))
+        base = edm.analyze_clique_batch(rm, whole(6))
         for c in (2.0, 1e3, 3.7e-2):
             scaled = RangeMatrix(n=6, r=c * rm.r)
-            other = edm.analyze(edm.geometric_center(edm.build_edm(scaled, tuple(range(6)))))
+            other = edm.analyze_clique_batch(scaled, whole(6))
             # the last singular value is structurally zero (centering), so
             # compare on the scale of the leading one
-            assert other.singular_values == pytest.approx(
-                c**2 * base.singular_values, abs=1e-12 * c**2 * base.singular_values[0]
+            assert other.singular_values[0] == pytest.approx(
+                c**2 * base.singular_values[0], abs=1e-12 * c**2 * base.singular_values[0, 0]
             )
-            assert other.gamma_test == pytest.approx(base.gamma_test, rel=1e-12)
+            assert other.gamma_test[0] == pytest.approx(base.gamma_test[0], rel=1e-12)
 
     def test_coplanar_nonfault_geometry_hides_fault(self):
         # Documented negative example: when the five healthy satellites are
@@ -272,8 +274,8 @@ class TestInvariances:
                 nrng = np.random.default_rng(1000 + draw)
                 rm = faulted_ranges(pts, fault_ids=[5], magnitude=magnitude,
                                     sigma=1e-6, rng=nrng)
-                a = edm.analyze(edm.geometric_center(edm.build_edm(rm, tuple(range(6)))))
-                out.append(a.gamma_test)
+                a = edm.analyze_clique_batch(rm, whole(6))
+                out.append(a.gamma_test[0])
             return np.mean(out)
 
         lift_coplanar = mean_gamma(coplanar, 1e-3) / mean_gamma(coplanar, 0.0)
@@ -310,16 +312,14 @@ class TestBatchMatchesSingle:
         rm = measure_ranges(ps, graph, FaultConfig({2}, 15.0), 1.0, substream(5, 1))
         batch = edm.analyze_clique_batch(rm, cliques)
         for row, clique in enumerate(cliques):
-            single = edm.analyze(edm.geometric_center(edm.build_edm(rm, clique)))
-            assert batch.singular_values[row] == pytest.approx(
-                single.singular_values, rel=1e-12, abs=1e-15
-            )
-            assert batch.gamma_test[row] == pytest.approx(single.gamma_test, rel=1e-12)
-            assert batch.fault_vertex_local[row] == edm.fault_vertex_index(single)
+            s, _, gamma, vertex = reference_analysis(rm, clique)
+            assert batch.singular_values[row] == pytest.approx(s, rel=1e-12, abs=1e-15)
+            assert batch.gamma_test[row] == pytest.approx(gamma, rel=1e-12)
+            assert batch.fault_vertex_local[row] == vertex
 
     def test_empty_batch(self):
         rm = RangeMatrix(n=6, r=np.zeros((6, 6)))
-        batch = edm.analyze_clique_batch(rm, [])
+        batch = edm.analyze_clique_batch(rm, np.zeros((0, 6), dtype=np.intp))
         assert batch.gamma_test.size == 0
 
     def test_global_vertex_mapping(self):
@@ -328,7 +328,8 @@ class TestBatchMatchesSingle:
         config = load_bundled("elfo_moon")
         ps = propagate(config, 300.0)
         graph = build_visibility_graph(ps, config.body.radius)
-        cliques = [c for c in list_k_cliques(graph, 6) if 7 in c]
+        cliques = list_k_cliques(graph, 6)
+        cliques = cliques[(cliques == 7).any(axis=1)]
         rm = measure_ranges(ps, graph, FaultConfig({7}, 50.0), 0.5, substream(5, 2))
         batch = edm.analyze_clique_batch(rm, cliques)
         flagged = batch.gamma_test > 4.6e-7

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from satfd.constellation import load_bundled
-from satfd.detector import DetectorParams
+from satfd.detector import DetectorParams, detect_faults_from_analyses
 from satfd.experiment import (
     CampaignContext,
     CellResult,
     ConfusionCounts,
     ExperimentGrid,
     ThresholdSpec,
-    TrialSpec,
     compute_metrics,
     read_results_csv,
     run_campaign,
-    run_trial,
     write_results_csv,
 )
+from satfd.ranging import FaultConfig
 
 P99 = 4.6e-7
 
@@ -37,6 +36,16 @@ def make_ctx(grid, seed=1):
     return CampaignContext(
         config=load_bundled("elfo_moon"), sigma_w=1.0, grid=grid, master_seed=seed
     )
+
+
+def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
+    """Boolean per-satellite verdicts of one trial window under one condition."""
+    faults = FaultConfig(fault_set=fault_set, magnitude=magnitude)
+    batches = ctx.epoch_analyses(trial_id, t0_index, faults, params.di)
+    outcome = detect_faults_from_analyses(batches, params, ctx.n_sats)
+    classified = np.zeros(ctx.n_sats, dtype=bool)
+    classified[list(outcome.fault_list)] = True
+    return classified
 
 
 class TestComputeMetrics:
@@ -92,38 +101,27 @@ class TestRunTrial:
         for trial in range(10):
             t0_index, perm = ctx.trial_conditions(trial)
             fault = int(perm[0])
-            spec = TrialSpec(
-                trial_id=trial, t0=ctx.epochs[t0_index].t,
-                fault_set=frozenset({fault}),
-                params=DetectorParams(di=1, gamma_threshold=P99),
-                sigma_w=1.0, magnitude=20.0,
+            classified = classify(
+                ctx, trial, t0_index, frozenset({fault}),
+                DetectorParams(di=1, gamma_threshold=P99), magnitude=20.0,
             )
-            classified = run_trial(ctx, spec)
             hits += bool(classified[fault])
         assert hits >= 8
 
     def test_zero_magnitude_behaves_like_no_fault(self):
         ctx = make_ctx(small_grid())
         t0_index, perm = ctx.trial_conditions(0)
-        base = dict(
-            trial_id=0, t0=ctx.epochs[t0_index].t,
-            params=DetectorParams(di=1, gamma_threshold=P99), sigma_w=1.0,
-        )
-        with_zero = run_trial(ctx, TrialSpec(fault_set=frozenset({int(perm[0])}),
-                                             magnitude=0.0, **base))
-        without = run_trial(ctx, TrialSpec(fault_set=frozenset(), magnitude=0.0, **base))
+        params = DetectorParams(di=1, gamma_threshold=P99)
+        with_zero = classify(ctx, 0, t0_index, frozenset({int(perm[0])}), params, 0.0)
+        without = classify(ctx, 0, t0_index, frozenset(), params, 0.0)
         assert np.array_equal(with_zero, without)
 
     def test_repeat_invocation_identical(self):
         ctx = make_ctx(small_grid())
         t0_index, perm = ctx.trial_conditions(3)
-        spec = TrialSpec(
-            trial_id=3, t0=ctx.epochs[t0_index].t,
-            fault_set=frozenset({int(perm[0])}),
-            params=DetectorParams(di=1, gamma_threshold=P99),
-            sigma_w=1.0, magnitude=10.0,
-        )
-        assert np.array_equal(run_trial(ctx, spec), run_trial(ctx, spec))
+        args = (ctx, 3, t0_index, frozenset({int(perm[0])}),
+                DetectorParams(di=1, gamma_threshold=P99), 10.0)
+        assert np.array_equal(classify(*args), classify(*args))
 
 
 class TestRunCampaign:
@@ -176,6 +174,19 @@ class TestRunCampaign:
                            thresholds=(ThresholdSpec("x", 1.0),), dls=(1,))
         with pytest.raises(ValueError):
             run_campaign(make_ctx(small_grid()), n_trials=0)
+
+
+class TestThresholdSpec:
+    @pytest.mark.parametrize("value", [np.float32(1e-7), np.int64(2), 3, 4.5e-7])
+    def test_real_numbers_are_scalar(self, value):
+        assert ThresholdSpec("x", value).scalar == float(value)
+
+    def test_predictor_is_nan(self):
+        class Stub:
+            def predict(self, features):
+                return np.zeros(len(features))
+
+        assert math.isnan(ThresholdSpec("x", Stub()).scalar)
 
 
 class TestResultsCsv:
