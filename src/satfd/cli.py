@@ -102,6 +102,8 @@ def cmd_graph(args) -> int:
 
 def cmd_cliques(args) -> int:
     config = _load_constellation(args)
+    if args.k < 1:
+        raise CliError("need k >= 1")
     found = schedule_entry(config, args.t, args.k).cliques
     out = _outdir(args)
     path = out / "cliques.csv"
@@ -126,6 +128,8 @@ def cmd_calibrate(args) -> int:
     duration = args.duration
     if duration is None:
         duration = orbital_period(config.satellites[0].a, config.body.mu)
+    if args.step <= 0 or duration < args.step:
+        raise CliError("need step > 0 and duration >= step")
     sample = calibration.sample_statistics(
         config, args.sigma_w, args.step, duration, seed=args.seed
     )
@@ -163,8 +167,11 @@ def cmd_detect(args) -> int:
     if any(s < 0 or s >= config.n_satellites for s in fault_ids):
         raise CliError("fault satellite id out of range")
 
-    params = DetectorParams(di=args.dl, delta_nf=args.delta_nf,
-                            delta_rf=args.delta_rf, gamma_threshold=threshold)
+    try:
+        params = DetectorParams(di=args.dl, delta_nf=args.delta_nf,
+                                delta_rf=args.delta_rf, gamma_threshold=threshold)
+    except ValueError as exc:
+        raise CliError(f"invalid detector option: {exc}") from exc
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
     times = args.t0 + 60.0 * np.arange(args.dl)
     window = build_clique_schedule(config, times, params.k).entries

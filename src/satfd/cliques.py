@@ -5,9 +5,11 @@ subgraphs of 5 or more vertices keep their shape in 3D even after losing
 any single vertex, which is what makes a single faulty member stand out.
 k = 6 is the operational size; the enumerator works for any k >= 1.
 
-Enumeration is the classic arboricity-style recursion: order vertices by
-degree, and for each vertex expand cliques inside the subgraph induced by
-its higher-ranked neighbors.  Each clique is reported exactly once.
+Enumeration grows every clique one vertex at a time, level by level, as
+numpy arrays: each j-clique carries the boolean mask of vertices
+adjacent to all of its members, and is extended by every such vertex
+above its last member.  Each clique is reported exactly once, and the
+rows come out in lexicographic order.
 """
 
 from __future__ import annotations
@@ -58,26 +60,17 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
     if k > n:
         return np.zeros((0, k), dtype=np.intp)
     adj = graph.adjacency
-    # Rank vertices by ascending degree (ties by id); expanding only toward
-    # higher-ranked neighbors bounds the recursion by the graph's degeneracy.
-    degrees = adj.sum(axis=1)
-    order = sorted(range(n), key=lambda v: (degrees[v], v))
-    rank = {v: r for r, v in enumerate(order)}
-
-    neighbors = [set(np.nonzero(adj[v])[0].tolist()) for v in range(n)]
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], candidates: set[int]):
-        if len(prefix) == k:
-            out.append(tuple(sorted(prefix)))
-            return
-        for v in sorted(candidates, key=lambda u: rank[u]):
-            extend(prefix + [v], {u for u in candidates & neighbors[v] if rank[u] > rank[v]})
-
-    for v in order:
-        extend([v], {u for u in neighbors[v] if rank[u] > rank[v]})
-    out.sort()
-    return np.array(out, dtype=np.intp).reshape(len(out), k)
+    ids = np.arange(n, dtype=np.intp)
+    cliques = ids[:, None]
+    # common[r, v]: v is adjacent to every member of clique r.
+    common = adj.copy()
+    for _ in range(k - 1):
+        # Extending only by vertices above the last member lists each clique
+        # once; nonzero is row-major, so the rows stay lexicographic.
+        rows, v = np.nonzero(common & (ids > cliques[:, -1:]))
+        cliques = np.column_stack([cliques[rows], v])
+        common = common[rows] & adj[v]
+    return cliques
 
 
 def schedule_entry(config: ConstellationConfig, t: float, k: int) -> ScheduleEntry:

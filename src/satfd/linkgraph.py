@@ -34,30 +34,29 @@ class VisibilityGraph:
         return list(zip(ii.tolist(), jj.tolist()))
 
 
-def line_of_sight(p1: np.ndarray, p2: np.ndarray, radius: float) -> bool:
-    """True iff the segment [p1, p2] clears the sphere of given radius.
+def line_of_sight(p1: np.ndarray, p2: np.ndarray, radius: float) -> np.ndarray:
+    """True where the segment [p1, p2] clears the sphere of given radius.
 
-    The closest point of the segment to the origin is at parameter
+    p1 and p2 are (..., 3) arrays; the test broadcasts over their leading
+    axes and returns a boolean array of that shape.  The closest point of
+    the segment to the origin is at parameter
     s* = clamp(-p1.(p2-p1) / |p2-p1|^2, 0, 1); the link is visible when
     that point is at distance >= radius.  Coincident endpoints are treated
     as visible (both are above the surface by precondition).
     """
     d = p2 - p1
-    dd = float(d @ d)
-    if dd == 0.0:
-        return True
-    s = min(max(-float(p1 @ d) / dd, 0.0), 1.0)
-    closest = p1 + s * d
-    return float(closest @ closest) >= radius * radius
+    dd = (d * d).sum(axis=-1)
+    coincident = dd == 0.0
+    s = np.clip(-(p1 * d).sum(axis=-1) / np.where(coincident, 1.0, dd), 0.0, 1.0)
+    closest = p1 + s[..., None] * d
+    return coincident | ((closest * closest).sum(axis=-1) >= radius * radius)
 
 
 def build_visibility_graph(positions: PositionSet, radius: float) -> VisibilityGraph:
     """Occultation-limited link graph for one position set."""
     pos = positions.positions
     n = pos.shape[0]
+    i, j = np.triu_indices(n, 1)
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if line_of_sight(pos[i], pos[j], radius):
-                adj[i, j] = adj[j, i] = True
+    adj[i, j] = adj[j, i] = line_of_sight(pos[i], pos[j], radius)
     return VisibilityGraph(n=n, adjacency=adj, t=positions.t)

@@ -63,6 +63,12 @@ class TestGraphAndCliques:
         assert rc == 0
         assert len(read_csv(tmp_path / "cliques.csv")) == 1
 
+    def test_k_below_one_rejected(self, tmp_path, capsys):
+        rc = main(["cliques", "--config", "elfo_moon", "--out", str(tmp_path), "--k", "0"])
+        assert rc != 0
+        assert "error: need k >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "cliques.csv").exists()
+
     def test_synthetic_complete_graph_binomial(self, tmp_path):
         # far cluster: all links visible
         cfg = {
@@ -94,6 +100,15 @@ class TestCalibrate:
         rc = main(["calibrate", "--config", "nope.json", "--out", str(tmp_path)])
         assert rc != 0
 
+    @pytest.mark.parametrize("step", ["0", "-60", "200"])
+    def test_step_out_of_range_rejected(self, tmp_path, capsys, step):
+        # 200 s exceeds the 120 s sampling window
+        rc = main(["calibrate", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--duration", "120", "--step", step])
+        assert rc != 0
+        assert "error: need step > 0" in capsys.readouterr().err
+        assert not (tmp_path / "thresholds.json").exists()
+
 
 class TestDetect:
     def test_detects_injected_fault(self, tmp_path, capsys):
@@ -108,6 +123,20 @@ class TestDetect:
     def test_requires_threshold_or_model(self, tmp_path):
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path)])
         assert rc != 0
+
+    @pytest.mark.parametrize("option, value, name", [
+        ("--dl", "0", "di"),
+        ("--delta-nf", "0", "delta_nf"),
+        ("--delta-rf", "1", "delta_rf"),
+        ("--delta-rf", "0", "delta_rf"),
+    ])
+    def test_detector_option_out_of_range_rejected(self, tmp_path, capsys, option, value, name):
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--threshold", "4.6e-7", option, value])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert f"error: invalid detector option: {name}" in captured.err
+        assert captured.out == ""
 
     def test_range_dump(self, tmp_path, capsys):
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 
 from satfd.constellation import PositionSet, load_bundled, propagate
@@ -76,6 +78,26 @@ class TestVisibilityGraph:
         large = build_visibility_graph(PositionSet(t=0.0, positions=pos), 1.5).adjacency
         # shrinking the body never removes an edge
         assert (large <= small).all()
+
+    def test_matches_line_of_sight_per_pair(self):
+        # each adjacency entry is line_of_sight of that pair alone, so the
+        # batched pair test cannot mix up i and j or the coordinate axis
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 7, 12):
+            pos = rng.uniform(-3, 3, size=(n, 3))
+            pos[np.linalg.norm(pos, axis=1) < 1.1 * R] *= 3.0
+            pos[-1] = pos[0]  # one coincident pair
+            adj = build_visibility_graph(PositionSet(t=0.0, positions=pos), R).adjacency
+            assert adj[0, n - 1] and adj[n - 1, 0]
+            for i, j in itertools.permutations(range(n), 2):
+                assert adj[i, j] == line_of_sight(pos[i], pos[j], R)
+            upper_i, upper_j = np.triu_indices(n, 1)
+            batched = line_of_sight(pos[upper_i], pos[upper_j], R)
+            assert batched.shape == (len(upper_i),)
+            assert np.array_equal(batched, adj[upper_i, upper_j])
+            pairwise = line_of_sight(pos[:, None], pos[None, :], R)
+            assert pairwise.shape == (n, n)
+            assert np.array_equal(pairwise, adj | np.eye(n, dtype=bool))
 
     def test_elfo_perilune_degrees(self):
         # satellites near perilune lose links to occultation: degree 4 or 5

@@ -1,4 +1,7 @@
-"""Property tests of the clique analysis kernel, edm.analyze_clique_batch.
+"""Property tests of the clique lister and the clique analysis kernel.
+
+list_k_cliques must give exactly the k-subsets of mutually adjacent
+vertices, as lexicographically sorted np.intp rows, on any graph.
 
 gamma_test depends only on the shape of a clique's measured ranges, so it
 must not change when the vertices are relabeled, when the points move
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satfd import edm
+from satfd.cliques import list_k_cliques
+from satfd.linkgraph import VisibilityGraph
 from satfd.ranging import RangeMatrix
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -56,6 +61,39 @@ def rotation(a, b, c):
 
 
 angles = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def random_graph(draw):
+    """A graph on 0 to 14 vertices whose edges are kept with a drawn density."""
+    n = draw(st.integers(0, 14))
+    density = draw(st.floats(0.0, 1.0))
+    draws = draw(arrays(np.float64, n * (n - 1) // 2, elements=st.floats(0.0, 1.0)))
+    i, j = np.triu_indices(n, 1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[i, j] = draws < density
+    return VisibilityGraph(n=n, adjacency=adj | adj.T, t=0.0)
+
+
+def brute_force_cliques(graph, k):
+    """Oracle: filter all C(n, k) subsets, as an (m, k) array."""
+    adj = graph.adjacency
+    rows = [
+        c for c in itertools.combinations(range(graph.n), k)
+        if all(adj[a, b] for a, b in itertools.combinations(c, 2))
+    ]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_graph(), st.integers(1, 8))
+def test_cliques_match_brute_force(graph, k):
+    found = list_k_cliques(graph, k)
+    assert found.dtype == np.intp
+    assert found.shape == (found.shape[0], k)
+    rows = found.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # lexicographic, no repeats
+    assert np.array_equal(found, brute_force_cliques(graph, k))
 
 
 @KERNEL
