@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import edm
-from .cliques import build_clique_schedule, schedule_entry
+from .cliques import CLIQUE_SIZE, build_clique_schedule, schedule_entry
 from .constellation import ConstellationConfig, orbital_period
 from .ranging import FaultConfig, RangeMatrix, measure_ranges
 from .seeds import CALIBRATION, TRAINING, substream
 
-FEATURE_DIM = 21  # 3 singular values + 3 vectors of length 6
+FEATURE_DIM = 3 + 3 * CLIQUE_SIZE  # 3 singular values + 3 vectors of length CLIQUE_SIZE
 
 
 class EmptySampleError(RuntimeError):
@@ -77,16 +77,15 @@ def sample_statistics(
     step: float,
     duration: float,
     seed: int,
-    k: int = 6,
 ) -> StatisticSample:
-    """gamma_test of every k-clique at every epoch, no faults injected.
+    """gamma_test of every CLIQUE_SIZE-clique at every epoch, no faults injected.
 
     Epochs are built and analysed one at a time, so only one epoch's
     cliques are held at once.
     """
     vals = []
     for idx, t in enumerate(sampling_times(step, duration)):
-        entry = schedule_entry(config, t, k)
+        entry = schedule_entry(config, t, CLIQUE_SIZE)
         rng = substream(seed, CALIBRATION, idx)
         rm = measure_ranges(entry.positions, entry.graph, FaultConfig.none(), sigma_w, rng)
         vals.append(edm.analyze_clique_batch(rm, entry.cliques).gamma_test)
@@ -361,7 +360,7 @@ def build_training_set(
     if n_noise < 300:
         raise ValueError("n_noise must be >= 300 to resolve the 99.7 percentile")
     period = orbital_period(config.satellites[0].a, config.body.mu)
-    schedule = build_clique_schedule(config, sampling_times(step, period), k=6)
+    schedule = build_clique_schedule(config, sampling_times(step, period))
     counts = np.array([len(entry.cliques) for entry in schedule.entries])
     # Pool index i is row i - starts[e] of entry e, epochs in schedule order.
     starts = np.cumsum(counts) - counts
@@ -373,7 +372,8 @@ def build_training_set(
     chosen = pick.integers(pool_size, size=n_geometries)
     entry_of = np.searchsorted(starts, chosen, side="right") - 1
 
-    iu = np.triu_indices(6, k=1)
+    iu = np.triu_indices(CLIQUE_SIZE, k=1)
+    diag = np.arange(CLIQUE_SIZE)
     feats = np.empty((n_geometries, FEATURE_DIM))
     targets = np.empty(n_geometries)
     for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
@@ -382,17 +382,17 @@ def build_training_set(
         pos = entry.positions.positions
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
-        exact = RangeMatrix(n=len(pos), r=np.where(entry.graph.adjacency, dist, 0.0))
+        exact = RangeMatrix(r=np.where(entry.graph.adjacency, dist, 0.0))
         feats[g] = batch_features(edm.analyze_clique_batch(exact, clique))[0]
 
         sub = dist[np.ix_(clique[0], clique[0])]
         rng = substream(seed, TRAINING, 1, g)
-        w = np.zeros((n_noise, 6, 6))
+        w = np.zeros((n_noise, CLIQUE_SIZE, CLIQUE_SIZE))
         draws = rng.standard_normal((n_noise, iu[0].size)) * sigma_w
         w[:, iu[0], iu[1]] = draws
         w += w.transpose(0, 2, 1)
         d = (sub + w) ** 2
-        d[:, np.arange(6), np.arange(6)] = 0.0
+        d[:, diag, diag] = 0.0
         s = np.linalg.svd(edm.geometric_center(d), compute_uv=False)
         gammas = (s[:, 3] + s[:, 4]) / s[:, 0]
         targets[g] = np.percentile(gammas, tail_percentile)

@@ -167,14 +167,16 @@ def cmd_detect(args) -> int:
     if any(s < 0 or s >= config.n_satellites for s in fault_ids):
         raise CliError("fault satellite id out of range")
 
+    if args.dl < 1:
+        raise CliError("invalid detector option: di (--dl) must be >= 1")
     try:
-        params = DetectorParams(di=args.dl, delta_nf=args.delta_nf,
-                                delta_rf=args.delta_rf, gamma_threshold=threshold)
+        params = DetectorParams(delta_nf=args.delta_nf, delta_rf=args.delta_rf,
+                                gamma_threshold=threshold)
     except ValueError as exc:
         raise CliError(f"invalid detector option: {exc}") from exc
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
     times = args.t0 + 60.0 * np.arange(args.dl)
-    window = build_clique_schedule(config, times, params.k).entries
+    window = build_clique_schedule(config, times).entries
     ranges = [
         measure_ranges(entry.positions, entry.graph, faults, args.sigma_w,
                        substream(args.seed, EPOCH_NOISE, 0, k))
@@ -225,7 +227,7 @@ def _thresholds_from_spec(raw: dict, config, sigma_w, step, seed) -> list[experi
 def load_experiment_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read experiment config: {exc}") from exc
     for field in ("constellation", "sigma_w_m", "fault_counts", "magnitudes_m",
                   "thresholds", "dl_list", "n_trials", "master_seed"):
@@ -252,17 +254,20 @@ def cmd_montecarlo(args) -> int:
     seed = int(raw["master_seed"])
     sigma_w = float(raw["sigma_w_m"])
     step = float(raw["timestep_s"])
-    thresholds = _thresholds_from_spec(raw["thresholds"], config, sigma_w, step, seed)
-    grid = experiment.ExperimentGrid(
-        fault_counts=tuple(int(v) for v in raw["fault_counts"]),
-        magnitudes=tuple(float(v) for v in raw["magnitudes_m"]),
-        thresholds=tuple(thresholds),
-        dls=tuple(int(v) for v in raw["dl_list"]),
-    )
-    ctx = experiment.CampaignContext(
-        config=config, sigma_w=sigma_w, grid=grid, master_seed=seed, timestep=step,
-        delta_nf=int(raw.get("delta_nf", 10)), delta_rf=float(raw.get("delta_rf", 0.2)),
-    )
+    try:
+        thresholds = _thresholds_from_spec(raw["thresholds"], config, sigma_w, step, seed)
+        grid = experiment.ExperimentGrid(
+            fault_counts=tuple(int(v) for v in raw["fault_counts"]),
+            magnitudes=tuple(float(v) for v in raw["magnitudes_m"]),
+            thresholds=tuple(thresholds),
+            dls=tuple(int(v) for v in raw["dl_list"]),
+        )
+        ctx = experiment.CampaignContext(
+            config=config, sigma_w=sigma_w, grid=grid, master_seed=seed, timestep=step,
+            delta_nf=int(raw.get("delta_nf", 10)), delta_rf=float(raw.get("delta_rf", 0.2)),
+        )
+    except (OSError, ValueError) as exc:
+        raise CliError(f"invalid experiment config: {exc}") from exc
     results = experiment.run_campaign(ctx, int(raw["n_trials"]), workers=args.threads)
     path = _outdir(args) / "results.csv"
     experiment.write_results_csv(path, results)

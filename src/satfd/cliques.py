@@ -3,7 +3,8 @@
 Detection subgraphs are k-cliques of the visibility graph; fully connected
 subgraphs of 5 or more vertices keep their shape in 3D even after losing
 any single vertex, which is what makes a single faulty member stand out.
-k = 6 is the operational size; the enumerator works for any k >= 1.
+CLIQUE_SIZE = 6 is the operational size; the enumerator works for any
+k >= 1.
 
 Enumeration grows every clique one vertex at a time, level by level, as
 numpy arrays: each j-clique carries the boolean mask of vertices
@@ -20,6 +21,9 @@ import numpy as np
 
 from .constellation import ConstellationConfig, PositionSet, propagate
 from .linkgraph import VisibilityGraph, build_visibility_graph
+
+# Size of the detection subgraphs: the paper's 6-cliques.
+CLIQUE_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,10 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
     rows of an (m, k) np.intp array; (0, k) when there are none."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = graph.n
+    adj = graph.adjacency
+    n = len(adj)
     if k > n:
         return np.zeros((0, k), dtype=np.intp)
-    adj = graph.adjacency
     ids = np.arange(n, dtype=np.intp)
     cliques = ids[:, None]
     # common[r, v]: v is adjacent to every member of clique r.
@@ -81,7 +85,7 @@ def schedule_entry(config: ConstellationConfig, t: float, k: int) -> ScheduleEnt
 
 
 def build_clique_schedule(
-    config: ConstellationConfig, times: list[float] | np.ndarray, k: int
+    config: ConstellationConfig, times: list[float] | np.ndarray
 ) -> CliqueSchedule:
-    """schedule_entry at each epoch of times."""
-    return CliqueSchedule(entries=tuple(schedule_entry(config, t, k) for t in times))
+    """schedule_entry of the CLIQUE_SIZE-cliques at each epoch of times."""
+    return CliqueSchedule(tuple(schedule_entry(config, t, CLIQUE_SIZE) for t in times))

@@ -29,8 +29,9 @@ from .ranging import RangeMatrix
 class DetectorParams:
     """Hyperparameters of the greedy detector.
 
-    k            : clique size, >= 5 (6 operationally)
-    di           : detection interval, number of 60 s epochs examined
+    The detection interval is the number of epochs in the window that
+    detect_faults is given.
+
     delta_nf     : least total number of fault-flagged subgraphs required
     delta_rf     : minimum vote share for a satellite to be declared faulty
     gamma_threshold : fixed scalar threshold (any real number, numpy
@@ -38,17 +39,11 @@ class DetectorParams:
                    method for per-subgraph thresholds
     """
 
-    k: int = 6
-    di: int = 1
     delta_nf: int = 10
     delta_rf: float = 0.2
     gamma_threshold: object = 0.0
 
     def __post_init__(self):
-        if self.k < 5:
-            raise ValueError("k must be >= 5 for 3D rigidity")
-        if self.di < 1:
-            raise ValueError("di must be >= 1")
         if self.delta_nf < 1:
             raise ValueError("delta_nf must be >= 1")
         if not (0.0 < self.delta_rf < 1.0):
@@ -118,6 +113,8 @@ def table_from_analyses(
     batches: Sequence[edm.BatchAnalysis], params: DetectorParams
 ) -> _FlagTable:
     """Apply the threshold rule to precomputed per-epoch clique analyses."""
+    if len(batches) == 0:
+        raise ValueError("detection window must have at least one epoch")
     return _FlagTable(
         vertices=np.concatenate([b.cliques for b in batches]),
         voted=np.concatenate([b.fault_vertex_global() for b in batches]),
@@ -173,15 +170,13 @@ def detect_faults(
     re-examined unchanged after each removal.  Terminates in at most
     n_sats rounds.
     """
-    if len(clique_lists) != params.di:
-        raise ValueError(f"window must have exactly di={params.di} epochs")
     if len(ranges) != len(clique_lists):
         raise ValueError("clique lists and range matrices must cover the same epochs")
     batches = [
         edm.analyze_clique_batch(rm, cliques)
         for cliques, rm in zip(clique_lists, ranges)
     ]
-    return _greedy(table_from_analyses(batches, params), ranges[0].n, params)
+    return _greedy(table_from_analyses(batches, params), len(ranges[0].r), params)
 
 
 def detect_faults_from_analyses(
@@ -195,6 +190,4 @@ def detect_faults_from_analyses(
     measurements; analyzing each epoch's cliques once and re-tallying here
     avoids repeating identical SVDs per grid cell.
     """
-    if len(batches) != params.di:
-        raise ValueError(f"window must have exactly di={params.di} epochs")
     return _greedy(table_from_analyses(batches, params), n_sats, params)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -55,6 +55,12 @@ class ExperimentGrid:
     def __post_init__(self):
         if not (self.fault_counts and self.magnitudes and self.thresholds and self.dls):
             raise ValueError("every grid dimension must be non-empty")
+        if min(self.fault_counts) < 0:
+            raise ValueError("fault counts must be >= 0")
+        if min(self.magnitudes) < 0.0:
+            raise ValueError("fault magnitudes must be >= 0")
+        if min(self.dls) < 1:
+            raise ValueError("detection lengths must be >= 1")
 
     def cells(self):
         """Row order of the results table."""
@@ -78,12 +84,6 @@ class ConfusionCounts:
     fn: int
     fp: int
     tn: int
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fn + other.fn,
-            self.fp + other.fp, self.tn + other.tn,
-        )
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,25 @@ class CampaignContext:
         grid: ExperimentGrid,
         master_seed: int,
         timestep: float = 60.0,
-        k: int = 6,
         delta_nf: int = 10,
         delta_rf: float = 0.2,
     ):
+        if timestep <= 0.0:
+            raise ValueError("timestep must be > 0")
+        if max(grid.fault_counts) > config.n_satellites:
+            raise ValueError(f"fault counts must not exceed the {config.n_satellites} satellites")
         self.config = config
         self.sigma_w = sigma_w
         self.grid = grid
         self.master_seed = master_seed
         self.timestep = timestep
-        self.k = k
-        self.delta_nf = delta_nf
-        self.delta_rf = delta_rf
+        # Settings shared by every cell; each grid threshold sets gamma_threshold.
+        self.detector = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
 
         period = orbital_period(config.satellites[0].a, config.body.mu)
         self.n_start_epochs = math.ceil(period / timestep)
         times = timestep * np.arange(self.n_start_epochs + max(grid.dls) - 1)
-        self.schedule = build_clique_schedule(config, times, k)
+        self.schedule = build_clique_schedule(config, times)
 
     @property
     def n_sats(self) -> int:
@@ -190,34 +192,35 @@ class CampaignContext:
 
 def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
     """(n_cells, 4) tp/fn/fp/tn contributions of one trial, in cell order."""
+    grid = ctx.grid
     t0_index, perm = ctx.trial_conditions(trial_id)
-    max_dl = max(ctx.grid.dls)
     n = ctx.n_sats
-
-    counts = np.zeros((ctx.grid.n_cells, 4), dtype=np.int64)
-    cell_index = {cell: i for i, cell in enumerate(ctx.grid.cells())}
-    for fc in ctx.grid.fault_counts:
-        fault_set = frozenset(int(s) for s in perm[:fc])
+    params = [replace(ctx.detector, gamma_threshold=thr.value) for thr in grid.thresholds]
+    # Axes in ExperimentGrid.cells() order: fault count, threshold, DL, magnitude.
+    shape = [len(grid.fault_counts), len(grid.thresholds), len(grid.dls), len(grid.magnitudes)]
+    counts = np.zeros(shape + [4], dtype=np.int64)
+    for fi, fc in enumerate(grid.fault_counts):
         truth = np.zeros(n, dtype=bool)
-        truth[list(fault_set)] = True
-        for mag in ctx.grid.magnitudes:
-            faults = FaultConfig(fault_set=fault_set, magnitude=mag)
-            batches = ctx.epoch_analyses(trial_id, t0_index, faults, max_dl)
-            for thr in ctx.grid.thresholds:
-                for dl in ctx.grid.dls:
-                    params = DetectorParams(
-                        k=ctx.k, di=dl, delta_nf=ctx.delta_nf,
-                        delta_rf=ctx.delta_rf, gamma_threshold=thr.value,
-                    )
-                    outcome = detect_faults_from_analyses(batches[:dl], params, n)
+        truth[perm[:fc]] = True
+        for mi, mag in enumerate(grid.magnitudes):
+            faults = FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
+            batches = ctx.epoch_analyses(trial_id, t0_index, faults, max(grid.dls))
+            for ti, p in enumerate(params):
+                for li, dl in enumerate(grid.dls):
+                    outcome = detect_faults_from_analyses(batches[:dl], p, n)
                     detected = np.zeros(n, dtype=bool)
                     detected[list(outcome.fault_list)] = True
-                    row = cell_index[(fc, mag, thr, dl)]
-                    counts[row, 0] = int(np.sum(detected & truth))
-                    counts[row, 1] = int(np.sum(~detected & truth))
-                    counts[row, 2] = int(np.sum(detected & ~truth))
-                    counts[row, 3] = int(np.sum(~detected & ~truth))
-    return counts
+                    # Bins 0-3 are tp, fn, fp, tn.
+                    counts[fi, ti, li, mi] = np.bincount(2 * ~truth + ~detected, minlength=4)
+    return counts.reshape(-1, 4)
+
+
+def _sum_trials(ctx: CampaignContext, trial_ids: range) -> np.ndarray:
+    """(n_cells, 4) counts summed over trial_ids."""
+    total = np.zeros((ctx.grid.n_cells, 4), dtype=np.int64)
+    for trial_id in trial_ids:
+        total += _trial_cell_counts(ctx, trial_id)
+    return total
 
 
 # Module-level worker state: set once per worker process by the pool
@@ -230,12 +233,8 @@ def _worker_init(ctx: CampaignContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _worker_chunk(args: tuple[int, int]) -> np.ndarray:
-    lo, hi = args
-    total = np.zeros((_WORKER_CTX.grid.n_cells, 4), dtype=np.int64)
-    for trial_id in range(lo, hi):
-        total += _trial_cell_counts(_WORKER_CTX, trial_id)
-    return total
+def _worker_chunk(trial_ids: range) -> np.ndarray:
+    return _sum_trials(_WORKER_CTX, trial_ids)
 
 
 def run_campaign(
@@ -248,18 +247,15 @@ def run_campaign(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    total = np.zeros((ctx.grid.n_cells, 4), dtype=np.int64)
     if workers <= 1:
-        for trial_id in range(n_trials):
-            total += _trial_cell_counts(ctx, trial_id)
+        total = _sum_trials(ctx, range(n_trials))
     else:
         chunk = max(1, math.ceil(n_trials / (workers * 4)))
-        spans = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
+        spans = [range(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(ctx,)
         ) as pool:
-            for part in pool.map(_worker_chunk, spans):
-                total += part
+            total = sum(pool.map(_worker_chunk, spans))
 
     results = []
     for row, (fc, mag, thr, dl) in enumerate(ctx.grid.cells()):

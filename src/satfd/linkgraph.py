@@ -21,9 +21,7 @@ class VisibilityGraph:
     adjacency is a symmetric (n, n) boolean matrix with a false diagonal.
     """
 
-    n: int
     adjacency: np.ndarray
-    t: float
 
     def degree(self, i: int) -> int:
         return int(self.adjacency[i].sum())
@@ -59,4 +57,4 @@ def build_visibility_graph(positions: PositionSet, radius: float) -> VisibilityG
     i, j = np.triu_indices(n, 1)
     adj = np.zeros((n, n), dtype=bool)
     adj[i, j] = adj[j, i] = line_of_sight(pos[i], pos[j], radius)
-    return VisibilityGraph(n=n, adjacency=adj, t=positions.t)
+    return VisibilityGraph(adjacency=adj)

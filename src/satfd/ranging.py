@@ -46,7 +46,6 @@ class FaultConfig:
 class RangeMatrix:
     """Symmetric measured ranges (m); zero diagonal, zero on non-edges."""
 
-    n: int
     r: np.ndarray
 
 
@@ -78,4 +77,4 @@ def measure_ranges(
 
     r = np.where(graph.adjacency, dist + w + f, 0.0)
     np.fill_diagonal(r, 0.0)
-    return RangeMatrix(n=n, r=r)
+    return RangeMatrix(r=r)

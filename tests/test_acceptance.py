@@ -136,7 +136,7 @@ def random_rank_cases(sigma):
         bias[rng.choice(n, size=m, replace=False)] = 0.3
         r = r + bias[:, None] + bias[None, :]
         np.fill_diagonal(r, 0.0)
-        yield n, m, RangeMatrix(n=n, r=r)
+        yield n, m, RangeMatrix(r=r)
 
 
 def test_criterion_1_rank_laws():
@@ -192,8 +192,8 @@ def test_criterion_2_noiseless_sanity():
         r = np.sqrt((diff**2).sum(axis=2))
         np.fill_diagonal(r, 0.0)
         clique = np.arange(6)[None]
-        g = edm.geometric_center(edm.build_edm(RangeMatrix(6, r), clique))[0]
-        a = edm.analyze_clique_batch(RangeMatrix(6, r), clique)
+        g = edm.geometric_center(edm.build_edm(RangeMatrix(r), clique))[0]
+        a = edm.analyze_clique_batch(RangeMatrix(r), clique)
         row_sums_ok = np.abs(g.sum(axis=1)).max() <= 1e-9 * np.abs(g).max()
         clean += (a.gamma_test[0] <= 1e-10) and row_sums_ok
     verdict(clean == 1000, "criterion 2 (noiseless sanity)",
@@ -213,7 +213,7 @@ def test_criterion_3_clique_oracle():
         for i, j in itertools.combinations(range(n), 2):
             if rng.random() < rng.uniform(0.2, 0.95):
                 adj[i, j] = adj[j, i] = True
-        graph = VisibilityGraph(n=n, adjacency=adj, t=0.0)
+        graph = VisibilityGraph(adjacency=adj)
         graphs += 1
         match = True
         for k in range(3, 7):

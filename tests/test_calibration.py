@@ -81,8 +81,8 @@ class TestPercentile:
         r = r + np.triu(noise, 1) + np.triu(noise, 1).T
 
         clique = np.arange(6)[None]
-        base = edm.analyze_clique_batch(RangeMatrix(6, r), clique).gamma_test[0]
-        scaled = edm.analyze_clique_batch(RangeMatrix(6, 1e4 * r), clique).gamma_test[0]
+        base = edm.analyze_clique_batch(RangeMatrix(r), clique).gamma_test[0]
+        scaled = edm.analyze_clique_batch(RangeMatrix(1e4 * r), clique).gamma_test[0]
         assert base > 1e-9  # well above the SVD floor
         assert scaled == pytest.approx(base, rel=1e-12)
 
@@ -126,7 +126,7 @@ class TestThresholdFile:
 
 def exact_ranges(pts):
     diff = pts[:, None, :] - pts[None, :, :]
-    return RangeMatrix(n=len(pts), r=np.sqrt((diff**2).sum(axis=2)))
+    return RangeMatrix(r=np.sqrt((diff**2).sum(axis=2)))
 
 
 class TestExtractFeatures:

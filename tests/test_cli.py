@@ -209,6 +209,34 @@ class TestMonteCarloAndReport:
         rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path)])
         assert rc != 0
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("timestep_s", 0, "timestep"),
+        ("dl_list", [0], "detection lengths"),
+        ("magnitudes_m", [-5], "magnitudes"),
+        ("fault_counts", [-1], "fault counts"),
+        ("fault_counts", [20], "fault counts"),
+        ("delta_nf", 0, "delta_nf"),
+    ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
+            "fault_counts=[20]", "delta_nf=0"])
+    def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
+        exp = self.experiment_file(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid experiment config: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_unparsable_experiment_rejected(self, tmp_path, capsys):
+        exp = tmp_path / "exp.json"
+        exp.write_text("{", encoding="utf-8")
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot read experiment config")
+
     def test_report_schema_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")

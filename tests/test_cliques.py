@@ -18,7 +18,7 @@ def make_graph(n, edges):
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    return VisibilityGraph(n=n, adjacency=adj, t=0.0)
+    return VisibilityGraph(adjacency=adj)
 
 
 def complete_graph(n):
@@ -60,7 +60,7 @@ class TestListKCliques:
         config = load_bundled("walker_mars")
         period = orbital_period(config.satellites[0].a, config.body.mu)
         times = np.linspace(0.0, period, 20)
-        schedule = build_clique_schedule(config, times, k=6)
+        schedule = build_clique_schedule(config, times)
         for entry in schedule.entries:
             assert (np.bincount(entry.cliques.ravel(), minlength=12) >= 32).all()
 
@@ -84,7 +84,7 @@ class TestSchedule:
 
     def test_build_matches_single_epoch(self):
         config = load_bundled("elfo_moon")
-        schedule = build_clique_schedule(config, [0.0, 60.0], k=6)
+        schedule = build_clique_schedule(config, [0.0, 60.0])
         assert [e.t for e in schedule.entries] == [0.0, 60.0]
         assert all(e.cliques.shape[1] == 6 for e in schedule.entries)
         for e in schedule.entries:

@@ -40,14 +40,14 @@ class TestDetectionRound:
         # far below delta_nf = 10
         cliques, rm = elfo_epoch(sigma=1.0, seed=3)
         votes, removal = first_round([cliques], [rm],
-                                     DetectorParams(di=1, gamma_threshold=P999))
+                                     DetectorParams(gamma_threshold=P999))
         assert removal is None
         assert votes.total < 10
 
     def test_fault_removed(self):
         cliques, rm = elfo_epoch(t=3600.0, fault_set={5}, magnitude=20.0, seed=4)
         votes, removal = first_round([cliques], [rm],
-                                     DetectorParams(di=1, gamma_threshold=P99))
+                                     DetectorParams(gamma_threshold=P99))
         assert removal == 5
         assert votes.ratios[5] == votes.counts[5] / votes.total
 
@@ -57,16 +57,16 @@ class TestDetectionRound:
         batch = edm.analyze_clique_batch(rm, cliques)
         flagged = int((batch.gamma_test > P99).sum())
         assert flagged > 10
-        at_boundary = DetectorParams(di=1, gamma_threshold=P99, delta_nf=flagged + 1)
+        at_boundary = DetectorParams(gamma_threshold=P99, delta_nf=flagged + 1)
         _, removal = first_round([cliques], [rm], at_boundary)
         assert removal is None
-        at_count = DetectorParams(di=1, gamma_threshold=P99, delta_nf=flagged)
+        at_count = DetectorParams(gamma_threshold=P99, delta_nf=flagged)
         _, removal = first_round([cliques], [rm], at_count)
         assert removal is not None
 
     def test_delta_rf_requires_concentration(self):
         cliques, rm = elfo_epoch(fault_set={3}, magnitude=20.0, seed=4)
-        diffuse = DetectorParams(di=1, gamma_threshold=P99, delta_rf=0.99)
+        diffuse = DetectorParams(gamma_threshold=P99, delta_rf=0.99)
         votes, removal = first_round([cliques], [rm], diffuse)
         assert removal is None
         assert votes.total >= 10  # terminated by the ratio rule, not the count
@@ -74,15 +74,15 @@ class TestDetectionRound:
     def test_empty_window_terminates(self):
         # one epoch whose predicted topology holds no cliques at all
         no_cliques = np.zeros((0, 6), dtype=np.intp)
-        votes, removal = first_round([no_cliques], [RangeMatrix(n=12, r=np.zeros((12, 12)))],
-                                     DetectorParams(di=1, gamma_threshold=0.0))
+        votes, removal = first_round([no_cliques], [RangeMatrix(r=np.zeros((12, 12)))],
+                                     DetectorParams(gamma_threshold=0.0))
         assert removal is None
         assert votes.total == 0
 
     def test_vote_total_bounded_by_cliques(self):
         cliques, rm = elfo_epoch(fault_set={1, 5}, magnitude=20.0, seed=9)
         votes, _ = first_round([cliques], [rm],
-                               DetectorParams(di=1, gamma_threshold=0.0))
+                               DetectorParams(gamma_threshold=0.0))
         assert votes.total <= len(cliques)
         assert (votes.counts >= 0).all()
 
@@ -91,7 +91,7 @@ class TestDetectionRound:
         totals = []
         for thr in (1e-7, 3e-7, 5e-7, 1e-6):
             votes, _ = first_round([cliques], [rm],
-                                   DetectorParams(di=1, gamma_threshold=thr))
+                                   DetectorParams(gamma_threshold=thr))
             totals.append(votes.total)
         assert totals == sorted(totals, reverse=True)
 
@@ -99,13 +99,13 @@ class TestDetectionRound:
 class TestDetectFaults:
     def test_no_fault_empty_list(self):
         cliques, rm = elfo_epoch(sigma=1.0, seed=21)
-        out = detect_faults([cliques], [rm], DetectorParams(di=1, gamma_threshold=P999))
+        out = detect_faults([cliques], [rm], DetectorParams(gamma_threshold=P999))
         assert out.fault_list == ()
         assert out.rounds == 1
 
     def test_single_fault_recovered(self):
         cliques, rm = elfo_epoch(fault_set={5}, magnitude=20.0, seed=22)
-        out = detect_faults([cliques], [rm], DetectorParams(di=1, gamma_threshold=P99))
+        out = detect_faults([cliques], [rm], DetectorParams(gamma_threshold=P99))
         assert out.fault_list == (5,)
         assert out.rounds == 2
         assert len(out.vote_history) == 2
@@ -121,25 +121,27 @@ class TestDetectFaults:
                                 substream(7, k))
             windows.append((list_k_cliques(graph, 6), rm))
         out = detect_faults([w[0] for w in windows], [w[1] for w in windows],
-                            DetectorParams(di=3, gamma_threshold=P99))
+                            DetectorParams(gamma_threshold=P99))
         assert set(out.fault_list) == {2, 9}
 
     def test_rounds_bounded_by_satellite_count(self):
         cliques, rm = elfo_epoch(fault_set={0, 4, 8}, magnitude=50.0, seed=2)
         out = detect_faults([cliques], [rm],
-                            DetectorParams(di=1, gamma_threshold=0.0, delta_nf=1,
+                            DetectorParams(gamma_threshold=0.0, delta_nf=1,
                                            delta_rf=0.01))
         assert out.rounds <= 12
         assert len(set(out.fault_list)) == len(out.fault_list)
 
-    def test_window_length_must_match_di(self):
-        cliques, rm = elfo_epoch()
-        with pytest.raises(ValueError):
-            detect_faults([cliques], [rm], DetectorParams(di=2, gamma_threshold=P99))
+    def test_empty_window_rejected(self):
+        params = DetectorParams(gamma_threshold=P99)
+        with pytest.raises(ValueError, match="at least one epoch"):
+            detect_faults([], [], params)
+        with pytest.raises(ValueError, match="at least one epoch"):
+            detect_faults_from_analyses([], params, 12)
 
     def test_determinism(self):
         cliques, rm = elfo_epoch(fault_set={5}, magnitude=8.0, seed=30)
-        params = DetectorParams(di=1, gamma_threshold=P99)
+        params = DetectorParams(gamma_threshold=P99)
         a = detect_faults([cliques], [rm], params)
         b = detect_faults([cliques], [rm], params)
         assert a.fault_list == b.fault_list
@@ -157,12 +159,12 @@ class TestDetectFaults:
         graph = build_visibility_graph(ps, 1.0)  # tiny body: complete graph
         adj = graph.adjacency.copy()
         adj[0, 4:] = adj[4:, 0] = False
-        graph = type(graph)(n=9, adjacency=adj, t=0.0)
+        graph = type(graph)(adjacency=adj)
         cliques = list_k_cliques(graph, 6)
         assert all(0 not in c for c in cliques)
         rm = measure_ranges(ps, graph, FaultConfig({0}, 100.0), 1.0, substream(1, 1))
         out = detect_faults([cliques], [rm],
-                            DetectorParams(di=1, gamma_threshold=0.0, delta_nf=1,
+                            DetectorParams(gamma_threshold=0.0, delta_nf=1,
                                            delta_rf=0.01))
         assert 0 not in out.fault_list
 
@@ -171,9 +173,9 @@ class TestScalarThresholds:
     @pytest.mark.parametrize("thr", [np.float32(P99), np.float64(P99), np.int64(0)])
     def test_numpy_scalars_match_python_float(self, thr):
         cliques, rm = elfo_epoch(t=3600.0, fault_set={5}, magnitude=20.0, seed=4)
-        as_numpy = detect_faults([cliques], [rm], DetectorParams(di=1, gamma_threshold=thr))
+        as_numpy = detect_faults([cliques], [rm], DetectorParams(gamma_threshold=thr))
         as_float = detect_faults([cliques], [rm],
-                                 DetectorParams(di=1, gamma_threshold=float(thr)))
+                                 DetectorParams(gamma_threshold=float(thr)))
         assert as_numpy.fault_list == as_float.fault_list
         assert as_numpy.rounds == as_float.rounds
 
@@ -189,13 +191,13 @@ class TestPredictedThreshold:
 
     def test_huge_predicted_threshold_terminates(self):
         cliques, rm = elfo_epoch(fault_set={3}, magnitude=20.0, seed=4)
-        params = DetectorParams(di=1, gamma_threshold=self.StubPredictor(1.0))
+        params = DetectorParams(gamma_threshold=self.StubPredictor(1.0))
         out = detect_faults([cliques], [rm], params)
         assert out.fault_list == ()
 
     def test_tiny_predicted_threshold_flags_fault(self):
         cliques, rm = elfo_epoch(t=3600.0, fault_set={5}, magnitude=20.0, seed=4)
-        params = DetectorParams(di=1, gamma_threshold=self.StubPredictor(P99))
+        params = DetectorParams(gamma_threshold=self.StubPredictor(P99))
         out = detect_faults([cliques], [rm], params)
         assert 5 in out.fault_list
 
@@ -203,7 +205,7 @@ class TestPredictedThreshold:
 class TestFromAnalyses:
     def test_matches_direct_path(self):
         cliques, rm = elfo_epoch(fault_set={6}, magnitude=15.0, seed=17)
-        params = DetectorParams(di=1, gamma_threshold=P99)
+        params = DetectorParams(gamma_threshold=P99)
         direct = detect_faults([cliques], [rm], params)
         batches = [edm.analyze_clique_batch(rm, cliques)]
         cached = detect_faults_from_analyses(batches, params, 12)
@@ -213,10 +215,6 @@ class TestFromAnalyses:
 
 class TestParamsValidation:
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            DetectorParams(k=4)
-        with pytest.raises(ValueError):
-            DetectorParams(di=0)
         with pytest.raises(ValueError):
             DetectorParams(delta_nf=0)
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ def faulted_ranges(points, fault_ids=(), magnitude=0.0, sigma=0.0, rng=None):
     bias[list(fault_ids)] = magnitude
     r = r + bias[:, None] + bias[None, :]
     np.fill_diagonal(r, 0.0)
-    return RangeMatrix(n=n, r=r)
+    return RangeMatrix(r=r)
 
 
 def whole(n):
@@ -76,7 +76,7 @@ class TestBuildEdm:
             edm.build_edm(rm, whole(6))
 
     def test_single_point_degenerate(self):
-        rm = RangeMatrix(n=1, r=np.zeros((1, 1)))
+        rm = RangeMatrix(r=np.zeros((1, 1)))
         assert np.array_equal(edm.build_edm(rm, whole(1)), np.zeros((1, 1, 1)))
 
 
@@ -236,7 +236,7 @@ class TestInvariances:
         base = edm.analyze_clique_batch(rm, whole(6))
         for _ in range(10):
             perm = rng.permutation(6)
-            rperm = RangeMatrix(n=6, r=rm.r[np.ix_(perm, perm)])
+            rperm = RangeMatrix(r=rm.r[np.ix_(perm, perm)])
             other = edm.analyze_clique_batch(rperm, whole(6))
             assert other.gamma_test[0] == pytest.approx(base.gamma_test[0], rel=1e-12)
             # u4 entries follow the relabeling (up to overall SVD sign)
@@ -250,7 +250,7 @@ class TestInvariances:
         rm = faulted_ranges(pts, fault_ids=[0], magnitude=0.02)
         base = edm.analyze_clique_batch(rm, whole(6))
         for c in (2.0, 1e3, 3.7e-2):
-            scaled = RangeMatrix(n=6, r=c * rm.r)
+            scaled = RangeMatrix(r=c * rm.r)
             other = edm.analyze_clique_batch(scaled, whole(6))
             # the last singular value is structurally zero (centering), so
             # compare on the scale of the leading one
@@ -318,7 +318,7 @@ class TestBatchMatchesSingle:
             assert batch.fault_vertex_local[row] == vertex
 
     def test_empty_batch(self):
-        rm = RangeMatrix(n=6, r=np.zeros((6, 6)))
+        rm = RangeMatrix(r=np.zeros((6, 6)))
         batch = edm.analyze_clique_batch(rm, np.zeros((0, 6), dtype=np.intp))
         assert batch.gamma_test.size == 0
 

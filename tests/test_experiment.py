@@ -39,9 +39,9 @@ def make_ctx(grid, seed=1):
 
 
 def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
-    """Boolean per-satellite verdicts of one trial window under one condition."""
+    """Boolean per-satellite verdicts of one trial's one-epoch window."""
     faults = FaultConfig(fault_set=fault_set, magnitude=magnitude)
-    batches = ctx.epoch_analyses(trial_id, t0_index, faults, params.di)
+    batches = ctx.epoch_analyses(trial_id, t0_index, faults, 1)
     outcome = detect_faults_from_analyses(batches, params, ctx.n_sats)
     classified = np.zeros(ctx.n_sats, dtype=bool)
     classified[list(outcome.fault_list)] = True
@@ -103,7 +103,7 @@ class TestRunTrial:
             fault = int(perm[0])
             classified = classify(
                 ctx, trial, t0_index, frozenset({fault}),
-                DetectorParams(di=1, gamma_threshold=P99), magnitude=20.0,
+                DetectorParams(gamma_threshold=P99), magnitude=20.0,
             )
             hits += bool(classified[fault])
         assert hits >= 8
@@ -111,7 +111,7 @@ class TestRunTrial:
     def test_zero_magnitude_behaves_like_no_fault(self):
         ctx = make_ctx(small_grid())
         t0_index, perm = ctx.trial_conditions(0)
-        params = DetectorParams(di=1, gamma_threshold=P99)
+        params = DetectorParams(gamma_threshold=P99)
         with_zero = classify(ctx, 0, t0_index, frozenset({int(perm[0])}), params, 0.0)
         without = classify(ctx, 0, t0_index, frozenset(), params, 0.0)
         assert np.array_equal(with_zero, without)
@@ -120,7 +120,7 @@ class TestRunTrial:
         ctx = make_ctx(small_grid())
         t0_index, perm = ctx.trial_conditions(3)
         args = (ctx, 3, t0_index, frozenset({int(perm[0])}),
-                DetectorParams(di=1, gamma_threshold=P99), 10.0)
+                DetectorParams(gamma_threshold=P99), 10.0)
         assert np.array_equal(classify(*args), classify(*args))
 
 
@@ -174,6 +174,36 @@ class TestRunCampaign:
                            thresholds=(ThresholdSpec("x", 1.0),), dls=(1,))
         with pytest.raises(ValueError):
             run_campaign(make_ctx(small_grid()), n_trials=0)
+        # out-of-range grid values and campaign settings
+        for bad in (dict(dls=(0,)), dict(dls=(1, -2)), dict(fault_counts=(-1,)),
+                    dict(magnitudes=(-5.0,))):
+            with pytest.raises(ValueError):
+                small_grid(**bad)
+        with pytest.raises(ValueError, match="12 satellites"):
+            make_ctx(small_grid(fault_counts=(1, 13)))
+        for timestep in (0.0, -60.0):
+            with pytest.raises(ValueError, match="timestep"):
+                CampaignContext(config=load_bundled("elfo_moon"), sigma_w=1.0,
+                                grid=small_grid(), master_seed=1, timestep=timestep)
+        with pytest.raises(ValueError, match="delta_nf"):
+            CampaignContext(config=load_bundled("elfo_moon"), sigma_w=1.0,
+                            grid=small_grid(), master_seed=1, delta_nf=0)
+
+    @pytest.mark.parametrize("dimension, values", [
+        ("magnitudes", (10.0, 10.0)),
+        ("thresholds", (ThresholdSpec("p99", P99), ThresholdSpec("p99", P99))),
+        ("dls", (2, 2)),
+        ("fault_counts", (1, 1)),
+    ], ids=["magnitudes", "thresholds", "dls", "fault_counts"])
+    def test_repeated_grid_values_give_equal_rows(self, dimension, values):
+        # each row is found by its grid position, not by its cell values
+        single = run_campaign(make_ctx(small_grid(**{dimension: values[:1]}), seed=5),
+                              n_trials=6)
+        repeated = run_campaign(make_ctx(small_grid(**{dimension: values}), seed=5),
+                                n_trials=6)
+        assert len(single) == 1 and len(repeated) == 2
+        assert [r.counts for r in repeated] == [single[0].counts] * 2
+        assert [r.metrics for r in repeated] == [single[0].metrics] * 2
 
 
 class TestThresholdSpec:

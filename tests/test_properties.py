@@ -46,7 +46,7 @@ def ranges_of(points, perturbation):
     diff = points[:, None, :] - points[None, :, :]
     r = np.sqrt((diff**2).sum(axis=2)) + perturbation
     np.fill_diagonal(r, 0.0)
-    return RangeMatrix(n=len(points), r=r)
+    return RangeMatrix(r=r)
 
 
 def rotation(a, b, c):
@@ -72,14 +72,14 @@ def random_graph(draw):
     i, j = np.triu_indices(n, 1)
     adj = np.zeros((n, n), dtype=bool)
     adj[i, j] = draws < density
-    return VisibilityGraph(n=n, adjacency=adj | adj.T, t=0.0)
+    return VisibilityGraph(adjacency=adj | adj.T)
 
 
 def brute_force_cliques(graph, k):
     """Oracle: filter all C(n, k) subsets, as an (m, k) array."""
     adj = graph.adjacency
     rows = [
-        c for c in itertools.combinations(range(graph.n), k)
+        c for c in itertools.combinations(range(len(graph.adjacency)), k)
         if all(adj[a, b] for a, b in itertools.combinations(c, 2))
     ]
     return np.array(rows, dtype=np.intp).reshape(len(rows), k)
@@ -133,7 +133,7 @@ def test_gamma_invariant_under_uniform_scaling(clique, scale):
     # scaling the points scales every measured range, noise and bias included
     rm = ranges_of(*clique)
     base = edm.analyze_clique_batch(rm, CLIQUE)
-    scaled = edm.analyze_clique_batch(RangeMatrix(n=6, r=scale * rm.r), CLIQUE)
+    scaled = edm.analyze_clique_batch(RangeMatrix(r=scale * rm.r), CLIQUE)
     assert np.isclose(scaled.gamma_test[0], base.gamma_test[0], rtol=1e-9, atol=0.0)
 
 

@@ -51,7 +51,7 @@ class TestMeasureRanges:
         ps, graph = cluster(3)
         rm = measure_ranges(ps, graph, FaultConfig({2}, 5.0), 1.0, substream(1, 9))
         assert np.array_equal(rm.r, rm.r.T)
-        assert np.array_equal(rm.r.diagonal(), np.zeros(rm.n))
+        assert np.array_equal(rm.r.diagonal(), np.zeros(len(rm.r)))
 
     def test_bias_superposition_exact(self):
         # same stream with and without faults differs by exactly f_i + f_j
