@@ -38,11 +38,9 @@ from .detector import (
     detect_faults,
 )
 from .calibration import (
-    GammaFit,
     MlpPredictor,
     StatisticSample,
     build_training_set,
-    fit_gamma,
     percentile,
     sample_statistics,
     train_predictor,

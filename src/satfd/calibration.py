@@ -1,5 +1,5 @@
-"""Detection thresholds: sampled percentiles, gamma fits, and a learned
-per-subgraph predictor.
+"""Detection thresholds: sampled percentiles and a learned per-subgraph
+predictor.
 
 Fixed thresholds come from the empirical distribution of gamma_test over
 all non-fault (but noisy) 6-cliques of a constellation, sampled on a 60 s
@@ -33,10 +33,6 @@ class EmptySampleError(RuntimeError):
     """No cliques were found over the whole sampling window."""
 
 
-class DegenerateFitError(RuntimeError):
-    """Sample has zero variance; gamma fit undefined."""
-
-
 class DivergenceError(RuntimeError):
     """Training loss became non-finite (learning rate too high)."""
 
@@ -48,20 +44,10 @@ class StatisticSample:
     values: np.ndarray
     constellation: str
     sigma_w: float
-    step: float
-    duration: float
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class GammaFit:
-    """Gamma-distribution parameters (shape, scale)."""
-
-    shape: float
-    scale: float
 
 
 def sampling_times(step: float, duration: float) -> np.ndarray:
@@ -92,13 +78,7 @@ def sample_statistics(
     values = np.sort(np.concatenate(vals))
     if values.size == 0:
         raise EmptySampleError("no cliques over the entire sampling window")
-    return StatisticSample(
-        values=values,
-        constellation=config.body.name,
-        sigma_w=sigma_w,
-        step=step,
-        duration=duration,
-    )
+    return StatisticSample(values=values, constellation=config.body.name, sigma_w=sigma_w)
 
 
 def percentile(sample: StatisticSample, p: float) -> float:
@@ -108,17 +88,6 @@ def percentile(sample: StatisticSample, p: float) -> float:
     if not (0.0 < p < 100.0):
         raise ValueError("percentile must be in (0, 100)")
     return float(np.percentile(sample.values, p))
-
-
-def fit_gamma(sample: StatisticSample) -> GammaFit:
-    """Method-of-moments fit: shape = mean^2/var, scale = var/mean."""
-    if sample.n < 10:
-        raise ValueError("need at least 10 samples")
-    mean = float(sample.values.mean())
-    var = float(sample.values.var(ddof=1))
-    if var <= 0.0:
-        raise DegenerateFitError("sample variance is zero")
-    return GammaFit(shape=mean * mean / var, scale=var / mean)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +164,15 @@ class MlpPredictor:
             biases.append(np.zeros(d_out))
         return cls(weights, biases)
 
-    def _forward_std(self, x_std: np.ndarray) -> np.ndarray:
-        h = x_std
+    def _forward_std(self, x_std: np.ndarray) -> tuple[np.ndarray, list, list]:
+        """Output on standardized inputs, with each layer's input and each
+        hidden layer's pre-activation (what back-propagation reads)."""
+        acts = [x_std]
+        pre = []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        return (h @ self.weights[-1] + self.biases[-1])[:, 0]
+            pre.append(acts[-1] @ w + b)
+            acts.append(np.maximum(pre[-1], 0.0))
+        return (acts[-1] @ self.weights[-1] + self.biases[-1])[:, 0], acts, pre
 
     def predict(self, features: np.ndarray) -> np.ndarray | float:
         """Threshold estimates, clamped below at zero.
@@ -211,7 +184,7 @@ class MlpPredictor:
         x = np.atleast_2d(x)
         if x.shape[1] != FEATURE_DIM:
             raise ValueError(f"feature dimension {x.shape[1]}, want {FEATURE_DIM}")
-        y = self._forward_std((x - self.x_mean) / self.x_std) * self.y_std + self.y_mean
+        y = self._forward_std((x - self.x_mean) / self.x_std)[0] * self.y_std + self.y_mean
         y = np.maximum(y, 0.0)
         return float(y[0]) if single else y
 
@@ -256,16 +229,7 @@ def loss_and_grads(model: MlpPredictor, x_std: np.ndarray, y_std: np.ndarray):
     Returns (loss, weight gradients, bias gradients) for one batch; used
     by the training loop and by the finite-difference gradient check.
     """
-    acts = [x_std]
-    pre = []
-    h = x_std
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    out = (h @ model.weights[-1] + model.biases[-1])[:, 0]
-
+    out, acts, pre = model._forward_std(x_std)
     m = x_std.shape[0]
     err = out - y_std
     loss = float((err**2).mean())
@@ -373,7 +337,6 @@ def build_training_set(
     entry_of = np.searchsorted(starts, chosen, side="right") - 1
 
     iu = np.triu_indices(CLIQUE_SIZE, k=1)
-    diag = np.arange(CLIQUE_SIZE)
     feats = np.empty((n_geometries, FEATURE_DIM))
     targets = np.empty(n_geometries)
     for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
@@ -391,9 +354,6 @@ def build_training_set(
         draws = rng.standard_normal((n_noise, iu[0].size)) * sigma_w
         w[:, iu[0], iu[1]] = draws
         w += w.transpose(0, 2, 1)
-        d = (sub + w) ** 2
-        d[:, diag, diag] = 0.0
-        s = np.linalg.svd(edm.geometric_center(d), compute_uv=False)
-        gammas = (s[:, 3] + s[:, 4]) / s[:, 0]
-        targets[g] = np.percentile(gammas, tail_percentile)
+        s = np.linalg.svd(edm.geometric_center((sub + w) ** 2), compute_uv=False)
+        targets[g] = np.percentile(edm.gamma_from_spectrum(s), tail_percentile)
     return feats, targets

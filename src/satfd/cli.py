@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from .seeds import EPOCH_NOISE, substream
 
 
 class CliError(Exception):
-    """User-facing error: print the message and exit nonzero."""
+    """User-facing error: print the message and exit nonzero, as for a library ValueError."""
 
 
 def _common_flags(parser: argparse.ArgumentParser, config: bool = True) -> None:
@@ -155,6 +157,14 @@ def cmd_train_predictor(args) -> int:
     return 0
 
 
+def _satellite_ids(text: str) -> frozenset[int]:
+    """Parse --fault-sats: comma-separated satellite ids, or "" for none."""
+    try:
+        return frozenset(int(s) for s in text.split(",")) if text else frozenset()
+    except ValueError:
+        raise ValueError(f"--fault-sats takes comma-separated ids, not {text!r}") from None
+
+
 def cmd_detect(args) -> int:
     config = _load_constellation(args)
     if args.model is not None:
@@ -163,7 +173,7 @@ def cmd_detect(args) -> int:
         threshold = args.threshold
     else:
         raise CliError("need --threshold or --model")
-    fault_ids = frozenset(int(s) for s in args.fault_sats.split(",")) if args.fault_sats else frozenset()
+    fault_ids = _satellite_ids(args.fault_sats)
     if any(s < 0 or s >= config.n_satellites for s in fault_ids):
         raise CliError("fault satellite id out of range")
 
@@ -202,12 +212,12 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _thresholds_from_spec(raw: dict, config, sigma_w, step, seed) -> list[experiment.ThresholdSpec]:
+def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
+    """Grid thresholds; percentile values are NaN until a sample is given."""
     if "percentiles" in raw:
-        duration = orbital_period(config.satellites[0].a, config.body.mu)
-        sample = calibration.sample_statistics(config, sigma_w, step, duration, seed=seed)
         return [
-            experiment.ThresholdSpec(label=f"p{p:g}", value=calibration.percentile(sample, p))
+            experiment.ThresholdSpec(label=f"p{p:g}", value=(
+                math.nan if sample is None else calibration.percentile(sample, p)))
             for p in raw["percentiles"]
         ]
     if "values" in raw:
@@ -222,6 +232,13 @@ def _thresholds_from_spec(raw: dict, config, sigma_w, step, seed) -> list[experi
             )
         ]
     raise CliError("thresholds must give 'percentiles', 'values', or 'model'")
+
+
+def _integer(value, field: str) -> int:
+    """int(value), refusing a value that int() would truncate."""
+    if int(value) != value:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_experiment_config(path: str | Path) -> dict:
@@ -251,27 +268,34 @@ def cmd_montecarlo(args) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load constellation config: {exc}") from exc
 
-    seed = int(raw["master_seed"])
     sigma_w = float(raw["sigma_w_m"])
     step = float(raw["timestep_s"])
+    spec = raw["thresholds"]
     try:
-        thresholds = _thresholds_from_spec(raw["thresholds"], config, sigma_w, step, seed)
+        seed = _integer(raw["master_seed"], "master_seed")
+        n_trials = _integer(raw["n_trials"], "n_trials")
         grid = experiment.ExperimentGrid(
-            fault_counts=tuple(int(v) for v in raw["fault_counts"]),
+            fault_counts=tuple(_integer(v, "fault_counts") for v in raw["fault_counts"]),
             magnitudes=tuple(float(v) for v in raw["magnitudes_m"]),
-            thresholds=tuple(thresholds),
-            dls=tuple(int(v) for v in raw["dl_list"]),
+            thresholds=tuple(_thresholds_from_spec(spec, sample=None)),
+            dls=tuple(_integer(v, "dl_list") for v in raw["dl_list"]),
         )
         ctx = experiment.CampaignContext(
             config=config, sigma_w=sigma_w, grid=grid, master_seed=seed, timestep=step,
-            delta_nf=int(raw.get("delta_nf", 10)), delta_rf=float(raw.get("delta_rf", 0.2)),
+            delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
+            delta_rf=float(raw.get("delta_rf", 0.2)),
         )
+        # Calibrate only once the grid and the campaign have passed their checks.
+        if "percentiles" in spec:
+            duration = orbital_period(config.satellites[0].a, config.body.mu)
+            sample = calibration.sample_statistics(config, sigma_w, step, duration, seed=seed)
+            ctx.grid = replace(grid, thresholds=tuple(_thresholds_from_spec(spec, sample)))
     except (OSError, ValueError) as exc:
         raise CliError(f"invalid experiment config: {exc}") from exc
-    results = experiment.run_campaign(ctx, int(raw["n_trials"]), workers=args.threads)
+    results = experiment.run_campaign(ctx, n_trials, workers=args.threads)
     path = _outdir(args) / "results.csv"
     experiment.write_results_csv(path, results)
-    print(f"wrote {path} ({len(results)} cells x {raw['n_trials']} trials)")
+    print(f"wrote {path} ({len(results)} cells x {n_trials} trials)")
     return 0
 
 
@@ -401,7 +425,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ evaluated on the observed subgraph's singular-value features.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +74,11 @@ class DetectionOutcome:
     """Result of a full greedy run: removal order and per-round votes."""
 
     fault_list: tuple[int, ...]
-    rounds: int
-    vote_history: tuple[VoteState, ...] = field(default_factory=tuple)
+    vote_history: tuple[VoteState, ...]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.vote_history)
 
 
 @dataclass(frozen=True)
@@ -122,40 +125,22 @@ def table_from_analyses(
     )
 
 
-def _tally(table: _FlagTable, removed: Sequence[int], n_sats: int, params: DetectorParams):
-    """One voting round on the cached table.  Returns (VoteState, removal or None).
-
-    A removal of None means terminate: either fewer than delta_nf cliques
-    were flagged in total, or no satellite collected a delta_rf share of
-    the votes.  Ties on the top vote count go to the lowest satellite id.
-    """
-    alive = table.flagged.copy()
-    for s in removed:
-        alive &= ~np.any(table.vertices == s, axis=1)
-    counts = np.bincount(table.voted[alive], minlength=n_sats)
-    votes = VoteState(counts=counts)
-    total = votes.total
-    if total < params.delta_nf:
-        return votes, None
-    if counts.max() / total < params.delta_rf:
-        return votes, None
-    return votes, int(np.argmax(counts))
-
-
 def _greedy(table: _FlagTable, n_sats: int, params: DetectorParams) -> DetectionOutcome:
+    """Voting rounds until fewer than delta_nf live cliques are flagged or no
+    satellite holds a delta_rf share; each other round removes the top-voted
+    satellite (lowest id on ties) and drops its cliques from the live set."""
     fault_list: list[int] = []
     history: list[VoteState] = []
+    alive = table.flagged.copy()
     for _ in range(n_sats):
-        votes, removal = _tally(table, fault_list, n_sats, params)
+        votes = VoteState(counts=np.bincount(table.voted[alive], minlength=n_sats))
         history.append(votes)
-        if removal is None:
+        if votes.total < params.delta_nf or votes.ratios.max() < params.delta_rf:
             break
+        removal = int(np.argmax(votes.counts))
         fault_list.append(removal)
-    return DetectionOutcome(
-        fault_list=tuple(fault_list),
-        rounds=len(history),
-        vote_history=tuple(history),
-    )
+        alive &= ~np.any(table.vertices == removal, axis=1)
+    return DetectionOutcome(fault_list=tuple(fault_list), vote_history=tuple(history))
 
 
 def detect_faults(

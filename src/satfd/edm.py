@@ -105,25 +105,30 @@ class BatchAnalysis:
         return self.cliques[np.arange(len(self.cliques)), self.fault_vertex_local]
 
 
+def gamma_from_spectrum(s: np.ndarray) -> np.ndarray:
+    """gamma_test = (s4 + s5) / s1 over the last axis of descending singular values.
+
+    Defined as 0 when s1 = 0 (an all-zero matrix should never flag a fault).
+    """
+    lead = s[..., 0]
+    return np.divide(
+        s[..., 3] + s[..., 4], lead, out=np.zeros(lead.shape), where=lead > 0.0
+    )
+
+
 def analyze_clique_batch(ranges: RangeMatrix, cliques: np.ndarray) -> BatchAnalysis:
     """Full SVD of every clique's centered distance matrix plus gamma_test.
 
-    gamma_test = (s4 + s5) / s1 with singular values descending; defined
-    as 0 when s1 = 0 (an all-zero matrix should never flag a fault).
     Requires cliques of k >= 5 vertices.
     """
     if cliques.shape[1] < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
     u, s, _ = np.linalg.svd(geometric_center(build_edm(ranges, cliques)))
-    lead = s[:, 0]
-    gamma = np.divide(
-        s[:, 3] + s[:, 4], lead, out=np.zeros(len(cliques)), where=lead > 0.0
-    )
     vertex = np.argmax(np.abs(u[:, :, 3]), axis=1)
     return BatchAnalysis(
         cliques=cliques,
         singular_values=s,
         left_vectors=u,
-        gamma_test=gamma,
+        gamma_test=gamma_from_spectrum(s),
         fault_vertex_local=vertex,
     )

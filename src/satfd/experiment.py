@@ -151,7 +151,6 @@ class CampaignContext:
         self.sigma_w = sigma_w
         self.grid = grid
         self.master_seed = master_seed
-        self.timestep = timestep
         # Settings shared by every cell; each grid threshold sets gamma_threshold.
         self.detector = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
 

@@ -7,12 +7,10 @@ import dataclasses
 
 from satfd import calibration, edm
 from satfd.calibration import (
-    DegenerateFitError,
     MlpPredictor,
     StatisticSample,
     batch_features,
     build_training_set,
-    fit_gamma,
     loss_and_grads,
     percentile,
     sample_statistics,
@@ -24,7 +22,7 @@ from satfd.ranging import RangeMatrix
 
 
 def make_sample(values, **kw):
-    defaults = dict(constellation="x", sigma_w=1.0, step=60.0, duration=3600.0)
+    defaults = dict(constellation="x", sigma_w=1.0)
     defaults.update(kw)
     return StatisticSample(values=np.sort(np.asarray(values, dtype=float)), **defaults)
 
@@ -92,25 +90,6 @@ class TestPercentile:
             percentile(sample, 0.0)
         with pytest.raises(ValueError):
             percentile(sample, 100.0)
-
-
-class TestFitGamma:
-    def test_moment_identities_on_synthetic_draws(self):
-        rng = np.random.default_rng(17)
-        sample = make_sample(rng.gamma(shape=3.0, scale=2.0, size=100_000))
-        fit = fit_gamma(sample)
-        assert fit.shape == pytest.approx(3.0, abs=0.1)
-        assert fit.scale == pytest.approx(2.0, abs=0.1)
-
-    def test_exponential_is_gamma_one(self):
-        rng = np.random.default_rng(19)
-        sample = make_sample(rng.exponential(scale=1.7, size=100_000))
-        fit = fit_gamma(sample)
-        assert fit.shape == pytest.approx(1.0, abs=0.05)
-
-    def test_constant_sample_rejected(self):
-        with pytest.raises(DegenerateFitError):
-            fit_gamma(make_sample(np.full(100, 2.5)))
 
 
 class TestThresholdFile:

@@ -2,8 +2,10 @@ import csv
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
+from satfd import calibration
 from satfd.cli import main
 from satfd.constellation import load_bundled
 
@@ -216,8 +218,13 @@ class TestMonteCarloAndReport:
         ("fault_counts", [-1], "fault counts"),
         ("fault_counts", [20], "fault counts"),
         ("delta_nf", 0, "delta_nf"),
+        ("n_trials", 2.5, "n_trials must be an integer"),
+        ("fault_counts", [1.7], "fault_counts must be an integer"),
+        ("dl_list", [2.5], "dl_list must be an integer"),
+        ("master_seed", 1.5, "master_seed must be an integer"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
-            "fault_counts=[20]", "delta_nf=0"])
+            "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
+            "dl_list=[2.5]", "master_seed=1.5"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"
@@ -229,6 +236,30 @@ class TestMonteCarloAndReport:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
+
+    def test_grid_checked_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before the range checks")
+
+        monkeypatch.setattr(calibration, "sample_statistics", calibrate)
+        exp = self.experiment_file(tmp_path, thresholds={"percentiles": [99]}, dl_list=[0])
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config: detection lengths")
+
+    def test_percentile_thresholds_from_calibration(self, tmp_path, monkeypatch):
+        sample = calibration.StatisticSample(
+            values=np.linspace(0.0, 1e-6, 101), constellation="Moon", sigma_w=1.0)
+        monkeypatch.setattr(calibration, "sample_statistics", lambda *a, **kw: sample)
+        exp = self.experiment_file(tmp_path, thresholds={"percentiles": [50, 99]})
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "results.csv")[1:]
+        assert [(r[2], float(r[3])) for r in rows] == [
+            ("p50", calibration.percentile(sample, 50)),
+            ("p99", calibration.percentile(sample, 99)),
+        ]
 
     def test_unparsable_experiment_rejected(self, tmp_path, capsys):
         exp = tmp_path / "exp.json"
@@ -252,6 +283,31 @@ class TestMonteCarloAndReport:
         row = read_csv(tmp_path / "results.csv")[1]
         tpr = float(row[10])
         assert f"{tpr:.3f}" in out
+
+
+class TestLibraryValueErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["detect", "--threshold", "4.6e-7", "--fault-sats", "x"],
+         "--fault-sats takes comma-separated ids, not 'x'"),
+        (["detect", "--threshold", "4.6e-7", "--sigma-w", "-1"], "sigma_w must be >= 0"),
+        (["calibrate", "--duration", "120", "--sigma-w", "-1"], "sigma_w must be >= 0"),
+        (["detect", "--threshold", "4.6e-7", "--magnitude", "-5", "--fault-sats", "1"],
+         "fault magnitude must be >= 0"),
+        (["train-predictor", "--n-noise", "100"], "n_noise must be >= 300"),
+        (["train-predictor", "--n-geometries", "0"], "empty training set"),
+        (["calibrate", "--duration", "120", "--percentiles", "100"],
+         "percentile must be in (0, 100)"),
+    ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
+            "train-n-noise", "train-n-geometries", "calibrate-percentile-100"])
+    def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (out.exists() and any(out.iterdir()))
 
 
 class TestConfigRoundTrip:

@@ -138,6 +138,12 @@ class TestAnalyze:
         assert np.all(np.diff(a.singular_values[0]) <= 0.0)
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-9)
 
+    def test_gamma_from_spectrum(self):
+        s = np.array([[4.0, 3.0, 2.0, 1.0, 0.5, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert edm.gamma_from_spectrum(s).tolist() == [1.5 / 4.0, 0.0]
+        assert edm.gamma_from_spectrum(s[0]) == 1.5 / 4.0
+
 
 class TestFaultVertexIndex:
     def test_recovers_fault_in_elfo_subgraph(self):

@@ -1,4 +1,5 @@
-"""Property tests of the clique lister and the clique analysis kernel.
+"""Property tests of the clique lister, the clique analysis kernel and the
+greedy detector loop.
 
 list_k_cliques must give exactly the k-subsets of mutually adjacent
 vertices, as lexicographically sorted np.intp rows, on any graph.
@@ -7,6 +8,10 @@ gamma_test depends only on the shape of a clique's measured ranges, so it
 must not change when the vertices are relabeled, when the points move
 rigidly, or when every range is scaled; the voted vertex must follow the
 relabeling; and stacking cliques into one batch must not change any row.
+
+The greedy loop must give the removal order and per-round vote counts of a
+reference that rebuilds its live set from every removed satellite each
+round.
 """
 
 import itertools
@@ -18,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from satfd import edm
 from satfd.cliques import list_k_cliques
+from satfd.detector import DetectorParams, detect_faults_from_analyses
 from satfd.linkgraph import VisibilityGraph
 from satfd.ranging import RangeMatrix
 
@@ -151,3 +157,54 @@ def test_batch_rows_equal_batches_of_one(n, seed, bias):
         assert np.array_equal(batch.left_vectors[row], single.left_vectors[0])
         assert batch.gamma_test[row] == single.gamma_test[0]
         assert batch.fault_vertex_local[row] == single.fault_vertex_local[0]
+
+
+@st.composite
+def flag_window(draw):
+    """(n_sats, per-epoch analyses): cliques of 6 random satellites, each
+    flagged (gamma 1) or not (gamma 0) and voting for a random member."""
+    n = draw(st.integers(6, 12))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, 40))
+        keys = draw(arrays(np.float64, (m, n), elements=st.floats(0.0, 1.0)))
+        cliques = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :6], axis=1)
+        batches.append(edm.BatchAnalysis(
+            cliques=cliques,
+            singular_values=np.zeros((m, 6)),
+            left_vectors=np.zeros((m, 6, 6)),
+            gamma_test=draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 1.0]))),
+            fault_vertex_local=draw(arrays(np.intp, m, elements=st.integers(0, 5))),
+        ))
+    return n, batches
+
+
+def reference_greedy(batches, params, n_sats):
+    """Removal order and per-round counts, re-masking every removed satellite."""
+    vertices = np.concatenate([b.cliques for b in batches])
+    voted = np.concatenate([b.fault_vertex_global() for b in batches])
+    flagged = np.concatenate([b.gamma_test > params.gamma_threshold for b in batches])
+    removed, history = [], []
+    for _ in range(n_sats):
+        alive = flagged.copy()
+        for s in removed:
+            alive &= ~np.any(vertices == s, axis=1)
+        counts = np.bincount(voted[alive], minlength=n_sats)
+        history.append(counts.tolist())
+        total = counts.sum()
+        if total < params.delta_nf or counts.max() / total < params.delta_rf:
+            break
+        removed.append(int(np.argmax(counts)))
+    return removed, history
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flag_window(), st.integers(1, 6), st.floats(0.05, 0.6))
+def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf):
+    n, batches = window
+    params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf, gamma_threshold=0.5)
+    outcome = detect_faults_from_analyses(batches, params, n)
+    removed, history = reference_greedy(batches, params, n)
+    assert list(outcome.fault_list) == removed
+    assert [v.counts.tolist() for v in outcome.vote_history] == history
+    assert outcome.rounds == len(history)
