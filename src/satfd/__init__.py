@@ -11,7 +11,6 @@ from .constellation import (
     BodyParams,
     ConstellationConfig,
     OrbitalElements,
-    PositionSet,
     load_bundled,
     load_config,
     orbital_period,
@@ -19,11 +18,7 @@ from .constellation import (
     solve_kepler,
 )
 from .linkgraph import VisibilityGraph, build_visibility_graph, line_of_sight
-from .cliques import (
-    CliqueSchedule,
-    build_clique_schedule,
-    list_k_cliques,
-)
+from .cliques import build_clique_schedule, list_k_cliques
 from .ranging import FaultConfig, RangeMatrix, measure_ranges
 from .edm import (
     analyze_clique_batch,

@@ -28,6 +28,12 @@ from .seeds import CALIBRATION, TRAINING, substream
 
 FEATURE_DIM = 3 + 3 * CLIQUE_SIZE  # 3 singular values + 3 vectors of length CLIQUE_SIZE
 
+# Mini-batch SGD settings of train_predictor.
+BATCH_SIZE = 128
+MOMENTUM = 0.9
+# Training target: this percentile of gamma_test over a geometry's noise draws.
+TAIL_PERCENTILE = 99.7
+
 
 class EmptySampleError(RuntimeError):
     """No cliques were found over the whole sampling window."""
@@ -73,7 +79,7 @@ def sample_statistics(
     for idx, t in enumerate(sampling_times(step, duration)):
         entry = schedule_entry(config, t, CLIQUE_SIZE)
         rng = substream(seed, CALIBRATION, idx)
-        rm = measure_ranges(entry.positions, entry.graph, FaultConfig.none(), sigma_w, rng)
+        rm = measure_ranges(entry.positions, entry.graph, FaultConfig(), sigma_w, rng)
         vals.append(edm.analyze_clique_batch(rm, entry.cliques).gamma_test)
     values = np.sort(np.concatenate(vals))
     if values.size == 0:
@@ -81,12 +87,17 @@ def sample_statistics(
     return StatisticSample(values=values, constellation=config.body.name, sigma_w=sigma_w)
 
 
+def check_percentile(p: float) -> None:
+    """Refuse a percentile outside the open interval (0, 100)."""
+    if not (0.0 < p < 100.0):
+        raise ValueError("percentile must be in (0, 100)")
+
+
 def percentile(sample: StatisticSample, p: float) -> float:
     """Linear-interpolation percentile of the sorted sample."""
     if sample.n == 0:
         raise ValueError("empty sample")
-    if not (0.0 < p < 100.0):
-        raise ValueError("percentile must be in (0, 100)")
+    check_percentile(p)
     return float(np.percentile(sample.values, p))
 
 
@@ -108,10 +119,6 @@ def write_thresholds(path: str | Path, sample: StatisticSample, percentiles: lis
     ]
     Path(path).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
     return records
-
-
-def read_thresholds(path: str | Path) -> list[dict]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +181,13 @@ class MlpPredictor:
             acts.append(np.maximum(pre[-1], 0.0))
         return (acts[-1] @ self.weights[-1] + self.biases[-1])[:, 0], acts, pre
 
-    def predict(self, features: np.ndarray) -> np.ndarray | float:
-        """Threshold estimates, clamped below at zero.
-
-        Accepts a single (21,) vector or a (m, 21) batch.
-        """
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Threshold estimates for an (m, 21) batch, clamped below at zero."""
         x = np.asarray(features, dtype=float)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        if x.shape[1] != FEATURE_DIM:
-            raise ValueError(f"feature dimension {x.shape[1]}, want {FEATURE_DIM}")
+        if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
+            raise ValueError(f"features have shape {x.shape}, want (m, {FEATURE_DIM})")
         y = self._forward_std((x - self.x_mean) / self.x_std)[0] * self.y_std + self.y_mean
-        y = np.maximum(y, 0.0)
-        return float(y[0]) if single else y
+        return np.maximum(y, 0.0)
 
     # -- serialization ------------------------------------------------------
 
@@ -255,8 +256,6 @@ def train_predictor(
     seed: int,
     epochs: int = 50,
     lr: float = 1e-3,
-    batch_size: int = 128,
-    momentum: float = 0.9,
 ) -> MlpPredictor:
     """Fit the predictor by mini-batch SGD with momentum.
 
@@ -287,14 +286,14 @@ def train_predictor(
     n = xs.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = order[start:start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            sel = order[start:start + BATCH_SIZE]
             loss, gw, gb = loss_and_grads(model, xs[sel], ys[sel])
             if not math.isfinite(loss):
                 raise DivergenceError("training loss is not finite; lower the learning rate")
             for layer in range(len(model.weights)):
-                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer]
-                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer]
+                vel_w[layer] = MOMENTUM * vel_w[layer] - lr * gw[layer]
+                vel_b[layer] = MOMENTUM * vel_b[layer] - lr * gb[layer]
                 model.weights[layer] = model.weights[layer] + vel_w[layer]
                 model.biases[layer] = model.biases[layer] + vel_b[layer]
     return model
@@ -311,21 +310,20 @@ def build_training_set(
     n_noise: int,
     seed: int,
     step: float = 60.0,
-    tail_percentile: float = 99.7,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (features, empirical tail threshold) pairs for training.
 
     Geometries are 6-clique subgraphs drawn uniformly over all (epoch,
     clique) pairs of one orbital period on the given step.  The feature
     vector comes from one noiseless analysis of the geometry; the target
-    is the empirical tail percentile of gamma_test over n_noise
+    is the empirical TAIL_PERCENTILE of gamma_test over n_noise
     independent noise realizations.
     """
     if n_noise < 300:
-        raise ValueError("n_noise must be >= 300 to resolve the 99.7 percentile")
+        raise ValueError(f"n_noise must be >= 300 to resolve the {TAIL_PERCENTILE} percentile")
     period = orbital_period(config.satellites[0].a, config.body.mu)
     schedule = build_clique_schedule(config, sampling_times(step, period))
-    counts = np.array([len(entry.cliques) for entry in schedule.entries])
+    counts = np.array([len(entry.cliques) for entry in schedule])
     # Pool index i is row i - starts[e] of entry e, epochs in schedule order.
     starts = np.cumsum(counts) - counts
     pool_size = int(counts.sum())
@@ -340,10 +338,9 @@ def build_training_set(
     feats = np.empty((n_geometries, FEATURE_DIM))
     targets = np.empty(n_geometries)
     for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
-        entry = schedule.entries[e]
+        entry = schedule[e]
         clique = entry.cliques[pool_idx - starts[e]][None]
-        pos = entry.positions.positions
-        diff = pos[:, None, :] - pos[None, :, :]
+        diff = entry.positions[:, None, :] - entry.positions[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         exact = RangeMatrix(r=np.where(entry.graph.adjacency, dist, 0.0))
         feats[g] = batch_features(edm.analyze_clique_batch(exact, clique))[0]
@@ -355,5 +352,5 @@ def build_training_set(
         w[:, iu[0], iu[1]] = draws
         w += w.transpose(0, 2, 1)
         s = np.linalg.svd(edm.geometric_center((sub + w) ** 2), compute_uv=False)
-        targets[g] = np.percentile(edm.gamma_from_spectrum(s), tail_percentile)
+        targets[g] = np.percentile(edm.gamma_from_spectrum(s), TAIL_PERCENTILE)
     return feats, targets

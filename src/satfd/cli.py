@@ -38,10 +38,6 @@ from .ranging import FaultConfig, measure_ranges
 from .seeds import EPOCH_NOISE, substream
 
 
-class CliError(Exception):
-    """User-facing error: print the message and exit nonzero, as for a library ValueError."""
-
-
 def _common_flags(parser: argparse.ArgumentParser, config: bool = True) -> None:
     if config:
         parser.add_argument("--config", required=True,
@@ -60,11 +56,11 @@ def _outdir(args) -> Path:
     return out
 
 
-def _load_constellation(args) -> ConstellationConfig:
+def _load_constellation(name: str) -> ConstellationConfig:
     try:
-        return resolve_config(args.config)
+        return resolve_config(name)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load constellation config: {exc}") from exc
+        raise ValueError(f"cannot load constellation config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +68,16 @@ def _load_constellation(args) -> ConstellationConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_propagate(args) -> int:
-    config = _load_constellation(args)
+    config = _load_constellation(args.config)
     if args.step <= 0 or args.t_end < args.t_start:
-        raise CliError("need step > 0 and t-end >= t-start")
+        raise ValueError("need step > 0 and t-end >= t-start")
     path = _outdir(args) / "positions.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "sat_id", "x_m", "y_m", "z_m"])
         t = args.t_start
         while t <= args.t_end + 1e-9:
-            ps = propagate(config, t)
-            for sat, p in enumerate(ps.positions):
+            for sat, p in enumerate(propagate(config, t)):
                 writer.writerow([repr(t), sat] + [repr(float(v)) for v in p])
             t += args.step
     print(f"wrote {path}")
@@ -90,7 +85,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    config = _load_constellation(args)
+    config = _load_constellation(args.config)
     graph = build_visibility_graph(propagate(config, args.t), config.body.radius)
     path = _outdir(args) / "edges.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -103,9 +98,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    config = _load_constellation(args)
+    config = _load_constellation(args.config)
     if args.k < 1:
-        raise CliError("need k >= 1")
+        raise ValueError("need k >= 1")
     found = schedule_entry(config, args.t, args.k).cliques
     out = _outdir(args)
     path = out / "cliques.csv"
@@ -126,12 +121,12 @@ def cmd_cliques(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = _load_constellation(args)
+    config = _load_constellation(args.config)
     duration = args.duration
     if duration is None:
         duration = orbital_period(config.satellites[0].a, config.body.mu)
-    if args.step <= 0 or duration < args.step:
-        raise CliError("need step > 0 and duration >= step")
+    for p in args.percentiles:
+        calibration.check_percentile(p)
     sample = calibration.sample_statistics(
         config, args.sigma_w, args.step, duration, seed=args.seed
     )
@@ -144,7 +139,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train_predictor(args) -> int:
-    config = _load_constellation(args)
+    config = _load_constellation(args.config)
     feats, targets = calibration.build_training_set(
         config, args.sigma_w, args.n_geometries, args.n_noise, seed=args.seed
     )
@@ -166,27 +161,27 @@ def _satellite_ids(text: str) -> frozenset[int]:
 
 
 def cmd_detect(args) -> int:
-    config = _load_constellation(args)
+    config = _load_constellation(args.config)
     if args.model is not None:
         threshold = calibration.MlpPredictor.load(args.model)
     elif args.threshold is not None:
         threshold = args.threshold
     else:
-        raise CliError("need --threshold or --model")
+        raise ValueError("need --threshold or --model")
     fault_ids = _satellite_ids(args.fault_sats)
     if any(s < 0 or s >= config.n_satellites for s in fault_ids):
-        raise CliError("fault satellite id out of range")
+        raise ValueError("fault satellite id out of range")
 
     if args.dl < 1:
-        raise CliError("invalid detector option: di (--dl) must be >= 1")
+        raise ValueError("invalid detector option: di (--dl) must be >= 1")
     try:
         params = DetectorParams(delta_nf=args.delta_nf, delta_rf=args.delta_rf,
                                 gamma_threshold=threshold)
     except ValueError as exc:
-        raise CliError(f"invalid detector option: {exc}") from exc
+        raise ValueError(f"invalid detector option: {exc}") from exc
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
     times = args.t0 + 60.0 * np.arange(args.dl)
-    window = build_clique_schedule(config, times).entries
+    window = build_clique_schedule(config, times)
     ranges = [
         measure_ranges(entry.positions, entry.graph, faults, args.sigma_w,
                        substream(args.seed, EPOCH_NOISE, 0, k))
@@ -215,6 +210,8 @@ def cmd_detect(args) -> int:
 def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
     """Grid thresholds; percentile values are NaN until a sample is given."""
     if "percentiles" in raw:
+        for p in raw["percentiles"]:
+            calibration.check_percentile(p)
         return [
             experiment.ThresholdSpec(label=f"p{p:g}", value=(
                 math.nan if sample is None else calibration.percentile(sample, p)))
@@ -231,7 +228,7 @@ def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
                 label="predicted", value=calibration.MlpPredictor.load(raw["model"])
             )
         ]
-    raise CliError("thresholds must give 'percentiles', 'values', or 'model'")
+    raise ValueError("thresholds must give 'percentiles', 'values', or 'model'")
 
 
 def _integer(value, field: str) -> int:
@@ -245,35 +242,29 @@ def load_experiment_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read experiment config: {exc}") from exc
+        raise ValueError(f"cannot read experiment config: {exc}") from exc
     for field in ("constellation", "sigma_w_m", "fault_counts", "magnitudes_m",
                   "thresholds", "dl_list", "n_trials", "master_seed"):
         if field not in raw:
-            raise CliError(f"experiment config missing field {field!r}")
-    for lst in ("fault_counts", "magnitudes_m", "dl_list"):
-        if not raw[lst]:
-            raise CliError(f"experiment config field {lst!r} must be non-empty")
-    if raw["n_trials"] < 1:
-        raise CliError("n_trials must be >= 1")
+            raise ValueError(f"experiment config missing field {field!r}")
     raw.setdefault("timestep_s", 60.0)
     return raw
 
 
 def cmd_montecarlo(args) -> int:
     if args.threads < 1:
-        raise CliError("--threads must be >= 1")
+        raise ValueError("--threads must be >= 1")
     raw = load_experiment_config(args.experiment)
-    try:
-        config = resolve_config(raw["constellation"])
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load constellation config: {exc}") from exc
-
-    sigma_w = float(raw["sigma_w_m"])
-    step = float(raw["timestep_s"])
+    # str(): resolve_config would take an integer for a file descriptor.
+    config = _load_constellation(str(raw["constellation"]))
     spec = raw["thresholds"]
     try:
+        sigma_w = float(raw["sigma_w_m"])
+        step = float(raw["timestep_s"])
         seed = _integer(raw["master_seed"], "master_seed")
         n_trials = _integer(raw["n_trials"], "n_trials")
+        if n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
         grid = experiment.ExperimentGrid(
             fault_counts=tuple(_integer(v, "fault_counts") for v in raw["fault_counts"]),
             magnitudes=tuple(float(v) for v in raw["magnitudes_m"]),
@@ -290,8 +281,10 @@ def cmd_montecarlo(args) -> int:
             duration = orbital_period(config.satellites[0].a, config.body.mu)
             sample = calibration.sample_statistics(config, sigma_w, step, duration, seed=seed)
             ctx.grid = replace(grid, thresholds=tuple(_thresholds_from_spec(spec, sample)))
-    except (OSError, ValueError) as exc:
-        raise CliError(f"invalid experiment config: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"invalid experiment config: missing field {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValueError(f"invalid experiment config: {exc}") from exc
     results = experiment.run_campaign(ctx, n_trials, workers=args.threads)
     path = _outdir(args) / "results.csv"
     experiment.write_results_csv(path, results)
@@ -302,10 +295,10 @@ def cmd_montecarlo(args) -> int:
 def cmd_report(args) -> int:
     try:
         rows = experiment.read_results_csv(args.results)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
     if not rows:
-        raise CliError("results file has no rows")
+        raise ValueError("results file has no rows")
 
     fmt = "{:>7} {:>12} {:>10} {:>4} {:>8} {:>8} {:>8} {:>8} {:>8}"
     print(fmt.format("faults", "magnitude_m", "threshold", "dl",
@@ -425,7 +418,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ConstellationConfig, PositionSet, propagate
+from .constellation import ConstellationConfig, propagate
 from .linkgraph import VisibilityGraph, build_visibility_graph
 
 # Size of the detection subgraphs: the paper's 6-cliques.
@@ -28,31 +28,17 @@ CLIQUE_SIZE = 6
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One epoch of the predicted topology.
+    """One epoch t of the predicted topology.
 
-    cliques is the (m, k) integer array of satellite ids that
-    list_k_cliques returns for graph.
+    positions is the (n, 3) array that propagate returns, and cliques the
+    (m, k) integer array of satellite ids that list_k_cliques returns for
+    graph.
     """
 
-    positions: PositionSet
+    t: float
+    positions: np.ndarray
     graph: VisibilityGraph
     cliques: np.ndarray
-
-    @property
-    def t(self) -> float:
-        return self.positions.t
-
-
-@dataclass(frozen=True)
-class CliqueSchedule:
-    """Cliques of the predicted topology at each epoch, strictly increasing t."""
-
-    entries: tuple[ScheduleEntry, ...]
-
-    def __post_init__(self):
-        ts = [e.t for e in self.entries]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("schedule epochs must be strictly increasing")
 
 
 def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
@@ -79,13 +65,14 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
 
 def schedule_entry(config: ConstellationConfig, t: float, k: int) -> ScheduleEntry:
     """Positions, visibility graph and k-cliques of the topology at epoch t."""
-    positions = propagate(config, float(t))
+    t = float(t)
+    positions = propagate(config, t)
     graph = build_visibility_graph(positions, config.body.radius)
-    return ScheduleEntry(positions=positions, graph=graph, cliques=list_k_cliques(graph, k))
+    return ScheduleEntry(t=t, positions=positions, graph=graph, cliques=list_k_cliques(graph, k))
 
 
 def build_clique_schedule(
     config: ConstellationConfig, times: list[float] | np.ndarray
-) -> CliqueSchedule:
+) -> tuple[ScheduleEntry, ...]:
     """schedule_entry of the CLIQUE_SIZE-cliques at each epoch of times."""
-    return CliqueSchedule(tuple(schedule_entry(config, t, CLIQUE_SIZE) for t in times))
+    return tuple(schedule_entry(config, t, CLIQUE_SIZE) for t in times)

@@ -98,17 +98,6 @@ class ConstellationConfig:
         return len(self.satellites)
 
 
-@dataclass(frozen=True)
-class PositionSet:
-    """Inertial positions of all satellites at one epoch.
-
-    positions has shape (n, 3), meters, body-centered inertial frame.
-    """
-
-    t: float
-    positions: np.ndarray
-
-
 def solve_kepler(mean_anomaly: float, e: float) -> float:
     """Solve Kepler's equation E - e*sin(E) = M for the eccentric anomaly.
 
@@ -177,8 +166,8 @@ def propagate_one(el: OrbitalElements, mu: float, t: float) -> np.ndarray:
     return rot @ np.array([x_pf, y_pf, 0.0])
 
 
-def propagate(config: ConstellationConfig, t: float) -> PositionSet:
-    """Positions of every satellite at epoch t.
+def propagate(config: ConstellationConfig, t: float) -> np.ndarray:
+    """(n, 3) inertial positions (m) of every satellite at epoch t.
 
     Deterministic pure function of (config, t); see propagate_one for the
     per-satellite math.
@@ -188,7 +177,7 @@ def propagate(config: ConstellationConfig, t: float) -> PositionSet:
     pos = np.empty((config.n_satellites, 3))
     for k, el in enumerate(config.satellites):
         pos[k] = propagate_one(el, config.body.mu, t)
-    return PositionSet(t=t, positions=pos)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +207,6 @@ def config_from_dict(raw: dict) -> ConstellationConfig:
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
     return ConstellationConfig(body=body, satellites=sats)
-
-
-def _deg(rad: float) -> float:
-    # 12 decimals (~4e-13 deg) is below the deg->rad->deg rounding error,
-    # so table-derived angles emit exactly and re-parse to identical radians.
-    return round(math.degrees(rad), 12)
-
-
-def config_to_dict(config: ConstellationConfig) -> dict:
-    """Inverse of config_from_dict (values back in km / degrees)."""
-    return {
-        "body": {
-            "name": config.body.name,
-            "mu_km3_s2": config.body.mu / 1e9,
-            "radius_km": config.body.radius / 1e3,
-        },
-        "satellites": [
-            {
-                "a_km": el.a / 1e3,
-                "e": el.e,
-                "i_deg": _deg(el.i),
-                "raan_deg": _deg(el.raan),
-                "argp_deg": _deg(el.argp),
-                "M0_deg": _deg(el.m0),
-            }
-            for el in config.satellites
-        ],
-    }
 
 
 def load_config(path: str | Path) -> ConstellationConfig:

@@ -145,6 +145,8 @@ class CampaignContext:
     ):
         if timestep <= 0.0:
             raise ValueError("timestep must be > 0")
+        if sigma_w < 0.0:
+            raise ValueError("sigma_w must be >= 0")
         if max(grid.fault_counts) > config.n_satellites:
             raise ValueError(f"fault counts must not exceed the {config.n_satellites} satellites")
         self.config = config
@@ -182,7 +184,7 @@ class CampaignContext:
         out = []
         for offset in range(n_epochs):
             g = t0_index + offset
-            entry = self.schedule.entries[g]
+            entry = self.schedule[g]
             rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
             rm = measure_ranges(entry.positions, entry.graph, faults, self.sigma_w, rng)
             out.append(edm.analyze_clique_batch(rm, entry.cliques))

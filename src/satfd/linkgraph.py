@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import PositionSet
-
 
 @dataclass(frozen=True)
 class VisibilityGraph:
@@ -22,9 +20,6 @@ class VisibilityGraph:
     """
 
     adjacency: np.ndarray
-
-    def degree(self, i: int) -> int:
-        return int(self.adjacency[i].sum())
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted (i, j) pairs with i < j."""
@@ -50,11 +45,10 @@ def line_of_sight(p1: np.ndarray, p2: np.ndarray, radius: float) -> np.ndarray:
     return coincident | ((closest * closest).sum(axis=-1) >= radius * radius)
 
 
-def build_visibility_graph(positions: PositionSet, radius: float) -> VisibilityGraph:
-    """Occultation-limited link graph for one position set."""
-    pos = positions.positions
-    n = pos.shape[0]
+def build_visibility_graph(positions: np.ndarray, radius: float) -> VisibilityGraph:
+    """Occultation-limited link graph for one epoch's (n, 3) positions."""
+    n = positions.shape[0]
     i, j = np.triu_indices(n, 1)
     adj = np.zeros((n, n), dtype=bool)
-    adj[i, j] = adj[j, i] = line_of_sight(pos[i], pos[j], radius)
+    adj[i, j] = adj[j, i] = line_of_sight(positions[i], positions[j], radius)
     return VisibilityGraph(adjacency=adj)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import PositionSet
 from .linkgraph import VisibilityGraph
 
 
@@ -37,10 +36,6 @@ class FaultConfig:
         if self.magnitude < 0.0:
             raise ValueError("fault magnitude must be >= 0")
 
-    @staticmethod
-    def none() -> "FaultConfig":
-        return FaultConfig(frozenset(), 0.0)
-
 
 @dataclass(frozen=True)
 class RangeMatrix:
@@ -50,19 +45,19 @@ class RangeMatrix:
 
 
 def measure_ranges(
-    positions: PositionSet,
+    positions: np.ndarray,
     graph: VisibilityGraph,
     faults: FaultConfig,
     sigma_w: float,
     rng: np.random.Generator,
 ) -> RangeMatrix:
-    """Noisy, possibly biased ranges on the visible edges of one epoch."""
+    """Noisy, possibly biased ranges on the visible edges of one epoch's
+    (n, 3) positions."""
     if sigma_w < 0.0:
         raise ValueError("sigma_w must be >= 0")
-    pos = positions.positions
-    n = pos.shape[0]
+    n = positions.shape[0]
 
-    diff = pos[:, None, :] - pos[None, :, :]
+    diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
 
     w = np.zeros((n, n))

@@ -262,7 +262,7 @@ def test_criterion_4_subgraph_count(elfo, elfo_period, calibration_sample):
     ii, jj = np.triu_indices(6, k=1)
     expected = 0
     for t in np.arange(0.0, elfo_period, 60.0):
-        linked = clears_body(propagate(elfo, float(t)).positions, elfo.body.radius)
+        linked = clears_body(propagate(elfo, float(t)), elfo.body.radius)
         expected += int(linked[subsets[:, ii], subsets[:, jj]].all(axis=1).sum())
     total = calibration_sample.n
     deviation = total / REFERENCE_SUBGRAPH_TOTAL - 1.0

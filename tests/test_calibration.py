@@ -97,7 +97,7 @@ class TestThresholdFile:
         sample = make_sample(np.linspace(0.0, 1.0, 1000), constellation="Moon")
         path = tmp_path / "thr.json"
         records = calibration.write_thresholds(path, sample, [95.0, 99.0])
-        loaded = calibration.read_thresholds(path)
+        loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == records
         assert loaded[0]["percentile"] == 95.0
         assert loaded[0]["n_samples"] == 1000
@@ -156,7 +156,7 @@ class TestExtractFeatures:
         ps = propagate(config, 600.0)
         graph = build_visibility_graph(ps, config.body.radius)
         cliques = list_k_cliques(graph, 6)[:30]
-        rm = measure_ranges(ps, graph, FaultConfig.none(), 1.0, substream(2, 0))
+        rm = measure_ranges(ps, graph, FaultConfig(), 1.0, substream(2, 0))
         batch = edm.analyze_clique_batch(rm, cliques)
         feats = calibration.batch_features(batch)
         for row, clique in enumerate(cliques):
@@ -177,7 +177,7 @@ class TestMlp:
             [np.zeros((a, b)) for a, b in zip(dims, dims[1:])],
             [np.zeros(b) for b in dims[1:]],
         )
-        assert model.predict(np.zeros(21)) == 0.0
+        assert model.predict(np.zeros((1, 21))) == 0.0
 
     def test_gradient_check_against_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -272,9 +272,11 @@ class TestMlp:
         rng = np.random.default_rng(2)
         model = MlpPredictor.initialize(rng)
         model.y_mean = -100.0  # force a negative raw output
-        assert model.predict(np.zeros(21)) == 0.0
+        assert model.predict(np.zeros((1, 21))) == 0.0
         with pytest.raises(ValueError):
-            model.predict(np.zeros(20))
+            model.predict(np.zeros((1, 20)))
+        with pytest.raises(ValueError):  # one vector is not a batch
+            model.predict(np.zeros(21))
 
 
 class TestBuildTrainingSet:

@@ -111,6 +111,18 @@ class TestCalibrate:
         assert "error: need step > 0" in capsys.readouterr().err
         assert not (tmp_path / "thresholds.json").exists()
 
+    def test_percentiles_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the percentile check")
+
+        monkeypatch.setattr(calibration, "sample_statistics", sample)
+        out = tmp_path / "out"
+        rc = main(["calibrate", "--config", "elfo_moon", "--out", str(out),
+                   "--percentiles", "99,100"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: percentile must be in (0, 100)\n"
+        assert not out.exists()
+
 
 class TestDetect:
     def test_detects_injected_fault(self, tmp_path, capsys):
@@ -222,9 +234,14 @@ class TestMonteCarloAndReport:
         ("fault_counts", [1.7], "fault_counts must be an integer"),
         ("dl_list", [2.5], "dl_list must be an integer"),
         ("master_seed", 1.5, "master_seed must be an integer"),
+        ("sigma_w_m", -1, "sigma_w must be >= 0"),
+        ("n_trials", "5", "n_trials must be an integer"),
+        ("fault_counts", 5, "not iterable"),
+        ("thresholds", {"values": [{"value": 4.6e-7}]}, "missing field 'label'"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
-            "dl_list=[2.5]", "master_seed=1.5"])
+            "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
+            "fault_counts=5", "values-without-label"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"
@@ -237,6 +254,15 @@ class TestMonteCarloAndReport:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", [5, None], ids=["int", "null"])
+    def test_non_string_constellation_rejected(self, tmp_path, capsys, name):
+        exp = self.experiment_file(tmp_path, constellation=name)
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load constellation config: ")
+        assert err.count("\n") == 1
+
     def test_grid_checked_before_calibrating(self, tmp_path, capsys, monkeypatch):
         def calibrate(*args, **kwargs):
             raise AssertionError("calibrated before the range checks")
@@ -247,6 +273,17 @@ class TestMonteCarloAndReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment config: detection lengths")
+
+    def test_percentiles_checked_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before the percentile check")
+
+        monkeypatch.setattr(calibration, "sample_statistics", calibrate)
+        exp = self.experiment_file(tmp_path, thresholds={"percentiles": [99, 100]})
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: percentile must be in (0, 100)\n")
 
     def test_percentile_thresholds_from_calibration(self, tmp_path, monkeypatch):
         sample = calibration.StatisticSample(

@@ -2,15 +2,9 @@ import itertools
 from math import comb
 
 import numpy as np
-import pytest
 
-from satfd.cliques import (
-    CliqueSchedule,
-    ScheduleEntry,
-    build_clique_schedule,
-    list_k_cliques,
-)
-from satfd.constellation import PositionSet, load_bundled, orbital_period
+from satfd.cliques import build_clique_schedule, list_k_cliques
+from satfd.constellation import load_bundled, orbital_period
 from satfd.linkgraph import VisibilityGraph
 
 
@@ -61,7 +55,7 @@ class TestListKCliques:
         period = orbital_period(config.satellites[0].a, config.body.mu)
         times = np.linspace(0.0, period, 20)
         schedule = build_clique_schedule(config, times)
-        for entry in schedule.entries:
+        for entry in schedule:
             assert (np.bincount(entry.cliques.ravel(), minlength=12) >= 32).all()
 
 
@@ -75,17 +69,10 @@ class TestCliqueOps:
 
 
 class TestSchedule:
-    def test_epochs_strictly_increasing(self):
-        graph = complete_graph(6)
-        entry = ScheduleEntry(positions=PositionSet(t=0.0, positions=np.zeros((6, 3))),
-                              graph=graph, cliques=list_k_cliques(graph, 6))
-        with pytest.raises(ValueError):
-            CliqueSchedule(entries=(entry, entry))
-
     def test_build_matches_single_epoch(self):
         config = load_bundled("elfo_moon")
         schedule = build_clique_schedule(config, [0.0, 60.0])
-        assert [e.t for e in schedule.entries] == [0.0, 60.0]
-        assert all(e.cliques.shape[1] == 6 for e in schedule.entries)
-        for e in schedule.entries:
+        assert [e.t for e in schedule] == [0.0, 60.0]
+        assert all(e.cliques.shape[1] == 6 for e in schedule)
+        for e in schedule:
             assert np.array_equal(e.cliques, list_k_cliques(e.graph, 6))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from satfd.constellation import (
     ConfigError,
     OrbitalElements,
     config_from_dict,
-    config_to_dict,
     load_bundled,
     orbital_period,
     propagate,
@@ -79,14 +77,14 @@ class TestPropagate:
         config = load_bundled("elfo_moon")
         period = orbital_period(config.satellites[0].a, config.body.mu)
         for t in (0.0, 1234.5, 0.37 * period):
-            a = propagate(config, t).positions
-            b = propagate(config, t + period).positions
+            a = propagate(config, t)
+            b = propagate(config, t + period)
             assert np.linalg.norm(a - b, axis=1).max() < 1e-6 * config.satellites[0].a
 
     def test_perilune_radius(self):
         # ELFO plane-1 satellite with M0 = 0 sits at r = a(1-e) at t = 0
         config = load_bundled("elfo_moon")
-        r = np.linalg.norm(propagate(config, 0.0).positions[0])
+        r = np.linalg.norm(propagate(config, 0.0)[0])
         assert r == pytest.approx(2456.96e3, rel=1e-12)
 
     def test_radius_within_visviva_bounds(self):
@@ -94,7 +92,7 @@ class TestPropagate:
         rng = np.random.default_rng(3)
         period = orbital_period(config.satellites[0].a, config.body.mu)
         for t in rng.uniform(0.0, period, size=25):
-            radii = np.linalg.norm(propagate(config, t).positions, axis=1)
+            radii = np.linalg.norm(propagate(config, t), axis=1)
             for el, r in zip(config.satellites, radii):
                 assert el.a * (1.0 - el.e) * (1.0 - 1e-9) <= r <= el.a * (1.0 + el.e) * (1.0 + 1e-9)
 
@@ -103,8 +101,8 @@ class TestPropagate:
         dt = 1e-3
         hats = []
         for t in (0.0, 5000.0, 20000.0):
-            ps = propagate(config, t).positions
-            vel = (propagate(config, t + dt).positions - propagate(config, t - dt).positions) / (2 * dt)
+            ps = propagate(config, t)
+            vel = (propagate(config, t + dt) - propagate(config, t - dt)) / (2 * dt)
             h = np.cross(ps, vel)
             hats.append(h / np.linalg.norm(h, axis=1, keepdims=True))
         for other in hats[1:]:
@@ -113,30 +111,23 @@ class TestPropagate:
 
 class TestConfigFiles:
     def test_bundled_elfo_matches_table(self):
-        raw = config_to_dict(load_bundled("elfo_moon"))
-        sats = raw["satellites"]
+        sats = load_bundled("elfo_moon").satellites
         assert len(sats) == 12
-        assert all(s["a_km"] == pytest.approx(6142.4) for s in sats)
-        assert all(s["e"] == pytest.approx(0.6) for s in sats)
-        assert all(s["i_deg"] == pytest.approx(57.7) for s in sats)
-        assert all(s["argp_deg"] == pytest.approx(90.0) for s in sats)
+        assert all(s.a / 1e3 == pytest.approx(6142.4) for s in sats)
+        assert all(s.e == pytest.approx(0.6) for s in sats)
+        assert all(math.degrees(s.i) == pytest.approx(57.7) for s in sats)
+        assert all(math.degrees(s.argp) == pytest.approx(90.0) for s in sats)
         # -90 normalizes to 270
-        assert sorted({round(s["raan_deg"], 6) for s in sats}) == [0.0, 90.0, 180.0, 270.0]
-        assert [s["M0_deg"] for s in sats[:3]] == pytest.approx([0.0, 120.0, 240.0])
+        assert sorted({round(math.degrees(s.raan), 6) for s in sats}) == [0.0, 90.0, 180.0, 270.0]
+        assert [math.degrees(s.m0) for s in sats[:3]] == pytest.approx([0.0, 120.0, 240.0])
 
     def test_bundled_mars_matches_table(self):
-        raw = config_to_dict(load_bundled("walker_mars"))
-        sats = raw["satellites"]
+        sats = load_bundled("walker_mars").satellites
         assert len(sats) == 12
-        assert all(s["a_km"] == pytest.approx(15850.55) for s in sats)
-        assert all(s["e"] == 0.0 for s in sats)
-        assert all(s["i_deg"] == pytest.approx(60.0) for s in sats)
-        assert sats[3]["M0_deg"] == pytest.approx(114.6)
-
-    def test_round_trip(self):
-        config = load_bundled("elfo_moon")
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
-        assert again == config
+        assert all(s.a / 1e3 == pytest.approx(15850.55) for s in sats)
+        assert all(s.e == 0.0 for s in sats)
+        assert all(math.degrees(s.i) == pytest.approx(60.0) for s in sats)
+        assert math.degrees(sats[3].m0) == pytest.approx(114.6)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

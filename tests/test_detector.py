@@ -3,7 +3,7 @@ import pytest
 
 from satfd import edm
 from satfd.cliques import list_k_cliques
-from satfd.constellation import PositionSet, load_bundled, propagate
+from satfd.constellation import load_bundled, propagate
 from satfd.detector import (
     DetectorParams,
     VoteState,
@@ -155,14 +155,13 @@ class TestDetectFaults:
         # keep satellite 0 connected to only 3 others
         rng = np.random.default_rng(40)
         pos = rng.uniform(8.0, 10.0, size=(9, 3)) * 1e6
-        ps = PositionSet(t=0.0, positions=pos)
-        graph = build_visibility_graph(ps, 1.0)  # tiny body: complete graph
+        graph = build_visibility_graph(pos, 1.0)  # tiny body: complete graph
         adj = graph.adjacency.copy()
         adj[0, 4:] = adj[4:, 0] = False
         graph = type(graph)(adjacency=adj)
         cliques = list_k_cliques(graph, 6)
         assert all(0 not in c for c in cliques)
-        rm = measure_ranges(ps, graph, FaultConfig({0}, 100.0), 1.0, substream(1, 1))
+        rm = measure_ranges(pos, graph, FaultConfig({0}, 100.0), 1.0, substream(1, 1))
         out = detect_faults([cliques], [rm],
                             DetectorParams(gamma_threshold=0.0, delta_nf=1,
                                            delta_rf=0.01))

@@ -188,6 +188,9 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="delta_nf"):
             CampaignContext(config=load_bundled("elfo_moon"), sigma_w=1.0,
                             grid=small_grid(), master_seed=1, delta_nf=0)
+        with pytest.raises(ValueError, match="sigma_w"):
+            CampaignContext(config=load_bundled("elfo_moon"), sigma_w=-1.0,
+                            grid=small_grid(), master_seed=1)
 
     @pytest.mark.parametrize("dimension, values", [
         ("magnitudes", (10.0, 10.0)),
