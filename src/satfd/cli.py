@@ -52,7 +52,10 @@ def _seed_flag(parser: argparse.ArgumentParser) -> None:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -163,7 +166,10 @@ def _satellite_ids(text: str) -> frozenset[int]:
 def cmd_detect(args) -> int:
     config = _load_constellation(args.config)
     if args.model is not None:
-        threshold = calibration.MlpPredictor.load(args.model)
+        try:
+            threshold = calibration.MlpPredictor.load(args.model)
+        except OSError as exc:
+            raise ValueError(f"cannot load threshold model: {exc}") from exc
     elif args.threshold is not None:
         threshold = args.threshold
     else:
@@ -243,6 +249,9 @@ def load_experiment_config(path: str | Path) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read experiment config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"invalid experiment config: {path} must be a JSON object, "
+                         f"not {type(raw).__name__}")
     for field in ("constellation", "sigma_w_m", "fault_counts", "magnitudes_m",
                   "thresholds", "dl_list", "n_trials", "master_seed"):
         if field not in raw:

@@ -8,6 +8,15 @@ so every grid cell sees the same trial conditions; measurement noise is
 keyed by (master seed, trial id, absolute epoch index) so cells that share
 epochs share noise too.  Per-cell confusion counts are integer sums over
 trials, which makes parallel and serial runs byte-identical.
+
+Because the noise of an epoch is the same under every fault condition, a
+clique's analysis depends only on which of its vertices are biased and, if
+any are, on the magnitude.  A trial therefore analyses its whole grid at
+once (CampaignContext.epoch_analyses): each clique is analysed once per
+distinct (biased vertices, magnitude), so the fault-free cliques are shared
+by every magnitude and nested fault count, and each cell's analyses are
+gathered from those rows.  A batched SVD gives each matrix the result of a
+batch of one, so the shared analyses equal the unshared ones bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -178,17 +187,65 @@ class CampaignContext:
         return t0_index, rng.permutation(self.n_sats)
 
     def epoch_analyses(
-        self, trial_id: int, t0_index: int, faults: FaultConfig, n_epochs: int
-    ) -> list[edm.BatchAnalysis]:
-        """Clique analyses for one trial window under one fault condition."""
-        out = []
+        self, trial_id: int, t0_index: int, configs: Sequence[FaultConfig], n_epochs: int
+    ) -> list[list[edm.BatchAnalysis]]:
+        """Clique analyses of one trial window under each fault config.
+
+        Returns, per config in order, the analyses of epochs t0_index to
+        t0_index + n_epochs - 1.  Every config sees the same noise in an
+        epoch, so a clique row is analysed only for the first config that
+        biases its vertices the way it does (none, or the same vertices by
+        the same magnitude).  A config whose rows are all shared measures
+        no ranges; the others analyse only their new rows.  Each config's
+        analysis is gathered from the shared rows and equals
+        analyze_clique_batch on that config's own measured ranges.
+        """
+        biased = np.zeros((len(configs), self.n_sats), dtype=bool)
+        for c, faults in enumerate(configs):
+            # A zero bias leaves every range as it is: dist + w + 0.0 == dist + w.
+            biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
+        out: list[list[edm.BatchAnalysis]] = [[] for _ in configs]
         for offset in range(n_epochs):
             g = t0_index + offset
             entry = self.schedule[g]
-            rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
-            rm = measure_ranges(entry.positions, entry.graph, faults, self.sigma_w, rng)
-            out.append(edm.analyze_clique_batch(rm, entry.cliques))
+            cliques = entry.cliques
+            # (configs, m) codes: bit j is set when vertex j of the row is biased.
+            codes = (biased[:, cliques] << np.arange(cliques.shape[1])).sum(axis=2)
+            source = np.full(codes.shape, -1, dtype=np.intp)  # row of `rows` per clique
+            rows = None  # every row analysed in this epoch, in order of analysis
+            for c, faults in enumerate(configs):
+                for p in range(c):
+                    same = (source[c] < 0) & (codes[p] == codes[c])
+                    if configs[p].magnitude != faults.magnitude:
+                        same &= codes[c] == 0
+                    source[c, same] = source[p, same]
+                new = np.flatnonzero(source[c] < 0)
+                if c == 0 or new.size:
+                    rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
+                    rm = measure_ranges(entry.positions, entry.graph, faults, self.sigma_w, rng)
+                    added = edm.analyze_clique_batch(rm, cliques[new])
+                    source[c, new] = np.arange(new.size) + (0 if c == 0 else len(rows.cliques))
+                    rows = added if c == 0 else _stack(rows, added)
+                out[c].append(_gather(cliques, rows, source[c]))
         return out
+
+
+def _stack(a: edm.BatchAnalysis, b: edm.BatchAnalysis) -> edm.BatchAnalysis:
+    """The rows of a followed by the rows of b."""
+    return edm.BatchAnalysis(*(
+        np.concatenate([getattr(a, f.name), getattr(b, f.name)]) for f in fields(a)
+    ))
+
+
+def _gather(cliques: np.ndarray, rows: edm.BatchAnalysis, source: np.ndarray) -> edm.BatchAnalysis:
+    """The analysis of cliques whose i-th row is row source[i] of rows."""
+    return edm.BatchAnalysis(
+        cliques=cliques,
+        singular_values=rows.singular_values[source],
+        left_vectors=rows.left_vectors[source],
+        gamma_test=rows.gamma_test[source],
+        fault_vertex_local=rows.fault_vertex_local[source],
+    )
 
 
 def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
@@ -197,15 +254,19 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
     t0_index, perm = ctx.trial_conditions(trial_id)
     n = ctx.n_sats
     params = [replace(ctx.detector, gamma_threshold=thr.value) for thr in grid.thresholds]
+    configs = [
+        FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
+        for fc in grid.fault_counts for mag in grid.magnitudes
+    ]
+    analyses = iter(ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls)))
     # Axes in ExperimentGrid.cells() order: fault count, threshold, DL, magnitude.
     shape = [len(grid.fault_counts), len(grid.thresholds), len(grid.dls), len(grid.magnitudes)]
     counts = np.zeros(shape + [4], dtype=np.int64)
     for fi, fc in enumerate(grid.fault_counts):
         truth = np.zeros(n, dtype=bool)
         truth[perm[:fc]] = True
-        for mi, mag in enumerate(grid.magnitudes):
-            faults = FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
-            batches = ctx.epoch_analyses(trial_id, t0_index, faults, max(grid.dls))
+        for mi in range(len(grid.magnitudes)):
+            batches = next(analyses)
             for ti, p in enumerate(params):
                 for li, dl in enumerate(grid.dls):
                     outcome = detect_faults_from_analyses(batches[:dl], p, n)

@@ -162,6 +162,32 @@ class TestDetect:
         assert float(rows[1][3]) > 0.0
 
 
+    def test_missing_model_rejected(self, tmp_path, capsys):
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--model", str(tmp_path / "nope.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot load threshold model: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--config", "elfo_moon", "--threshold", "4.6e-7", "--dump-ranges"],
+        ["cliques", "--config", "elfo_moon"],
+    ], ids=["detect", "cliques"])
+    def test_uncreatable_out_rejected(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        rc = main(argv + ["--out", str(blocker / "sub")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot create output directory: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
 class TestMonteCarloAndReport:
     def experiment_file(self, tmp_path, **overrides):
         raw = {
@@ -304,6 +330,17 @@ class TestMonteCarloAndReport:
         rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: cannot read experiment config")
+
+    @pytest.mark.parametrize("text, kind", [("5", "int"), ("[1, 2]", "list"), ('"x"', "str")])
+    def test_experiment_not_an_object_rejected(self, tmp_path, capsys, text, kind):
+        exp = tmp_path / "exp.json"
+        exp.write_text(text, encoding="utf-8")
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: invalid experiment config: {exp} must be a JSON object, not {kind}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_report_schema_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -41,7 +41,7 @@ def make_ctx(grid, seed=1):
 def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
     """Boolean per-satellite verdicts of one trial's one-epoch window."""
     faults = FaultConfig(fault_set=fault_set, magnitude=magnitude)
-    batches = ctx.epoch_analyses(trial_id, t0_index, faults, 1)
+    [batches] = ctx.epoch_analyses(trial_id, t0_index, [faults], 1)
     outcome = detect_faults_from_analyses(batches, params, ctx.n_sats)
     classified = np.zeros(ctx.n_sats, dtype=bool)
     classified[list(outcome.fault_list)] = True

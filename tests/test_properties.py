@@ -12,8 +12,13 @@ relabeling; and stacking cliques into one batch must not change any row.
 The greedy loop must give the removal order and per-round vote counts of a
 reference that rebuilds its live set from every removed satellite each
 round.
+
+A campaign trial's shared analyses (CampaignContext.epoch_analyses, which
+analyses each distinct clique measurement once) must equal, field for
+field, analysing every fault config on its own measured ranges.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -23,9 +28,12 @@ from hypothesis.extra.numpy import arrays
 
 from satfd import edm
 from satfd.cliques import list_k_cliques
+from satfd.constellation import load_bundled
 from satfd.detector import DetectorParams, detect_faults_from_analyses
+from satfd.experiment import CampaignContext, ExperimentGrid, ThresholdSpec
 from satfd.linkgraph import VisibilityGraph
-from satfd.ranging import RangeMatrix
+from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
+from satfd.seeds import EPOCH_NOISE, substream
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -208,3 +216,54 @@ def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf):
     assert list(outcome.fault_list) == removed
     assert [v.counts.tolist() for v in outcome.vote_history] == history
     assert outcome.rounds == len(history)
+
+
+SHARED_EPOCHS = 2
+
+
+@functools.lru_cache(maxsize=1)
+def campaign_context():
+    """An elfo_moon campaign whose schedule fits any fault count and window."""
+    config = load_bundled("elfo_moon")
+    grid = ExperimentGrid(fault_counts=(config.n_satellites,), magnitudes=(0.0,),
+                          thresholds=(ThresholdSpec("x", 1.0),), dls=(SHARED_EPOCHS,))
+    return CampaignContext(config=config, sigma_w=1.0, grid=grid, master_seed=7)
+
+
+@st.composite
+def trial_grid(draw):
+    """(fault counts, magnitudes, other fault sets) of a trial: unsorted fault
+    counts that include 0 and every satellite, magnitudes with a repeat and
+    a 0, and fault sets that need not nest with the trial's permutation."""
+    n = campaign_context().n_sats
+    counts = draw(st.permutations(
+        [0, n] + draw(st.lists(st.integers(0, n), min_size=0, max_size=2))))
+    drawn = draw(st.lists(st.sampled_from([2.5, 5.0, 20.0]), min_size=1, max_size=2))
+    magnitudes = draw(st.permutations(drawn + [drawn[0], 0.0]))
+    others = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=0, max_size=2))
+    return counts, magnitudes, others
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), trial_grid())
+def test_shared_analyses_equal_unshared(trial_id, grid):
+    ctx = campaign_context()
+    t0_index, perm = ctx.trial_conditions(trial_id)
+    counts, magnitudes, others = grid
+    fault_sets = [perm[:fc].tolist() for fc in counts] + others
+    configs = [FaultConfig(fault_set=s, magnitude=mag) for s in fault_sets for mag in magnitudes]
+    shared = ctx.epoch_analyses(trial_id, t0_index, configs, SHARED_EPOCHS)
+    assert len(shared) == len(configs)
+    for faults, batches in zip(configs, shared):
+        assert len(batches) == SHARED_EPOCHS
+        for offset, got in enumerate(batches):
+            g = t0_index + offset
+            entry = ctx.schedule[g]
+            rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
+            rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
+            want = edm.analyze_clique_batch(rm, entry.cliques)
+            assert np.array_equal(got.cliques, want.cliques)
+            assert np.array_equal(got.singular_values, want.singular_values)
+            assert np.array_equal(got.left_vectors, want.left_vectors)
+            assert np.array_equal(got.gamma_test, want.gamma_test)
+            assert np.array_equal(got.fault_vertex_local, want.fault_vertex_local)
