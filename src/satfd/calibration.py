@@ -131,7 +131,7 @@ def batch_features(batch: edm.BatchAnalysis) -> np.ndarray:
     """Feature rows [s1, s2, s3, u1^T, u2^T, u3^T], shape (m, 21) for 6-cliques.
 
     Singular vectors are sign-canonicalized so the features are a function
-    of the subgraph alone, not of SVD sign choices.
+    of the subgraph alone, not of the eigensolver's sign choices.
     """
     lam = batch.singular_values[:, :3]
     u = edm.canonicalize_signs(batch.left_vectors[:, :, :3])
@@ -205,8 +205,10 @@ class MlpPredictor:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "MlpPredictor":
-        if raw.get("format") != "satfd-mlp" or raw.get("version") != 1:
+    def from_dict(cls, raw) -> "MlpPredictor":
+        """The model of a to_dict record; a value that is not a satfd-mlp v1
+        JSON object is refused with a ValueError."""
+        if not isinstance(raw, dict) or raw.get("format") != "satfd-mlp" or raw.get("version") != 1:
             raise ValueError("not a satfd-mlp v1 model file")
         if tuple(raw["dims"]) != cls.DIMS:
             raise ValueError(f"unsupported dims {raw['dims']}")
@@ -351,6 +353,7 @@ def build_training_set(
         draws = rng.standard_normal((n_noise, iu[0].size)) * sigma_w
         w[:, iu[0], iu[1]] = draws
         w += w.transpose(0, 2, 1)
-        s = np.linalg.svd(edm.geometric_center((sub + w) ** 2), compute_uv=False)
+        lam = np.linalg.eigvalsh(edm.geometric_center((sub + w) ** 2))
+        s = np.abs(np.take_along_axis(lam, edm.magnitude_order(lam), axis=1))
         targets[g] = np.percentile(edm.gamma_from_spectrum(s), TAIL_PERCENTILE)
     return feats, targets

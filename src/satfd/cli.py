@@ -130,10 +130,10 @@ def cmd_calibrate(args) -> int:
         duration = orbital_period(config.satellites[0].a, config.body.mu)
     for p in args.percentiles:
         calibration.check_percentile(p)
+    path = _outdir(args) / "thresholds.json"
     sample = calibration.sample_statistics(
         config, args.sigma_w, args.step, duration, seed=args.seed
     )
-    path = _outdir(args) / "thresholds.json"
     records = calibration.write_thresholds(path, sample, args.percentiles)
     for rec in records:
         print(f"p{rec['percentile']}: {rec['value']:.6e}  ({rec['n_samples']} samples)")
@@ -143,13 +143,13 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train_predictor(args) -> int:
     config = _load_constellation(args.config)
+    path = _outdir(args) / "model.json"
     feats, targets = calibration.build_training_set(
         config, args.sigma_w, args.n_geometries, args.n_noise, seed=args.seed
     )
     model = calibration.train_predictor(
         feats, targets, seed=args.seed, epochs=args.epochs, lr=args.lr
     )
-    path = _outdir(args) / "model.json"
     model.save(path)
     print(f"wrote {path}")
     return 0
@@ -285,17 +285,20 @@ def cmd_montecarlo(args) -> int:
             delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
             delta_rf=float(raw.get("delta_rf", 0.2)),
         )
-        # Calibrate only once the grid and the campaign have passed their checks.
+        duration = orbital_period(config.satellites[0].a, config.body.mu)
         if "percentiles" in spec:
-            duration = orbital_period(config.satellites[0].a, config.body.mu)
-            sample = calibration.sample_statistics(config, sigma_w, step, duration, seed=seed)
-            ctx.grid = replace(grid, thresholds=tuple(_thresholds_from_spec(spec, sample)))
+            calibration.sampling_times(step, duration)  # refuses a step beyond one period
     except KeyError as exc:
         raise ValueError(f"invalid experiment config: missing field {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid experiment config: {exc}") from exc
-    results = experiment.run_campaign(ctx, n_trials, workers=args.threads)
+    # Calibrate and run only once the grid and the campaign have passed their
+    # checks and the output directory exists.
     path = _outdir(args) / "results.csv"
+    if "percentiles" in spec:
+        sample = calibration.sample_statistics(config, sigma_w, step, duration, seed=seed)
+        ctx.grid = replace(grid, thresholds=tuple(_thresholds_from_spec(spec, sample)))
+    results = experiment.run_campaign(ctx, n_trials, workers=args.threads)
     experiment.write_results_csv(path, results)
     print(f"wrote {path} ({len(results)} cells x {n_trials} trials)")
     return 0

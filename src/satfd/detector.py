@@ -173,6 +173,6 @@ def detect_faults_from_analyses(
 
     Campaign runs sweep thresholds and window lengths over the same
     measurements; analyzing each epoch's cliques once and re-tallying here
-    avoids repeating identical SVDs per grid cell.
+    avoids repeating identical eigendecompositions per grid cell.
     """
     return _greedy(table_from_analyses(batches, params), n_sats, params)

@@ -14,10 +14,13 @@ so the ratio
 separates faulted from fault-free subgraphs, and the largest-magnitude
 entry of the 4th left singular vector points at the faulty vertex.
 
-All matrices here are tiny (k x k with k around 6), so full SVDs are used
-throughout.  Every function works on a stack of cliques: cliques are an
-(m, k) integer array of satellite ids, and a single clique is a batch of
-one, so the Monte-Carlo hot loops run one stacked LAPACK call per epoch.
+G is symmetric, so its singular values are the magnitudes |lambda| of its
+eigenvalues and its left singular vectors are its eigenvectors.  The
+analysis therefore runs the symmetric eigensolver (eigh) and orders each
+spectrum by |lambda|, descending; no SVD is computed.  Every function
+works on a stack of cliques: cliques are an (m, k) integer array of
+satellite ids, and a single clique is a batch of one, so the Monte-Carlo
+hot loops run one stacked LAPACK call per epoch.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ def numerical_rank(singular_values: np.ndarray, rel_tol: float) -> int:
 def canonicalize_signs(u: np.ndarray) -> np.ndarray:
     """Deterministic sign convention for singular vectors (columns).
 
-    SVD signs are arbitrary; each column is flipped so its largest-magnitude
-    entry (first on ties) is positive.  Zero columns are left untouched.
-    Accepts a single (n, m) matrix or a stacked (..., n, m) array.
+    Eigenvector signs are arbitrary; each column is flipped so its
+    largest-magnitude entry (first on ties) is positive.  Zero columns are
+    left untouched.  Accepts a single (n, m) matrix or a stacked (..., n, m)
+    array.
     """
     u = np.array(u, copy=True)
     mags = np.abs(u)
@@ -116,14 +120,28 @@ def gamma_from_spectrum(s: np.ndarray) -> np.ndarray:
     )
 
 
-def analyze_clique_batch(ranges: RangeMatrix, cliques: np.ndarray) -> BatchAnalysis:
-    """Full SVD of every clique's centered distance matrix plus gamma_test.
+def magnitude_order(eigenvalues: np.ndarray) -> np.ndarray:
+    """Indices that sort each row of eigenvalues by |lambda|, descending.
 
+    The sort is stable, so equal magnitudes keep eigh's ascending order.
+    """
+    return np.argsort(-np.abs(eigenvalues), axis=-1, kind="stable")
+
+
+def analyze_clique_batch(ranges: RangeMatrix, cliques: np.ndarray) -> BatchAnalysis:
+    """Singular values and left singular vectors of every clique's centered
+    distance matrix, plus gamma_test.
+
+    One batched eigh: singular values are |lambda| and the vectors are the
+    eigenvectors, both in magnitude_order.  Vector signs are arbitrary.
     Requires cliques of k >= 5 vertices.
     """
     if cliques.shape[1] < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
-    u, s, _ = np.linalg.svd(geometric_center(build_edm(ranges, cliques)))
+    lam, vecs = np.linalg.eigh(geometric_center(build_edm(ranges, cliques)))
+    order = magnitude_order(lam)
+    s = np.abs(np.take_along_axis(lam, order, axis=1))
+    u = np.take_along_axis(vecs, order[:, None, :], axis=2)
     vertex = np.argmax(np.abs(u[:, :, 3]), axis=1)
     return BatchAnalysis(
         cliques=cliques,

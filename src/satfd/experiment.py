@@ -15,7 +15,7 @@ any are, on the magnitude.  A trial therefore analyses its whole grid at
 once (CampaignContext.epoch_analyses): each clique is analysed once per
 distinct (biased vertices, magnitude), so the fault-free cliques are shared
 by every magnitude and nested fault count, and each cell's analyses are
-gathered from those rows.  A batched SVD gives each matrix the result of a
+gathered from those rows.  A batched eigh gives each matrix the result of a
 batch of one, so the shared analyses equal the unshared ones bit for bit.
 """
 

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from satfd import calibration
+from satfd import calibration, experiment
 from satfd.cli import main
 from satfd.constellation import load_bundled
 
@@ -172,6 +172,18 @@ class TestDetect:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["[1]", "5", '"x"'], ids=["list", "int", "str"])
+    def test_model_not_an_object_rejected(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path / "out"),
+                   "--model", str(model), "--dump-ranges"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: not a satfd-mlp v1 model file\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [model]
+
     @pytest.mark.parametrize("argv", [
         ["detect", "--config", "elfo_moon", "--threshold", "4.6e-7", "--dump-ranges"],
         ["cliques", "--config", "elfo_moon"],
@@ -311,6 +323,21 @@ class TestMonteCarloAndReport:
         assert capsys.readouterr().err == (
             "error: invalid experiment config: percentile must be in (0, 100)\n")
 
+    def test_calibration_step_checked_before_out(self, tmp_path, capsys, monkeypatch):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before the step check")
+
+        monkeypatch.setattr(calibration, "sample_statistics", calibrate)
+        # elfo_moon's period is about 43,200 s, so a 50,000 s step leaves no
+        # calibration epoch.
+        exp = self.experiment_file(tmp_path, thresholds={"percentiles": [99]}, timestep_s=50000)
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: need step > 0 and duration >= step\n")
+        assert not out.exists()
+
     def test_percentile_thresholds_from_calibration(self, tmp_path, monkeypatch):
         sample = calibration.StatisticSample(
             values=np.linspace(0.0, 1e-6, 101), constellation="Moon", sigma_w=1.0)
@@ -323,6 +350,19 @@ class TestMonteCarloAndReport:
             ("p50", calibration.percentile(sample, 50)),
             ("p99", calibration.percentile(sample, 99)),
         ]
+
+    @pytest.mark.parametrize("text", ["[1]", "5", '"x"'], ids=["list", "int", "str"])
+    def test_model_not_an_object_rejected(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        exp = self.experiment_file(tmp_path, thresholds={"model": str(model)})
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid experiment config: not a satfd-mlp v1 model file\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unparsable_experiment_rejected(self, tmp_path, capsys):
         exp = tmp_path / "exp.json"
@@ -382,6 +422,51 @@ class TestLibraryValueErrors:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (out.exists() and any(out.iterdir()))
+
+
+class TestOutputDirectoryBeforeWork:
+    """An --out that cannot be created is reported before the command's work."""
+
+    @pytest.fixture
+    def forbid(self, monkeypatch):
+        def forbid(module, name):
+            def never(*args, **kwargs):
+                raise AssertionError(f"{name} ran before the output directory was created")
+
+            monkeypatch.setattr(module, name, never)
+        return forbid
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        rc = main(argv + ["--out", str(blocker / "sub")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot create output directory: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_calibrate(self, tmp_path, capsys, forbid):
+        forbid(calibration, "sample_statistics")
+        self.assert_refused(tmp_path, capsys, ["calibrate", "--config", "elfo_moon"])
+
+    def test_train_predictor(self, tmp_path, capsys, forbid):
+        forbid(calibration, "build_training_set")
+        self.assert_refused(tmp_path, capsys, ["train-predictor", "--config", "elfo_moon"])
+
+    def test_montecarlo(self, tmp_path, capsys, forbid):
+        forbid(calibration, "sample_statistics")
+        forbid(experiment, "run_campaign")
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({
+            "constellation": "elfo_moon", "sigma_w_m": 1.0, "fault_counts": [1],
+            "magnitudes_m": [20.0], "thresholds": {"percentiles": [99]},
+            "dl_list": [1], "n_trials": 5, "master_seed": 11,
+        }), encoding="utf-8")
+        self.assert_refused(tmp_path, capsys, ["montecarlo", "--experiment", str(exp)])
 
 
 class TestConfigRoundTrip:

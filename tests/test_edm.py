@@ -38,13 +38,20 @@ def analysis_of(points, **kw):
 
 
 def reference_analysis(rm, clique):
-    """Per-matrix numpy reference: (singular values, left vectors, gamma, argmax |u4|)."""
+    """Per-matrix numpy reference: (singular values, left vectors, gamma, argmax |u4|).
+
+    G is symmetric, so its singular values are |lambda| of one eigh and its
+    left singular vectors are the eigenvectors, both ordered by |lambda|
+    descending (stable on ties).
+    """
     r = rm.r[np.ix_(clique, clique)]
     d = r**2
     np.fill_diagonal(d, 0.0)
     n = len(clique)
     j = np.eye(n) - np.full((n, n), 1.0 / n)
-    u, s, _ = np.linalg.svd(-0.5 * (j @ d @ j))
+    lam, vecs = np.linalg.eigh(-0.5 * (j @ d @ j))
+    order = np.argsort(-np.abs(lam), kind="stable")
+    s, u = np.abs(lam[order]), vecs[:, order]
     return s, u, (s[3] + s[4]) / s[0], int(np.argmax(np.abs(u[:, 3])))
 
 
