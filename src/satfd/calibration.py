@@ -206,16 +206,24 @@ class MlpPredictor:
 
     @classmethod
     def from_dict(cls, raw) -> "MlpPredictor":
-        """The model of a to_dict record; a value that is not a satfd-mlp v1
-        JSON object is refused with a ValueError."""
+        """The model of a to_dict record.  A value that is not a satfd-mlp v1
+        JSON object, or whose fields are missing or of the wrong type or
+        shape, is refused with a ValueError that names the field."""
         if not isinstance(raw, dict) or raw.get("format") != "satfd-mlp" or raw.get("version") != 1:
             raise ValueError("not a satfd-mlp v1 model file")
-        if tuple(raw["dims"]) != cls.DIMS:
+        for name in ("dims", "weights", "biases", "x_mean", "x_std", "y_mean", "y_std"):
+            if name not in raw:
+                raise ValueError(f"model file has no field {name!r}")
+        if raw["dims"] != list(cls.DIMS):
             raise ValueError(f"unsupported dims {raw['dims']}")
+        shapes = list(zip(cls.DIMS, cls.DIMS[1:]))
         return cls(
-            raw["weights"], raw["biases"],
-            x_mean=raw["x_mean"], x_std=raw["x_std"],
-            y_mean=raw["y_mean"], y_std=raw["y_std"],
+            _layer_arrays(raw, "weights", shapes),
+            _layer_arrays(raw, "biases", [(d_out,) for _, d_out in shapes]),
+            x_mean=_field_array(raw["x_mean"], "x_mean", (FEATURE_DIM,)),
+            x_std=_field_array(raw["x_std"], "x_std", (FEATURE_DIM,)),
+            y_mean=_field_array(raw["y_mean"], "y_mean", ()),
+            y_std=_field_array(raw["y_std"], "y_std", ()),
         )
 
     def save(self, path: str | Path) -> None:
@@ -224,6 +232,28 @@ class MlpPredictor:
     @classmethod
     def load(cls, path: str | Path) -> "MlpPredictor":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _field_array(value, name: str, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape; ValueError naming the
+    model field otherwise."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
+        want = f"an array of shape {shape}" if shape else "a number"
+        raise ValueError(f"model field {name!r} is not {want}")
+    return arr.astype(float)
+
+
+def _layer_arrays(raw: dict, name: str, shapes: list) -> list[np.ndarray]:
+    """The per-layer arrays of model field name, one per shape."""
+    value = raw[name]
+    if not isinstance(value, list) or len(value) != len(shapes):
+        raise ValueError(f"model field {name!r} is not a list of {len(shapes)} layers")
+    return [_field_array(v, f"{name}[{i}]", shape)
+            for i, (v, shape) in enumerate(zip(value, shapes))]
 
 
 def loss_and_grads(model: MlpPredictor, x_std: np.ndarray, y_std: np.ndarray):

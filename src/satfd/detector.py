@@ -82,17 +82,23 @@ class DetectionOutcome:
 
 
 @dataclass(frozen=True)
-class _FlagTable:
+class FlagTable:
     """Per-clique analysis cached for re-tallying across rounds.
 
     Rows cover every clique of every epoch in the window (epochs
-    concatenated).  vertices is (m, k) global satellite ids; voted is the
-    global id each clique would vote for; flagged marks gamma > threshold.
+    concatenated), so the first rows of a window are a shorter window.
+    vertices is (m, k) global satellite ids; voted is the global id each
+    clique would vote for; flagged marks gamma > threshold.
     """
 
     vertices: np.ndarray
     voted: np.ndarray
     flagged: np.ndarray
+
+    def rows(self, index) -> "FlagTable":
+        """The table of the rows that index (an index array or a slice)
+        selects, in that order."""
+        return FlagTable(self.vertices[index], self.voted[index], self.flagged[index])
 
 
 def is_scalar_threshold(threshold: object) -> bool:
@@ -114,18 +120,21 @@ def _resolve_thresholds(params: DetectorParams, batch: edm.BatchAnalysis) -> np.
 
 def table_from_analyses(
     batches: Sequence[edm.BatchAnalysis], params: DetectorParams
-) -> _FlagTable:
-    """Apply the threshold rule to precomputed per-epoch clique analyses."""
+) -> FlagTable:
+    """Apply the threshold rule to precomputed per-epoch clique analyses.
+
+    A predictor threshold is evaluated once per batch, on its rows.
+    """
     if len(batches) == 0:
         raise ValueError("detection window must have at least one epoch")
-    return _FlagTable(
+    return FlagTable(
         vertices=np.concatenate([b.cliques for b in batches]),
         voted=np.concatenate([b.fault_vertex_global() for b in batches]),
         flagged=np.concatenate([b.gamma_test > _resolve_thresholds(params, b) for b in batches]),
     )
 
 
-def _greedy(table: _FlagTable, n_sats: int, params: DetectorParams) -> DetectionOutcome:
+def _greedy(table: FlagTable, n_sats: int, params: DetectorParams) -> DetectionOutcome:
     """Voting rounds until fewer than delta_nf live cliques are flagged or no
     satellite holds a delta_rf share; each other round removes the top-voted
     satellite (lowest id on ties) and drops its cliques from the live set."""
@@ -165,14 +174,14 @@ def detect_faults(
 
 
 def detect_faults_from_analyses(
-    batches: Sequence[edm.BatchAnalysis],
-    params: DetectorParams,
-    n_sats: int,
+    table: FlagTable, params: DetectorParams, n_sats: int
 ) -> DetectionOutcome:
-    """detect_faults on precomputed per-epoch analyses.
+    """detect_faults on a flag table of precomputed analyses.
 
     Campaign runs sweep thresholds and window lengths over the same
-    measurements; analyzing each epoch's cliques once and re-tallying here
-    avoids repeating identical eigendecompositions per grid cell.
+    measurements: a trial builds one table per threshold from each
+    clique's one analysis, and a shorter window is a row prefix of a
+    longer one (table.rows), so no grid cell repeats an eigendecomposition
+    or a threshold evaluation.
     """
-    return _greedy(table_from_analyses(batches, params), n_sats, params)
+    return _greedy(table, n_sats, params)

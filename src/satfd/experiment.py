@@ -11,12 +11,22 @@ trials, which makes parallel and serial runs byte-identical.
 
 Because the noise of an epoch is the same under every fault condition, a
 clique's analysis depends only on which of its vertices are biased and, if
-any are, on the magnitude.  A trial therefore analyses its whole grid at
-once (CampaignContext.epoch_analyses): each clique is analysed once per
-distinct (biased vertices, magnitude), so the fault-free cliques are shared
-by every magnitude and nested fault count, and each cell's analyses are
-gathered from those rows.  A batched eigh gives each matrix the result of a
-batch of one, so the shared analyses equal the unshared ones bit for bit.
+any are, on the magnitude.  A trial therefore does each piece of work once
+(CampaignContext.epoch_analyses, _trial_cell_counts):
+
+* each epoch's noise is drawn once, and each fault config adds its bias
+  to that draw (ranging.add_bias);
+* each clique is analysed once per distinct (biased vertices, magnitude),
+  so the fault-free cliques are shared by every magnitude and nested
+  fault count;
+* each threshold flags every analysed row once (one predictor evaluation
+  per epoch), and a cell's flag table is gathered from those rows by
+  index;
+* each (config, threshold) has one flag table over the longest window,
+  and a detection length is a row prefix of it.
+
+A batched eigh gives each matrix the result of a batch of one, so every
+cell's verdict equals analysing that cell alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +46,13 @@ from .calibration import MlpPredictor
 # every module binding of a traced function, finds it in this module too.
 from .cliques import build_clique_schedule, list_k_cliques  # noqa: F401
 from .constellation import ConstellationConfig, orbital_period
-from .detector import DetectorParams, detect_faults_from_analyses, is_scalar_threshold
-from .ranging import FaultConfig, measure_ranges
+from .detector import (
+    DetectorParams,
+    detect_faults_from_analyses,
+    is_scalar_threshold,
+    table_from_analyses,
+)
+from .ranging import FaultConfig, add_bias, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, substream
 
 
@@ -188,31 +203,35 @@ class CampaignContext:
 
     def epoch_analyses(
         self, trial_id: int, t0_index: int, configs: Sequence[FaultConfig], n_epochs: int
-    ) -> list[list[edm.BatchAnalysis]]:
-        """Clique analyses of one trial window under each fault config.
+    ) -> list[tuple[edm.BatchAnalysis, np.ndarray]]:
+        """Clique analyses of one trial window under every fault config.
 
-        Returns, per config in order, the analyses of epochs t0_index to
-        t0_index + n_epochs - 1.  Every config sees the same noise in an
-        epoch, so a clique row is analysed only for the first config that
-        biases its vertices the way it does (none, or the same vertices by
-        the same magnitude).  A config whose rows are all shared measures
-        no ranges; the others analyse only their new rows.  Each config's
-        analysis is gathered from the shared rows and equals
-        analyze_clique_batch on that config's own measured ranges.
+        Returns, for each epoch t0_index to t0_index + n_epochs - 1,
+        (rows, source): rows holds every clique row analysed in the epoch,
+        and row source[c, i] of rows is the analysis of the epoch's clique i
+        under configs[c], equal to analyze_clique_batch on that config's own
+        measured ranges.  The epoch's noise is drawn once; every config
+        biases the same draw, so a clique row is analysed only for the first
+        config that biases its vertices the way it does (none, or the same
+        vertices by the same magnitude), and a config whose rows are all
+        shared is not biased at all.
         """
         biased = np.zeros((len(configs), self.n_sats), dtype=bool)
         for c, faults in enumerate(configs):
-            # A zero bias leaves every range as it is: dist + w + 0.0 == dist + w.
+            # A zero bias leaves every range as it is (add_bias).
             biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
-        out: list[list[edm.BatchAnalysis]] = [[] for _ in configs]
+        out = []
         for offset in range(n_epochs):
             g = t0_index + offset
             entry = self.schedule[g]
             cliques = entry.cliques
+            rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
+            clean = measure_ranges(entry.positions, entry.graph, FaultConfig(), self.sigma_w, rng)
             # (configs, m) codes: bit j is set when vertex j of the row is biased.
             codes = (biased[:, cliques] << np.arange(cliques.shape[1])).sum(axis=2)
-            source = np.full(codes.shape, -1, dtype=np.intp)  # row of `rows` per clique
-            rows = None  # every row analysed in this epoch, in order of analysis
+            source = np.full(codes.shape, -1, dtype=np.intp)
+            parts = []  # analysed rows, in order of analysis
+            n_rows = 0
             for c, faults in enumerate(configs):
                 for p in range(c):
                     same = (source[c] < 0) & (codes[p] == codes[c])
@@ -221,35 +240,30 @@ class CampaignContext:
                     source[c, same] = source[p, same]
                 new = np.flatnonzero(source[c] < 0)
                 if c == 0 or new.size:
-                    rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
-                    rm = measure_ranges(entry.positions, entry.graph, faults, self.sigma_w, rng)
-                    added = edm.analyze_clique_batch(rm, cliques[new])
-                    source[c, new] = np.arange(new.size) + (0 if c == 0 else len(rows.cliques))
-                    rows = added if c == 0 else _stack(rows, added)
-                out[c].append(_gather(cliques, rows, source[c]))
+                    rm = add_bias(clean, entry.graph, faults)
+                    parts.append(edm.analyze_clique_batch(rm, cliques[new]))
+                    source[c, new] = n_rows + np.arange(new.size)
+                    n_rows += new.size
+            out.append((_concat(parts), source))
         return out
 
 
-def _stack(a: edm.BatchAnalysis, b: edm.BatchAnalysis) -> edm.BatchAnalysis:
-    """The rows of a followed by the rows of b."""
+def _concat(parts: list[edm.BatchAnalysis]) -> edm.BatchAnalysis:
+    """The rows of every part, in order."""
+    if len(parts) == 1:
+        return parts[0]
     return edm.BatchAnalysis(*(
-        np.concatenate([getattr(a, f.name), getattr(b, f.name)]) for f in fields(a)
+        np.concatenate([getattr(part, f.name) for part in parts])
+        for f in fields(edm.BatchAnalysis)
     ))
 
 
-def _gather(cliques: np.ndarray, rows: edm.BatchAnalysis, source: np.ndarray) -> edm.BatchAnalysis:
-    """The analysis of cliques whose i-th row is row source[i] of rows."""
-    return edm.BatchAnalysis(
-        cliques=cliques,
-        singular_values=rows.singular_values[source],
-        left_vectors=rows.left_vectors[source],
-        gamma_test=rows.gamma_test[source],
-        fault_vertex_local=rows.fault_vertex_local[source],
-    )
-
-
 def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
-    """(n_cells, 4) tp/fn/fp/tn contributions of one trial, in cell order."""
+    """(n_cells, 4) tp/fn/fp/tn contributions of one trial, in cell order.
+
+    Each threshold flags every analysed row of the window once; a cell's
+    window is gathered from those rows, and each DL is a row prefix of it.
+    """
     grid = ctx.grid
     t0_index, perm = ctx.trial_conditions(trial_id)
     n = ctx.n_sats
@@ -258,7 +272,15 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
         FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
         for fc in grid.fault_counts for mag in grid.magnitudes
     ]
-    analyses = iter(ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls)))
+    epochs = ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls))
+    rows = [analysed for analysed, _ in epochs]
+    tables = [table_from_analyses(rows, p) for p in params]
+    # Row c of windows lists config c's window (epochs in order) as rows of tables.
+    starts = np.cumsum([0] + [len(analysed.cliques) for analysed in rows[:-1]])
+    windows = iter(np.concatenate(
+        [source + start for (_, source), start in zip(epochs, starts)], axis=1))
+    # A window's first ends[d - 1] rows are its first d epochs.
+    ends = np.cumsum([source.shape[1] for _, source in epochs])
     # Axes in ExperimentGrid.cells() order: fault count, threshold, DL, magnitude.
     shape = [len(grid.fault_counts), len(grid.thresholds), len(grid.dls), len(grid.magnitudes)]
     counts = np.zeros(shape + [4], dtype=np.int64)
@@ -266,10 +288,11 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
         truth = np.zeros(n, dtype=bool)
         truth[perm[:fc]] = True
         for mi in range(len(grid.magnitudes)):
-            batches = next(analyses)
-            for ti, p in enumerate(params):
+            window = next(windows)
+            for ti, (p, table) in enumerate(zip(params, tables)):
+                cell = table.rows(window)
                 for li, dl in enumerate(grid.dls):
-                    outcome = detect_faults_from_analyses(batches[:dl], p, n)
+                    outcome = detect_faults_from_analyses(cell.rows(slice(ends[dl - 1])), p, n)
                     detected = np.zeros(n, dtype=bool)
                     detected[list(outcome.fault_list)] = True
                     # Bins 0-3 are tp, fn, fp, tn.

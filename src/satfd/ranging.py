@@ -12,7 +12,9 @@ Noise is drawn for every pair i < j in a fixed row-major order regardless
 of visibility or fault configuration, so a given generator state produces
 the same noise field whether or not faults are injected.  That makes
 fault/no-fault comparisons exact and keeps parameter sweeps on the same
-noise realizations.
+noise realizations.  measure_ranges is that noise draw followed by
+add_bias, so a caller that needs several fault configurations of one
+epoch draws the noise once and biases it per configuration.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def measure_ranges(
     rng: np.random.Generator,
 ) -> RangeMatrix:
     """Noisy, possibly biased ranges on the visible edges of one epoch's
-    (n, 3) positions."""
+    (n, 3) positions: one noise draw, then add_bias."""
     if sigma_w < 0.0:
         raise ValueError("sigma_w must be >= 0")
     n = positions.shape[0]
@@ -64,12 +66,19 @@ def measure_ranges(
     iu = np.triu_indices(n, k=1)
     w[iu] = rng.standard_normal(iu[0].size) * sigma_w
     w += w.T
+    return add_bias(RangeMatrix(r=np.where(graph.adjacency, dist + w, 0.0)), graph, faults)
 
-    bias = np.zeros(n)
-    for k in faults.fault_set:
-        bias[k] = faults.magnitude
-    f = bias[:, None] + bias[None, :]
 
-    r = np.where(graph.adjacency, dist + w + f, 0.0)
+def add_bias(ranges: RangeMatrix, graph: VisibilityGraph, faults: FaultConfig) -> RangeMatrix:
+    """ranges plus f_i + f_j on every visible edge; zero elsewhere.
+
+    The bias is added in one rounding step, so biasing fault-free ranges
+    gives exactly the ranges measured with the faults on the same noise:
+    dist + w + f evaluates as (dist + w) + f, and adding a zero bias
+    changes no range.
+    """
+    bias = np.zeros(len(ranges.r))
+    bias[list(faults.fault_set)] = faults.magnitude
+    r = np.where(graph.adjacency, ranges.r + (bias[:, None] + bias[None, :]), 0.0)
     np.fill_diagonal(r, 0.0)
     return RangeMatrix(r=r)

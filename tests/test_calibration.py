@@ -268,6 +268,23 @@ class TestMlp:
         with pytest.raises(ValueError):
             MlpPredictor.load(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("x_mean", [0.0] * 20, "model field 'x_mean' is not an array of shape (21,)"),
+        ("x_std", "ones", "model field 'x_std' is not an array of shape (21,)"),
+        ("y_mean", "0", "model field 'y_mean' is not a number"),
+        ("y_std", None, "model field 'y_std' is not a number"),
+        ("biases", [[0.0]] * 3, "model field 'biases[0]' is not an array of shape (128,)"),
+        ("weights", [[[0.0], [0.0, 1.0]], [[0.0]], [[0.0]]],
+         "model field 'weights[0]' is not an array of shape (21, 128)"),
+        ("dims", 5, "unsupported dims 5"),
+    ], ids=["x_mean", "x_std", "y_mean", "y_std", "biases", "weights", "dims"])
+    def test_rejects_mistyped_field(self, field, value, message):
+        raw = MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
+        raw[field] = value
+        with pytest.raises(ValueError) as exc:
+            MlpPredictor.from_dict(raw)
+        assert str(exc.value) == message
+
     def test_predict_threshold_clamps_and_validates(self):
         rng = np.random.default_rng(2)
         model = MlpPredictor.initialize(rng)

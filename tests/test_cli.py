@@ -10,6 +10,21 @@ from satfd.cli import main
 from satfd.constellation import load_bundled
 
 
+def incomplete_models():
+    """(model file object, error message): one file that lacks a field, one
+    that lacks a field after a mistyped one, and one whose only fault is a
+    mistyped field."""
+    head = {"format": "satfd-mlp", "version": 1}
+    full = calibration.MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
+    return [
+        pytest.param(head, "model file has no field 'dims'", id="no-dims"),
+        pytest.param({**head, "dims": full["dims"], "weights": 5},
+                     "model file has no field 'biases'", id="no-biases"),
+        pytest.param({**full, "weights": 5}, "model field 'weights' is not a list of 3 layers",
+                     id="weights-not-a-list"),
+    ]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -181,6 +196,18 @@ class TestDetect:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == "error: not a satfd-mlp v1 model file\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [model]
+
+    @pytest.mark.parametrize("raw, message", incomplete_models())
+    def test_incomplete_model_rejected(self, tmp_path, capsys, raw, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(raw), encoding="utf-8")
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path / "out"),
+                   "--model", str(model), "--dump-ranges"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [model]
 
@@ -361,6 +388,19 @@ class TestMonteCarloAndReport:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == "error: invalid experiment config: not a satfd-mlp v1 model file\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", incomplete_models())
+    def test_incomplete_model_rejected(self, tmp_path, capsys, raw, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(raw), encoding="utf-8")
+        exp = self.experiment_file(tmp_path, thresholds={"model": str(model)})
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid experiment config: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -9,6 +9,7 @@ from satfd.detector import (
     VoteState,
     detect_faults,
     detect_faults_from_analyses,
+    table_from_analyses,
 )
 from satfd.linkgraph import build_visibility_graph
 from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
@@ -137,7 +138,7 @@ class TestDetectFaults:
         with pytest.raises(ValueError, match="at least one epoch"):
             detect_faults([], [], params)
         with pytest.raises(ValueError, match="at least one epoch"):
-            detect_faults_from_analyses([], params, 12)
+            table_from_analyses([], params)
 
     def test_determinism(self):
         cliques, rm = elfo_epoch(fault_set={5}, magnitude=8.0, seed=30)
@@ -207,7 +208,7 @@ class TestFromAnalyses:
         params = DetectorParams(gamma_threshold=P99)
         direct = detect_faults([cliques], [rm], params)
         batches = [edm.analyze_clique_batch(rm, cliques)]
-        cached = detect_faults_from_analyses(batches, params, 12)
+        cached = detect_faults_from_analyses(table_from_analyses(batches, params), params, 12)
         assert direct.fault_list == cached.fault_list
         assert direct.rounds == cached.rounds
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satfd.constellation import load_bundled
-from satfd.detector import DetectorParams, detect_faults_from_analyses
+from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
 from satfd.experiment import (
     CampaignContext,
     CellResult,
@@ -41,8 +41,9 @@ def make_ctx(grid, seed=1):
 def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
     """Boolean per-satellite verdicts of one trial's one-epoch window."""
     faults = FaultConfig(fault_set=fault_set, magnitude=magnitude)
-    [batches] = ctx.epoch_analyses(trial_id, t0_index, [faults], 1)
-    outcome = detect_faults_from_analyses(batches, params, ctx.n_sats)
+    [(rows, source)] = ctx.epoch_analyses(trial_id, t0_index, [faults], 1)
+    table = table_from_analyses([rows], params).rows(source[0])
+    outcome = detect_faults_from_analyses(table, params, ctx.n_sats)
     classified = np.zeros(ctx.n_sats, dtype=bool)
     classified[list(outcome.fault_list)] = True
     return classified

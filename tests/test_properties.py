@@ -21,9 +21,15 @@ round.
 
 A campaign trial's shared analyses (CampaignContext.epoch_analyses, which
 analyses each distinct clique measurement once) must equal, field for
-field, analysing every fault config on its own measured ranges.
+field, analysing every fault config on its own measured ranges.  A trial's
+cell counts (which flag each analysed row once per threshold and take
+each detection length as a row prefix) must equal a reference that
+measures, analyses and detects every cell on its own, and a campaign's
+results must not depend on its worker count.
 """
 
+import copy
+import dataclasses
 import functools
 import itertools
 
@@ -35,8 +41,15 @@ from hypothesis.extra.numpy import arrays
 from satfd import edm
 from satfd.cliques import list_k_cliques
 from satfd.constellation import load_bundled, propagate
-from satfd.detector import DetectorParams, detect_faults_from_analyses
-from satfd.experiment import CampaignContext, ExperimentGrid, ThresholdSpec
+from satfd.calibration import MlpPredictor, batch_features
+from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
+from satfd.experiment import (
+    CampaignContext,
+    ExperimentGrid,
+    ThresholdSpec,
+    _trial_cell_counts,
+    run_campaign,
+)
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
 from satfd.seeds import EPOCH_NOISE, substream
@@ -274,7 +287,7 @@ def reference_greedy(batches, params, n_sats):
 def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf):
     n, batches = window
     params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf, gamma_threshold=0.5)
-    outcome = detect_faults_from_analyses(batches, params, n)
+    outcome = detect_faults_from_analyses(table_from_analyses(batches, params), params, n)
     removed, history = reference_greedy(batches, params, n)
     assert list(outcome.fault_list) == removed
     assert [v.counts.tolist() for v in outcome.vote_history] == history
@@ -282,15 +295,22 @@ def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf):
 
 
 SHARED_EPOCHS = 2
+MAX_DL = 3
 
 
 @functools.lru_cache(maxsize=1)
 def campaign_context():
-    """An elfo_moon campaign whose schedule fits any fault count and window."""
+    """An elfo_moon campaign whose schedule fits any fault count and any
+    window of up to MAX_DL epochs."""
     config = load_bundled("elfo_moon")
     grid = ExperimentGrid(fault_counts=(config.n_satellites,), magnitudes=(0.0,),
-                          thresholds=(ThresholdSpec("x", 1.0),), dls=(SHARED_EPOCHS,))
+                          thresholds=(ThresholdSpec("x", 1.0),), dls=(MAX_DL,))
     return CampaignContext(config=config, sigma_w=1.0, grid=grid, master_seed=7)
+
+
+def gathered(rows, index):
+    """The analysis whose i-th row is row index[i] of rows."""
+    return edm.BatchAnalysis(*(getattr(rows, f.name)[index] for f in dataclasses.fields(rows)))
 
 
 @st.composite
@@ -316,12 +336,13 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
     fault_sets = [perm[:fc].tolist() for fc in counts] + others
     configs = [FaultConfig(fault_set=s, magnitude=mag) for s in fault_sets for mag in magnitudes]
     shared = ctx.epoch_analyses(trial_id, t0_index, configs, SHARED_EPOCHS)
-    assert len(shared) == len(configs)
-    for faults, batches in zip(configs, shared):
-        assert len(batches) == SHARED_EPOCHS
-        for offset, got in enumerate(batches):
-            g = t0_index + offset
-            entry = ctx.schedule[g]
+    assert len(shared) == SHARED_EPOCHS
+    for offset, (rows, source) in enumerate(shared):
+        g = t0_index + offset
+        entry = ctx.schedule[g]
+        assert source.shape == (len(configs), len(entry.cliques))
+        for faults, index in zip(configs, source):
+            got = gathered(rows, index)
             rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
             rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
             want = edm.analyze_clique_batch(rm, entry.cliques)
@@ -330,3 +351,92 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
             assert np.array_equal(got.left_vectors, want.left_vectors)
             assert np.array_equal(got.gamma_test, want.gamma_test)
             assert np.array_equal(got.fault_vertex_local, want.fault_vertex_local)
+
+
+P99 = 4.6e-7
+
+
+@functools.lru_cache(maxsize=1)
+def predictor():
+    """An untrained MlpPredictor standardised on one fault-free elfo_moon
+    epoch, so that its thresholds straddle that epoch's gammas."""
+    ctx = campaign_context()
+    entry = ctx.schedule[0]
+    rng = substream(0, EPOCH_NOISE, 0, 0)
+    rm = measure_ranges(entry.positions, entry.graph, FaultConfig(), ctx.sigma_w, rng)
+    batch = edm.analyze_clique_batch(rm, entry.cliques)
+    feats = batch_features(batch)
+    model = MlpPredictor.initialize(np.random.default_rng(0))
+    model.x_mean, model.x_std = feats.mean(axis=0), feats.std(axis=0)
+    model.x_std[model.x_std == 0.0] = 1.0
+    model.y_mean, model.y_std = np.percentile(batch.gamma_test, 90), batch.gamma_test.std()
+    return model
+
+
+def campaign_on(grid):
+    """A copy of campaign_context() that runs grid (DLs of at most MAX_DL);
+    the copy shares the schedule."""
+    ctx = copy.copy(campaign_context())
+    ctx.grid = grid
+    return ctx
+
+
+def reference_cell_counts(ctx, trial_id):
+    """(n_cells, 4) counts of one trial in cell order, each cell measured,
+    analysed and detected on its own."""
+    t0_index, perm = ctx.trial_conditions(trial_id)
+    n = ctx.n_sats
+    rows = []
+    for fc, mag, thr, dl in ctx.grid.cells():
+        faults = FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
+        batches = []
+        for g in range(t0_index, t0_index + dl):
+            entry = ctx.schedule[g]
+            rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
+            rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
+            batches.append(edm.analyze_clique_batch(rm, entry.cliques))
+        params = dataclasses.replace(ctx.detector, gamma_threshold=thr.value)
+        outcome = detect_faults_from_analyses(table_from_analyses(batches, params), params, n)
+        truth = np.isin(np.arange(n), perm[:fc])
+        detected = np.isin(np.arange(n), outcome.fault_list)
+        rows.append([np.sum(truth & detected), np.sum(truth & ~detected),
+                     np.sum(~truth & detected), np.sum(~truth & ~detected)])
+    return np.array(rows)
+
+
+@st.composite
+def cell_grid(draw):
+    """A grid with fault counts that include 0 and every satellite, a zero
+    and a repeated magnitude, unsorted and repeated DLs, and a scalar and a
+    predictor threshold in drawn order."""
+    n = campaign_context().n_sats
+    counts = draw(st.permutations([0, n] + draw(st.lists(st.integers(1, n - 1), max_size=1))))
+    drawn = draw(st.sampled_from([5.0, 20.0]))
+    magnitudes = draw(st.permutations([drawn, drawn, 0.0]))
+    dls = draw(st.lists(st.integers(1, MAX_DL), min_size=1, max_size=2))
+    dls = draw(st.permutations(dls + [dls[0]]))
+    thresholds = draw(st.permutations(
+        [ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())]))
+    return ExperimentGrid(fault_counts=tuple(counts), magnitudes=tuple(magnitudes),
+                          thresholds=tuple(thresholds), dls=tuple(dls))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), cell_grid())
+def test_trial_counts_equal_per_cell_reference(trial_id, grid):
+    ctx = campaign_on(grid)
+    got = _trial_cell_counts(ctx, trial_id)
+    assert got.shape == (grid.n_cells, 4)
+    assert np.array_equal(got, reference_cell_counts(ctx, trial_id))
+
+
+def test_campaign_results_do_not_depend_on_worker_count():
+    grid = ExperimentGrid(
+        fault_counts=(2, 1), magnitudes=(20.0,),
+        thresholds=(ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())),
+        dls=(3, 1, 3),
+    )
+    ctx = campaign_on(grid)
+    # With 2 or 3 workers, 13 trials run in chunks of 2 plus one of 1.
+    serial, *parallel = [run_campaign(ctx, n_trials=13, workers=w) for w in (1, 2, 3)]
+    assert parallel == [serial, serial]

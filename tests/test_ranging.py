@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from satfd.linkgraph import build_visibility_graph
-from satfd.ranging import FaultConfig, measure_ranges
+from satfd.ranging import FaultConfig, add_bias, measure_ranges
 from satfd.seeds import substream
 
 
@@ -61,6 +61,15 @@ class TestMeasureRanges:
         bias[[1, 4]] = 7.5
         expected = np.where(graph.adjacency, bias[:, None] + bias[None, :], 0.0)
         assert np.array_equal(with_fault.r - without.r, expected)
+
+    def test_biasing_one_draw_equals_measuring_with_faults(self):
+        # a campaign draws an epoch's noise once and biases it per fault config
+        ps, graph = cluster(5)
+        faults = FaultConfig(fault_set={1, 4}, magnitude=7.5)
+        clean = measure_ranges(ps, graph, FaultConfig(), 1.0, substream(8, 9))
+        direct = measure_ranges(ps, graph, faults, 1.0, substream(8, 9))
+        assert np.array_equal(add_bias(clean, graph, faults).r, direct.r)
+        assert np.array_equal(add_bias(clean, graph, FaultConfig()).r, clean.r)
 
     def test_fixed_seed_bit_identical(self):
         ps, graph = cluster(6)
