@@ -20,12 +20,7 @@ from .constellation import (
 from .linkgraph import VisibilityGraph, build_visibility_graph, line_of_sight
 from .cliques import build_clique_schedule, list_k_cliques
 from .ranging import FaultConfig, RangeMatrix, measure_ranges
-from .edm import (
-    analyze_clique_batch,
-    build_edm,
-    geometric_center,
-    numerical_rank,
-)
+from .edm import analyze_clique_batch, build_edm, geometric_center
 from .detector import (
     DetectionOutcome,
     DetectorParams,

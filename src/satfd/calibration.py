@@ -8,7 +8,9 @@ are the operational thresholds.  The tail is well approximated by a gamma
 distribution whose shape depends on subgraph geometry, so a small MLP is
 also provided that maps a subgraph's first three singular values and
 vectors to its own 99.7th-percentile threshold, trading the conservatism
-of a single global percentile for per-geometry sensitivity.
+of a single global percentile for per-geometry sensitivity.  Its training
+targets use the range model of ranging (true_ranges plus pair_noise) on
+one clique's submatrix, so they follow any change to that model.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import numpy as np
 
 from . import edm
 from .cliques import CLIQUE_SIZE, build_clique_schedule, schedule_entry
-from .constellation import ConstellationConfig, orbital_period
-from .ranging import FaultConfig, RangeMatrix, measure_ranges
+from .constellation import ConstellationConfig
+from .ranging import (
+    FaultConfig, RangeMatrix, check_sigma_w, measure_ranges, pair_noise, true_ranges,
+)
 from .seeds import CALIBRATION, TRAINING, substream
 
 FEATURE_DIM = 3 + 3 * CLIQUE_SIZE  # 3 singular values + 3 vectors of length CLIQUE_SIZE
@@ -35,11 +39,11 @@ MOMENTUM = 0.9
 TAIL_PERCENTILE = 99.7
 
 
-class EmptySampleError(RuntimeError):
+class EmptySampleError(ValueError):
     """No cliques were found over the whole sampling window."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(ValueError):
     """Training loss became non-finite (learning rate too high)."""
 
 
@@ -316,18 +320,20 @@ def train_predictor(
     vel_b = [np.zeros_like(b) for b in model.biases]
 
     n = xs.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, BATCH_SIZE):
-            sel = order[start:start + BATCH_SIZE]
-            loss, gw, gb = loss_and_grads(model, xs[sel], ys[sel])
-            if not math.isfinite(loss):
-                raise DivergenceError("training loss is not finite; lower the learning rate")
-            for layer in range(len(model.weights)):
-                vel_w[layer] = MOMENTUM * vel_w[layer] - lr * gw[layer]
-                vel_b[layer] = MOMENTUM * vel_b[layer] - lr * gb[layer]
-                model.weights[layer] = model.weights[layer] + vel_w[layer]
-                model.biases[layer] = model.biases[layer] + vel_b[layer]
+    # A diverging run is refused with DivergenceError, not numpy overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, BATCH_SIZE):
+                sel = order[start:start + BATCH_SIZE]
+                loss, gw, gb = loss_and_grads(model, xs[sel], ys[sel])
+                if not math.isfinite(loss):
+                    raise DivergenceError("training loss is not finite; lower the learning rate")
+                for layer in range(len(model.weights)):
+                    vel_w[layer] = MOMENTUM * vel_w[layer] - lr * gw[layer]
+                    vel_b[layer] = MOMENTUM * vel_b[layer] - lr * gb[layer]
+                    model.weights[layer] = model.weights[layer] + vel_w[layer]
+                    model.biases[layer] = model.biases[layer] + vel_b[layer]
     return model
 
 
@@ -347,14 +353,14 @@ def build_training_set(
 
     Geometries are 6-clique subgraphs drawn uniformly over all (epoch,
     clique) pairs of one orbital period on the given step.  The feature
-    vector comes from one noiseless analysis of the geometry; the target
-    is the empirical TAIL_PERCENTILE of gamma_test over n_noise
-    independent noise realizations.
+    vector comes from one analysis of the geometry's true ranges; the
+    target is the empirical TAIL_PERCENTILE of gamma_test over n_noise
+    pair-noise draws on the clique's submatrix.
     """
     if n_noise < 300:
         raise ValueError(f"n_noise must be >= 300 to resolve the {TAIL_PERCENTILE} percentile")
-    period = orbital_period(config.satellites[0].a, config.body.mu)
-    schedule = build_clique_schedule(config, sampling_times(step, period))
+    check_sigma_w(sigma_w)
+    schedule = build_clique_schedule(config, sampling_times(step, config.period))
     counts = np.array([len(entry.cliques) for entry in schedule])
     # Pool index i is row i - starts[e] of entry e, epochs in schedule order.
     starts = np.cumsum(counts) - counts
@@ -366,23 +372,16 @@ def build_training_set(
     chosen = pick.integers(pool_size, size=n_geometries)
     entry_of = np.searchsorted(starts, chosen, side="right") - 1
 
-    iu = np.triu_indices(CLIQUE_SIZE, k=1)
     feats = np.empty((n_geometries, FEATURE_DIM))
     targets = np.empty(n_geometries)
     for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
         entry = schedule[e]
-        clique = entry.cliques[pool_idx - starts[e]][None]
-        diff = entry.positions[:, None, :] - entry.positions[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        exact = RangeMatrix(r=np.where(entry.graph.adjacency, dist, 0.0))
-        feats[g] = batch_features(edm.analyze_clique_batch(exact, clique))[0]
+        clique = entry.cliques[pool_idx - starts[e]]
+        exact = true_ranges(entry.positions, entry.graph)
+        feats[g] = batch_features(edm.analyze_clique_batch(RangeMatrix(r=exact), clique[None]))[0]
 
-        sub = dist[np.ix_(clique[0], clique[0])]
-        rng = substream(seed, TRAINING, 1, g)
-        w = np.zeros((n_noise, CLIQUE_SIZE, CLIQUE_SIZE))
-        draws = rng.standard_normal((n_noise, iu[0].size)) * sigma_w
-        w[:, iu[0], iu[1]] = draws
-        w += w.transpose(0, 2, 1)
+        sub = exact[np.ix_(clique, clique)]
+        w = pair_noise(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w, size=(n_noise,))
         lam = np.linalg.eigvalsh(edm.geometric_center((sub + w) ** 2))
         s = np.abs(np.take_along_axis(lam, edm.magnitude_order(lam), axis=1))
         targets[g] = np.percentile(edm.gamma_from_spectrum(s), TAIL_PERCENTILE)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import calibration, experiment
 from .cliques import build_clique_schedule, schedule_entry
-from .constellation import ConstellationConfig, orbital_period, propagate, resolve_config
+from .constellation import ConstellationConfig, propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
 from .ranging import FaultConfig, measure_ranges
@@ -59,6 +59,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """One UTF-8 CSV table: the header row, then every row of rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _load_constellation(name: str) -> ConstellationConfig:
     try:
         return resolve_config(name)
@@ -75,28 +83,25 @@ def cmd_propagate(args) -> int:
     if args.step <= 0 or args.t_end < args.t_start:
         raise ValueError("need step > 0 and t-end >= t-start")
     path = _outdir(args) / "positions.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sat_id", "x_m", "y_m", "z_m"])
+
+    def rows():
         t = args.t_start
         while t <= args.t_end + 1e-9:
             for sat, p in enumerate(propagate(config, t)):
-                writer.writerow([repr(t), sat] + [repr(float(v)) for v in p])
+                yield [repr(t), sat] + [repr(float(v)) for v in p]
             t += args.step
+
+    _write_csv(path, ["t", "sat_id", "x_m", "y_m", "z_m"], rows())
     print(f"wrote {path}")
     return 0
 
 
 def cmd_graph(args) -> int:
     config = _load_constellation(args.config)
-    graph = build_visibility_graph(propagate(config, args.t), config.body.radius)
+    edges = build_visibility_graph(propagate(config, args.t), config.body.radius).edges()
     path = _outdir(args) / "edges.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "j"])
-        for i, j in graph.edges():
-            writer.writerow([repr(args.t), i, j])
-    print(f"wrote {path} ({len(graph.edges())} edges)")
+    _write_csv(path, ["t", "i", "j"], ([repr(args.t), i, j] for i, j in edges))
+    print(f"wrote {path} ({len(edges)} edges)")
     return 0
 
 
@@ -107,27 +112,18 @@ def cmd_cliques(args) -> int:
     found = schedule_entry(config, args.t, args.k).cliques
     out = _outdir(args)
     path = out / "cliques.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"v{i}" for i in range(args.k)])
-        for clique in found.tolist():
-            writer.writerow([repr(args.t)] + clique)
+    _write_csv(path, ["t"] + [f"v{i}" for i in range(args.k)],
+               ([repr(args.t)] + clique for clique in found.tolist()))
     counts = np.bincount(found.ravel(), minlength=config.n_satellites)
     counts_path = out / "clique_counts.csv"
-    with open(counts_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sat_id", "n_cliques"])
-        for sat, n_cliques in enumerate(counts.tolist()):
-            writer.writerow([sat, n_cliques])
+    _write_csv(counts_path, ["sat_id", "n_cliques"], enumerate(counts.tolist()))
     print(f"wrote {path} ({len(found)} cliques) and {counts_path}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
     config = _load_constellation(args.config)
-    duration = args.duration
-    if duration is None:
-        duration = orbital_period(config.satellites[0].a, config.body.mu)
+    duration = config.period if args.duration is None else args.duration
     for p in args.percentiles:
         calibration.check_percentile(p)
     path = _outdir(args) / "thresholds.json"
@@ -195,12 +191,9 @@ def cmd_detect(args) -> int:
     ]
     if args.dump_ranges:
         path = _outdir(args) / "ranges.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "i", "j", "range_m"])
-            for entry, rm in zip(window, ranges):
-                for i, j in entry.graph.edges():
-                    writer.writerow([repr(entry.t), i, j, repr(float(rm.r[i, j]))])
+        _write_csv(path, ["t", "i", "j", "range_m"], (
+            [repr(entry.t), i, j, repr(float(rm.r[i, j]))]
+            for entry, rm in zip(window, ranges) for i, j in entry.graph.edges()))
         print(f"wrote {path}")
     outcome = detect_faults([entry.cliques for entry in window], ranges, params)
     report = {
@@ -285,9 +278,8 @@ def cmd_montecarlo(args) -> int:
             delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
             delta_rf=float(raw.get("delta_rf", 0.2)),
         )
-        duration = orbital_period(config.satellites[0].a, config.body.mu)
         if "percentiles" in spec:
-            calibration.sampling_times(step, duration)  # refuses a step beyond one period
+            calibration.sampling_times(step, config.period)  # refuses a step beyond one period
     except KeyError as exc:
         raise ValueError(f"invalid experiment config: missing field {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
@@ -296,7 +288,7 @@ def cmd_montecarlo(args) -> int:
     # checks and the output directory exists.
     path = _outdir(args) / "results.csv"
     if "percentiles" in spec:
-        sample = calibration.sample_statistics(config, sigma_w, step, duration, seed=seed)
+        sample = calibration.sample_statistics(config, sigma_w, step, config.period, seed=seed)
         ctx.grid = replace(grid, thresholds=tuple(_thresholds_from_spec(spec, sample)))
     results = experiment.run_campaign(ctx, n_trials, workers=args.threads)
     experiment.write_results_csv(path, results)
@@ -334,14 +326,12 @@ def cmd_report(args) -> int:
                 (r["threshold_label"], int(r["dl"]), float(r["magnitude_m"])): r[metric]
                 for r in sub
             }
-            path = out / f"report_{metric}_faults{fc}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["magnitude_m"] + [f"{lab}_dl{dl}" for lab, dl in pairs])
-                for mag in mags:
-                    writer.writerow(
-                        [repr(mag)] + [lookup.get((lab, dl, mag), "") for lab, dl in pairs]
-                    )
+            _write_csv(
+                out / f"report_{metric}_faults{fc}.csv",
+                ["magnitude_m"] + [f"{lab}_dl{dl}" for lab, dl in pairs],
+                ([repr(mag)] + [lookup.get((lab, dl, mag), "") for lab, dl in pairs]
+                 for mag in mags),
+            )
     print(f"wrote report series to {out}")
     return 0
 

@@ -97,6 +97,11 @@ class ConstellationConfig:
     def n_satellites(self) -> int:
         return len(self.satellites)
 
+    @property
+    def period(self) -> float:
+        """Two-body period (s) of satellite 0, the constellation's time scale."""
+        return orbital_period(self.satellites[0].a, self.body.mu)
+
 
 def solve_kepler(mean_anomaly: float, e: float) -> float:
     """Solve Kepler's equation E - e*sin(E) = M for the eccentric anomaly.

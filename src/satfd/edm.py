@@ -68,16 +68,6 @@ def geometric_center(d: np.ndarray) -> np.ndarray:
     return -0.5 * (j @ d @ j)
 
 
-def numerical_rank(singular_values: np.ndarray, rel_tol: float) -> int:
-    """Count of singular values above rel_tol * largest; 0 for a zero matrix."""
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
-
-
 def canonicalize_signs(u: np.ndarray) -> np.ndarray:
     """Deterministic sign convention for singular vectors (columns).
 

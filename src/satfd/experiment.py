@@ -45,14 +45,14 @@ from .calibration import MlpPredictor
 # list_k_cliques is bound here only so that perfbench's tracer, which wraps
 # every module binding of a traced function, finds it in this module too.
 from .cliques import build_clique_schedule, list_k_cliques  # noqa: F401
-from .constellation import ConstellationConfig, orbital_period
+from .constellation import ConstellationConfig
 from .detector import (
     DetectorParams,
     detect_faults_from_analyses,
     is_scalar_threshold,
     table_from_analyses,
 )
-from .ranging import FaultConfig, add_bias, measure_ranges
+from .ranging import FaultConfig, add_bias, check_sigma_w, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, substream
 
 
@@ -81,8 +81,8 @@ class ExperimentGrid:
             raise ValueError("every grid dimension must be non-empty")
         if min(self.fault_counts) < 0:
             raise ValueError("fault counts must be >= 0")
-        if min(self.magnitudes) < 0.0:
-            raise ValueError("fault magnitudes must be >= 0")
+        if not all(0.0 <= m < math.inf for m in self.magnitudes):
+            raise ValueError("fault magnitudes must be >= 0 and finite")
         if min(self.dls) < 1:
             raise ValueError("detection lengths must be >= 1")
 
@@ -169,8 +169,7 @@ class CampaignContext:
     ):
         if timestep <= 0.0:
             raise ValueError("timestep must be > 0")
-        if sigma_w < 0.0:
-            raise ValueError("sigma_w must be >= 0")
+        check_sigma_w(sigma_w)
         if max(grid.fault_counts) > config.n_satellites:
             raise ValueError(f"fault counts must not exceed the {config.n_satellites} satellites")
         self.config = config
@@ -180,8 +179,7 @@ class CampaignContext:
         # Settings shared by every cell; each grid threshold sets gamma_threshold.
         self.detector = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
 
-        period = orbital_period(config.satellites[0].a, config.body.mu)
-        self.n_start_epochs = math.ceil(period / timestep)
+        self.n_start_epochs = math.ceil(config.period / timestep)
         times = timestep * np.arange(self.n_start_epochs + max(grid.dls) - 1)
         self.schedule = build_clique_schedule(config, times)
 

@@ -1,24 +1,26 @@
 """Synthetic two-way inter-satellite range measurements.
 
-Each visible pair (i, j) yields one shared range value per epoch:
+This module is the one home of the range model.  Each visible pair (i, j)
+yields one shared range value per epoch:
 
     r_ij = |x_i - x_j| + w_ij + f_i + f_j
 
 with w_ij ~ N(0, sigma_w^2) drawn once per pair (the measurement is
 two-way, so both ends see the same value) and f_k equal to the fault bias
-for satellites in the fault set, zero otherwise.
+for satellites in the fault set, zero otherwise.  The three terms are
+true_ranges, pair_noise and add_bias, and measure_ranges is their sum.
 
-Noise is drawn for every pair i < j in a fixed row-major order regardless
+pair_noise draws for every pair i < j in a fixed row-major order regardless
 of visibility or fault configuration, so a given generator state produces
 the same noise field whether or not faults are injected.  That makes
 fault/no-fault comparisons exact and keeps parameter sweeps on the same
-noise realizations.  measure_ranges is that noise draw followed by
-add_bias, so a caller that needs several fault configurations of one
-epoch draws the noise once and biases it per configuration.
+noise realizations; a caller that needs several fault configurations of
+one epoch draws the noise once and biases it per configuration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,8 @@ class FaultConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "fault_set", frozenset(self.fault_set))
-        if self.magnitude < 0.0:
-            raise ValueError("fault magnitude must be >= 0")
+        if not (0.0 <= self.magnitude < math.inf):
+            raise ValueError(f"fault magnitude must be >= 0 and finite, got {self.magnitude!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,30 @@ class RangeMatrix:
     """Symmetric measured ranges (m); zero diagonal, zero on non-edges."""
 
     r: np.ndarray
+
+
+def check_sigma_w(sigma_w: float) -> None:
+    """Refuse a range-noise std that is negative or not finite."""
+    if not (0.0 <= sigma_w < math.inf):
+        raise ValueError(f"sigma_w must be >= 0 and finite, got {sigma_w!r}")
+
+
+def true_ranges(positions: np.ndarray, graph: VisibilityGraph) -> np.ndarray:
+    """(n, n) distances |x_i - x_j| of (n, 3) positions on the visible
+    edges; zero elsewhere."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    return np.where(graph.adjacency, np.sqrt((diff**2).sum(axis=2)), 0.0)
+
+
+def pair_noise(rng: np.random.Generator, n: int, sigma_w: float, size: tuple = ()) -> np.ndarray:
+    """size + (n, n) range noise: w_ij drawn once per pair i < j, in
+    row-major order, then mirrored; zero diagonal."""
+    check_sigma_w(sigma_w)
+    w = np.zeros(size + (n, n))
+    # A boolean mask selects the pairs i < j in row-major order.
+    w[..., ~np.tri(n, dtype=bool)] = rng.standard_normal(size + (n * (n - 1) // 2,)) * sigma_w
+    w += np.swapaxes(w, -1, -2)
+    return w
 
 
 def measure_ranges(
@@ -54,19 +80,9 @@ def measure_ranges(
     rng: np.random.Generator,
 ) -> RangeMatrix:
     """Noisy, possibly biased ranges on the visible edges of one epoch's
-    (n, 3) positions: one noise draw, then add_bias."""
-    if sigma_w < 0.0:
-        raise ValueError("sigma_w must be >= 0")
-    n = positions.shape[0]
-
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-
-    w = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    w[iu] = rng.standard_normal(iu[0].size) * sigma_w
-    w += w.T
-    return add_bias(RangeMatrix(r=np.where(graph.adjacency, dist + w, 0.0)), graph, faults)
+    (n, 3) positions: true ranges plus one noise draw, then add_bias."""
+    r = true_ranges(positions, graph) + pair_noise(rng, len(positions), sigma_w)
+    return add_bias(RangeMatrix(r=r), graph, faults)
 
 
 def add_bias(ranges: RangeMatrix, graph: VisibilityGraph, faults: FaultConfig) -> RangeMatrix:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -322,6 +323,16 @@ class TestBuildTrainingSet:
         _, t2 = build_training_set(config, 1.0, n_geometries=1, n_noise=10_000,
                                    seed=200, step=43198.0)
         assert t1[0] == pytest.approx(t2[0], rel=0.05)
+
+    @pytest.mark.parametrize("sigma_w", [-1.0, math.inf, math.nan])
+    def test_sigma_checked_before_the_schedule(self, monkeypatch, sigma_w):
+        def schedule(*args, **kwargs):
+            raise AssertionError("built the schedule before checking sigma_w")
+
+        monkeypatch.setattr(calibration, "build_clique_schedule", schedule)
+        with pytest.raises(ValueError, match="^sigma_w must be >= 0 and finite"):
+            build_training_set(load_bundled("elfo_moon"), sigma_w, n_geometries=1,
+                               n_noise=300, seed=1)
 
     def test_n_noise_floor(self):
         config = load_bundled("elfo_moon")

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from importlib import resources
 from math import comb
 
 import numpy as np
@@ -23,6 +25,10 @@ def incomplete_models():
         pytest.param({**full, "weights": 5}, "model field 'weights' is not a list of 3 layers",
                      id="weights-not-a-list"),
     ]
+
+
+# The smallest train-predictor run: 20 geometries, 300 noise draws, 1 epoch.
+TINY_TRAINING = ["--n-geometries", "20", "--n-noise", "300", "--epochs", "1"]
 
 
 def read_csv(path):
@@ -303,10 +309,13 @@ class TestMonteCarloAndReport:
         ("n_trials", "5", "n_trials must be an integer"),
         ("fault_counts", 5, "not iterable"),
         ("thresholds", {"values": [{"value": 4.6e-7}]}, "missing field 'label'"),
+        ("sigma_w_m", math.nan, "sigma_w must be >= 0 and finite, got nan"),
+        ("magnitudes_m", [math.inf], "fault magnitudes must be >= 0 and finite"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
-            "fault_counts=5", "values-without-label"])
+            "fault_counts=5", "values-without-label", "sigma_w_m=NaN",
+            "magnitudes_m=[Infinity]"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"
@@ -451,8 +460,19 @@ class TestLibraryValueErrors:
         (["train-predictor", "--n-geometries", "0"], "empty training set"),
         (["calibrate", "--duration", "120", "--percentiles", "100"],
          "percentile must be in (0, 100)"),
+        (["detect", "--threshold", "4.6e-7", "--sigma-w", "inf"],
+         "sigma_w must be >= 0 and finite, got inf"),
+        (["detect", "--threshold", "4.6e-7", "--sigma-w", "nan"],
+         "sigma_w must be >= 0 and finite, got nan"),
+        (["detect", "--threshold", "4.6e-7", "--magnitude", "inf", "--fault-sats", "1"],
+         "fault magnitude must be >= 0 and finite, got inf"),
+        (["train-predictor", "--sigma-w", "-1"] + TINY_TRAINING, "sigma_w must be >= 0"),
+        (["train-predictor", "--lr", "1e30", "--n-geometries", "20", "--n-noise", "300",
+          "--epochs", "3"], "training loss is not finite"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
-            "train-n-noise", "train-n-geometries", "calibrate-percentile-100"])
+            "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
+            "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
+            "train-sigma-w", "train-diverges"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])
@@ -462,6 +482,46 @@ class TestLibraryValueErrors:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (out.exists() and any(out.iterdir()))
+
+
+class TestCliqueLessConstellation:
+    """A constellation with no 6-cliques gives one error line, not a traceback."""
+
+    @pytest.fixture
+    def five_sats(self, tmp_path):
+        bundled = resources.files("satfd.configs").joinpath("elfo_moon.json")
+        raw = json.loads(bundled.read_text(encoding="utf-8"))
+        raw["satellites"] = raw["satellites"][:5]
+        path = tmp_path / "five_sats.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def assert_error_line(capsys, rc, message):
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_calibrate(self, tmp_path, capsys, five_sats):
+        rc = main(["calibrate", "--config", five_sats, "--duration", "600",
+                   "--out", str(tmp_path / "out")])
+        self.assert_error_line(capsys, rc, "no cliques over the entire sampling window")
+
+    def test_train_predictor(self, tmp_path, capsys, five_sats):
+        rc = main(["train-predictor", "--config", five_sats, "--out", str(tmp_path / "out")]
+                  + TINY_TRAINING)
+        self.assert_error_line(capsys, rc, "constellation has no 6-cliques on the sampling grid")
+
+    def test_percentile_montecarlo(self, tmp_path, capsys, five_sats):
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({
+            "constellation": five_sats, "sigma_w_m": 1.0, "fault_counts": [1],
+            "magnitudes_m": [20.0], "thresholds": {"percentiles": [99]},
+            "dl_list": [1], "n_trials": 2, "master_seed": 11,
+        }), encoding="utf-8")
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        self.assert_error_line(capsys, rc, "no cliques over the entire sampling window")
 
 
 class TestOutputDirectoryBeforeWork:

@@ -66,6 +66,11 @@ class TestOrbitalPeriod:
         # table is what we assert against
         assert orbital_period(15850.55e3, 4.282837e13) == pytest.approx(60587.160623677744)
 
+    def test_constellation_period_is_satellite_zero_period(self):
+        for name in ("elfo_moon", "walker_mars"):
+            config = load_bundled(name)
+            assert config.period == orbital_period(config.satellites[0].a, config.body.mu)
+
 
 class TestPropagate:
     def test_zero_elements_on_perifocal_x_axis(self):

