@@ -62,6 +62,9 @@ class StatisticSample:
 
 def sampling_times(step: float, duration: float) -> np.ndarray:
     """Epoch grid t = 0, step, ... strictly below duration."""
+    if not (math.isfinite(step) and math.isfinite(duration)):
+        raise ValueError(f"need step > 0 and duration >= step, both finite; "
+                         f"got step={step!r}, duration={duration!r}")
     if step <= 0.0 or duration < step:
         raise ValueError("need step > 0 and duration >= step")
     return step * np.arange(math.ceil(duration / step))
@@ -77,14 +80,15 @@ def sample_statistics(
     """gamma_test of every CLIQUE_SIZE-clique at every epoch, no faults injected.
 
     Epochs are built and analysed one at a time, so only one epoch's
-    cliques are held at once.
+    cliques are held at once.  Only the spectra are computed: no
+    eigenvector is read.
     """
     vals = []
     for idx, t in enumerate(sampling_times(step, duration)):
         entry = schedule_entry(config, t, CLIQUE_SIZE)
         rng = substream(seed, CALIBRATION, idx)
         rm = measure_ranges(entry.positions, entry.graph, FaultConfig(), sigma_w, rng)
-        vals.append(edm.analyze_clique_batch(rm, entry.cliques).gamma_test)
+        vals.append(edm.analyze_clique_batch(rm, entry.cliques, vectors=False).gamma_test)
     values = np.sort(np.concatenate(vals))
     if values.size == 0:
         raise EmptySampleError("no cliques over the entire sampling window")
@@ -382,7 +386,6 @@ def build_training_set(
 
         sub = exact[np.ix_(clique, clique)]
         w = pair_noise(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w, size=(n_noise,))
-        lam = np.linalg.eigvalsh(edm.geometric_center((sub + w) ** 2))
-        s = np.abs(np.take_along_axis(lam, edm.magnitude_order(lam), axis=1))
+        s = edm.spectrum(edm.geometric_center((sub + w) ** 2))
         targets[g] = np.percentile(edm.gamma_from_spectrum(s), TAIL_PERCENTILE)
     return feats, targets

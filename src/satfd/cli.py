@@ -80,8 +80,9 @@ def _load_constellation(name: str) -> ConstellationConfig:
 
 def cmd_propagate(args) -> int:
     config = _load_constellation(args.config)
-    if args.step <= 0 or args.t_end < args.t_start:
-        raise ValueError("need step > 0 and t-end >= t-start")
+    # A non-finite span would write rows without end.
+    if not (0.0 < args.step < math.inf and -math.inf < args.t_start <= args.t_end < math.inf):
+        raise ValueError("need step > 0 and t-end >= t-start, all finite")
     path = _outdir(args) / "positions.csv"
 
     def rows():
@@ -217,10 +218,14 @@ def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
             for p in raw["percentiles"]
         ]
     if "values" in raw:
-        return [
+        specs = [
             experiment.ThresholdSpec(label=str(v["label"]), value=float(v["value"]))
             for v in raw["values"]
         ]
+        for spec in specs:
+            if not math.isfinite(spec.value):
+                raise ValueError(f"threshold {spec.label!r} must be finite, got {spec.value!r}")
+        return specs
     if "model" in raw:
         return [
             experiment.ThresholdSpec(

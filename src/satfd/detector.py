@@ -15,6 +15,7 @@ evaluated on the observed subgraph's singular-value features.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +35,7 @@ class DetectorParams:
 
     delta_nf     : least total number of fault-flagged subgraphs required
     delta_rf     : minimum vote share for a satellite to be declared faulty
-    gamma_threshold : fixed scalar threshold (any real number, numpy
+    gamma_threshold : fixed scalar threshold (any finite real number, numpy
                    scalars included), or an object with a predict(features)
                    method for per-subgraph thresholds
     """
@@ -48,6 +49,9 @@ class DetectorParams:
             raise ValueError("delta_nf must be >= 1")
         if not (0.0 < self.delta_rf < 1.0):
             raise ValueError("delta_rf must be in (0, 1)")
+        # No gamma exceeds NaN, so a NaN threshold would report every window clean.
+        if is_scalar_threshold(self.gamma_threshold) and not math.isfinite(self.gamma_threshold):
+            raise ValueError(f"gamma_threshold must be finite, got {self.gamma_threshold}")
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,14 @@ entry of the 4th left singular vector points at the faulty vertex.
 
 G is symmetric, so its singular values are the magnitudes |lambda| of its
 eigenvalues and its left singular vectors are its eigenvectors.  The
-analysis therefore runs the symmetric eigensolver (eigh) and orders each
-spectrum by |lambda|, descending; no SVD is computed.  Every function
-works on a stack of cliques: cliques are an (m, k) integer array of
-satellite ids, and a single clique is a batch of one, so the Monte-Carlo
-hot loops run one stacked LAPACK call per epoch.
+analysis therefore runs a symmetric eigensolver and orders each spectrum
+by |lambda|, descending; no SVD is computed.  Readers of singular values
+alone (calibration, training targets) run the values-only eigvalsh
+(spectrum), which computes no eigenvector; readers of vectors (the vote,
+the predictor features) run eigh and keep u1-u4.  Every function works on
+a stack of cliques: cliques are an (m, k) integer array of satellite ids,
+and a single clique is a batch of one, so the Monte-Carlo hot loops run
+one stacked LAPACK call per epoch.
 """
 
 from __future__ import annotations
@@ -86,13 +89,19 @@ def canonicalize_signs(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchAnalysis:
-    """Stacked analyses of m cliques against one range matrix."""
+    """Stacked analyses of m cliques against one range matrix.
+
+    left_vectors holds u1-u4 only (the vote reads u4, the predictor
+    features u1-u3).  An analysis built without vectors
+    (analyze_clique_batch(..., vectors=False)) has None for left_vectors
+    and fault_vertex_local.
+    """
 
     cliques: np.ndarray           # (m, k) satellite ids
     singular_values: np.ndarray   # (m, k) descending per row
-    left_vectors: np.ndarray      # (m, k, k)
+    left_vectors: np.ndarray | None  # (m, k, 4): u1-u4 as columns
     gamma_test: np.ndarray        # (m,)
-    fault_vertex_local: np.ndarray  # (m,) argmax |u4| per clique, first on ties
+    fault_vertex_local: np.ndarray | None  # (m,) argmax |u4| per clique, first on ties
 
     def fault_vertex_global(self) -> np.ndarray:
         """Map per-clique fault attributions to satellite ids."""
@@ -118,20 +127,39 @@ def magnitude_order(eigenvalues: np.ndarray) -> np.ndarray:
     return np.argsort(-np.abs(eigenvalues), axis=-1, kind="stable")
 
 
-def analyze_clique_batch(ranges: RangeMatrix, cliques: np.ndarray) -> BatchAnalysis:
-    """Singular values and left singular vectors of every clique's centered
-    distance matrix, plus gamma_test.
+def spectrum(g: np.ndarray) -> np.ndarray:
+    """Singular values |lambda| of each matrix of a (..., k, k) stack of
+    centred matrices, descending (magnitude_order); one eigvalsh, no
+    eigenvectors."""
+    lam = np.linalg.eigvalsh(g)
+    return np.abs(np.take_along_axis(lam, magnitude_order(lam), axis=-1))
+
+
+def analyze_clique_batch(
+    ranges: RangeMatrix, cliques: np.ndarray, vectors: bool = True
+) -> BatchAnalysis:
+    """Singular values and left singular vectors u1-u4 of every clique's
+    centered distance matrix, plus gamma_test.
 
     One batched eigh: singular values are |lambda| and the vectors are the
     eigenvectors, both in magnitude_order.  Vector signs are arbitrary.
-    Requires cliques of k >= 5 vertices.
+    With vectors=False the values come from spectrum (eigvalsh) instead,
+    and left_vectors and fault_vertex_local are None.  Requires cliques of
+    k >= 5 vertices.
     """
     if cliques.shape[1] < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
-    lam, vecs = np.linalg.eigh(geometric_center(build_edm(ranges, cliques)))
+    g = geometric_center(build_edm(ranges, cliques))
+    if not vectors:
+        s = spectrum(g)
+        return BatchAnalysis(cliques=cliques, singular_values=s, left_vectors=None,
+                             gamma_test=gamma_from_spectrum(s), fault_vertex_local=None)
+    lam, vecs = np.linalg.eigh(g)
     order = magnitude_order(lam)
     s = np.abs(np.take_along_axis(lam, order, axis=1))
-    u = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # Gather u1-u4 as whole rows of the transposed stack: numpy copies
+    # contiguous rows faster than it gathers single columns.
+    u = vecs.swapaxes(1, 2)[np.arange(len(order))[:, None], order[:, :4]].swapaxes(1, 2)
     vertex = np.argmax(np.abs(u[:, :, 3]), axis=1)
     return BatchAnalysis(
         cliques=cliques,

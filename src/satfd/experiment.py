@@ -167,8 +167,8 @@ class CampaignContext:
         delta_nf: int = 10,
         delta_rf: float = 0.2,
     ):
-        if timestep <= 0.0:
-            raise ValueError("timestep must be > 0")
+        if not 0.0 < timestep < math.inf:
+            raise ValueError(f"timestep must be > 0 and finite, got {timestep!r}")
         check_sigma_w(sigma_w)
         if max(grid.fault_counts) > config.n_satellites:
             raise ValueError(f"fault counts must not exceed the {config.n_satellites} satellites")

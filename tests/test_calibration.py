@@ -8,6 +8,7 @@ import dataclasses
 
 from satfd import calibration, edm
 from satfd.calibration import (
+    TAIL_PERCENTILE,
     MlpPredictor,
     StatisticSample,
     batch_features,
@@ -18,8 +19,10 @@ from satfd.calibration import (
     sampling_times,
     train_predictor,
 )
+from satfd.cliques import build_clique_schedule
 from satfd.constellation import load_bundled
-from satfd.ranging import RangeMatrix
+from satfd.ranging import RangeMatrix, pair_noise, true_ranges
+from satfd.seeds import TRAINING, substream
 
 
 def make_sample(values, **kw):
@@ -35,6 +38,13 @@ class TestSamplingTimes:
 
     def test_one_elfo_period_epoch_count(self):
         assert sampling_times(60.0, 43198.127485324025).size == 720
+
+    @pytest.mark.parametrize("step, duration", [
+        (60.0, math.inf), (math.nan, 600.0), (60.0, math.nan), (math.inf, math.inf),
+    ])
+    def test_non_finite_refused(self, step, duration):
+        with pytest.raises(ValueError, match="^need step > 0 and duration >= step, both finite"):
+            sampling_times(step, duration)
 
 
 class TestSampleStatistics:
@@ -313,6 +323,29 @@ class TestBuildTrainingSet:
         _, targets = build_training_set(config, 0.0, n_geometries=3, n_noise=300,
                                         seed=6, step=7200.0)
         assert targets.max() <= 1e-10
+
+    def test_targets_equal_inline_eigvalsh_reference(self):
+        # A test-side copy of the target: eigvalsh of each centred noise
+        # draw, |lambda| sorted descending (stable), gamma and its percentile.
+        config = load_bundled("elfo_moon")
+        seed, sigma_w, n_noise, step = 8, 1.0, 300, 7200.0
+        _, targets = build_training_set(config, sigma_w, n_geometries=3, n_noise=n_noise,
+                                        seed=seed, step=step)
+        schedule = build_clique_schedule(config, sampling_times(step, config.period))
+        pool = [(entry, clique) for entry in schedule for clique in entry.cliques]
+        chosen = substream(seed, TRAINING, 0).integers(len(pool), size=3)
+        j = np.eye(6) - np.full((6, 6), 1.0 / 6)
+        for g, index in enumerate(chosen):
+            entry, clique = pool[index]
+            sub = true_ranges(entry.positions, entry.graph)[np.ix_(clique, clique)]
+            w = pair_noise(substream(seed, TRAINING, 1, g), 6, sigma_w, size=(n_noise,))
+            centred = -0.5 * (j @ (sub + w) ** 2 @ j)
+            lam = np.linalg.eigvalsh(centred)
+            order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+            s = np.abs(lam)[np.arange(n_noise)[:, None], order]
+            assert np.array_equal(edm.spectrum(centred), s)
+            gamma = (s[:, 3] + s[:, 4]) / s[:, 0]
+            assert targets[g] == np.percentile(gamma, TAIL_PERCENTILE)
 
     def test_target_stability_across_seeds(self):
         # one fixed geometry, large n_noise: . the 99.7 percentile estimate

@@ -54,6 +54,16 @@ class TestPropagate:
         assert rc == 0
         assert len(read_csv(tmp_path / "positions.csv")) == 1 + 12
 
+    @pytest.mark.parametrize("option, value", [
+        ("--t-end", "inf"), ("--t-start", "nan"), ("--step", "nan"), ("--step", "inf"),
+    ])
+    def test_non_finite_span_refused(self, tmp_path, capsys, option, value):
+        rc = main(["propagate", "--config", "elfo_moon", "--out", str(tmp_path), option, value])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: need step > 0 and t-end >= t-start, all finite\n")
+        assert not (tmp_path / "positions.csv").exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         rc = main(["propagate", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path)])
@@ -311,11 +321,19 @@ class TestMonteCarloAndReport:
         ("thresholds", {"values": [{"value": 4.6e-7}]}, "missing field 'label'"),
         ("sigma_w_m", math.nan, "sigma_w must be >= 0 and finite, got nan"),
         ("magnitudes_m", [math.inf], "fault magnitudes must be >= 0 and finite"),
+        ("timestep_s", math.nan, "timestep must be > 0 and finite, got nan"),
+        ("timestep_s", math.inf, "timestep must be > 0 and finite, got inf"),
+        ("thresholds", {"values": [{"label": "p99", "value": math.nan}]},
+         "threshold 'p99' must be finite, got nan"),
+        ("thresholds", {"values": [{"label": "a", "value": 4.6e-7},
+                                   {"label": "b", "value": -math.inf}]},
+         "threshold 'b' must be finite, got -inf"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
             "fault_counts=5", "values-without-label", "sigma_w_m=NaN",
-            "magnitudes_m=[Infinity]"])
+            "magnitudes_m=[Infinity]", "timestep_s=NaN", "timestep_s=Infinity", "values=[NaN]",
+            "values=[-Infinity]"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"
@@ -469,10 +487,18 @@ class TestLibraryValueErrors:
         (["train-predictor", "--sigma-w", "-1"] + TINY_TRAINING, "sigma_w must be >= 0"),
         (["train-predictor", "--lr", "1e30", "--n-geometries", "20", "--n-noise", "300",
           "--epochs", "3"], "training loss is not finite"),
+        (["calibrate", "--duration", "inf"],
+         "need step > 0 and duration >= step, both finite; got step=60.0, duration=inf"),
+        (["calibrate", "--step", "nan"], "need step > 0 and duration >= step, both finite"),
+        (["detect", "--threshold", "nan", "--fault-sats", "1", "--magnitude", "20"],
+         "invalid detector option: gamma_threshold must be finite, got nan"),
+        (["detect", "--threshold", "inf"],
+         "invalid detector option: gamma_threshold must be finite, got inf"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
-            "train-sigma-w", "train-diverges"])
+            "train-sigma-w", "train-diverges", "calibrate-duration-inf", "calibrate-step-nan",
+            "detect-threshold-nan", "detect-threshold-inf"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,12 @@ class TestParamsValidation:
             DetectorParams(delta_nf=0)
         with pytest.raises(ValueError):
             DetectorParams(delta_rf=1.0)
+
+    @pytest.mark.parametrize("thr", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "numpy-nan"])
+    def test_non_finite_scalar_threshold_refused(self, thr):
+        with pytest.raises(ValueError, match="^gamma_threshold must be finite"):
+            DetectorParams(gamma_threshold=thr)
 
     def test_vote_state_ratios(self):
         votes = VoteState(counts=np.array([2, 0, 2]))

@@ -143,8 +143,9 @@ class TestAnalyze:
         pts = rng.uniform(0.0, 1.0, size=(6, 3))
         a = analysis_of(pts, fault_ids=[1], magnitude=0.1)
         u = a.left_vectors[0]
+        assert u.shape == (6, 4)  # u1-u4
         assert np.all(np.diff(a.singular_values[0]) <= 0.0)
-        assert np.allclose(u.T @ u, np.eye(6), atol=1e-9)
+        assert np.allclose(u.T @ u, np.eye(4), atol=1e-9)
 
     def test_gamma_from_spectrum(self):
         s = np.array([[4.0, 3.0, 2.0, 1.0, 0.5, 0.0],

@@ -10,7 +10,9 @@ rigidly, or when every range is scaled; the voted vertex must follow the
 relabeling; and stacking cliques into one batch must not change any row.
 The kernel's eigh spectrum, ordered by |lambda|, must match a full SVD of
 the same centred matrix to a stated multiple of eps * s1, and vote for the
-same vertex wherever u4 is well determined.
+same vertex wherever u4 is well determined.  The values-only kernel
+(eigvalsh) must match the eigh kernel to the same multiple, and its gamma
+to 256 eps.
 
 Fault biases must add up: on one noise draw, the range change from the
 union of two disjoint fault sets is the sum of their separate changes.
@@ -213,6 +215,31 @@ def test_kernel_matches_svd(clique):
         assert got.fault_vertex_local[0] == np.argmax(np.abs(u[:, 3]))
 
 
+@KERNEL
+@given(st.integers(6, 9), st.integers(0, 2**32 - 1), st.floats(0.0, 1e-3),
+       arrays(np.float64, 9, elements=st.floats(0.0, 0.1)))
+def test_values_only_matches_eigh(n, seed, sigma, bias):
+    rng = np.random.default_rng(seed)
+    noise = np.triu(rng.standard_normal((n, n)) * sigma, 1)
+    rm = ranges_of(rng.uniform(0.0, 1.0, size=(n, 3)),
+                   noise + noise.T + bias[:n, None] + bias[None, :n])
+    cliques = np.array(list(itertools.combinations(range(n), 6)), dtype=np.intp)
+    full = edm.analyze_clique_batch(rm, cliques)
+    got = edm.analyze_clique_batch(rm, cliques, vectors=False)
+    assert got.left_vectors is None and got.fault_vertex_local is None
+    assert np.array_equal(got.cliques, full.cliques)
+    s1 = full.singular_values[:, :1]
+    assert np.all(np.abs(got.singular_values - full.singular_values) <= SPECTRUM_TOL * s1)
+    assert np.all(np.abs(got.gamma_test - full.gamma_test) <= 256 * np.finfo(float).eps)
+    # No measured clique centres to the all-zero matrix (build_edm refuses
+    # zero ranges), so the spectrum meets it on a stacked centred matrix.
+    g = edm.geometric_center(edm.build_edm(rm, cliques))
+    with_zero = edm.spectrum(np.concatenate([g, np.zeros((1, 6, 6))]))
+    assert np.array_equal(with_zero[:-1], got.singular_values)
+    assert np.array_equal(with_zero[-1], np.zeros(6))
+    assert edm.gamma_from_spectrum(with_zero)[-1] == 0.0
+
+
 @functools.lru_cache(maxsize=None)
 def elfo_epoch(t):
     """(positions, visibility graph) of elfo_moon at time t."""
@@ -256,7 +283,7 @@ def flag_window(draw):
         batches.append(edm.BatchAnalysis(
             cliques=cliques,
             singular_values=np.zeros((m, 6)),
-            left_vectors=np.zeros((m, 6, 6)),
+            left_vectors=np.zeros((m, 6, 4)),
             gamma_test=draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 1.0]))),
             fault_vertex_local=draw(arrays(np.intp, m, elements=st.integers(0, 5))),
         ))
