@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import edm
-from .cliques import CLIQUE_SIZE, build_clique_schedule, schedule_entry
+from .cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule
 from .constellation import ConstellationConfig
 from .ranging import (
     FaultConfig, RangeMatrix, check_sigma_w, measure_ranges, pair_noise, true_ranges,
@@ -79,13 +79,13 @@ def sample_statistics(
 ) -> StatisticSample:
     """gamma_test of every CLIQUE_SIZE-clique at every epoch, no faults injected.
 
-    Epochs are built and analysed one at a time, so only one epoch's
+    Positions and links come from one array pass over the grid; cliques
+    are listed and analysed one epoch at a time, so only one epoch's
     cliques are held at once.  Only the spectra are computed: no
     eigenvector is read.
     """
     vals = []
-    for idx, t in enumerate(sampling_times(step, duration)):
-        entry = schedule_entry(config, t, CLIQUE_SIZE)
+    for idx, entry in enumerate(iter_schedule(config, sampling_times(step, duration))):
         rng = substream(seed, CALIBRATION, idx)
         rm = measure_ranges(entry.positions, entry.graph, FaultConfig(), sigma_w, rng)
         vals.append(edm.analyze_clique_batch(rm, entry.cliques, vectors=False).gamma_test)
@@ -179,15 +179,22 @@ class MlpPredictor:
             biases.append(np.zeros(d_out))
         return cls(weights, biases)
 
-    def _forward_std(self, x_std: np.ndarray) -> tuple[np.ndarray, list, list]:
-        """Output on standardized inputs, with each layer's input and each
-        hidden layer's pre-activation (what back-propagation reads)."""
-        acts = [x_std]
-        pre = []
+    def _forward_std(self, x_std: np.ndarray, keep: bool = False) -> tuple[np.ndarray, list, list]:
+        """Output on standardized inputs.  With keep, also each layer's input
+        and each hidden layer's pre-activation (what back-propagation
+        reads); without, each layer's values are dropped once the next is
+        computed."""
+        acts, pre = [], []
+        a = x_std
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre.append(acts[-1] @ w + b)
-            acts.append(np.maximum(pre[-1], 0.0))
-        return (acts[-1] @ self.weights[-1] + self.biases[-1])[:, 0], acts, pre
+            z = a @ w + b
+            if keep:
+                acts.append(a)
+                pre.append(z)
+            a = np.maximum(z, 0.0, out=None if keep else z)
+        if keep:
+            acts.append(a)
+        return (a @ self.weights[-1] + self.biases[-1])[:, 0], acts, pre
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Threshold estimates for an (m, 21) batch, clamped below at zero."""
@@ -252,6 +259,8 @@ def _field_array(value, name: str, shape: tuple) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
         want = f"an array of shape {shape}" if shape else "a number"
         raise ValueError(f"model field {name!r} is not {want}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model field {name!r} holds a non-finite value")
     return arr.astype(float)
 
 
@@ -270,7 +279,7 @@ def loss_and_grads(model: MlpPredictor, x_std: np.ndarray, y_std: np.ndarray):
     Returns (loss, weight gradients, bias gradients) for one batch; used
     by the training loop and by the finite-difference gradient check.
     """
-    out, acts, pre = model._forward_std(x_std)
+    out, acts, pre = model._forward_std(x_std, keep=True)
     m = x_std.shape[0]
     err = out - y_std
     loss = float((err**2).mean())
@@ -290,6 +299,13 @@ def loss_and_grads(model: MlpPredictor, x_std: np.ndarray, y_std: np.ndarray):
     return loss, grads_w, grads_b
 
 
+def check_learning_rate(lr: float) -> None:
+    """Refuse a learning rate that is not positive and finite: a NaN one
+    would fit a model that predicts NaN, which flags nothing."""
+    if not (0.0 < lr < math.inf):
+        raise ValueError(f"learning rate must be positive and finite, got {lr!r}")
+
+
 def train_predictor(
     features: np.ndarray,
     targets: np.ndarray,
@@ -302,6 +318,7 @@ def train_predictor(
     Standardization statistics are computed from the training set and
     stored with the model.  Deterministic for a fixed seed.
     """
+    check_learning_rate(lr)
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float).reshape(-1)
     if x.size == 0:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, experiment
-from .cliques import build_clique_schedule, schedule_entry
+from .cliques import build_clique_schedule, iter_schedule
 from .constellation import ConstellationConfig, propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
@@ -78,19 +78,34 @@ def _load_constellation(name: str) -> ConstellationConfig:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+# Epochs per propagate call of cmd_propagate, which bounds its memory on a long grid.
+PROPAGATE_BLOCK = 4096
+
+
 def cmd_propagate(args) -> int:
     config = _load_constellation(args.config)
-    # A non-finite span would write rows without end.
-    if not (0.0 < args.step < math.inf and -math.inf < args.t_start <= args.t_end < math.inf):
+    # A non-finite span would write rows without end; so would one whose
+    # epoch count overflows a float.
+    if not (0.0 < args.step < math.inf and -math.inf < args.t_start <= args.t_end < math.inf
+            and (args.t_end - args.t_start) / args.step < math.inf):
         raise ValueError("need step > 0 and t-end >= t-start, all finite")
+    # So would a step too small to change t: every row would share one epoch.
+    for end in (args.t_start, args.t_end):
+        if end + args.step == end:
+            raise ValueError(f"step {args.step!r} does not advance t at {end!r}")
     path = _outdir(args) / "positions.csv"
+    # Epochs t-start + k*step up to t-end, the way sampling_times builds its grid.
+    last = args.t_end + 1e-9
+    n_epochs = math.floor((last - args.t_start) / args.step) + 1
 
     def rows():
-        t = args.t_start
-        while t <= args.t_end + 1e-9:
-            for sat, p in enumerate(propagate(config, t)):
-                yield [repr(t), sat] + [repr(float(v)) for v in p]
-            t += args.step
+        for first in range(0, n_epochs, PROPAGATE_BLOCK):
+            k = np.arange(first, min(first + PROPAGATE_BLOCK, n_epochs))
+            times = args.t_start + args.step * k
+            times = times[times <= last]
+            for t, positions in zip(times.tolist(), propagate(config, times)):
+                for sat, p in enumerate(positions.tolist()):
+                    yield [repr(t), sat] + [repr(v) for v in p]
 
     _write_csv(path, ["t", "sat_id", "x_m", "y_m", "z_m"], rows())
     print(f"wrote {path}")
@@ -110,7 +125,7 @@ def cmd_cliques(args) -> int:
     config = _load_constellation(args.config)
     if args.k < 1:
         raise ValueError("need k >= 1")
-    found = schedule_entry(config, args.t, args.k).cliques
+    found = next(iter_schedule(config, [args.t], args.k)).cliques
     out = _outdir(args)
     path = out / "cliques.csv"
     _write_csv(path, ["t"] + [f"v{i}" for i in range(args.k)],
@@ -140,6 +155,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train_predictor(args) -> int:
     config = _load_constellation(args.config)
+    calibration.check_learning_rate(args.lr)
     path = _outdir(args) / "model.json"
     feats, targets = calibration.build_training_set(
         config, args.sigma_w, args.n_geometries, args.n_noise, seed=args.seed

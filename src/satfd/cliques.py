@@ -1,4 +1,4 @@
-"""k-clique enumeration and per-epoch clique schedules.
+"""k-clique enumeration and clique schedules over a time grid.
 
 Detection subgraphs are k-cliques of the visibility graph; fully connected
 subgraphs of 5 or more vertices keep their shape in 3D even after losing
@@ -11,10 +11,15 @@ numpy arrays: each j-clique carries the boolean mask of vertices
 adjacent to all of its members, and is extended by every such vertex
 above its last member.  Each clique is reported exactly once, and the
 rows come out in lexicographic order.
+
+A schedule composes propagate, build_visibility_graph and list_k_cliques
+over a time grid (iter_schedule): positions and links are computed for
+the whole grid in one array pass, and cliques are listed once per epoch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +35,9 @@ CLIQUE_SIZE = 6
 class ScheduleEntry:
     """One epoch t of the predicted topology.
 
-    positions is the (n, 3) array that propagate returns, and cliques the
-    (m, k) integer array of satellite ids that list_k_cliques returns for
-    graph.
+    positions is the epoch's (n, 3) slice of propagate's positions on the
+    grid, and cliques the (m, k) integer array of satellite ids that
+    list_k_cliques returns for graph.
     """
 
     t: float
@@ -63,16 +68,26 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
     return cliques
 
 
-def schedule_entry(config: ConstellationConfig, t: float, k: int) -> ScheduleEntry:
-    """Positions, visibility graph and k-cliques of the topology at epoch t."""
-    t = float(t)
-    positions = propagate(config, t)
-    graph = build_visibility_graph(positions, config.body.radius)
-    return ScheduleEntry(t=t, positions=positions, graph=graph, cliques=list_k_cliques(graph, k))
+def iter_schedule(
+    config: ConstellationConfig, times: list[float] | np.ndarray, k: int = CLIQUE_SIZE
+) -> Iterator[ScheduleEntry]:
+    """The ScheduleEntry of each epoch of times, one at a time.
+
+    Positions and visibility are computed for the whole grid in one array
+    pass; each entry's positions and graph are slices of it.  The k-cliques
+    are listed as each entry is reached, so a caller that drops an entry
+    before taking the next holds one epoch's cliques at a time.
+    """
+    times = np.asarray(times, dtype=float)
+    positions = propagate(config, times)
+    adjacency = build_visibility_graph(positions, config.body.radius).adjacency
+    for t, pos, adj in zip(times.tolist(), positions, adjacency):
+        graph = VisibilityGraph(adjacency=adj)
+        yield ScheduleEntry(t=t, positions=pos, graph=graph, cliques=list_k_cliques(graph, k))
 
 
 def build_clique_schedule(
     config: ConstellationConfig, times: list[float] | np.ndarray
 ) -> tuple[ScheduleEntry, ...]:
-    """schedule_entry of the CLIQUE_SIZE-cliques at each epoch of times."""
-    return tuple(schedule_entry(config, t, CLIQUE_SIZE) for t in times)
+    """Every entry of iter_schedule, with CLIQUE_SIZE-cliques, as a tuple."""
+    return tuple(iter_schedule(config, times))

@@ -103,41 +103,74 @@ class ConstellationConfig:
         return orbital_period(self.satellites[0].a, self.body.mu)
 
 
-def solve_kepler(mean_anomaly: float, e: float) -> float:
+def solve_kepler(mean_anomaly, e):
     """Solve Kepler's equation E - e*sin(E) = M for the eccentric anomaly.
 
-    Newton iteration with initial guess E = M for e < 0.8 and E = pi
-    otherwise; falls back to bisection on [M - e, M + e] (where the
-    residual is monotone) if Newton has not converged after 50 steps.
-    Returns E with |E - e*sin(E) - M| < 1e-12 rad.
+    mean_anomaly and e are scalars or arrays that broadcast together; the
+    result has their broadcast shape.  Newton iteration with initial guess
+    E = M for e < 0.8 and E = pi otherwise, each element stopping at the
+    first iterate whose residual is below tolerance; elements that Newton
+    leaves unconverged after 50 steps fall back to bisection on
+    [M - e, M + e] (where the residual is monotone).  Returns E with
+    |E - e*sin(E) - M| < 1e-12 rad.
     """
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"eccentricity {e} outside [0, 1)")
-    if not math.isfinite(mean_anomaly):
+    mean_anomaly, e = np.broadcast_arrays(np.asarray(mean_anomaly, dtype=float),
+                                          np.asarray(e, dtype=float))
+    bad = ~((0.0 <= e) & (e < 1.0))
+    if bad.any():
+        raise ValueError(f"eccentricity {e[bad].flat[0]} outside [0, 1)")
+    if not np.isfinite(mean_anomaly).all():
         raise ValueError("mean anomaly must be finite")
 
-    m = mean_anomaly % TWO_PI
-    ecc_anom = m if e < 0.8 else math.pi
+    m = np.mod(mean_anomaly, TWO_PI).ravel()
+    e = e.ravel()
+    out = np.empty_like(m)
+    left = np.arange(m.size)
+    ecc_anom = np.where(e < 0.8, m, math.pi)
     for _ in range(50):
-        f = ecc_anom - e * math.sin(ecc_anom) - m
-        if abs(f) < 1e-12:
-            return ecc_anom % TWO_PI
-        ecc_anom -= f / (1.0 - e * math.cos(ecc_anom))
+        f = ecc_anom - e * np.sin(ecc_anom) - m
+        done = np.abs(f) < 1e-12
+        if done.any():
+            out[left[done]] = np.mod(ecc_anom[done], TWO_PI)
+            keep = ~done
+            left, m, e, ecc_anom, f = left[keep], m[keep], e[keep], ecc_anom[keep], f[keep]
+            if not left.size:
+                return out.reshape(mean_anomaly.shape)[()]
+        ecc_anom = ecc_anom - f / (1.0 - e * np.cos(ecc_anom))
 
-    # Bisection fallback: f(E) = E - e*sinE - m is increasing for e < 1,
-    # with sign change on [m - e, m + e].
+    out[left] = _kepler_bisect(m, e)
+    if np.isnan(out).any():
+        raise KeplerConvergenceError(
+            f"Kepler solver did not converge for M={mean_anomaly.ravel()[np.isnan(out)][0]}"
+        )
+    return out.reshape(mean_anomaly.shape)[()]
+
+
+def _kepler_bisect(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Bisection fallback of solve_kepler on reduced mean anomalies m and
+    eccentricities e of the same shape.
+
+    f(E) = E - e*sinE - m is increasing for e < 1, with a sign change on
+    [m - e, m + e].  Each element stops at the first midpoint whose
+    residual is below tolerance and gives it mod 2*pi; an element that
+    has not stopped after 200 halvings gives NaN.
+    """
+    out = np.full_like(m, math.nan)
+    left = np.arange(m.size)
     lo, hi = m - e, m + e
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid - e * math.sin(mid) - m > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(mid - e * math.sin(mid) - m) < 1e-12:
-            return mid % TWO_PI
-    raise KeplerConvergenceError(
-        f"Kepler solver did not converge for M={mean_anomaly}, e={e}"
-    )
+        f = mid - e * np.sin(mid) - m
+        above = f > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        stop = np.abs(f) < 1e-12
+        out[left[stop]] = np.mod(mid[stop], TWO_PI)
+        keep = ~stop
+        left, m, e, lo, hi = left[keep], m[keep], e[keep], lo[keep], hi[keep]
+        if not left.size:
+            break
+    return out
 
 
 def orbital_period(a: float, mu: float) -> float:
@@ -161,28 +194,30 @@ def _perifocal_to_inertial(raan: float, inc: float, argp: float) -> np.ndarray:
     )
 
 
-def propagate_one(el: OrbitalElements, mu: float, t: float) -> np.ndarray:
-    """Inertial position (m) of one satellite at epoch t (s)."""
-    n = math.sqrt(mu / el.a**3)
-    ecc_anom = solve_kepler(el.m0 + n * t, el.e)
-    x_pf = el.a * (math.cos(ecc_anom) - el.e)
-    y_pf = el.a * math.sqrt(1.0 - el.e**2) * math.sin(ecc_anom)
-    rot = _perifocal_to_inertial(el.raan, el.i, el.argp)
-    return rot @ np.array([x_pf, y_pf, 0.0])
+def propagate(config: ConstellationConfig, t) -> np.ndarray:
+    """Inertial positions (m) of every satellite at epoch t (s).
 
-
-def propagate(config: ConstellationConfig, t: float) -> np.ndarray:
-    """(n, 3) inertial positions (m) of every satellite at epoch t.
-
-    Deterministic pure function of (config, t); see propagate_one for the
-    per-satellite math.
+    t is a scalar or a 1-D array of epochs; the result has shape
+    t.shape + (n, 3).  One Kepler solve and one rotation cover every
+    (epoch, satellite) pair.  Deterministic pure function of (config, t).
     """
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("epoch must be finite")
-    pos = np.empty((config.n_satellites, 3))
-    for k, el in enumerate(config.satellites):
-        pos[k] = propagate_one(el, config.body.mu, t)
-    return pos
+    sats = config.satellites
+    # Per-satellite constants, each rounded as its scalar formula rounds it.
+    a = np.array([el.a for el in sats])
+    e = np.array([el.e for el in sats])
+    mean_motion = np.array([math.sqrt(config.body.mu / el.a**3) for el in sats])
+    semi_minor = np.array([el.a * math.sqrt(1.0 - el.e**2) for el in sats])
+    rot = np.array([_perifocal_to_inertial(el.raan, el.i, el.argp) for el in sats])
+
+    ecc_anom = solve_kepler(np.array([el.m0 for el in sats]) + mean_motion * t[..., None], e)
+    perifocal = np.zeros(ecc_anom.shape + (3, 1))
+    perifocal[..., 0, 0] = a * (np.cos(ecc_anom) - e)
+    perifocal[..., 1, 0] = semi_minor * np.sin(ecc_anom)
+    # A matmul, not x*rot[:, 0] + y*rot[:, 1]: the latter rounds differently.
+    return np.matmul(rot, perifocal)[..., 0]
 
 
 # ---------------------------------------------------------------------------

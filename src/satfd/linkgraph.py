@@ -14,9 +14,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class VisibilityGraph:
-    """Undirected link topology at one epoch.
+    """Undirected link topology at one epoch, or at each epoch of a grid.
 
-    adjacency is a symmetric (n, n) boolean matrix with a false diagonal.
+    adjacency is a symmetric (n, n) boolean matrix with a false diagonal,
+    or a stack (..., n, n) of them; edges reads one epoch's.
     """
 
     adjacency: np.ndarray
@@ -46,9 +47,15 @@ def line_of_sight(p1: np.ndarray, p2: np.ndarray, radius: float) -> np.ndarray:
 
 
 def build_visibility_graph(positions: np.ndarray, radius: float) -> VisibilityGraph:
-    """Occultation-limited link graph for one epoch's (n, 3) positions."""
-    n = positions.shape[0]
+    """Occultation-limited link graph of (..., n, 3) positions.
+
+    Leading axes broadcast, so one call covers a whole time grid: the
+    adjacency has shape (..., n, n), and one epoch's graph is
+    VisibilityGraph(adjacency[k]).
+    """
+    n = positions.shape[-2]
     i, j = np.triu_indices(n, 1)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[i, j] = adj[j, i] = line_of_sight(positions[i], positions[j], radius)
+    adj = np.zeros(positions.shape[:-2] + (n, n), dtype=bool)
+    visible = line_of_sight(positions[..., i, :], positions[..., j, :], radius)
+    adj[..., i, j] = adj[..., j, i] = visible
     return VisibilityGraph(adjacency=adj)

@@ -296,6 +296,46 @@ class TestMlp:
             MlpPredictor.from_dict(raw)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1e-3])
+    def test_learning_rate_not_positive_and_finite_refused(self, lr):
+        x = np.random.default_rng(4).standard_normal((16, 21))
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            train_predictor(x, np.ones(16), seed=1, epochs=1, lr=lr)
+
+    @pytest.mark.parametrize("path, value, name", [
+        (("weights", 1, 0, 0), math.nan, "weights[1]"),
+        (("biases", 2, 0), math.inf, "biases[2]"),
+        (("x_std", 3), math.nan, "x_std"),
+        (("y_mean",), -math.inf, "y_mean"),
+    ], ids=["weights", "biases", "x_std", "y_mean"])
+    def test_rejects_non_finite_field(self, path, value, name):
+        raw = MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
+        *parents, last = path
+        target = raw
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError) as exc:
+            MlpPredictor.from_dict(json.loads(json.dumps(raw)))
+        assert str(exc.value) == f"model field {name!r} holds a non-finite value"
+
+    def test_predict_equals_forward_pass_with_activations_kept(self):
+        # Prediction drops each layer once the next is computed; its output
+        # must equal, bit for bit, the pass that keeps them and an inline one.
+        rng = np.random.default_rng(17)
+        model = train_predictor(rng.standard_normal((256, 21)), rng.standard_normal(256),
+                                seed=5, epochs=2)
+        x = rng.standard_normal((300, 21))
+        x_std = (x - model.x_mean) / model.x_std
+        kept, acts, pre = model._forward_std(x_std, keep=True)
+        assert len(acts) == 3 and len(pre) == 2
+        a = x_std
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            a = np.maximum(a @ w + b, 0.0)
+        inline = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+        for out in (kept, inline):
+            assert np.array_equal(model.predict(x), np.maximum(out * model.y_std + model.y_mean, 0.0))
+
     def test_predict_threshold_clamps_and_validates(self):
         rng = np.random.default_rng(2)
         model = MlpPredictor.initialize(rng)

@@ -1,15 +1,20 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satfd
 from satfd import calibration, experiment
 from satfd.cli import main
-from satfd.constellation import load_bundled
+from satfd.constellation import load_bundled, propagate
 
 
 def incomplete_models():
@@ -18,12 +23,17 @@ def incomplete_models():
     mistyped field."""
     head = {"format": "satfd-mlp", "version": 1}
     full = calibration.MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
+    nan_weight = calibration.MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
+    nan_weight["weights"][1][0][0] = math.nan
     return [
         pytest.param(head, "model file has no field 'dims'", id="no-dims"),
         pytest.param({**head, "dims": full["dims"], "weights": 5},
                      "model file has no field 'biases'", id="no-biases"),
         pytest.param({**full, "weights": 5}, "model field 'weights' is not a list of 3 layers",
                      id="weights-not-a-list"),
+        # What train-predictor --lr nan wrote: such a model flags nothing.
+        pytest.param(nan_weight, "model field 'weights[1]' holds a non-finite value",
+                     id="nan-weight"),
     ]
 
 
@@ -62,6 +72,38 @@ class TestPropagate:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: need step > 0 and t-end >= t-start, all finite\n")
+        assert not (tmp_path / "positions.csv").exists()
+
+    def test_integer_grid_epochs(self, tmp_path):
+        rc = main(["propagate", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--t-start", "-120", "--t-end", "600", "--step", "60"])
+        assert rc == 0
+        rows = read_csv(tmp_path / "positions.csv")[1:]
+        assert [float(r[0]) for r in rows[::12]] == [60.0 * k for k in range(-2, 11)]
+        config = load_bundled("elfo_moon")
+        for t, block in zip(range(-120, 601, 60), range(0, len(rows), 12)):
+            want = propagate(config, float(t))
+            got = [[float(v) for v in r[2:]] for r in rows[block:block + 12]]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t_start, t_end, step, message", [
+        # At 1e20 a 1 s step is below half an ulp: t + step == t.
+        ("1e20", "2e20", "1", "step 1.0 does not advance t at 1e+20"),
+        # t-end - t-start overflows to inf, so the epoch count is not finite.
+        ("-1e308", "1e308", "1e300", "need step > 0 and t-end >= t-start, all finite"),
+    ], ids=["step-below-ulp", "span-overflows"])
+    def test_grid_without_end_refused(self, tmp_path, t_start, t_end, step, message):
+        # Run in a subprocess with a timeout, so a grid that never ends fails
+        # the test instead of stalling the suite.
+        src = Path(satfd.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "satfd.cli", "propagate", "--config", "elfo_moon",
+             f"--t-start={t_start}", "--t-end", t_end, "--step", step, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"error: {message}\n"
         assert not (tmp_path / "positions.csv").exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
@@ -494,11 +536,15 @@ class TestLibraryValueErrors:
          "invalid detector option: gamma_threshold must be finite, got nan"),
         (["detect", "--threshold", "inf"],
          "invalid detector option: gamma_threshold must be finite, got inf"),
+        (["train-predictor", "--lr", "nan"] + TINY_TRAINING,
+         "learning rate must be positive and finite, got nan"),
+        (["train-predictor", "--lr", "0"] + TINY_TRAINING,
+         "learning rate must be positive and finite, got 0.0"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
             "train-sigma-w", "train-diverges", "calibrate-duration-inf", "calibrate-step-nan",
-            "detect-threshold-nan", "detect-threshold-inf"])
+            "detect-threshold-nan", "detect-threshold-inf", "train-lr-nan", "train-lr-0"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])
@@ -508,6 +554,19 @@ class TestLibraryValueErrors:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (out.exists() and any(out.iterdir()))
+
+
+    def test_learning_rate_checked_before_the_training_set(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("build_training_set ran before --lr was checked")
+
+        monkeypatch.setattr(calibration, "build_training_set", never)
+        rc = main(["train-predictor", "--config", "elfo_moon", "--lr", "-1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: learning rate must be positive and finite, got -1.0\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliqueLessConstellation:

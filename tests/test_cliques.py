@@ -3,9 +3,9 @@ from math import comb
 
 import numpy as np
 
-from satfd.cliques import build_clique_schedule, list_k_cliques
-from satfd.constellation import load_bundled, orbital_period
-from satfd.linkgraph import VisibilityGraph
+from satfd.cliques import build_clique_schedule, iter_schedule, list_k_cliques
+from satfd.constellation import load_bundled, orbital_period, propagate
+from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 
 
 def make_graph(n, edges):
@@ -70,9 +70,24 @@ class TestCliqueOps:
 
 class TestSchedule:
     def test_build_matches_single_epoch(self):
+        # Each entry equals propagate -> build_visibility_graph -> list_k_cliques
+        # run at its epoch alone.
         config = load_bundled("elfo_moon")
-        schedule = build_clique_schedule(config, [0.0, 60.0])
-        assert [e.t for e in schedule] == [0.0, 60.0]
+        times = 60.0 * np.arange(30)
+        schedule = build_clique_schedule(config, times)
+        assert [e.t for e in schedule] == times.tolist()
         assert all(e.cliques.shape[1] == 6 for e in schedule)
         for e in schedule:
-            assert np.array_equal(e.cliques, list_k_cliques(e.graph, 6))
+            positions = propagate(config, e.t)
+            graph = build_visibility_graph(positions, config.body.radius)
+            assert np.array_equal(e.positions, positions)
+            assert np.array_equal(e.graph.adjacency, graph.adjacency)
+            assert np.array_equal(e.cliques, list_k_cliques(graph, 6))
+
+    def test_iter_schedule_lists_k_cliques(self):
+        config = load_bundled("elfo_moon")
+        entries = iter_schedule(config, [0.0, 60.0], 4)
+        first = next(entries)
+        assert first.t == 0.0 and first.cliques.shape[1] == 4
+        assert np.array_equal(first.cliques, list_k_cliques(first.graph, 4))
+        assert [e.t for e in entries] == [60.0]

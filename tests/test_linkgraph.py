@@ -109,3 +109,15 @@ class TestVisibilityGraph:
         assert near_perilune.any()
         for sat in np.nonzero(near_perilune)[0]:
             assert graph.adjacency[sat].sum() in (4, 5)
+
+    def test_grid_adjacency_equals_per_epoch_graphs(self):
+        # One call on a (T, n, 3) grid gives each epoch's (n, n) adjacency.
+        for name in ("elfo_moon", "walker_mars"):
+            config = load_bundled(name)
+            grid = propagate(config, 60.0 * np.arange(int(config.period // 60.0) + 1))
+            stacked = build_visibility_graph(grid, config.body.radius).adjacency
+            assert stacked.shape == (len(grid), 12, 12)
+            per_epoch = [build_visibility_graph(ps, config.body.radius).adjacency for ps in grid]
+            assert np.array_equal(stacked, per_epoch)
+            # The grid holds both linked and occulted pairs, not a trivial graph.
+            assert 0 < stacked.sum() < stacked.size - len(grid) * 12
