@@ -24,8 +24,7 @@ TWO_PI = 2.0 * math.pi
 MOON = BodyParams(name="moon", mu=4.9028e12, radius=1.7374e6)
 
 
-# Scalar reference: one Kepler solve and one rotation per satellite per
-# epoch, as propagation was computed before it ran over a whole grid.
+# Scalar reference: one Kepler solve and one rotation per satellite per epoch.
 def scalar_newton(m, e):
     """Newton steps of the scalar solver on reduced m; None if 50 do not converge."""
     ecc_anom = m if e < 0.8 else math.pi
