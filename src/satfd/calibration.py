@@ -232,11 +232,16 @@ class MlpPredictor:
         if raw["dims"] != list(cls.DIMS):
             raise ValueError(f"unsupported dims {raw['dims']}")
         shapes = list(zip(cls.DIMS, cls.DIMS[1:]))
+        x_std = _field_array(raw["x_std"], "x_std", (FEATURE_DIM,))
+        # predict divides by x_std: a zero entry would make every threshold
+        # NaN or infinite, and so flag nothing.
+        if not (x_std > 0.0).all():
+            raise ValueError("model field 'x_std' holds a zero or negative value")
         return cls(
             _layer_arrays(raw, "weights", shapes),
             _layer_arrays(raw, "biases", [(d_out,) for _, d_out in shapes]),
             x_mean=_field_array(raw["x_mean"], "x_mean", (FEATURE_DIM,)),
-            x_std=_field_array(raw["x_std"], "x_std", (FEATURE_DIM,)),
+            x_std=x_std,
             y_mean=_field_array(raw["y_mean"], "y_mean", ()),
             y_std=_field_array(raw["y_std"], "y_std", ()),
         )
@@ -306,6 +311,13 @@ def check_learning_rate(lr: float) -> None:
         raise ValueError(f"learning rate must be positive and finite, got {lr!r}")
 
 
+def check_epochs(epochs: int) -> None:
+    """Refuse a training run of fewer than one epoch: it would save the
+    untrained initial weights as a model."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs!r}")
+
+
 def train_predictor(
     features: np.ndarray,
     targets: np.ndarray,
@@ -319,6 +331,7 @@ def train_predictor(
     stored with the model.  Deterministic for a fixed seed.
     """
     check_learning_rate(lr)
+    check_epochs(epochs)
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float).reshape(-1)
     if x.size == 0:

@@ -156,6 +156,7 @@ def cmd_calibrate(args) -> int:
 def cmd_train_predictor(args) -> int:
     config = _load_constellation(args.config)
     calibration.check_learning_rate(args.lr)
+    calibration.check_epochs(args.epochs)
     path = _outdir(args) / "model.json"
     feats, targets = calibration.build_training_set(
         config, args.sigma_w, args.n_geometries, args.n_noise, seed=args.seed
@@ -361,32 +362,28 @@ def cmd_report(args) -> int:
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="satfd",
-        description="Satellite fault detection from inter-satellite ranges.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("propagate", help="positions on a time grid")
+def _propagate_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, default=0.0)
     p.add_argument("--step", type=float, default=60.0)
     p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("graph", help="visibility edges at one epoch")
+
+def _graph_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     p.add_argument("--t", type=float, default=0.0)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("cliques", help="k-cliques at one epoch")
+
+def _cliques_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--k", type=int, default=6)
     p.set_defaults(func=cmd_cliques)
 
-    p = sub.add_parser("calibrate", help="percentile thresholds from sampling")
+
+def _calibrate_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     _seed_flag(p)
     p.add_argument("--sigma-w", type=float, default=1.0, help="range noise std (m)")
@@ -397,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling window (s); default one orbital period")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("train-predictor", help="fit the threshold predictor")
+
+def _train_predictor_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     _seed_flag(p)
     p.add_argument("--sigma-w", type=float, default=1.0)
@@ -407,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.set_defaults(func=cmd_train_predictor)
 
-    p = sub.add_parser("detect", help="single detection run with injected faults")
+
+def _detect_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     _seed_flag(p)
     p.add_argument("--t0", type=float, default=0.0)
@@ -423,22 +422,64 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the measured ranges as t,i,j,range_m")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("montecarlo", help="seeded campaign over a parameter grid")
+
+def _montecarlo_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p, config=False)
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--experiment", required=True, help="experiment config JSON")
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("report", help="summarize a results CSV")
+
+def _report_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p, config=False)
     p.add_argument("--results", required=True, help="results CSV from montecarlo")
     p.set_defaults(func=cmd_report)
 
+
+# name: (help, the function that adds the subcommand's options and sets its
+# command function), in the order that --help lists them.  Each function
+# reads its cmd_* by name when it runs, so a replaced module binding (a
+# test's monkeypatch, a tracer's wrapper) is the one that runs.
+SUBCOMMANDS = {
+    "propagate": ("positions on a time grid", _propagate_parser),
+    "graph": ("visibility edges at one epoch", _graph_parser),
+    "cliques": ("k-cliques at one epoch", _cliques_parser),
+    "calibrate": ("percentile thresholds from sampling", _calibrate_parser),
+    "train-predictor": ("fit the threshold predictor", _train_predictor_parser),
+    "detect": ("single detection run with injected faults", _detect_parser),
+    "montecarlo": ("seeded campaign over a parameter grid", _montecarlo_parser),
+    "report": ("summarize a results CSV", _report_parser),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The satfd parser.  When command names a subcommand, only that
+    subcommand's parser is built (most of the cost of a parser is its
+    add_argument calls); otherwise, as for --help, no command or an
+    unknown one, every subcommand's parser is.  Usage, help and error
+    texts are the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="satfd",
+        description="Satellite fault detection from inter-satellite ranges.",
+    )
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    # The usage line names every subcommand.  argparse prints the choices
+    # of the parsers it has, so a lone parser needs the full list as its
+    # metavar; with every parser built the metavar stays unset, because
+    # argparse would also put it in place of "command" in its errors.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if len(names) == len(SUBCOMMANDS) else "{" + ",".join(SUBCOMMANDS) + "}",
+    )
+    for name in names:
+        help_text, add_options = SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

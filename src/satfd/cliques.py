@@ -7,10 +7,13 @@ CLIQUE_SIZE = 6 is the operational size; the enumerator works for any
 k >= 1.
 
 Enumeration grows every clique one vertex at a time, level by level, as
-numpy arrays: each j-clique carries the boolean mask of vertices
-adjacent to all of its members, and is extended by every such vertex
-above its last member.  Each clique is reported exactly once, and the
-rows come out in lexicographic order.
+numpy arrays.  upper is the adjacency above the diagonal (upper[u, v]: u
+and v are linked and v > u).  Each j-clique carries the row of vertices
+that are linked to all of its members and lie above its last member,
+the AND of its members' rows of upper, and is extended by every such
+vertex.  Each clique is reported exactly once, and the rows come out in
+lexicographic order.  The members are kept as one index column per
+position, gathered level by level, and stacked once at the end.
 
 A schedule composes propagate, build_visibility_graph and list_k_cliques
 over a time grid (iter_schedule): positions and links are computed for
@@ -55,17 +58,19 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
     n = len(adj)
     if k > n:
         return np.zeros((0, k), dtype=np.intp)
-    ids = np.arange(n, dtype=np.intp)
-    cliques = ids[:, None]
-    # common[r, v]: v is adjacent to every member of clique r.
-    common = adj.copy()
+    upper = np.triu(adj, 1)
+    columns = [np.arange(n, dtype=np.intp)]
+    # common[r, v]: v is above the last member of clique r and adjacent to
+    # all of its members.
+    common = upper
     for _ in range(k - 1):
         # Extending only by vertices above the last member lists each clique
         # once; nonzero is row-major, so the rows stay lexicographic.
-        rows, v = np.nonzero(common & (ids > cliques[:, -1:]))
-        cliques = np.column_stack([cliques[rows], v])
-        common = common[rows] & adj[v]
-    return cliques
+        rows, v = np.nonzero(common)
+        columns = [c.take(rows) for c in columns]
+        columns.append(v)
+        common = common.take(rows, axis=0) & upper.take(v, axis=0)
+    return np.stack(columns, axis=1)
 
 
 def iter_schedule(

@@ -19,11 +19,15 @@ eigenvalues and its left singular vectors are its eigenvectors.  The
 analysis therefore runs a symmetric eigensolver and orders each spectrum
 by |lambda|, descending; no SVD is computed.  Readers of singular values
 alone (calibration, training targets) run the values-only eigvalsh
-(spectrum), which computes no eigenvector; readers of vectors (the vote,
-the predictor features) run eigh and keep u1-u4.  Every function works on
-a stack of cliques: cliques are an (m, k) integer array of satellite ids,
-and a single clique is a batch of one, so the Monte-Carlo hot loops run
-one stacked LAPACK call per epoch.
+(spectrum), which computes no eigenvector and sorts the magnitudes
+themselves; readers of vectors (the vote, the predictor features) run
+eigh, order it by magnitude_order and keep u1-u4.  Every function works
+on a stack of cliques: cliques are an (m, k) integer array of satellite
+ids, and a single clique is a batch of one, so the Monte-Carlo hot loops
+run one stacked LAPACK call per epoch.  build_edm squares the epoch's
+range matrix once and gathers every clique's block from it with one flat
+take, which gives the same bits as gathering the ranges and squaring
+them (squaring rounds each entry alone).
 """
 
 from __future__ import annotations
@@ -42,19 +46,28 @@ class MissingEdgeError(RuntimeError):
 def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
     """Squared measured ranges (m^2) of each clique, (m, k, k), zero diagonals.
 
-    Raises MissingEdgeError if any clique pair has no measured range
-    (range 0 off-diagonal), which means the clique schedule is stale for
-    this epoch's topology.
+    The members of a clique are distinct satellite ids.  The range matrix
+    is squared once (diagonal zeroed), and every clique's block is one
+    flat take from it.  Raises MissingEdgeError, naming the first such
+    clique, if any clique pair has no measured range (range <= 0
+    off-diagonal), which means the clique schedule is stale for this
+    epoch's topology.
     """
-    k = cliques.shape[1]
-    sub = ranges.r[cliques[:, :, None], cliques[:, None, :]]
-    off = ~np.eye(k, dtype=bool)
-    missing = np.any(sub[:, off] <= 0.0, axis=1)
+    r = ranges.r
+    n = len(r)
+    # Entry (c, i, j) of flat is the index of r[cliques[c, i], cliques[c, j]]
+    # in r's flattened (row-major) storage.
+    flat = cliques * n
+    flat = flat[:, :, None] + cliques[:, None, :]
+    unmeasured = r <= 0.0
+    unmeasured.flat[::n + 1] = False
+    missing = unmeasured.take(flat)
     if missing.any():
-        raise MissingEdgeError(f"clique {cliques[missing.argmax()].tolist()} has unmeasured pairs")
-    d = sub**2
-    d[:, np.arange(k), np.arange(k)] = 0.0
-    return d
+        first = missing.reshape(len(cliques), -1).any(axis=1).argmax()
+        raise MissingEdgeError(f"clique {cliques[first].tolist()} has unmeasured pairs")
+    squared = r * r
+    squared.flat[::n + 1] = 0.0
+    return squared.take(flat)
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -129,10 +142,15 @@ def magnitude_order(eigenvalues: np.ndarray) -> np.ndarray:
 
 def spectrum(g: np.ndarray) -> np.ndarray:
     """Singular values |lambda| of each matrix of a (..., k, k) stack of
-    centred matrices, descending (magnitude_order); one eigvalsh, no
-    eigenvectors."""
-    lam = np.linalg.eigvalsh(g)
-    return np.abs(np.take_along_axis(lam, magnitude_order(lam), axis=-1))
+    centred matrices, descending; one eigvalsh, no eigenvectors.
+
+    The magnitudes are sorted themselves: eigenvalues that magnitude_order
+    would tie have equal |lambda|, so the values equal the |lambda| that
+    magnitude_order puts in each place.
+    """
+    s = np.abs(np.linalg.eigvalsh(g))
+    s.sort(axis=-1)
+    return s[..., ::-1]
 
 
 def analyze_clique_batch(

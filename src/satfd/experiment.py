@@ -21,7 +21,8 @@ any are, on the magnitude.  A trial therefore does each piece of work once
   fault count;
 * each threshold flags every analysed row once (one predictor evaluation
   per epoch), and a cell's flag table is gathered from those rows by
-  index;
+  index: the vertex and vote columns once per config, which every
+  threshold shares, and the flags once per (config, threshold);
 * each (config, threshold) has one flag table over the longest window,
   and a detection length is a row prefix of it.
 
@@ -48,6 +49,7 @@ from .cliques import build_clique_schedule, list_k_cliques  # noqa: F401
 from .constellation import ConstellationConfig
 from .detector import (
     DetectorParams,
+    FlagTable,
     detect_faults_from_analyses,
     is_scalar_threshold,
     table_from_analyses,
@@ -260,7 +262,8 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
     """(n_cells, 4) tp/fn/fp/tn contributions of one trial, in cell order.
 
     Each threshold flags every analysed row of the window once; a cell's
-    window is gathered from those rows, and each DL is a row prefix of it.
+    window is gathered from those rows (its vertices and votes once per
+    config), and each DL is a row prefix of it.
     """
     grid = ctx.grid
     t0_index, perm = ctx.trial_conditions(trial_id)
@@ -273,6 +276,8 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
     epochs = ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls))
     rows = [analysed for analysed, _ in epochs]
     tables = [table_from_analyses(rows, p) for p in params]
+    # Only the flags depend on the threshold.
+    vertices, voted = tables[0].vertices, tables[0].voted
     # Row c of windows lists config c's window (epochs in order) as rows of tables.
     starts = np.cumsum([0] + [len(analysed.cliques) for analysed in rows[:-1]])
     windows = iter(np.concatenate(
@@ -287,8 +292,9 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
         truth[perm[:fc]] = True
         for mi in range(len(grid.magnitudes)):
             window = next(windows)
+            window_vertices, window_voted = vertices[window], voted[window]
             for ti, (p, table) in enumerate(zip(params, tables)):
-                cell = table.rows(window)
+                cell = FlagTable(window_vertices, window_voted, table.flagged[window])
                 for li, dl in enumerate(grid.dls):
                     outcome = detect_faults_from_analyses(cell.rows(slice(ends[dl - 1])), p, n)
                     detected = np.zeros(n, dtype=bool)

@@ -302,6 +302,23 @@ class TestMlp:
         with pytest.raises(ValueError, match="learning rate must be positive and finite"):
             train_predictor(x, np.ones(16), seed=1, epochs=1, lr=lr)
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_refused(self, epochs):
+        x = np.random.default_rng(4).standard_normal((16, 21))
+        with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+            train_predictor(x, np.ones(16), seed=1, epochs=epochs)
+
+    @pytest.mark.parametrize("index, value", [(slice(None), 0.0), (7, 0.0), (20, -1.5)],
+                             ids=["all-zero", "one-zero", "one-negative"])
+    def test_rejects_x_std_not_positive(self, index, value):
+        raw = MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
+        x_std = np.array(raw["x_std"])
+        x_std[index] = value
+        raw["x_std"] = x_std.tolist()
+        with pytest.raises(ValueError) as exc:
+            MlpPredictor.from_dict(raw)
+        assert str(exc.value) == "model field 'x_std' holds a zero or negative value"
+
     @pytest.mark.parametrize("path, value, name", [
         (("weights", 1, 0, 0), math.nan, "weights[1]"),
         (("biases", 2, 0), math.inf, "biases[2]"),

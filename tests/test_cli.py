@@ -13,7 +13,7 @@ import pytest
 
 import satfd
 from satfd import calibration, experiment
-from satfd.cli import main
+from satfd.cli import SUBCOMMANDS, build_parser, main
 from satfd.constellation import load_bundled, propagate
 
 
@@ -25,6 +25,7 @@ def incomplete_models():
     full = calibration.MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
     nan_weight = calibration.MlpPredictor.initialize(np.random.default_rng(0)).to_dict()
     nan_weight["weights"][1][0][0] = math.nan
+    zero_std = {**full, "x_std": [0.0] * calibration.FEATURE_DIM}
     return [
         pytest.param(head, "model file has no field 'dims'", id="no-dims"),
         pytest.param({**head, "dims": full["dims"], "weights": 5},
@@ -34,6 +35,9 @@ def incomplete_models():
         # What train-predictor --lr nan wrote: such a model flags nothing.
         pytest.param(nan_weight, "model field 'weights[1]' holds a non-finite value",
                      id="nan-weight"),
+        # predict divides by x_std: every threshold would be NaN or infinite.
+        pytest.param(zero_std, "model field 'x_std' holds a zero or negative value",
+                     id="zero-x-std"),
     ]
 
 
@@ -540,11 +544,14 @@ class TestLibraryValueErrors:
          "learning rate must be positive and finite, got nan"),
         (["train-predictor", "--lr", "0"] + TINY_TRAINING,
          "learning rate must be positive and finite, got 0.0"),
+        (["train-predictor", "--n-geometries", "20", "--n-noise", "300", "--epochs", "-3"],
+         "epochs must be >= 1, got -3"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
             "train-sigma-w", "train-diverges", "calibrate-duration-inf", "calibrate-step-nan",
-            "detect-threshold-nan", "detect-threshold-inf", "train-lr-nan", "train-lr-0"])
+            "detect-threshold-nan", "detect-threshold-inf", "train-lr-nan", "train-lr-0",
+            "train-epochs-negative"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])
@@ -567,6 +574,57 @@ class TestLibraryValueErrors:
         assert capsys.readouterr().err == (
             "error: learning rate must be positive and finite, got -1.0\n")
         assert not (tmp_path / "out").exists()
+
+
+    def test_epochs_checked_before_the_training_set(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("build_training_set ran before --epochs was checked")
+
+        monkeypatch.setattr(calibration, "build_training_set", never)
+        rc = main(["train-predictor", "--config", "elfo_moon", "--epochs", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+
+# The subcommands as the top-level usage line lists them.
+EVERY_SUBCOMMAND = "{propagate,graph,cliques,calibrate,train-predictor,detect,montecarlo,report}"
+
+
+class TestParser:
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert EVERY_SUBCOMMAND in out
+        for name in EVERY_SUBCOMMAND.strip("{}").split(","):
+            assert f"\n    {name} " in out
+
+    def test_usage_of_a_bad_option_lists_every_subcommand(self, capsys):
+        # Only the detect parser is built, yet the top-level usage names all.
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--config", "elfo_moon", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: satfd [-h]\n")
+        assert EVERY_SUBCOMMAND in err
+        assert err.endswith("satfd: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_one_subcommand_parser_prints_what_the_full_parser_prints(self, capsys, name):
+        texts = []
+        for parser in (build_parser(), build_parser(name)):
+            texts.append(parser.format_usage())
+            for argv in ([name, "--help"], [name, "--bogus"],
+                         [name, "--config", "x", "--experiment", "x", "--results", "x", "-z"]):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                captured = capsys.readouterr()
+                texts.append((exc.value.code, captured.out, captured.err))
+        half = len(texts) // 2
+        assert texts[:half] == texts[half:]
 
 
 class TestCliqueLessConstellation:

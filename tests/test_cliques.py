@@ -2,6 +2,7 @@ import itertools
 from math import comb
 
 import numpy as np
+import pytest
 
 from satfd.cliques import build_clique_schedule, iter_schedule, list_k_cliques
 from satfd.constellation import load_bundled, orbital_period, propagate
@@ -17,6 +18,23 @@ def make_graph(n, edges):
 
 def complete_graph(n):
     return make_graph(n, itertools.combinations(range(n), 2))
+
+
+def masked_list_k_cliques(graph, k):
+    """The earlier lister: each level masks the common neighbours by
+    ids > last member and column-stacks the cliques it extends."""
+    adj = graph.adjacency
+    n = len(adj)
+    if k > n:
+        return np.zeros((0, k), dtype=np.intp)
+    ids = np.arange(n, dtype=np.intp)
+    cliques = ids[:, None]
+    common = adj.copy()
+    for _ in range(k - 1):
+        rows, v = np.nonzero(common & (ids > cliques[:, -1:]))
+        cliques = np.column_stack([cliques[rows], v])
+        common = common[rows] & adj[v]
+    return cliques
 
 
 class TestListKCliques:
@@ -48,6 +66,19 @@ class TestListKCliques:
         before = len(list_k_cliques(make_graph(n, kept), 4))
         after = len(list_k_cliques(make_graph(n, kept + [all_edges[-1]]), 4))
         assert after >= before
+
+    @pytest.mark.parametrize("name", ["elfo_moon", "walker_mars"])
+    def test_equals_masked_lister_on_every_epoch(self, name):
+        # Every 60 s epoch of one period, k = 1 to 8.
+        config = load_bundled(name)
+        times = np.arange(0.0, config.period, 60.0)
+        adjacency = build_visibility_graph(propagate(config, times), config.body.radius).adjacency
+        for adj in adjacency:
+            graph = VisibilityGraph(adjacency=adj)
+            for k in range(1, 9):
+                found = list_k_cliques(graph, k)
+                assert found.dtype == np.intp
+                assert np.array_equal(found, masked_list_k_cliques(graph, k))
 
     def test_mars_walker_per_satellite_floor(self):
         # every satellite keeps at least 32 self-containing 6-cliques

@@ -36,6 +36,7 @@ import functools
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -238,6 +239,74 @@ def test_values_only_matches_eigh(n, seed, sigma, bias):
     assert np.array_equal(with_zero[:-1], got.singular_values)
     assert np.array_equal(with_zero[-1], np.zeros(6))
     assert edm.gamma_from_spectrum(with_zero)[-1] == 0.0
+
+
+def gathered_edm(ranges, cliques):
+    """build_edm's earlier formula: gather each clique's ranges, then square
+    them; a clique with a range <= 0 off its diagonal is refused."""
+    k = cliques.shape[1]
+    sub = ranges.r[cliques[:, :, None], cliques[:, None, :]]
+    off = ~np.eye(k, dtype=bool)
+    missing = np.any(sub[:, off] <= 0.0, axis=1)
+    if missing.any():
+        raise edm.MissingEdgeError(f"clique {cliques[missing.argmax()].tolist()} has unmeasured pairs")
+    d = sub**2
+    d[:, np.arange(k), np.arange(k)] = 0.0
+    return d
+
+
+@st.composite
+def edm_input(draw):
+    """(ranges, cliques): an n x n matrix, not symmetric, whose entries are
+    positive, or with a drawn density zero or negative (unmeasured), and
+    up to 8 cliques of k distinct vertices each, in any order."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    r = draw(arrays(np.float64, (n, n), elements=st.floats(1e-3, 1e6)))
+    unmeasured = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+    sign = draw(arrays(np.float64, (n, n), elements=st.sampled_from([0.0, -1.0])))
+    r = np.where(unmeasured < draw(st.floats(0.0, 0.3)), sign * r, r)
+    rows = draw(st.lists(st.permutations(range(n)), max_size=8))
+    return RangeMatrix(r=r), np.array([p[:k] for p in rows], dtype=np.intp).reshape(-1, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edm_input())
+def test_build_edm_equals_gather_then_square(case):
+    ranges, cliques = case
+    try:
+        want = gathered_edm(ranges, cliques)
+    except edm.MissingEdgeError as exc:
+        with pytest.raises(edm.MissingEdgeError) as got:
+            edm.build_edm(ranges, cliques)
+        assert str(got.value) == str(exc)
+        return
+    got = edm.build_edm(ranges, cliques)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def symmetric_stack(draw):
+    """(m, k, k) symmetric matrices, some with entries from a small integer
+    set so that eigenvalues of equal magnitude and opposite sign occur."""
+    m, k = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    elements = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), st.floats(-1e3, 1e3))
+    a = draw(arrays(np.float64, (m, k, k), elements=elements))
+    return a + a.swapaxes(1, 2)
+
+
+@KERNEL
+@given(symmetric_stack())
+def test_spectrum_equals_magnitude_order_gather(g):
+    lam = np.linalg.eigvalsh(g)
+    want = np.abs(np.take_along_axis(lam, edm.magnitude_order(lam), axis=-1))
+    assert np.array_equal(edm.spectrum(g), want)
+    # A diagonal matrix has its diagonal as exact eigenvalues, so +x and -x
+    # on one diagonal tie exactly in |lambda|.
+    diag = g[:, 0, :, None] * np.eye(g.shape[-1])
+    lam = np.linalg.eigvalsh(diag)
+    want = np.abs(np.take_along_axis(lam, edm.magnitude_order(lam), axis=-1))
+    assert np.array_equal(edm.spectrum(diag), want)
 
 
 @functools.lru_cache(maxsize=None)
