@@ -575,7 +575,6 @@ class TestLibraryValueErrors:
             "error: learning rate must be positive and finite, got -1.0\n")
         assert not (tmp_path / "out").exists()
 
-
     def test_epochs_checked_before_the_training_set(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("build_training_set ran before --epochs was checked")

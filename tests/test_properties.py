@@ -12,7 +12,10 @@ The kernel's eigh spectrum, ordered by |lambda|, must match a full SVD of
 the same centred matrix to a stated multiple of eps * s1, and vote for the
 same vertex wherever u4 is well determined.  The values-only kernel
 (eigvalsh) must match the eigh kernel to the same multiple, and its gamma
-to 256 eps.
+to 256 eps.  build_edm (one flat take from the squared range matrix) must
+equal gathering each clique's ranges and squaring them, bit for bit, and
+refuse the same first clique where pairs are unmeasured; spectrum (|lambda|
+sorted) must equal the magnitude_order gather bit for bit.
 
 Fault biases must add up: on one noise draw, the range change from the
 union of two disjoint fault sets is the sum of their separate changes.
