@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, experiment
-from .cliques import build_clique_schedule, iter_schedule
+from .cliques import iter_schedule
 from .constellation import ConstellationConfig, propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
@@ -201,7 +201,7 @@ def cmd_detect(args) -> int:
         raise ValueError(f"invalid detector option: {exc}") from exc
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
     times = args.t0 + 60.0 * np.arange(args.dl)
-    window = build_clique_schedule(config, times)
+    window = tuple(iter_schedule(config, times))
     ranges = [
         measure_ranges(entry.positions, entry.graph, faults, args.sigma_w,
                        substream(args.seed, EPOCH_NOISE, 0, k))
@@ -253,10 +253,15 @@ def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
 
 
 def _integer(value, field: str) -> int:
-    """int(value), refusing a value that int() would truncate."""
-    if int(value) != value:
+    """int(value), refusing a value that int() would truncate or cannot
+    convert (NaN, infinities)."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):
+        whole = None
+    if whole is None or whole != value:
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+    return whole
 
 
 def load_experiment_config(path: str | Path) -> dict:

@@ -16,8 +16,19 @@ lexicographic order.  The members are kept as one index column per
 position, gathered level by level, and stacked once at the end.
 
 A schedule composes propagate, build_visibility_graph and list_k_cliques
-over a time grid (iter_schedule): positions and links are computed for
-the whole grid in one array pass, and cliques are listed once per epoch.
+over a time grid: positions and links are computed for the whole grid in
+one array pass.  Two forms read that pass.  iter_schedule streams one
+entry at a time and lists cliques at every epoch; sample_statistics and
+satfd cliques and detect take it.  build_clique_schedule holds every
+entry and lists cliques once per distinct adjacency of the grid: entries
+with equal adjacencies share one read-only clique array.  The link
+topology barely moves along a 60 s grid (144 distinct adjacencies over
+the 720 epochs of an elfo_moon period, 34 over a walker_mars period), so
+campaign and training set-ups list a fifth of the epochs or fewer and
+hold that much less.  Nothing is kept between calls.  The stream keeps
+its per-epoch listing so that the benchmark's listing counts on
+calibration and detect (one call per epoch) hold until a benchmark
+change replaces them.
 """
 
 from __future__ import annotations
@@ -73,6 +84,17 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+def _grid_topology(
+    config: ConstellationConfig, times: list[float] | np.ndarray
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """(t, positions, adjacency) of each epoch of times, from one
+    propagate and one build_visibility_graph over the whole grid."""
+    times = np.asarray(times, dtype=float)
+    positions = propagate(config, times)
+    adjacency = build_visibility_graph(positions, config.body.radius).adjacency
+    return zip(times.tolist(), positions, adjacency)
+
+
 def iter_schedule(
     config: ConstellationConfig, times: list[float] | np.ndarray, k: int = CLIQUE_SIZE
 ) -> Iterator[ScheduleEntry]:
@@ -83,10 +105,7 @@ def iter_schedule(
     are listed as each entry is reached, so a caller that drops an entry
     before taking the next holds one epoch's cliques at a time.
     """
-    times = np.asarray(times, dtype=float)
-    positions = propagate(config, times)
-    adjacency = build_visibility_graph(positions, config.body.radius).adjacency
-    for t, pos, adj in zip(times.tolist(), positions, adjacency):
+    for t, pos, adj in _grid_topology(config, times):
         graph = VisibilityGraph(adjacency=adj)
         yield ScheduleEntry(t=t, positions=pos, graph=graph, cliques=list_k_cliques(graph, k))
 
@@ -94,5 +113,20 @@ def iter_schedule(
 def build_clique_schedule(
     config: ConstellationConfig, times: list[float] | np.ndarray
 ) -> tuple[ScheduleEntry, ...]:
-    """Every entry of iter_schedule, with CLIQUE_SIZE-cliques, as a tuple."""
-    return tuple(iter_schedule(config, times))
+    """Every entry of iter_schedule, with CLIQUE_SIZE-cliques, as a tuple.
+
+    Cliques are listed once per distinct adjacency; entries with equal
+    adjacencies hold the same clique array, which is read-only so that no
+    caller can change one epoch's cliques through another.
+    """
+    listed: dict[bytes, np.ndarray] = {}
+    entries = []
+    for t, pos, adj in _grid_topology(config, times):
+        graph = VisibilityGraph(adjacency=adj)
+        key = adj.tobytes()
+        cliques = listed.get(key)
+        if cliques is None:
+            cliques = listed[key] = list_k_cliques(graph, CLIQUE_SIZE)
+            cliques.flags.writeable = False
+        entries.append(ScheduleEntry(t=t, positions=pos, graph=graph, cliques=cliques))
+    return tuple(entries)

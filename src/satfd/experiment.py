@@ -172,6 +172,8 @@ class CampaignContext:
         if not 0.0 < timestep < math.inf:
             raise ValueError(f"timestep must be > 0 and finite, got {timestep!r}")
         check_sigma_w(sigma_w)
+        if master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {master_seed}")
         if max(grid.fault_counts) > config.n_satellites:
             raise ValueError(f"fault counts must not exceed the {config.n_satellites} satellites")
         self.config = config

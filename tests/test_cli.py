@@ -374,12 +374,21 @@ class TestMonteCarloAndReport:
         ("thresholds", {"values": [{"label": "a", "value": 4.6e-7},
                                    {"label": "b", "value": -math.inf}]},
          "threshold 'b' must be finite, got -inf"),
+        ("n_trials", math.inf, "n_trials must be an integer, got inf"),
+        ("n_trials", math.nan, "n_trials must be an integer, got nan"),
+        ("delta_nf", math.inf, "delta_nf must be an integer, got inf"),
+        ("master_seed", -math.inf, "master_seed must be an integer, got -inf"),
+        ("fault_counts", [math.inf], "fault_counts must be an integer, got inf"),
+        ("dl_list", [math.nan], "dl_list must be an integer, got nan"),
+        ("master_seed", -1, "master_seed must be >= 0"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
             "fault_counts=5", "values-without-label", "sigma_w_m=NaN",
             "magnitudes_m=[Infinity]", "timestep_s=NaN", "timestep_s=Infinity", "values=[NaN]",
-            "values=[-Infinity]"])
+            "values=[-Infinity]", "n_trials=Infinity", "n_trials=NaN", "delta_nf=Infinity",
+            "master_seed=-Infinity", "fault_counts=[Infinity]", "dl_list=[NaN]",
+            "master_seed=-1"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"

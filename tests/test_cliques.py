@@ -1,4 +1,5 @@
 import itertools
+import math
 from math import comb
 
 import numpy as np
@@ -122,3 +123,18 @@ class TestSchedule:
         assert first.t == 0.0 and first.cliques.shape[1] == 4
         assert np.array_equal(first.cliques, list_k_cliques(first.graph, 4))
         assert [e.t for e in entries] == [60.0]
+
+    @pytest.mark.parametrize("name, distinct", [("elfo_moon", 144), ("walker_mars", 34)])
+    def test_held_schedule_shares_one_array_per_topology(self, name, distinct):
+        # One period plus 4 epochs, as a campaign with DL 5 holds it.
+        config = load_bundled(name)
+        times = 60.0 * np.arange(math.ceil(config.period / 60.0) + 4)
+        schedule = build_clique_schedule(config, times)
+        by_adjacency = {}
+        for e in schedule:
+            assert np.array_equal(e.cliques, list_k_cliques(e.graph, 6))
+            shared = by_adjacency.setdefault(e.graph.adjacency.tobytes(), e.cliques)
+            assert e.cliques is shared
+        assert len({id(e.cliques) for e in schedule}) == len(by_adjacency) == distinct
+        with pytest.raises(ValueError):
+            schedule[0].cliques[0, 0] = 0

@@ -24,6 +24,10 @@ The greedy loop must give the removal order and per-round vote counts of a
 reference that rebuilds its live set from every removed satellite each
 round.
 
+A held clique schedule (build_clique_schedule, one listing per distinct
+adjacency) must equal the per-epoch stream (iter_schedule) entry by entry
+on any time grid, repeated and unsorted epochs included.
+
 A campaign trial's shared analyses (CampaignContext.epoch_analyses, which
 analyses each distinct clique measurement once) must equal, field for
 field, analysing every fault config on its own measured ranges.  A trial's
@@ -45,7 +49,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satfd import edm
-from satfd.cliques import list_k_cliques
+from satfd.cliques import build_clique_schedule, iter_schedule, list_k_cliques
 from satfd.constellation import load_bundled, propagate
 from satfd.calibration import MlpPredictor, batch_features
 from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
@@ -134,6 +138,28 @@ def test_cliques_match_brute_force(graph, k):
     rows = found.tolist()
     assert all(a < b for a, b in zip(rows, rows[1:]))  # lexicographic, no repeats
     assert np.array_equal(found, brute_force_cliques(graph, k))
+
+
+SCHEDULE_CONFIGS = {name: load_bundled(name) for name in ("elfo_moon", "walker_mars")}
+
+# Epochs on the campaigns' 60 s grid, where adjacencies repeat, and anywhere
+# in the first two days.
+grid_epoch = st.one_of(st.integers(0, 1500).map(lambda i: 60.0 * i), st.floats(0.0, 2e5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.lists(grid_epoch, max_size=30))
+def test_held_schedule_equals_stream(name, drawn):
+    config = SCHEDULE_CONFIGS[name]
+    times = drawn + drawn[::2]  # repeats every other epoch, out of order
+    held = build_clique_schedule(config, times)
+    streamed = list(iter_schedule(config, times))
+    assert [e.t for e in held] == [e.t for e in streamed] == times
+    for h, s in zip(held, streamed, strict=True):
+        assert np.array_equal(h.positions, s.positions)
+        assert np.array_equal(h.graph.adjacency, s.graph.adjacency)
+        assert h.cliques.dtype == s.cliques.dtype
+        assert np.array_equal(h.cliques, s.cliques)
 
 
 @KERNEL
