@@ -18,8 +18,8 @@ position, gathered level by level, and stacked once at the end.
 A schedule composes propagate, build_visibility_graph and list_k_cliques
 over a time grid: positions and links are computed for the whole grid in
 one array pass.  Two forms read that pass.  iter_schedule streams one
-entry at a time and lists cliques at every epoch; sample_statistics and
-satfd cliques and detect take it.  build_clique_schedule holds every
+entry at a time and lists cliques at every epoch; sample_statistics,
+satfd cliques and satfd detect take it.  build_clique_schedule holds every
 entry and lists cliques once per distinct adjacency of the grid: entries
 with equal adjacencies share one read-only clique array.  The link
 topology barely moves along a 60 s grid (144 distinct adjacencies over
