@@ -37,6 +37,10 @@ BATCH_SIZE = 128
 MOMENTUM = 0.9
 # Training target: this percentile of gamma_test over a geometry's noise draws.
 TAIL_PERCENTILE = 99.7
+# Noise draws per target chunk of build_training_set (4 geometries at 300
+# draws): enough to pay numpy's per-call cost once for several geometries,
+# few enough that a chunk's arrays do not raise the process's peak memory.
+TARGET_CHUNK_MATRICES = 1200
 
 
 class EmptySampleError(ValueError):
@@ -389,7 +393,17 @@ def build_training_set(
     clique) pairs of one orbital period on the given step.  The feature
     vector comes from one analysis of the geometry's true ranges; the
     target is the empirical TAIL_PERCENTILE of gamma_test over n_noise
-    pair-noise draws on the clique's submatrix.
+    pair-noise draws on the clique's submatrix, drawn from the geometry's
+    own substream.
+
+    The work is batched in two passes.  Features: the geometries are
+    grouped by schedule entry, and each distinct entry takes one
+    true_ranges, one analysis of all its chosen cliques and one gather of
+    their exact submatrices.  Targets: consecutive geometries are
+    stacked into chunks of about TARGET_CHUNK_MATRICES noise draws (never
+    fewer than one geometry), and each chunk takes one centring, one
+    spectrum and one percentile, so memory stays flat in n_geometries.
+    Every row is bit for bit what the geometry gives on its own.
     """
     if n_noise < 300:
         raise ValueError(f"n_noise must be >= 300 to resolve the {TAIL_PERCENTILE} percentile")
@@ -407,15 +421,26 @@ def build_training_set(
     entry_of = np.searchsorted(starts, chosen, side="right") - 1
 
     feats = np.empty((n_geometries, FEATURE_DIM))
-    targets = np.empty(n_geometries)
-    for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
+    subs = np.empty((n_geometries, CLIQUE_SIZE, CLIQUE_SIZE))
+    for e in np.unique(entry_of):
+        rows = np.flatnonzero(entry_of == e)
         entry = schedule[e]
-        clique = entry.cliques[pool_idx - starts[e]]
+        cliques = entry.cliques[chosen[rows] - starts[e]]
         exact = true_ranges(entry.positions, entry.graph)
-        feats[g] = batch_features(edm.analyze_clique_batch(RangeMatrix(r=exact), clique[None]))[0]
+        feats[rows] = batch_features(edm.analyze_clique_batch(RangeMatrix(r=exact), cliques))
+        subs[rows] = exact[cliques[:, :, None], cliques[:, None, :]]
 
-        sub = exact[np.ix_(clique, clique)]
-        w = pair_noise(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w, size=(n_noise,))
-        s = edm.spectrum(edm.geometric_center((sub + w) ** 2))
-        targets[g] = np.percentile(edm.gamma_from_spectrum(s), TAIL_PERCENTILE)
+    targets = np.empty(n_geometries)
+    per_chunk = max(1, TARGET_CHUNK_MATRICES // n_noise)
+    for first in range(0, n_geometries, per_chunk):
+        last = min(first + per_chunk, n_geometries)
+        w = np.stack([
+            pair_noise(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w, size=(n_noise,))
+            for g in range(first, last)
+        ])
+        # A 3-D stack: geometric_center's matmul runs faster on it than on a 4-D one.
+        d = ((subs[first:last, None] + w) ** 2).reshape(-1, CLIQUE_SIZE, CLIQUE_SIZE)
+        gamma = edm.gamma_from_spectrum(edm.spectrum(edm.geometric_center(d)))
+        targets[first:last] = np.percentile(gamma.reshape(last - first, n_noise),
+                                            TAIL_PERCENTILE, axis=1)
     return feats, targets

@@ -50,6 +50,13 @@ def _seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative --seed, which seeds.substream cannot take, before
+    any output is written."""
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -140,6 +147,7 @@ def cmd_cliques(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_constellation(args.config)
     duration = config.period if args.duration is None else args.duration
+    _check_seed(args.seed)
     for p in args.percentiles:
         calibration.check_percentile(p)
     path = _outdir(args) / "thresholds.json"
@@ -155,6 +163,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train_predictor(args) -> int:
     config = _load_constellation(args.config)
+    _check_seed(args.seed)
     calibration.check_learning_rate(args.lr)
     calibration.check_epochs(args.epochs)
     path = _outdir(args) / "model.json"
@@ -179,6 +188,7 @@ def _satellite_ids(text: str) -> frozenset[int]:
 
 def cmd_detect(args) -> int:
     config = _load_constellation(args.config)
+    _check_seed(args.seed)
     if args.model is not None:
         try:
             threshold = calibration.MlpPredictor.load(args.model)
@@ -254,9 +264,9 @@ def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
 
 def _integer(value, field: str) -> int:
     """int(value), refusing a value that int() would truncate or cannot
-    convert (NaN, infinities)."""
+    convert (NaN, infinities), and a JSON boolean (True == 1 in Python)."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, bool) else int(value)
     except (OverflowError, ValueError):
         whole = None
     if whole is None or whole != value:

@@ -401,6 +401,21 @@ class TestMonteCarloAndReport:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("n_trials", True), ("fault_counts", [False])],
+                             ids=["n_trials=true", "fault_counts=[false]"])
+    def test_boolean_integer_rejected(self, tmp_path, capsys, field, value):
+        # int(True) == True, so a JSON boolean passes an int() round trip.
+        exp = self.experiment_file(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        shown = value if field == "n_trials" else value[0]
+        assert captured.err == (
+            f"error: invalid experiment config: {field} must be an integer, got {shown!r}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", [5, None], ids=["int", "null"])
     def test_non_string_constellation_rejected(self, tmp_path, capsys, name):
         exp = self.experiment_file(tmp_path, constellation=name)
@@ -571,6 +586,21 @@ class TestLibraryValueErrors:
         assert captured.out == ""
         assert not (out.exists() and any(out.iterdir()))
 
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--duration", "120"],
+        ["train-predictor"] + TINY_TRAINING,
+        ["detect", "--threshold", "4.6e-7", "--dump-ranges"],
+    ], ids=["calibrate", "train-predictor", "detect"])
+    def test_negative_seed_refused_before_out(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv[:1] + ["--config", "elfo_moon", "--seed", "-1", "--out", str(out)]
+                  + argv[1:])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_learning_rate_checked_before_the_training_set(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):

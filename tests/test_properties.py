@@ -35,6 +35,12 @@ cell counts (which flag each analysed row once per threshold and take
 each detection length as a row prefix) must equal a reference that
 measures, analyses and detects every cell on its own, and a campaign's
 results must not depend on its worker count.
+
+The predictor's training set (build_training_set, which analyses each
+schedule entry once and computes targets over chunks of geometries) must
+equal, bit for bit, a reference that builds one geometry at a time, and a
+call for n geometries must give the first n rows of a call for more, so
+no row depends on where a chunk boundary falls.
 """
 
 import copy
@@ -49,9 +55,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satfd import edm
-from satfd.cliques import build_clique_schedule, iter_schedule, list_k_cliques
+from satfd.cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule, list_k_cliques
 from satfd.constellation import load_bundled, propagate
-from satfd.calibration import MlpPredictor, batch_features
+from satfd.calibration import (
+    FEATURE_DIM,
+    TAIL_PERCENTILE,
+    MlpPredictor,
+    batch_features,
+    build_training_set,
+    sampling_times,
+)
 from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
 from satfd.experiment import (
     CampaignContext,
@@ -61,8 +74,8 @@ from satfd.experiment import (
     run_campaign,
 )
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
-from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
-from satfd.seeds import EPOCH_NOISE, substream
+from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges, pair_noise, true_ranges
+from satfd.seeds import EPOCH_NOISE, TRAINING, substream
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -565,3 +578,45 @@ def test_campaign_results_do_not_depend_on_worker_count():
     # With 2 or 3 workers, 13 trials run in chunks of 2 plus one of 1.
     serial, *parallel = [run_campaign(ctx, n_trials=13, workers=w) for w in (1, 2, 3)]
     assert parallel == [serial, serial]
+
+
+def reference_training_set(config, sigma_w, n_geometries, n_noise, seed, step):
+    """build_training_set one geometry at a time: one analysis of its
+    clique's true ranges, and one spectrum of its own noise draws."""
+    schedule = build_clique_schedule(config, sampling_times(step, config.period))
+    counts = np.array([len(entry.cliques) for entry in schedule])
+    starts = np.cumsum(counts) - counts
+    chosen = substream(seed, TRAINING, 0).integers(int(counts.sum()), size=n_geometries)
+    entry_of = np.searchsorted(starts, chosen, side="right") - 1
+    feats = np.empty((n_geometries, FEATURE_DIM))
+    targets = np.empty(n_geometries)
+    for g, (e, pool_idx) in enumerate(zip(entry_of, chosen)):
+        entry = schedule[e]
+        clique = entry.cliques[pool_idx - starts[e]]
+        exact = true_ranges(entry.positions, entry.graph)
+        feats[g] = batch_features(edm.analyze_clique_batch(RangeMatrix(r=exact), clique[None]))[0]
+        sub = exact[np.ix_(clique, clique)]
+        w = pair_noise(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w, size=(n_noise,))
+        s = edm.spectrum(edm.geometric_center((sub + w) ** 2))
+        targets[g] = np.percentile(edm.gamma_from_spectrum(s), TAIL_PERCENTILE)
+    return feats, targets
+
+
+# Up to 18 geometries cross chunk boundaries at every n_noise drawn (4, 3
+# and 2 geometries per chunk); the coarse step puts several geometries on
+# one schedule entry, the fine one spreads them out.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
+       st.integers(1, 12), st.integers(1, 6), st.sampled_from([300, 301, 457]),
+       st.sampled_from([0.0, 0.5, 1.0, 5.0]), st.sampled_from([600.0, 7200.0]))
+def test_training_set_equals_per_geometry_reference(name, seed, n, extra, n_noise, sigma_w,
+                                                    step):
+    config = SCHEDULE_CONFIGS[name]
+    feats, targets = build_training_set(config, sigma_w, n + extra, n_noise, seed, step)
+    ref_feats, ref_targets = reference_training_set(config, sigma_w, n + extra, n_noise,
+                                                    seed, step)
+    assert np.array_equal(feats, ref_feats)
+    assert np.array_equal(targets, ref_targets)
+    head_feats, head_targets = build_training_set(config, sigma_w, n, n_noise, seed, step)
+    assert np.array_equal(head_feats, feats[:n])
+    assert np.array_equal(head_targets, targets[:n])
