@@ -24,14 +24,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, experiment
 from .cliques import iter_schedule
-from .constellation import ConstellationConfig, propagate, resolve_config
+from .constellation import propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
 from .ranging import FaultConfig, measure_ranges
@@ -74,13 +73,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _load_constellation(name: str) -> ConstellationConfig:
-    try:
-        return resolve_config(name)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot load constellation config: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -90,7 +82,7 @@ PROPAGATE_BLOCK = 4096
 
 
 def cmd_propagate(args) -> int:
-    config = _load_constellation(args.config)
+    config = resolve_config(args.config)
     # A non-finite span would write rows without end; so would one whose
     # epoch count overflows a float.
     if not (0.0 < args.step < math.inf and -math.inf < args.t_start <= args.t_end < math.inf
@@ -120,7 +112,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    config = _load_constellation(args.config)
+    config = resolve_config(args.config)
     edges = build_visibility_graph(propagate(config, args.t), config.body.radius).edges()
     path = _outdir(args) / "edges.csv"
     _write_csv(path, ["t", "i", "j"], ([repr(args.t), i, j] for i, j in edges))
@@ -129,7 +121,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    config = _load_constellation(args.config)
+    config = resolve_config(args.config)
     if args.k < 1:
         raise ValueError("need k >= 1")
     found = next(iter_schedule(config, [args.t], args.k)).cliques
@@ -145,7 +137,7 @@ def cmd_cliques(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = _load_constellation(args.config)
+    config = resolve_config(args.config)
     duration = config.period if args.duration is None else args.duration
     _check_seed(args.seed)
     for p in args.percentiles:
@@ -162,7 +154,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train_predictor(args) -> int:
-    config = _load_constellation(args.config)
+    config = resolve_config(args.config)
     _check_seed(args.seed)
     calibration.check_learning_rate(args.lr)
     calibration.check_epochs(args.epochs)
@@ -187,7 +179,7 @@ def _satellite_ids(text: str) -> frozenset[int]:
 
 
 def cmd_detect(args) -> int:
-    config = _load_constellation(args.config)
+    config = resolve_config(args.config)
     _check_seed(args.seed)
     if args.model is not None:
         try:
@@ -234,102 +226,15 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _thresholds_from_spec(raw: dict, sample) -> list[experiment.ThresholdSpec]:
-    """Grid thresholds; percentile values are NaN until a sample is given."""
-    if "percentiles" in raw:
-        for p in raw["percentiles"]:
-            calibration.check_percentile(p)
-        return [
-            experiment.ThresholdSpec(label=f"p{p:g}", value=(
-                math.nan if sample is None else calibration.percentile(sample, p)))
-            for p in raw["percentiles"]
-        ]
-    if "values" in raw:
-        specs = [
-            experiment.ThresholdSpec(label=str(v["label"]), value=float(v["value"]))
-            for v in raw["values"]
-        ]
-        for spec in specs:
-            if not math.isfinite(spec.value):
-                raise ValueError(f"threshold {spec.label!r} must be finite, got {spec.value!r}")
-        return specs
-    if "model" in raw:
-        return [
-            experiment.ThresholdSpec(
-                label="predicted", value=calibration.MlpPredictor.load(raw["model"])
-            )
-        ]
-    raise ValueError("thresholds must give 'percentiles', 'values', or 'model'")
-
-
-def _integer(value, field: str) -> int:
-    """int(value), refusing a value that int() would truncate or cannot
-    convert (NaN, infinities), and a JSON boolean (True == 1 in Python)."""
-    try:
-        whole = None if isinstance(value, bool) else int(value)
-    except (OverflowError, ValueError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return whole
-
-
-def load_experiment_config(path: str | Path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read experiment config: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"invalid experiment config: {path} must be a JSON object, "
-                         f"not {type(raw).__name__}")
-    for field in ("constellation", "sigma_w_m", "fault_counts", "magnitudes_m",
-                  "thresholds", "dl_list", "n_trials", "master_seed"):
-        if field not in raw:
-            raise ValueError(f"experiment config missing field {field!r}")
-    raw.setdefault("timestep_s", 60.0)
-    return raw
-
-
 def cmd_montecarlo(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    raw = load_experiment_config(args.experiment)
-    # str(): resolve_config would take an integer for a file descriptor.
-    config = _load_constellation(str(raw["constellation"]))
-    spec = raw["thresholds"]
-    try:
-        sigma_w = float(raw["sigma_w_m"])
-        step = float(raw["timestep_s"])
-        seed = _integer(raw["master_seed"], "master_seed")
-        n_trials = _integer(raw["n_trials"], "n_trials")
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        grid = experiment.ExperimentGrid(
-            fault_counts=tuple(_integer(v, "fault_counts") for v in raw["fault_counts"]),
-            magnitudes=tuple(float(v) for v in raw["magnitudes_m"]),
-            thresholds=tuple(_thresholds_from_spec(spec, sample=None)),
-            dls=tuple(_integer(v, "dl_list") for v in raw["dl_list"]),
-        )
-        ctx = experiment.CampaignContext(
-            config=config, sigma_w=sigma_w, grid=grid, master_seed=seed, timestep=step,
-            delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
-            delta_rf=float(raw.get("delta_rf", 0.2)),
-        )
-        if "percentiles" in spec:
-            calibration.sampling_times(step, config.period)  # refuses a step beyond one period
-    except KeyError as exc:
-        raise ValueError(f"invalid experiment config: missing field {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
-        raise ValueError(f"invalid experiment config: {exc}") from exc
-    # Calibrate and run only once the grid and the campaign have passed their
-    # checks and the output directory exists.
+    spec = experiment.ExperimentSpec.load(args.experiment)
+    # Calibrate and run only once the output directory exists.
     path = _outdir(args) / "results.csv"
-    if "percentiles" in spec:
-        sample = calibration.sample_statistics(config, sigma_w, step, config.period, seed=seed)
-        ctx.grid = replace(grid, thresholds=tuple(_thresholds_from_spec(spec, sample)))
-    results = experiment.run_campaign(ctx, n_trials, workers=args.threads)
+    results = experiment.run_campaign(spec.calibrated(), spec.n_trials, workers=args.threads)
     experiment.write_results_csv(path, results)
-    print(f"wrote {path} ({len(results)} cells x {n_trials} trials)")
+    print(f"wrote {path} ({len(results)} cells x {spec.n_trials} trials)")
     return 0
 
 

@@ -267,7 +267,11 @@ def load_bundled(name: str) -> ConstellationConfig:
 
 
 def resolve_config(name_or_path: str | Path) -> ConstellationConfig:
-    """Accept either a bundled config name or a filesystem path."""
-    if isinstance(name_or_path, str) and name_or_path in BUNDLED_CONFIGS:
-        return load_bundled(name_or_path)
-    return load_config(name_or_path)
+    """Accept either a bundled config name or a filesystem path; one
+    ValueError, prefixed "cannot load constellation config:", otherwise."""
+    try:
+        if isinstance(name_or_path, str) and name_or_path in BUNDLED_CONFIGS:
+            return load_bundled(name_or_path)
+        return load_config(name_or_path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load constellation config: {exc}") from exc

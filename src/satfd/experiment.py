@@ -32,7 +32,9 @@ cell's verdict equals analysing that cell alone, bit for bit.
 
 from __future__ import annotations
 
+import copy
 import csv
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -41,12 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import edm
-from .calibration import MlpPredictor
+from . import calibration, edm
 # list_k_cliques is bound here only so that perfbench's tracer, which wraps
 # every module binding of a traced function, finds it in this module too.
 from .cliques import build_clique_schedule, list_k_cliques  # noqa: F401
-from .constellation import ConstellationConfig
+from .constellation import ConstellationConfig, resolve_config
 from .detector import (
     DetectorParams,
     FlagTable,
@@ -63,7 +64,7 @@ class ThresholdSpec:
     """A labeled detection threshold: a fixed value or a trained predictor."""
 
     label: str
-    value: float | MlpPredictor
+    value: float | calibration.MlpPredictor
 
     @property
     def scalar(self) -> float:
@@ -361,7 +362,7 @@ def run_campaign(
 
 
 # ---------------------------------------------------------------------------
-# Results table I/O.
+# Files: results tables and experiment configs.
 # ---------------------------------------------------------------------------
 
 RESULT_COLUMNS = [
@@ -392,3 +393,92 @@ def read_results_csv(path: str | Path) -> list[dict]:
                 f"results file has columns {reader.fieldnames}, want {RESULT_COLUMNS}"
             )
         return [dict(row) for row in reader]
+
+
+def _integer(value, field: str) -> int:
+    """int(value), refusing a JSON boolean and a value that int() would change or cannot take."""
+    try:
+        whole = None if isinstance(value, bool) else int(value)
+    except (OverflowError, ValueError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return whole
+
+
+def _thresholds(spec: dict) -> tuple[tuple[ThresholdSpec, ...], tuple[float, ...]]:
+    """An experiment file's grid thresholds and its percentiles (empty unless
+    it gives them); percentile values are NaN until ExperimentSpec.calibrated."""
+    if "percentiles" in spec:
+        percentiles = tuple(spec["percentiles"])
+        for p in percentiles:
+            calibration.check_percentile(p)
+        return tuple(ThresholdSpec(f"p{p:g}", math.nan) for p in percentiles), percentiles
+    if "values" in spec:
+        thresholds = tuple(ThresholdSpec(str(v["label"]), float(v["value"])) for v in spec["values"])
+        for thr in thresholds:
+            if not math.isfinite(thr.value):
+                raise ValueError(f"threshold {thr.label!r} must be finite, got {thr.value!r}")
+        return thresholds, ()
+    if "model" in spec:
+        return (ThresholdSpec("predicted", calibration.MlpPredictor.load(spec["model"])),), ()
+    raise ValueError("thresholds must give 'percentiles', 'values', or 'model'")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """A checked experiment file; percentile thresholds are NaN in context until calibrated()."""
+
+    context: CampaignContext
+    n_trials: int
+    timestep: float
+    percentiles: tuple[float, ...]  # empty unless the thresholds are percentiles
+
+    @classmethod
+    def load(cls, path: str | Path) -> ExperimentSpec:
+        """Read and check an experiment file, before anything is calibrated or written."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read experiment config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"invalid experiment config: {path} must be a JSON object, not {type(raw).__name__}")
+        try:
+            # str(): resolve_config would take an integer for a file descriptor.
+            config = resolve_config(str(raw["constellation"]))
+            try:  # resolve_config's errors carry their own prefix.
+                sigma_w = float(raw["sigma_w_m"])
+                timestep = float(raw.get("timestep_s", 60.0))
+                master_seed = _integer(raw["master_seed"], "master_seed")
+                n_trials = _integer(raw["n_trials"], "n_trials")
+                if n_trials < 1:
+                    raise ValueError("n_trials must be >= 1")
+                fault_counts = tuple(_integer(v, "fault_counts") for v in raw["fault_counts"])
+                magnitudes = tuple(float(v) for v in raw["magnitudes_m"])
+                thresholds, percentiles = _thresholds(raw["thresholds"])
+                grid = ExperimentGrid(fault_counts, magnitudes, thresholds,
+                                      tuple(_integer(v, "dl_list") for v in raw["dl_list"]))
+                context = CampaignContext(
+                    config, sigma_w, grid, master_seed, timestep,
+                    delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
+                    delta_rf=float(raw.get("delta_rf", 0.2)))
+                if percentiles:  # refuses a step that leaves no calibration epoch
+                    calibration.sampling_times(timestep, config.period)
+            except (OSError, ValueError, TypeError) as exc:
+                raise ValueError(f"invalid experiment config: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"invalid experiment config: missing field {exc}") from exc
+        return cls(context, n_trials, timestep, percentiles)
+
+    def calibrated(self) -> CampaignContext:
+        """context, or a shallow copy of it whose grid holds the calibrated percentiles."""
+        ctx = self.context
+        if not self.percentiles:
+            return ctx
+        sample = calibration.sample_statistics(
+            ctx.config, ctx.sigma_w, self.timestep, ctx.config.period, seed=ctx.master_seed)
+        run = copy.copy(ctx)
+        run.grid = replace(ctx.grid, thresholds=tuple(
+            replace(thr, value=calibration.percentile(sample, p))
+            for thr, p in zip(ctx.grid.thresholds, self.percentiles)))
+        return run

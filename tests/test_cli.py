@@ -401,6 +401,22 @@ class TestMonteCarloAndReport:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["constellation", "sigma_w_m", "fault_counts",
+                                       "magnitudes_m", "thresholds", "dl_list", "n_trials",
+                                       "master_seed"])
+    def test_missing_field_rejected(self, tmp_path, capsys, field):
+        exp = self.experiment_file(tmp_path)
+        raw = json.loads(exp.read_text(encoding="utf-8"))
+        del raw[field]
+        exp.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid experiment config: missing field {field!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("n_trials", True), ("fault_counts", [False])],
                              ids=["n_trials=true", "fault_counts=[false]"])
     def test_boolean_integer_rejected(self, tmp_path, capsys, field, value):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from satfd import experiment
+from satfd import calibration, experiment
 from satfd.constellation import load_bundled
 from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
 from satfd.experiment import (
@@ -11,6 +12,7 @@ from satfd.experiment import (
     CellResult,
     ConfusionCounts,
     ExperimentGrid,
+    ExperimentSpec,
     ThresholdSpec,
     compute_metrics,
     read_results_csv,
@@ -220,6 +222,50 @@ class TestRunCampaign:
         assert len(single) == 1 and len(repeated) == 2
         assert [r.counts for r in repeated] == [single[0].counts] * 2
         assert [r.metrics for r in repeated] == [single[0].metrics] * 2
+
+
+class TestExperimentSpec:
+    @staticmethod
+    def load(tmp_path, thresholds):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "constellation": "elfo_moon", "sigma_w_m": 2.0, "fault_counts": [1],
+            "magnitudes_m": [20.0], "thresholds": thresholds, "dl_list": [1],
+            "n_trials": 3, "master_seed": 7, "timestep_s": 120,
+        }), encoding="utf-8")
+        return ExperimentSpec.load(path)
+
+    def test_calibrated_copies_the_context(self, tmp_path, monkeypatch):
+        sample = calibration.StatisticSample(
+            values=np.linspace(0.0, 1e-6, 101), constellation="Moon", sigma_w=2.0)
+        calls = []
+
+        def sample_statistics(config, sigma_w, step, duration, seed):
+            calls.append((sigma_w, step, duration, seed))
+            return sample
+
+        monkeypatch.setattr(calibration, "sample_statistics", sample_statistics)
+        spec = self.load(tmp_path, {"percentiles": [50, 99]})
+        assert calls == []
+        ctx = spec.calibrated()
+        assert calls == [(2.0, 120.0, spec.context.config.period, 7)]
+        assert [(thr.label, thr.value) for thr in ctx.grid.thresholds] == [
+            ("p50", calibration.percentile(sample, 50)),
+            ("p99", calibration.percentile(sample, 99)),
+        ]
+        assert ctx is not spec.context and ctx.schedule is spec.context.schedule
+        assert [thr.label for thr in spec.context.grid.thresholds] == ["p50", "p99"]
+        assert all(math.isnan(thr.value) for thr in spec.context.grid.thresholds)
+
+    def test_fixed_thresholds_need_no_calibration(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("calibrated a campaign with fixed thresholds")
+
+        monkeypatch.setattr(calibration, "sample_statistics", never)
+        spec = self.load(tmp_path, {"values": [{"label": "p99", "value": P99}]})
+        assert spec.calibrated() is spec.context
+        assert (spec.n_trials, spec.timestep, spec.percentiles) == (3, 120.0, ())
+        assert spec.context.grid == small_grid()
 
 
 class TestThresholdSpec:
