@@ -273,5 +273,6 @@ def resolve_config(name_or_path: str | Path) -> ConstellationConfig:
         if isinstance(name_or_path, str) and name_or_path in BUNDLED_CONFIGS:
             return load_bundled(name_or_path)
         return load_config(name_or_path)
-    except (OSError, ValueError) as exc:
+    # A TypeError is a field of the wrong JSON type, such as "satellites": 5.
+    except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot load constellation config: {exc}") from exc

@@ -395,6 +395,11 @@ def read_results_csv(path: str | Path) -> list[dict]:
         return [dict(row) for row in reader]
 
 
+# Every field an experiment file may give.
+_FIELDS = frozenset({"constellation", "sigma_w_m", "fault_counts", "magnitudes_m", "thresholds",
+                     "dl_list", "n_trials", "master_seed", "timestep_s", "delta_nf", "delta_rf"})
+
+
 def _integer(value, field: str) -> int:
     """int(value), refusing a JSON boolean and a value that int() would change or cannot take."""
     try:
@@ -406,23 +411,51 @@ def _integer(value, field: str) -> int:
     return whole
 
 
-def _thresholds(spec: dict) -> tuple[tuple[ThresholdSpec, ...], tuple[float, ...]]:
+def _number(value, field: str) -> float:
+    """float(value), refusing anything but a JSON number (a boolean or a
+    string included) and an integer beyond the range of a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{field} must be a finite number: {exc}") from None
+
+
+def _array(raw: dict, field: str):
+    """raw[field], refusing a string or an object, which would iterate as
+    characters or keys; a number fails where it is iterated."""
+    value = raw[field]
+    if isinstance(value, (str, dict)):
+        raise ValueError(f"{field} must be an array, got {value!r}")
+    return value
+
+
+def _thresholds(spec) -> tuple[tuple[ThresholdSpec, ...], tuple[float, ...]]:
     """An experiment file's grid thresholds and its percentiles (empty unless
     it gives them); percentile values are NaN until ExperimentSpec.calibrated."""
-    if "percentiles" in spec:
-        percentiles = tuple(spec["percentiles"])
+    if not (isinstance(spec, dict) and len(spec) == 1
+            and spec.keys() <= {"percentiles", "values", "model"}):
+        raise ValueError("thresholds must be an object giving exactly one of 'percentiles', "
+                         f"'values' or 'model', got {spec!r}")
+    [kind] = spec
+    if kind == "percentiles":
+        percentiles = tuple(_number(p, "percentiles") for p in _array(spec, "percentiles"))
         for p in percentiles:
             calibration.check_percentile(p)
         return tuple(ThresholdSpec(f"p{p:g}", math.nan) for p in percentiles), percentiles
-    if "values" in spec:
-        thresholds = tuple(ThresholdSpec(str(v["label"]), float(v["value"])) for v in spec["values"])
-        for thr in thresholds:
-            if not math.isfinite(thr.value):
-                raise ValueError(f"threshold {thr.label!r} must be finite, got {thr.value!r}")
-        return thresholds, ()
-    if "model" in spec:
-        return (ThresholdSpec("predicted", calibration.MlpPredictor.load(spec["model"])),), ()
-    raise ValueError("thresholds must give 'percentiles', 'values', or 'model'")
+    if kind == "values":
+        thresholds = []
+        for v in _array(spec, "values"):
+            if not isinstance(v, dict):
+                raise ValueError(f"values entries must be objects, got {v!r}")
+            label = str(v["label"])
+            value = _number(v["value"], f"threshold {label!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"threshold {label!r} must be finite, got {value!r}")
+            thresholds.append(ThresholdSpec(label, value))
+        return tuple(thresholds), ()
+    return (ThresholdSpec("predicted", calibration.MlpPredictor.load(spec["model"])),), ()
 
 
 @dataclass(frozen=True)
@@ -443,25 +476,28 @@ class ExperimentSpec:
             raise ValueError(f"cannot read experiment config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"invalid experiment config: {path} must be a JSON object, not {type(raw).__name__}")
+        unknown = [name for name in raw if name not in _FIELDS]
+        if unknown:
+            raise ValueError(f"invalid experiment config: unknown field {unknown[0]!r}")
         try:
             # str(): resolve_config would take an integer for a file descriptor.
             config = resolve_config(str(raw["constellation"]))
             try:  # resolve_config's errors carry their own prefix.
-                sigma_w = float(raw["sigma_w_m"])
-                timestep = float(raw.get("timestep_s", 60.0))
+                sigma_w = _number(raw["sigma_w_m"], "sigma_w_m")
+                timestep = _number(raw.get("timestep_s", 60.0), "timestep_s")
                 master_seed = _integer(raw["master_seed"], "master_seed")
                 n_trials = _integer(raw["n_trials"], "n_trials")
                 if n_trials < 1:
                     raise ValueError("n_trials must be >= 1")
-                fault_counts = tuple(_integer(v, "fault_counts") for v in raw["fault_counts"])
-                magnitudes = tuple(float(v) for v in raw["magnitudes_m"])
+                fault_counts = tuple(_integer(v, "fault_counts") for v in _array(raw, "fault_counts"))
+                magnitudes = tuple(_number(v, "magnitudes_m") for v in _array(raw, "magnitudes_m"))
                 thresholds, percentiles = _thresholds(raw["thresholds"])
-                grid = ExperimentGrid(fault_counts, magnitudes, thresholds,
-                                      tuple(_integer(v, "dl_list") for v in raw["dl_list"]))
+                dls = tuple(_integer(v, "dl_list") for v in _array(raw, "dl_list"))
+                grid = ExperimentGrid(fault_counts, magnitudes, thresholds, dls)
                 context = CampaignContext(
                     config, sigma_w, grid, master_seed, timestep,
                     delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
-                    delta_rf=float(raw.get("delta_rf", 0.2)))
+                    delta_rf=_number(raw.get("delta_rf", 0.2), "delta_rf"))
                 if percentiles:  # refuses a step that leaves no calibration epoch
                     calibration.sampling_times(timestep, config.period)
             except (OSError, ValueError, TypeError) as exc:

@@ -117,6 +117,20 @@ class TestPropagate:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("config, message", [
+        ({"body": 5, "satellites": []}, "'int' object is not subscriptable"),
+        ({"body": {"name": "Moon", "mu_km3_s2": 4902.8, "radius_km": 1737.4}, "satellites": 5},
+         "'int' object is not iterable"),
+    ], ids=["body=5", "satellites=5"])
+    def test_config_field_of_wrong_type_rejected(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc = main(["graph", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cannot load constellation config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestGraphAndCliques:
     def test_graph_edges(self, tmp_path):
         rc = main(["graph", "--config", "elfo_moon", "--out", str(tmp_path), "--t", "0"])
@@ -429,6 +443,53 @@ class TestMonteCarloAndReport:
         shown = value if field == "n_trials" else value[0]
         assert captured.err == (
             f"error: invalid experiment config: {field} must be an integer, got {shown!r}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma_w_m", True, "sigma_w_m must be a number, got True"),
+        ("sigma_w_m", 10**400, "sigma_w_m must be a finite number: "
+                               "int too large to convert to float"),
+        ("magnitudes_m", [True], "magnitudes_m must be a number, got True"),
+        ("timestep_s", "60", "timestep_s must be a number, got '60'"),
+        ("delta_rf", "0.5", "delta_rf must be a number, got '0.5'"),
+        ("thresholds", {"percentiles": ["99"]}, "percentiles must be a number, got '99'"),
+        ("thresholds", {"values": [{"label": "x", "value": True}]},
+         "threshold 'x' must be a number, got True"),
+        ("magnitudes_m", "20", "magnitudes_m must be an array, got '20'"),
+        ("fault_counts", {"1": 1}, "fault_counts must be an array, got {'1': 1}"),
+        ("dl_list", "1", "dl_list must be an array, got '1'"),
+        ("thresholds", {"percentiles": "99"}, "percentiles must be an array, got '99'"),
+        ("thresholds", {"values": {"label": "x", "value": 4.6e-7}},
+         "values must be an array, got {'label': 'x', 'value': 4.6e-07}"),
+        ("thresholds", {"values": ["x"]}, "values entries must be objects, got 'x'"),
+        ("timestep", 120, "unknown field 'timestep'"),
+        ("delta_rff", 0.9, "unknown field 'delta_rff'"),
+        ("thresholds", {"percentiles": [99], "values": []},
+         "thresholds must be an object giving exactly one of 'percentiles', 'values' or "
+         "'model', got {'percentiles': [99], 'values': []}"),
+        ("thresholds", {"percentilez": [99]},
+         "thresholds must be an object giving exactly one of 'percentiles', 'values' or "
+         "'model', got {'percentilez': [99]}"),
+        ("thresholds", "p99",
+         "thresholds must be an object giving exactly one of 'percentiles', 'values' or "
+         "'model', got 'p99'"),
+    ], ids=["sigma_w_m=true", "sigma_w_m=1e400", "magnitudes_m=[true]", "timestep_s='60'",
+            "delta_rf='0.5'", "percentiles=['99']", "value=true", "magnitudes_m='20'",
+            "fault_counts={}", "dl_list='1'", "percentiles='99'", "values={}",
+            "values=['x']", "timestep", "delta_rff", "percentiles+values", "percentilez",
+            "thresholds='p99'"])
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, monkeypatch, field, value, message):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated an experiment file that failed its checks")
+
+        monkeypatch.setattr(calibration, "sample_statistics", calibrate)
+        exp = self.experiment_file(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid experiment config: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 
