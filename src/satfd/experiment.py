@@ -460,7 +460,7 @@ def _thresholds(spec) -> tuple[tuple[ThresholdSpec, ...], tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A checked experiment file; percentile thresholds are NaN in context until calibrated()."""
+    """A checked experiment file; context keeps NaN percentile thresholds (see calibrated())."""
 
     context: CampaignContext
     n_trials: int
