@@ -15,6 +15,10 @@ All outputs are UTF-8 CSV/JSON.  Every command is deterministic given its
 config and seed.  Only calibrate, train-predictor and detect take --seed
 (montecarlo reads master_seed from its experiment file), and only
 montecarlo takes --threads.
+
+Each command imports only the modules it runs: calibration and experiment
+are imported inside the commands that use them, so detect --threshold
+loads neither, and detect --model loads calibration.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, experiment
 from .cliques import iter_schedule
 from .constellation import propagate, resolve_config
 from .detector import DetectorParams, detect_faults
@@ -137,6 +140,8 @@ def cmd_cliques(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import calibration
+
     config = resolve_config(args.config)
     duration = config.period if args.duration is None else args.duration
     _check_seed(args.seed)
@@ -154,6 +159,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train_predictor(args) -> int:
+    from . import calibration
+
     config = resolve_config(args.config)
     _check_seed(args.seed)
     calibration.check_learning_rate(args.lr)
@@ -182,8 +189,10 @@ def cmd_detect(args) -> int:
     config = resolve_config(args.config)
     _check_seed(args.seed)
     if args.model is not None:
+        from .calibration import MlpPredictor
+
         try:
-            threshold = calibration.MlpPredictor.load(args.model)
+            threshold = MlpPredictor.load(args.model)
         except OSError as exc:
             raise ValueError(f"cannot load threshold model: {exc}") from exc
     elif args.threshold is not None:
@@ -227,6 +236,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from . import experiment
+
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     spec = experiment.ExperimentSpec.load(args.experiment)
@@ -239,6 +250,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import experiment
+
     try:
         rows = experiment.read_results_csv(args.results)
     except OSError as exc:

@@ -377,7 +377,7 @@ class TestMonteCarloAndReport:
         ("master_seed", 1.5, "master_seed must be an integer"),
         ("sigma_w_m", -1, "sigma_w must be >= 0"),
         ("n_trials", "5", "n_trials must be an integer"),
-        ("fault_counts", 5, "not iterable"),
+        ("fault_counts", 5, "fault_counts must be an array, got 5"),
         ("thresholds", {"values": [{"value": 4.6e-7}]}, "missing field 'label'"),
         ("sigma_w_m", math.nan, "sigma_w must be >= 0 and finite, got nan"),
         ("magnitudes_m", [math.inf], "fault magnitudes must be >= 0 and finite"),
@@ -395,6 +395,7 @@ class TestMonteCarloAndReport:
         ("fault_counts", [math.inf], "fault_counts must be an integer, got inf"),
         ("dl_list", [math.nan], "dl_list must be an integer, got nan"),
         ("master_seed", -1, "master_seed must be >= 0"),
+        ("dl_list", None, "dl_list must be an array, got None"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
@@ -402,7 +403,7 @@ class TestMonteCarloAndReport:
             "magnitudes_m=[Infinity]", "timestep_s=NaN", "timestep_s=Infinity", "values=[NaN]",
             "values=[-Infinity]", "n_trials=Infinity", "n_trials=NaN", "delta_nf=Infinity",
             "master_seed=-Infinity", "fault_counts=[Infinity]", "dl_list=[NaN]",
-            "master_seed=-1"])
+            "master_seed=-1", "dl_list=null"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"
@@ -474,11 +475,13 @@ class TestMonteCarloAndReport:
         ("thresholds", "p99",
          "thresholds must be an object giving exactly one of 'percentiles', 'values' or "
          "'model', got 'p99'"),
+        ("thresholds", {"model": 0}, "model must be a file path string, got 0"),
+        ("thresholds", {"model": None}, "model must be a file path string, got None"),
     ], ids=["sigma_w_m=true", "sigma_w_m=1e400", "magnitudes_m=[true]", "timestep_s='60'",
             "delta_rf='0.5'", "percentiles=['99']", "value=true", "magnitudes_m='20'",
             "fault_counts={}", "dl_list='1'", "percentiles='99'", "values={}",
             "values=['x']", "timestep", "delta_rff", "percentiles+values", "percentilez",
-            "thresholds='p99'"])
+            "thresholds='p99'", "model=0", "model=null"])
     def test_wrong_json_type_rejected(self, tmp_path, capsys, monkeypatch, field, value, message):
         def calibrate(*args, **kwargs):
             raise AssertionError("calibrated an experiment file that failed its checks")
