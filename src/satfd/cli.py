@@ -189,10 +189,10 @@ def cmd_detect(args) -> int:
     config = resolve_config(args.config)
     _check_seed(args.seed)
     if args.model is not None:
-        from .calibration import MlpPredictor
+        from . import calibration
 
         try:
-            threshold = MlpPredictor.load(args.model)
+            threshold = calibration.MlpPredictor.load(args.model)
         except OSError as exc:
             raise ValueError(f"cannot load threshold model: {exc}") from exc
     elif args.threshold is not None:
