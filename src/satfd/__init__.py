@@ -18,7 +18,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 # Home module -> the public names it exports here.  Every key is also a
-# submodule name (satfd.experiment, ...); cli and seeds export no names.
+# submodule name (satfd.experiment, ...); cli, results and seeds export no names.
 _EXPORTS = {
     "constellation": ("BodyParams", "ConstellationConfig", "OrbitalElements", "load_bundled",
                       "load_config", "orbital_period", "propagate", "solve_kepler"),
@@ -32,6 +32,7 @@ _EXPORTS = {
     "experiment": ("CampaignContext", "ConfusionCounts", "ExperimentGrid", "MetricSet",
                    "ThresholdSpec", "compute_metrics", "run_campaign"),
     "cli": (),
+    "results": (),
     "seeds": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

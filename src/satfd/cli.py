@@ -16,9 +16,10 @@ config and seed.  Only calibrate, train-predictor and detect take --seed
 (montecarlo reads master_seed from its experiment file), and only
 montecarlo takes --threads.
 
-Each command imports only the modules it runs: calibration and experiment
-are imported inside the commands that use them, so detect --threshold
-loads neither, and detect --model loads calibration.
+Each command imports only the modules it runs: calibration, experiment
+and results are imported inside the commands that use them, so detect
+--threshold loads none of them, detect --model loads calibration, and
+report loads only results (the standard-library CSV reader).
 """
 
 from __future__ import annotations
@@ -236,24 +237,24 @@ def cmd_detect(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    from . import experiment
+    from . import experiment, results
 
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     spec = experiment.ExperimentSpec.load(args.experiment)
     # Calibrate and run only once the output directory exists.
     path = _outdir(args) / "results.csv"
-    results = experiment.run_campaign(spec.calibrated(), spec.n_trials, workers=args.threads)
-    experiment.write_results_csv(path, results)
-    print(f"wrote {path} ({len(results)} cells x {spec.n_trials} trials)")
+    cells = experiment.run_campaign(spec.calibrated(), spec.n_trials, workers=args.threads)
+    results.write_results_csv(path, cells)
+    print(f"wrote {path} ({len(cells)} cells x {spec.n_trials} trials)")
     return 0
 
 
 def cmd_report(args) -> int:
-    from . import experiment
+    from . import results
 
     try:
-        rows = experiment.read_results_csv(args.results)
+        rows = results.read_results_csv(args.results)
     except OSError as exc:
         raise ValueError(str(exc)) from exc
     if not rows:

@@ -28,10 +28,10 @@ from satfd.experiment import (
     ExperimentGrid,
     ThresholdSpec,
     run_campaign,
-    write_results_csv,
 )
 from satfd.linkgraph import VisibilityGraph
 from satfd.ranging import RangeMatrix
+from satfd.results import write_results_csv
 
 MASTER_SEED = 1
 WORKERS = min(8, os.cpu_count() or 1)

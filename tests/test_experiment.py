@@ -15,11 +15,10 @@ from satfd.experiment import (
     ExperimentSpec,
     ThresholdSpec,
     compute_metrics,
-    read_results_csv,
     run_campaign,
-    write_results_csv,
 )
 from satfd.ranging import FaultConfig
+from satfd.results import read_results_csv, write_results_csv
 
 P99 = 4.6e-7
 

@@ -17,6 +17,7 @@ import pytest
 
 import satfd
 from satfd import calibration
+from satfd.results import RESULT_COLUMNS
 
 SRC = Path(satfd.__file__).resolve().parent.parent
 
@@ -77,7 +78,7 @@ class TestNamespace:
             assert namespace[name] is getattr(sys.modules[f"satfd.{module}"], name)
 
     def test_dir_lists_names_and_submodules(self):
-        assert set(satfd.__all__) | set(EXPORTS) | {"cli", "seeds"} <= set(dir(satfd))
+        assert set(satfd.__all__) | set(EXPORTS) | {"cli", "results", "seeds"} <= set(dir(satfd))
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="'satfd' has no attribute 'no_such_name'"):
@@ -141,3 +142,15 @@ class TestWhatIsLoaded:
         assert "satfd.experiment" in loaded
         assert (tmp_path / "out" / "results.csv").is_file()
         assert not loaded & {"concurrent.futures.process", "multiprocessing"}
+
+    def test_report_loads_no_campaign_code(self, tmp_path):
+        table = tmp_path / "results.csv"
+        row = ["1", "20.0", "p99", "4.6e-07", "3", "5", "4", "1", "2", "98",
+               "0.8", "0.02", "0.6666666666666666", "0.7272727272727272", "0.8"]
+        table.write_text(",".join(RESULT_COLUMNS) + "\n" + ",".join(row) + "\n",
+                         encoding="utf-8")
+        loaded = loaded_after(run_main([
+            "report", "--results", str(table), "--out", str(tmp_path / "out")]))
+        assert "satfd.results" in loaded
+        assert (tmp_path / "out" / "report_tpr_faults1.csv").is_file()
+        assert not loaded & {"satfd.experiment", "satfd.calibration"}

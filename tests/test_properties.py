@@ -40,7 +40,11 @@ The predictor's training set (build_training_set, which analyses each
 schedule entry once and computes targets over chunks of geometries) must
 equal, bit for bit, a reference that builds one geometry at a time, and a
 call for n geometries must give the first n rows of a call for more, so
-no row depends on where a chunk boundary falls.
+no row depends on where a chunk boundary falls.  The bounds that decide
+which noise draws it solves (calibration._gamma_bounds) must contain the
+solved gamma_test of every draw, at every noise level from none to 500 m;
+a coplanar clique, where the bounds have no gap to work with, must have
+every draw solved and the reference's target.
 """
 
 import copy
@@ -54,9 +58,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satfd import edm
+from satfd import calibration, edm
 from satfd.cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule, list_k_cliques
-from satfd.constellation import load_bundled, propagate
+from satfd.constellation import config_from_dict, load_bundled, propagate
 from satfd.calibration import (
     FEATURE_DIM,
     TAIL_PERCENTILE,
@@ -602,13 +606,14 @@ def reference_training_set(config, sigma_w, n_geometries, n_noise, seed, step):
     return feats, targets
 
 
-# Up to 18 geometries cross chunk boundaries at every n_noise drawn (4, 3
-# and 2 geometries per chunk); the coarse step puts several geometries on
-# one schedule entry, the fine one spreads them out.
+# Up to 18 geometries cross chunk boundaries at every n_noise drawn (4, 3,
+# 2 and 1 geometries per chunk); the coarse step puts several geometries on
+# one schedule entry, the fine one spreads them out.  2,000 draws (the CLI's
+# default) make the percentile read the top 7, so the screen keeps 8.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
-       st.integers(1, 12), st.integers(1, 6), st.sampled_from([300, 301, 457]),
-       st.sampled_from([0.0, 0.5, 1.0, 5.0]), st.sampled_from([600.0, 7200.0]))
+       st.integers(1, 12), st.integers(1, 6), st.sampled_from([300, 301, 457, 2000]),
+       st.sampled_from([0.0, 0.5, 1.0, 5.0, 50.0]), st.sampled_from([600.0, 7200.0]))
 def test_training_set_equals_per_geometry_reference(name, seed, n, extra, n_noise, sigma_w,
                                                     step):
     config = SCHEDULE_CONFIGS[name]
@@ -620,3 +625,72 @@ def test_training_set_equals_per_geometry_reference(name, seed, n, extra, n_nois
     head_feats, head_targets = build_training_set(config, sigma_w, n, n_noise, seed, step)
     assert np.array_equal(head_feats, feats[:n])
     assert np.array_equal(head_targets, targets[:n])
+
+
+@functools.lru_cache(maxsize=None)
+def coarse_schedule(name):
+    """The entries with cliques of a 600 s grid over one period of a bundled config."""
+    config = SCHEDULE_CONFIGS[name]
+    schedule = build_clique_schedule(config, sampling_times(600.0, config.period))
+    return [entry for entry in schedule if len(entry.cliques)]
+
+
+def exact_gamma(d):
+    """gamma_test of every draw of a (c, n, 6, 6) stack, as build_training_set solves it."""
+    s = edm.spectrum(edm.geometric_center(d.reshape(-1, CLIQUE_SIZE, CLIQUE_SIZE)))
+    return edm.gamma_from_spectrum(s).reshape(d.shape[:2])
+
+
+def bounds_of(exact, cliques, draws):
+    """_gamma_bounds of draws (c, n, 6, 6 pair noise) on the cliques of one
+    true-range matrix, with the squared noisy ranges they bound."""
+    analysis = edm.analyze_clique_batch(RangeMatrix(r=exact), cliques)
+    basis = calibration._bound_basis(analysis.left_vectors[:, :, :3])
+    d = (exact[cliques[:, :, None], cliques[:, None, :]][:, None] + draws) ** 2
+    return calibration._gamma_bounds(basis, d), d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 1.0, 5.0, 50.0, 500.0]))
+def test_gamma_bounds_contain_gamma(name, seed, sigma_w):
+    rng = np.random.default_rng(seed)
+    schedule = coarse_schedule(name)
+    entry = schedule[rng.integers(len(schedule))]
+    cliques = entry.cliques[rng.integers(len(entry.cliques), size=4)]
+    draws = pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(4, 500))
+    (lo, hi), d = bounds_of(true_ranges(entry.positions, entry.graph), cliques, draws)
+    gamma = exact_gamma(d)
+    assert (0.0 <= lo).all()
+    assert (lo <= gamma).all()
+    assert (gamma <= hi).all()
+
+
+# Six satellites 20 degrees apart on one circular equatorial orbit: they see
+# each other at every epoch, and their one 6-clique is coplanar (s3 = 0).
+COPLANAR = config_from_dict({
+    "body": {"name": "Moon", "mu_km3_s2": 4902.8, "radius_km": 1737.4},
+    "satellites": [{"a_km": 17374.0, "e": 0.0, "i_deg": 0.0, "raan_deg": 0.0, "argp_deg": 0.0,
+                    "M0_deg": 20.0 * k} for k in range(CLIQUE_SIZE)],
+})
+
+
+@pytest.mark.parametrize("sigma_w", [0.0, 1.0, 50.0])
+def test_coplanar_clique_solves_every_draw(sigma_w):
+    entry = build_clique_schedule(COPLANAR, [0.0])[0]
+    assert entry.cliques.tolist() == [list(range(CLIQUE_SIZE))]
+    exact = true_ranges(entry.positions, entry.graph)
+    s = edm.analyze_clique_batch(RangeMatrix(r=exact), entry.cliques).singular_values[0]
+    assert s[2] < 1e-12 * s[0]
+    draws = pair_noise(substream(3, TRAINING, 1, 0), CLIQUE_SIZE, sigma_w, size=(1, 2000))
+    (lo, hi), d = bounds_of(exact, entry.cliques, draws)
+    gamma = exact_gamma(d)
+    assert (lo <= gamma).all() and (gamma <= hi).all()
+    # No draw is ruled out of the top ranks, so the screen solves them all.
+    assert (lo == 0.0).all()
+    if sigma_w == 0.0:
+        assert np.isinf(hi).all()
+    feats, targets = build_training_set(COPLANAR, sigma_w, 3, 457, seed=3, step=7200.0)
+    ref_feats, ref_targets = reference_training_set(COPLANAR, sigma_w, 3, 457, 3, 7200.0)
+    assert np.array_equal(feats, ref_feats)
+    assert np.array_equal(targets, ref_targets)
