@@ -206,6 +206,10 @@ def cmd_detect(args) -> int:
 
     if args.dl < 1:
         raise ValueError("invalid detector option: di (--dl) must be >= 1")
+    period_epochs = math.ceil(config.period / 60.0)
+    if args.dl > period_epochs:
+        raise ValueError(f"invalid detector option: di (--dl) must not exceed one orbital "
+                         f"period, {period_epochs} epochs of 60 s; got {args.dl}")
     try:
         params = DetectorParams(delta_nf=args.delta_nf, delta_rf=args.delta_rf,
                                 gamma_threshold=threshold)

@@ -166,12 +166,16 @@ def detect_faults(
     clique_lists ((m, k) arrays) and ranges are aligned per epoch;
     measurements are generated once per epoch by the caller and
     re-examined unchanged after each removal.  Terminates in at most
-    n_sats rounds.
+    n_sats rounds.  A scalar threshold is also the analysis floor: a
+    clique that edm.gamma_bound puts at or below it is not flagged, so it
+    is not solved.
     """
     if len(ranges) != len(clique_lists):
         raise ValueError("clique lists and range matrices must cover the same epochs")
+    thr = params.gamma_threshold
+    floor = float(thr) if is_scalar_threshold(thr) else None
     batches = [
-        edm.analyze_clique_batch(rm, cliques)
+        edm.analyze_clique_batch(rm, cliques, floor=floor)
         for cliques, rm in zip(clique_lists, ranges)
     ]
     return _greedy(table_from_analyses(batches, params), len(ranges[0].r), params)

@@ -28,10 +28,33 @@ run one stacked LAPACK call per epoch.  build_edm squares the epoch's
 range matrix once and gathers every clique's block from it with one flat
 take, which gives the same bits as gathering the ranges and squaring
 them (squaring rounds each entry alone).
+
+A detector that compares gamma_test with a fixed threshold reads nothing
+of a clique whose gamma_test is at or below it, and most fault-free
+cliques are.  analyze_clique_batch(..., floor=t) therefore runs the
+eigensolver only on the cliques that gamma_bound, a certified upper bound
+computed with stacked matrix products and no eigensolver, cannot put at
+or below t.  The bound rests on the theorem of L. Mirsky ("Symmetric
+gauge functions and unitarily invariant norms", Quart. J. Math. 1960):
+for any X of rank at most 3, s4 + s5 of G is at most the sum of the two
+largest singular values of G - X.  X is the Nystrom approximation
+G U (U^T G U)^-1 U^T G in a basis U from one subspace step of G on three
+fixed probes; the residual R = G - X vanishes on U and (G being centred)
+on the all-ones vector, so it has rank 2 and its two singular values
+follow in closed form from its trace and Frobenius norm.  What rounding
+leaves of R outside that rank-2 part is bounded by |R Q|_F, Q = [U,
+1/sqrt(k)]; s1 is bounded below by the Rayleigh quotient of G at a
+vector of U's span; and an allowance proportional to |G|_F, as in the
+training targets' bounds (calibration._gamma_bounds), covers the
+eigensolver's backward error and the bound's own rounding.  A row the bound does not
+put at or below t is solved from the same centred matrix as without the
+screen, so its results are the same bits.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +130,10 @@ class BatchAnalysis:
     left_vectors holds u1-u4 only (the vote reads u4, the predictor
     features u1-u3).  An analysis built without vectors
     (analyze_clique_batch(..., vectors=False)) has None for left_vectors
-    and fault_vertex_local.
+    and fault_vertex_local.  A row that a screened analysis
+    (analyze_clique_batch(..., floor=t)) left unsolved has gamma_test
+    -inf, NaN singular values and vectors and fault vertex 0: no threshold
+    at or above t flags it, so its values, vectors and vote are never read.
     """
 
     cliques: np.ndarray           # (m, k) satellite ids
@@ -153,8 +179,167 @@ def spectrum(g: np.ndarray) -> np.ndarray:
     return s[..., ::-1]
 
 
+# Allowance, per unit of |G|_F and of |C|_F^2, for the rounding that
+# gamma_bound does not compute: the eigensolver's backward error, the
+# asymmetry of the computed G (eigh reads its lower triangle) and the
+# rounding of the bound's own products; each is a few hundred eps at most.
+_ROUNDING = 1e-12
+# Relative widening of the bound, for the rounding of its last sums and
+# divisions and of gamma_test's own.
+_WIDEN = 1e-9
+# Largest trace(Y^T Y) |L^-1|_F^2, an upper bound on cond(Y)^2, for which
+# the Cholesky-QR basis is used.  Cholesky-QR loses orthogonality as
+# eps cond(Y)^2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, "Roundoff error
+# analysis of the CholeskyQR2 algorithm", ETNA 2015), so below this limit
+# the singular values of [U, 1/sqrt(k)] stay far above the 4/5 that
+# _top_pair_bound assumes.
+_BASIS_CONDITION = 1e8
+
+
+@functools.cache
+def _probes(k: int) -> np.ndarray:
+    """(k, 3) fixed probe vectors, each orthogonal to the all-ones vector
+    (read-only: every call shares the array)."""
+    p = np.cos(np.outer(np.arange(1, k + 1), [1.0, 2.0, 3.0]))
+    p -= p.mean(axis=0)
+    p.setflags(write=False)
+    return p
+
+
+def _carve(work: np.ndarray, *shapes: tuple) -> list[np.ndarray]:
+    """Consecutive views of the flat array work, one of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _cholesky_inverse(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L^-1 for the lower Cholesky factor L of each symmetric matrix of an
+    (m, 3, 3) stack, and trace(s) |L^-1|_F^2, an upper bound on the
+    condition number of s.  Where s is not positive definite, both hold NaN.
+    """
+    m = len(s)
+    s00, _, _, s10, s11, _, s20, s21, s22 = np.ascontiguousarray(s.reshape(m, 9).T)
+    inv = np.zeros((9, m))
+    i00, _, _, i10, i11, _, i20, i21, i22 = inv
+    l00 = np.sqrt(s00)
+    l10 = s10 / l00
+    l20 = s20 / l00
+    l11 = np.sqrt(s11 - l10 * l10)
+    l21 = (s21 - l20 * l10) / l11
+    np.divide(1.0, l00, out=i00)
+    np.divide(1.0, l11, out=i11)
+    np.divide(1.0, np.sqrt(s22 - l20 * l20 - l21 * l21), out=i22)
+    np.multiply(-l10 * i00, i11, out=i10)
+    np.multiply(-l21 * i11, i22, out=i21)
+    np.multiply(-(l20 * i00 + l21 * i10), i22, out=i20)
+    return np.ascontiguousarray(inv.T).reshape(m, 3, 3), (s00 + s11 + s22) * (inv * inv).sum(axis=0)
+
+
+def _top_pair_bound(r: np.ndarray, rq: np.ndarray) -> np.ndarray:
+    """Upper bound on s1 + s2 of each symmetric matrix of an (m, k, k) stack
+    r, given rq = Q^T r for (m, k, 4) columns Q whose singular values are
+    all at least 4/5.
+
+    Let P project onto the complement of Q's columns.  For k <= 6, P r P
+    has rank at most 2, so its s1 + s2 is max(|t|, sqrt(2 f^2 - t^2)) for
+    its trace t and Frobenius norm f; this is 1-Lipschitz in t and grows
+    with f.  f <= |r|_F, |t - trace(r)| <= 2 |r Q|_F and the rest
+    r - P r P has |.|_F <= sqrt(2) |r Q|_F (for Q orthonormal; 5/4 of that
+    here), so s1 + s2 of r is at most the closed form at (trace(r), |r|_F)
+    plus 5 |rq|_F.  For k > 6 it is sqrt(2) |r|_F, which holds for any
+    matrix.
+    """
+    m, k = r.shape[:2]
+    flat = r.reshape(m, k * k)
+    if k > 6:
+        return np.sqrt(2.0 * np.vecdot(flat, flat))
+    trace = flat @ np.eye(k).ravel()
+    top = np.sqrt(np.maximum(2.0 * np.vecdot(flat, flat) - trace * trace, 0.0))
+    np.maximum(top, np.abs(trace), out=top)
+    rq = rq.reshape(m, 4 * k)
+    return top + 5.0 * np.sqrt(np.vecdot(rq, rq))
+
+
+def gamma_bound(g: np.ndarray) -> np.ndarray:
+    """Certified upper bound on gamma_test of each matrix of an (m, k, k)
+    stack of centred matrices (k >= 5), with no eigensolver: every step is
+    a stacked matrix product or elementwise.  +inf where it certifies none.
+
+    U: one subspace step Y = G X on the fixed probes X (_probes),
+    orthonormalised by Cholesky-QR.  With A = U^T G U = L L^T and
+    C = L^-1 U^T G, C^T C = G U A^-1 U^T G has rank 3, so by Mirsky's
+    theorem s4 + s5 of G is at most s1 + s2 of R = G - C^T C, which
+    _top_pair_bound bounds with Q = [U, 1/sqrt(k)].  s1 of G is at least
+    the Rayleigh quotient of v = U z, z = A^2 e_j for A's largest diagonal
+    entry j: v^T G v = z^T A z, over |v|^2 computed as is, so U need not be
+    exactly orthonormal.  tau = _ROUNDING (|G|_F + |C|_F^2) covers the
+    rounding of eigh (its backward error), of the computed G's asymmetry
+    and of C^T C; the result is (bound on s4 + s5 + 2 tau) / (bound on s1 -
+    tau), widened by _WIDEN.  Where the Cholesky factor of Y^T Y or of A
+    does not exist, Y is too ill-conditioned (_BASIS_CONDITION), or the
+    bound on s1 is not positive, the bound is +inf.
+    """
+    m, k = g.shape[:2]
+    # One workspace for the stacked temporaries, each written with out=:
+    # R, Q^T, and two scratch blocks that later steps reuse once earlier
+    # ones are done with them.
+    r, qt, one, two, s, a = _carve(np.empty(m * (k * k + 11 * k + 18)), (m, k, k), (m, 4, k),
+                                   (4 * k * m,), (3 * k * m,), (m, 3, 3), (m, 3, 3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = one[:3 * k * m].reshape(m, k, 3)
+        np.matmul(g.reshape(m * k, k), _probes(k), out=y.reshape(m * k, 3))
+        yt = two.reshape(m, 3, k)
+        np.copyto(yt, y.transpose(0, 2, 1))
+        linv, condition = _cholesky_inverse(np.matmul(yt, y, out=s))
+        # Rows u1-u3, then the all-ones vector, normalised.
+        qt[:, 3] = 1.0 / math.sqrt(k)
+        ut = np.matmul(linv, yt, out=qt[:, :3])
+        ugt = np.matmul(ut, g, out=y.reshape(m, 3, k))
+        u = yt.reshape(m, k, 3)
+        np.copyto(u, ut.transpose(0, 2, 1))
+        # The Cholesky factor reads A's lower triangle only.
+        np.matmul(ugt, u, out=a)
+        c = np.matmul(_cholesky_inverse(a)[0], ugt, out=u.reshape(m, 3, k))
+        ct = ugt.reshape(m, k, 3)
+        np.copyto(ct, c.transpose(0, 2, 1))
+        np.subtract(g, np.matmul(ct, c, out=r), out=r)
+        gf = g.reshape(m, k * k)
+        cf = c.reshape(m, 3 * k)
+        tau = _ROUNDING * (np.sqrt(np.vecdot(gf, gf)) + np.vecdot(cf, cf))
+        top_pair = _top_pair_bound(r, np.matmul(qt, r, out=one.reshape(m, 4, k)))
+        # A as (3, 3, m): a3[i, j] is entry (i, j) of every row's A.
+        a3 = np.ascontiguousarray(a.reshape(m, 9).T).reshape(3, 3, m)
+        z = a3[:, a3.diagonal().argmax(axis=1), np.arange(m)]
+        z = (a3 * z).sum(axis=1)
+        w = (a3 * z).sum(axis=1)
+        v = (np.ascontiguousarray(z.T)[:, None] @ ut).reshape(m, k)
+        s1 = ((z * w).sum(axis=0) - tau * (z * z).sum(axis=0)) / np.vecdot(v, v) - tau
+        bound = (top_pair + 2.0 * tau) / s1 * (1.0 + _WIDEN)
+        return np.where((s1 > 0.0) & (condition < _BASIS_CONDITION) & (bound >= 0.0),
+                        bound, np.inf)
+
+
+def _solve(g: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(singular values, u1-u4 or None, gamma_test) of a stack of centred
+    matrices: one eigh, or one spectrum without vectors."""
+    if not vectors:
+        s = spectrum(g)
+        return s, None, gamma_from_spectrum(s)
+    lam, vecs = np.linalg.eigh(g)
+    order = magnitude_order(lam)
+    s = np.abs(np.take_along_axis(lam, order, axis=1))
+    # Gather u1-u4 as whole rows of the transposed stack: numpy copies
+    # contiguous rows faster than it gathers single columns.
+    u = vecs.swapaxes(1, 2)[np.arange(len(order))[:, None], order[:, :4]].swapaxes(1, 2)
+    return s, u, gamma_from_spectrum(s)
+
+
 def analyze_clique_batch(
-    ranges: RangeMatrix, cliques: np.ndarray, vectors: bool = True
+    ranges: RangeMatrix, cliques: np.ndarray, vectors: bool = True, floor: float | None = None
 ) -> BatchAnalysis:
     """Singular values and left singular vectors u1-u4 of every clique's
     centered distance matrix, plus gamma_test.
@@ -162,27 +347,30 @@ def analyze_clique_batch(
     One batched eigh: singular values are |lambda| and the vectors are the
     eigenvectors, both in magnitude_order.  Vector signs are arbitrary.
     With vectors=False the values come from spectrum (eigvalsh) instead,
-    and left_vectors and fault_vertex_local are None.  Requires cliques of
-    k >= 5 vertices.
+    and left_vectors and fault_vertex_local are None.  With a floor, only
+    the rows whose gamma_bound exceeds it are solved, gathered from the
+    same centred matrices, so each gives the bits it gives unscreened; the
+    others keep their place with gamma_test -inf (BatchAnalysis), and no
+    threshold at or above the floor flags them.  Requires cliques of k >= 5
+    vertices.
     """
     if cliques.shape[1] < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
     g = geometric_center(build_edm(ranges, cliques))
-    if not vectors:
-        s = spectrum(g)
-        return BatchAnalysis(cliques=cliques, singular_values=s, left_vectors=None,
-                             gamma_test=gamma_from_spectrum(s), fault_vertex_local=None)
-    lam, vecs = np.linalg.eigh(g)
-    order = magnitude_order(lam)
-    s = np.abs(np.take_along_axis(lam, order, axis=1))
-    # Gather u1-u4 as whole rows of the transposed stack: numpy copies
-    # contiguous rows faster than it gathers single columns.
-    u = vecs.swapaxes(1, 2)[np.arange(len(order))[:, None], order[:, :4]].swapaxes(1, 2)
-    vertex = np.argmax(np.abs(u[:, :, 3]), axis=1)
+    if floor is None:
+        s, u, gamma = _solve(g, vectors)
+    else:
+        s = np.full(g.shape[:2], np.nan)
+        u = np.full(g.shape[:2] + (4,), np.nan) if vectors else None
+        gamma = np.full(len(g), -np.inf)
+        rows = np.flatnonzero(~(gamma_bound(g) <= floor))
+        s[rows], u_rows, gamma[rows] = _solve(g[rows], vectors)
+        if vectors:
+            u[rows] = u_rows
     return BatchAnalysis(
         cliques=cliques,
         singular_values=s,
         left_vectors=u,
-        gamma_test=gamma_from_spectrum(s),
-        fault_vertex_local=vertex,
+        gamma_test=gamma,
+        fault_vertex_local=None if u is None else np.argmax(np.abs(u[:, :, 3]), axis=1),
     )

@@ -27,7 +27,9 @@ any are, on the magnitude.  A trial therefore does each piece of work once
   and a detection length is a row prefix of it.
 
 A batched eigh gives each matrix the result of a batch of one, so every
-cell's verdict equals analysing that cell alone, bit for bit.
+cell's verdict equals analysing that cell alone, bit for bit.  When every
+threshold is a scalar, a trial solves only the rows that the smallest can
+flag (edm.gamma_bound); the others cannot change a cell's flags.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ class CampaignContext:
     """Precomputed epoch grid plus fixed detector settings for one campaign.
 
     The epoch grid covers one orbital period at the detection timestep,
-    extended by (max DL - 1) epochs so any trial window fits.  Trials index
+    extended by (max DL - 1) epochs so any trial window fits; a DL longer
+    than the period is refused before anything is propagated.  Trials index
     into this grid's clique schedule, which is computed once.
     """
 
@@ -183,6 +186,9 @@ class CampaignContext:
         self.detector = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
 
         self.n_start_epochs = math.ceil(config.period / timestep)
+        if max(grid.dls) > self.n_start_epochs:
+            raise ValueError(f"detection lengths (dl_list) must not exceed one orbital period, "
+                             f"{self.n_start_epochs} epochs of {timestep:g} s; got {max(grid.dls)}")
         times = timestep * np.arange(self.n_start_epochs + max(grid.dls) - 1)
         self.schedule = build_clique_schedule(config, times)
 
@@ -211,16 +217,22 @@ class CampaignContext:
         (rows, source): rows holds every clique row analysed in the epoch,
         and row source[c, i] of rows is the analysis of the epoch's clique i
         under configs[c], equal to analyze_clique_batch on that config's own
-        measured ranges.  The epoch's noise is drawn once; every config
-        biases the same draw, so a clique row is analysed only for the first
-        config that biases its vertices the way it does (none, or the same
-        vertices by the same magnitude), and a config whose rows are all
-        shared is not biased at all.
+        measured ranges with the same floor.  The epoch's noise is drawn
+        once; every config biases the same draw, so a clique row is analysed
+        only for the first config that biases its vertices the way it does
+        (none, or the same vertices by the same magnitude), and a config
+        whose rows are all shared is not biased at all.  When every grid
+        threshold is a finite scalar, the smallest is the analysis floor: a
+        row that gamma_bound puts at or below it has gamma_test -inf and is
+        not solved, since no threshold of the grid flags it.
         """
         biased = np.zeros((len(configs), self.n_sats), dtype=bool)
         for c, faults in enumerate(configs):
             # A zero bias leaves every range as it is (add_bias).
             biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
+        values = [thr.value for thr in self.grid.thresholds]
+        finite = all(is_scalar_threshold(v) and math.isfinite(v) for v in values)
+        floor = float(min(values)) if finite else None
         out = []
         for offset in range(n_epochs):
             g = t0_index + offset
@@ -242,7 +254,7 @@ class CampaignContext:
                 new = np.flatnonzero(source[c] < 0)
                 if c == 0 or new.size:
                     rm = add_bias(clean, entry.graph, faults)
-                    parts.append(edm.analyze_clique_batch(rm, cliques[new]))
+                    parts.append(edm.analyze_clique_batch(rm, cliques[new], floor=floor))
                     source[c, new] = n_rows + np.arange(new.size)
                     n_rows += new.size
             out.append((_concat(parts), source))

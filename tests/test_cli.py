@@ -243,6 +243,23 @@ class TestDetect:
         assert f"error: invalid detector option: {name}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("dl", [721, 100_000_000, 10**18])
+    def test_window_longer_than_a_period_refused(self, tmp_path, capsys, monkeypatch, dl):
+        def schedule(*args, **kwargs):
+            raise AssertionError("propagated a window that is too long")
+
+        monkeypatch.setattr("satfd.cli.iter_schedule", schedule)
+        out = tmp_path / "out"
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(out), "--dump-ranges",
+                   "--threshold", "4.6e-7", "--dl", str(dl)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid detector option: di (--dl) must not exceed one orbital period, "
+            f"720 epochs of 60 s; got {dl}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_range_dump(self, tmp_path, capsys):
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path),
                    "--t0", "0", "--threshold", "4.6e-7", "--dump-ranges"])
@@ -515,6 +532,21 @@ class TestMonteCarloAndReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment config: detection lengths")
+
+    @pytest.mark.parametrize("dl", [721, 100_000_000, 10**18])
+    def test_window_longer_than_a_period_refused(self, tmp_path, capsys, monkeypatch, dl):
+        def schedule(*args, **kwargs):
+            raise AssertionError("propagated a campaign whose window is too long")
+
+        monkeypatch.setattr(experiment, "build_clique_schedule", schedule)
+        exp = self.experiment_file(tmp_path, dl_list=[1, dl])
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid experiment config: detection lengths (dl_list) must not exceed "
+            f"one orbital period, 720 epochs of 60 s; got {dl}\n")
+        assert not out.exists()
 
     def test_percentiles_checked_before_calibrating(self, tmp_path, capsys, monkeypatch):
         def calibrate(*args, **kwargs):

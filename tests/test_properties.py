@@ -45,6 +45,17 @@ which noise draws it solves (calibration._gamma_bounds) must contain the
 solved gamma_test of every draw, at every noise level from none to 500 m;
 a coplanar clique, where the bounds have no gap to work with, must have
 every draw solved and the reference's target.
+
+The analysis screen's bound (edm.gamma_bound) must contain gamma_test, as
+eigh and spectrum compute it and for every matrix within the eigensolvers'
+backward error, on schedule epochs, the coplanar clique and cliques with
+two coincident satellites, at noise levels from none to 500 m and biases
+up to 1,000 m; its rank-2 closed form (edm._top_pair_bound) must hold for
+any symmetric matrix.  A screened analysis must solve exactly the rows the
+bound leaves above the floor, give them the bits of the unscreened
+analysis, and flag the same rows at every threshold at or above the floor;
+a screened detection and a campaign trial must equal their unscreened
+references.
 """
 
 import copy
@@ -69,7 +80,12 @@ from satfd.calibration import (
     build_training_set,
     sampling_times,
 )
-from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
+from satfd.detector import (
+    DetectorParams,
+    detect_faults,
+    detect_faults_from_analyses,
+    table_from_analyses,
+)
 from satfd.experiment import (
     CampaignContext,
     ExperimentGrid,
@@ -455,26 +471,47 @@ def gathered(rows, index):
     return edm.BatchAnalysis(*(getattr(rows, f.name)[index] for f in dataclasses.fields(rows)))
 
 
+def grid_thresholds():
+    """Threshold sets of a campaign grid: all scalar (so the smallest is the
+    analysis floor; 0 lets the screen rule out no clique) or with a
+    predictor (no floor)."""
+    return st.sampled_from([
+        (ThresholdSpec("p99", P99),),
+        (ThresholdSpec("p99.9", 5.86e-7), ThresholdSpec("p95", 3.58e-7)),
+        (ThresholdSpec("zero", 0.0), ThresholdSpec("p99", P99)),
+        (ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())),
+    ])
+
+
+def screen_floor(thresholds):
+    """The smallest threshold if every one is a scalar, else None."""
+    values = [thr.value for thr in thresholds]
+    return min(values) if all(isinstance(v, float) for v in values) else None
+
+
 @st.composite
 def trial_grid(draw):
-    """(fault counts, magnitudes, other fault sets) of a trial: unsorted fault
-    counts that include 0 and every satellite, magnitudes with a repeat and
-    a 0, and fault sets that need not nest with the trial's permutation."""
+    """(fault counts, magnitudes, other fault sets, thresholds) of a trial:
+    unsorted fault counts that include 0 and every satellite, magnitudes
+    with a repeat and a 0, fault sets that need not nest with the trial's
+    permutation, and the grid's thresholds."""
     n = campaign_context().n_sats
     counts = draw(st.permutations(
         [0, n] + draw(st.lists(st.integers(0, n), min_size=0, max_size=2))))
     drawn = draw(st.lists(st.sampled_from([2.5, 5.0, 20.0]), min_size=1, max_size=2))
     magnitudes = draw(st.permutations(drawn + [drawn[0], 0.0]))
     others = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=0, max_size=2))
-    return counts, magnitudes, others
+    return counts, magnitudes, others, draw(grid_thresholds())
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 10**6), trial_grid())
 def test_shared_analyses_equal_unshared(trial_id, grid):
-    ctx = campaign_context()
+    counts, magnitudes, others, thresholds = grid
+    ctx = campaign_on(ExperimentGrid(fault_counts=(campaign_context().n_sats,),
+                                     magnitudes=(0.0,), thresholds=thresholds, dls=(MAX_DL,)))
+    floor = screen_floor(thresholds)
     t0_index, perm = ctx.trial_conditions(trial_id)
-    counts, magnitudes, others = grid
     fault_sets = [perm[:fc].tolist() for fc in counts] + others
     configs = [FaultConfig(fault_set=s, magnitude=mag) for s in fault_sets for mag in magnitudes]
     shared = ctx.epoch_analyses(trial_id, t0_index, configs, SHARED_EPOCHS)
@@ -487,12 +524,18 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
             got = gathered(rows, index)
             rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
             rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
-            want = edm.analyze_clique_batch(rm, entry.cliques)
+            # The reference solves every row.
+            want = edm.analyze_clique_batch(rm, entry.cliques, floor=None)
             assert np.array_equal(got.cliques, want.cliques)
-            assert np.array_equal(got.singular_values, want.singular_values)
-            assert np.array_equal(got.left_vectors, want.left_vectors)
-            assert np.array_equal(got.gamma_test, want.gamma_test)
-            assert np.array_equal(got.fault_vertex_local, want.fault_vertex_local)
+            # A row the screen left unsolved is one no grid threshold flags.
+            solved = got.gamma_test != -np.inf
+            if floor is None or floor <= 0.0:
+                assert solved.all()
+            assert (want.gamma_test[~solved] <= floor).all()
+            if floor == P99 and not faults.fault_set:
+                assert not solved.all()
+            for name in ("singular_values", "left_vectors", "gamma_test", "fault_vertex_local"):
+                assert np.array_equal(getattr(got, name)[solved], getattr(want, name)[solved])
 
 
 P99 = 4.6e-7
@@ -525,7 +568,7 @@ def campaign_on(grid):
 
 def reference_cell_counts(ctx, trial_id):
     """(n_cells, 4) counts of one trial in cell order, each cell measured,
-    analysed and detected on its own."""
+    analysed (every clique solved) and detected on its own."""
     t0_index, perm = ctx.trial_conditions(trial_id)
     n = ctx.n_sats
     rows = []
@@ -536,7 +579,7 @@ def reference_cell_counts(ctx, trial_id):
             entry = ctx.schedule[g]
             rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
             rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
-            batches.append(edm.analyze_clique_batch(rm, entry.cliques))
+            batches.append(edm.analyze_clique_batch(rm, entry.cliques, floor=None))
         params = dataclasses.replace(ctx.detector, gamma_threshold=thr.value)
         outcome = detect_faults_from_analyses(table_from_analyses(batches, params), params, n)
         truth = np.isin(np.arange(n), perm[:fc])
@@ -549,16 +592,15 @@ def reference_cell_counts(ctx, trial_id):
 @st.composite
 def cell_grid(draw):
     """A grid with fault counts that include 0 and every satellite, a zero
-    and a repeated magnitude, unsorted and repeated DLs, and a scalar and a
-    predictor threshold in drawn order."""
+    and a repeated magnitude, unsorted and repeated DLs, and drawn
+    thresholds (grid_thresholds) in drawn order."""
     n = campaign_context().n_sats
     counts = draw(st.permutations([0, n] + draw(st.lists(st.integers(1, n - 1), max_size=1))))
     drawn = draw(st.sampled_from([5.0, 20.0]))
     magnitudes = draw(st.permutations([drawn, drawn, 0.0]))
     dls = draw(st.lists(st.integers(1, MAX_DL), min_size=1, max_size=2))
     dls = draw(st.permutations(dls + [dls[0]]))
-    thresholds = draw(st.permutations(
-        [ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())]))
+    thresholds = draw(st.permutations(draw(grid_thresholds())))
     return ExperimentGrid(fault_counts=tuple(counts), magnitudes=tuple(magnitudes),
                           thresholds=tuple(thresholds), dls=tuple(dls))
 
@@ -694,3 +736,140 @@ def test_coplanar_clique_solves_every_draw(sigma_w):
     ref_feats, ref_targets = reference_training_set(COPLANAR, sigma_w, 3, 457, 3, 7200.0)
     assert np.array_equal(feats, ref_feats)
     assert np.array_equal(targets, ref_targets)
+
+
+# ---------------------------------------------------------------------------
+# The analysis screen: edm.gamma_bound and analyze_clique_batch(floor=...).
+# ---------------------------------------------------------------------------
+
+SIGMAS = [0.0, 0.5, 1.0, 5.0, 50.0, 500.0]
+
+
+@st.composite
+def screened_epoch(draw):
+    """(ranges, cliques) of one epoch: a schedule epoch of a bundled config
+    or the coplanar clique, with pair noise of a drawn sigma_w and a bias of
+    0 to 1,000 m on 0 to 3 satellites."""
+    if draw(st.booleans()):
+        schedule = coarse_schedule(draw(st.sampled_from(sorted(SCHEDULE_CONFIGS))))
+        entry = schedule[draw(st.integers(0, len(schedule) - 1))]
+    else:
+        entry = build_clique_schedule(COPLANAR, [draw(st.floats(0.0, 86400.0))])[0]
+    n = len(entry.positions)
+    faults = FaultConfig(fault_set=draw(st.sets(st.integers(0, n - 1), max_size=3)),
+                         magnitude=draw(st.floats(0.0, 1000.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rm = measure_ranges(entry.positions, entry.graph, faults, draw(st.sampled_from(SIGMAS)), rng)
+    return rm, entry.cliques
+
+
+# A backward error that LAPACK's symmetric eigensolvers stay within, as a
+# multiple of eps |G|_F: the eigenvalues they return are those of some G + E
+# with |E| this small, so the bound must hold for every such G + E.
+BACKWARD_ERROR = 100.0 * np.finfo(float).eps
+
+
+def solved_gammas(g, seed=0):
+    """gamma_test of every matrix of a centred stack, from eigh (the vote's
+    kernel) and from spectrum (the values-only kernel), and from spectrum of
+    g plus a random symmetric perturbation of |.|_F = BACKWARD_ERROR |g|_F."""
+    e = np.random.default_rng(seed).standard_normal(g.shape)
+    e += e.swapaxes(1, 2)
+    scale = BACKWARD_ERROR * np.linalg.norm(g, axis=(1, 2)) / np.linalg.norm(e, axis=(1, 2))
+    e *= scale[:, None, None]
+    return (edm._solve(g, vectors=True)[2], edm._solve(g, vectors=False)[2],
+            edm._solve(g + e, vectors=False)[2])
+
+
+FLOORS = [-1e-6, 0.0, 1e-9, 3.58e-7, P99, 1e-5, 1e-3]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(screened_epoch(), st.sampled_from(FLOORS),
+       st.lists(st.sampled_from([0.0, 1e-10, 1e-7, 1e-4]), min_size=1, max_size=3))
+def test_screen_solves_what_a_threshold_reads(epoch, floor, above):
+    rm, cliques = epoch
+    g = edm.geometric_center(edm.build_edm(rm, cliques))
+    bound = edm.gamma_bound(g)
+    for gamma in solved_gammas(g):
+        assert (gamma <= bound).all()
+    full = edm.analyze_clique_batch(rm, cliques)
+    screened = edm.analyze_clique_batch(rm, cliques, floor=floor)
+    solved = screened.gamma_test != -np.inf
+    assert np.array_equal(solved, ~(bound <= floor))
+    assert np.array_equal(screened.cliques, full.cliques)
+    for name in ("singular_values", "left_vectors", "gamma_test", "fault_vertex_local"):
+        assert np.array_equal(getattr(screened, name)[solved], getattr(full, name)[solved])
+    for threshold in [floor + a for a in above]:
+        assert np.array_equal(screened.gamma_test > threshold, full.gamma_test > threshold)
+    values = edm.analyze_clique_batch(rm, cliques, vectors=False, floor=floor)
+    assert np.array_equal(values.gamma_test != -np.inf, solved)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
+       st.sampled_from(SIGMAS), st.floats(0.0, 1000.0))
+def test_gamma_bound_holds_with_coincident_satellites(name, seed, sigma_w, magnitude):
+    """Two satellites of each clique at one point (their range is noise
+    alone), the ranges of a third biased."""
+    rng = np.random.default_rng(seed)
+    schedule = coarse_schedule(name)
+    entry = schedule[rng.integers(len(schedule))]
+    points = entry.positions[entry.cliques[rng.integers(len(entry.cliques), size=8)]]
+    points[:, 1] = points[:, 0]
+    r = np.sqrt(((points[:, :, None] - points[:, None, :]) ** 2).sum(axis=3))
+    r += pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(8,))
+    r[:, 2, :] += magnitude
+    r[:, :, 2] += magnitude
+    r[:, 2, 2] = 0.0
+    g = edm.geometric_center(r**2)
+    bound = edm.gamma_bound(g)
+    for gamma in solved_gammas(g, seed):
+        assert (gamma <= bound).all()
+
+
+@st.composite
+def near_rank_two(draw):
+    """(r, qt): a symmetric 6x6 r that is a rank-2 matrix on the complement
+    of Q's four orthonormal columns plus a drawn symmetric rest of drawn
+    scale, and qt = Q^T."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    q, w = basis[:, :4], basis[:, 4:]
+    mu = draw(arrays(np.float64, 2, elements=st.floats(-1.0, 1.0)))
+    rest = rng.standard_normal((6, 6))
+    rest = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1.0])) * (rest + rest.T)
+    if draw(st.booleans()):  # a rest inside Q's span only
+        rest = q @ q.T @ rest @ q @ q.T
+    return w @ np.diag(mu) @ w.T + rest, np.ascontiguousarray(q.T)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_rank_two())
+def test_top_pair_bound_holds(case):
+    r, qt = case
+    top = np.sort(np.abs(np.linalg.eigvalsh(r)))[-2:].sum()
+    assert top <= edm._top_pair_bound(r[None], (qt @ r)[None])[0] * (1.0 + 1e-12) + 1e-15
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(1, MAX_DL), st.sets(st.integers(0, 11), max_size=3),
+       st.sampled_from([0.0, 5.0, 20.0, 200.0]), st.sampled_from([-1e-7, 0.0, 3.58e-7, P99, 1e-5]),
+       st.integers(1, 12), st.floats(0.05, 0.6))
+def test_screened_detection_equals_unscreened(seed, dl, faulty, magnitude, threshold,
+                                              delta_nf, delta_rf):
+    ctx = campaign_context()
+    t0 = seed % ctx.n_start_epochs
+    window = ctx.schedule[t0:t0 + dl]
+    faults = FaultConfig(fault_set=faulty, magnitude=magnitude)
+    ranges = [measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w,
+                             substream(seed, EPOCH_NOISE, 0, k))
+              for k, entry in enumerate(window)]
+    params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf, gamma_threshold=threshold)
+    got = detect_faults([entry.cliques for entry in window], ranges, params)
+    batches = [edm.analyze_clique_batch(rm, entry.cliques, floor=None)
+               for entry, rm in zip(window, ranges)]
+    want = detect_faults_from_analyses(table_from_analyses(batches, params), params, ctx.n_sats)
+    assert got.fault_list == want.fault_list
+    assert [v.counts.tolist() for v in got.vote_history] == \
+        [v.counts.tolist() for v in want.vote_history]
