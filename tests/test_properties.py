@@ -48,9 +48,9 @@ every draw solved and the reference's target.
 
 The analysis screen's bound (edm.gamma_bound) must contain gamma_test, as
 eigh and spectrum compute it and for every matrix within the eigensolvers'
-backward error, on schedule epochs, the coplanar clique and cliques with
-two coincident satellites, at noise levels from none to 500 m and biases
-up to 1,000 m; its rank-2 closed form (edm._top_pair_bound) must hold for
+backward error, on schedule epochs, the coplanar clique, cliques with two
+coincident satellites and random cliques of 5 to 9 points, at noise levels
+from none to 500 m and biases up to 1,000 m; its rank-2 closed form (edm._top_pair_bound) must hold for
 any symmetric matrix.  A screened analysis must solve exactly the rows the
 bound leaves above the floor, give them the bits of the unscreened
 analysis, and flag the same rows at every threshold at or above the floor;
@@ -531,7 +531,8 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
             solved = got.gamma_test != -np.inf
             if floor is None or floor <= 0.0:
                 assert solved.all()
-            assert (want.gamma_test[~solved] <= floor).all()
+            else:
+                assert (want.gamma_test[~solved] <= floor).all()
             if floor == P99 and not faults.fault_set:
                 assert not solved.all()
             for name in ("singular_values", "left_vectors", "gamma_test", "fault_vertex_local"):
@@ -826,6 +827,25 @@ def test_gamma_bound_holds_with_coincident_satellites(name, seed, sigma_w, magni
     bound = edm.gamma_bound(g)
     for gamma in solved_gammas(g, seed):
         assert (gamma <= bound).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 9), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 1.0, 100.0]),
+       st.sampled_from(FLOORS))
+def test_gamma_bound_holds_for_every_clique_size(k, seed, sigma_w, floor):
+    """k random points 1,000 km apart, so the rank-2 closed form (k <= 6)
+    and the Frobenius bound (k > 6) both run."""
+    rng = np.random.default_rng(seed)
+    points = 1e6 * rng.standard_normal((k, 3))
+    rm = RangeMatrix(r=np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+                     + pair_noise(rng, k, sigma_w))
+    clique = np.arange(k)[None]
+    bound = edm.gamma_bound(edm.geometric_center(edm.build_edm(rm, clique)))
+    for gamma in solved_gammas(edm.geometric_center(edm.build_edm(rm, clique)), seed):
+        assert (gamma <= bound).all()
+    full = edm.analyze_clique_batch(rm, clique)
+    screened = edm.analyze_clique_batch(rm, clique, floor=floor)
+    assert np.array_equal(screened.gamma_test > floor, full.gamma_test > floor)
 
 
 @st.composite
