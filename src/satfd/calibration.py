@@ -14,16 +14,9 @@ one clique's submatrix, so they follow any change to that model.
 
 A target is a tail percentile, which reads only the top few of a
 geometry's noise draws, so build_training_set solves only the draws that
-certified bounds cannot rule out of those ranks.  The bounds come from
-the rank-3 structure of the noiseless centred matrix: in a basis of its
-top three eigenvectors and two null vectors, the noisy matrix is a 3x3
-block, a 2x2 block and a small coupling, and the quadratic residual bound
-for Hermitian block matrices (R. Mathias, "Quadratic residual bounds for
-the Hermitian eigenvalue problem", SIAM J. Matrix Anal. Appl. 1998;
-C.-K. Li & R.-C. Li, "A note on eigenvalues of perturbed Hermitian
-matrices", Linear Algebra Appl. 2005) puts s4 + s5 and s1 within the
-squared coupling over the blocks' spectral gap of values the blocks give
-in closed form.  The targets are bit for bit those of solving every draw.
+edm.top_gammas (the training-target screen, derived in edm's docstring)
+cannot rule out of those ranks.  The targets are bit for bit those of
+solving every draw.
 """
 
 from __future__ import annotations
@@ -392,80 +385,6 @@ def train_predictor(
 # Training data: per-geometry empirical tail percentiles.
 # ---------------------------------------------------------------------------
 
-# The upper triangle of the 5x5 matrix M = V^T G V that _gamma_bounds reads,
-# as (row, column) pairs: A's diagonal, A's off-diagonal, B, C's diagonal
-# and C's off-diagonal, where A is rows/columns 0-2 and C is 3-4.
-_M_ROWS, _M_COLS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2),
-                             (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4),
-                             (3, 3), (4, 4), (3, 4)]).T
-# Bound on the rounding of j @ d @ j, of eigvalsh (LAPACK's backward error)
-# and of the bound's own products, relative to |D|_F; each is a few
-# hundred eps at most.
-_ROUNDING = 1e-12
-# Relative widening of lo and hi, for the rounding of their last divisions
-# and of gamma's own.
-_WIDEN = 1e-9
-
-
-def _bound_basis(lead: np.ndarray) -> np.ndarray:
-    """(m, 6, 5) orthonormal bases orthogonal to the all-ones vector.
-
-    lead holds u1-u3 of each geometry's exact centred matrix G0, (m, 6, 3).
-    One complete QR of [1/sqrt(6), u1, u2, u3] gives columns 2-4 (u1-u3
-    without their rounding-sized component along 1, up to sign) and 5-6
-    (q1, q2, which span what is left of G0's null space).
-    """
-    ones = np.full(lead.shape[:-1] + (1,), 1.0 / math.sqrt(lead.shape[-2]))
-    return np.linalg.qr(np.concatenate([ones, lead], axis=-1), mode="complete")[0][..., 1:]
-
-
-def _gamma_bounds(basis: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lo <= gamma_test <= hi for every draw of a (c, n, 6, 6) stack of
-    squared noisy ranges, each geometry's n draws in the basis V of
-    _bound_basis, (c, 6, 5).  Returns two (c, n) arrays.
-
-    V is orthogonal to 1, so the spectrum of G = -1/2 J D J is 0 and that
-    of M = V^T G V = -1/2 V^T D V, one GEMM per geometry on the flattened D.
-    Split M = [[A, B], [B^T, C]] (A 3x3, C 2x2).  If Gershgorin's lower
-    bound a_lo on eig(A) exceeds both eigenvalues mu+- of C by a gap eta,
-    the quadratic residual bound (Li & Li 2005, after Mathias 1998) puts
-    each eigenvalue of M within |B|_F^2 / eta of its sorted counterpart in
-    eig(A) u {mu+-}.  tau = _ROUNDING |D|_F bounds the rounding: eigvalsh
-    of j @ d @ j returns the spectrum of G within tau, the GEMM gives M
-    within tau, and tau covers the bound's own sums, so eta = a_lo -
-    max|mu+-| - 2 tau and eps = |B|_F^2 / eta + 3 tau.  Then s4 + s5 lies
-    within 2 eps of S = |mu+| + |mu-| (the zero eigenvalue included), and
-    s1 within eps of [max diag A, Gershgorin's top of A].  Where eta or
-    s1's lower bound is not positive, lo = 0 and hi = inf: the draw is
-    always solved.
-    """
-    c, n = d.shape[:2]
-    table = -0.5 * (basis[:, :, None, _M_ROWS] * basis[:, None, :, _M_COLS])
-    flat = d.reshape(c, n, -1)
-    # (c, 15, n): row k is entry k of every draw's M.
-    m = table.reshape(c, -1, _M_ROWS.size).transpose(0, 2, 1) @ flat.transpose(0, 2, 1)
-    tau = _ROUNDING * np.sqrt(np.einsum("cnk,cnk->cn", flat, flat))
-    diag = m[:, 0:3]
-    off = np.abs(m[:, 3:6])
-    radius = off.sum(axis=1, keepdims=True) - off[:, ::-1]  # row i skips the pair without i
-    a_lo = (diag - radius).min(axis=1)
-    top_hi = (diag + radius).max(axis=1)
-    top_lo = diag.max(axis=1)
-    b2 = (m[:, 6:12] ** 2).sum(axis=1)
-    half = 0.5 * (m[:, 12] + m[:, 13])
-    rad = np.hypot(0.5 * (m[:, 12] - m[:, 13]), m[:, 14])
-    # mu+- = half +- rad: |mu+| + |mu-| = 2 max(|half|, rad), max|mu+-| = |half| + rad.
-    s = 2.0 * np.maximum(np.abs(half), rad)
-    eta = a_lo - (np.abs(half) + rad) - 2.0 * tau
-    good = eta > 0.0
-    eps = np.divide(b2, eta, out=np.full(eta.shape, np.inf), where=good) + 3.0 * tau
-    good &= top_lo > eps
-    lo = np.divide(np.maximum(s - 2.0 * eps, 0.0), top_hi + eps,
-                   out=np.zeros(eta.shape), where=good)
-    hi = np.divide(s + 2.0 * eps, top_lo - eps, out=np.full(eta.shape, np.inf), where=good)
-    return lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
-
-
 def build_training_set(
     config: ConstellationConfig,
     sigma_w: float,
@@ -486,25 +405,17 @@ def build_training_set(
     The work is batched in two passes.  Features: the geometries are
     grouped by schedule entry, and each distinct entry takes one
     true_ranges, one analysis of all its chosen cliques (whose u1-u3 also
-    give each geometry's bound basis, _bound_basis) and one gather of
+    give each geometry's bound basis, edm.bound_basis) and one gather of
     their exact submatrices.  Targets: consecutive geometries are
     stacked into chunks of about TARGET_CHUNK_MATRICES noise draws (never
     fewer than one geometry), so memory stays flat in n_geometries.
 
     A target reads only the draws of the top ranks: np.percentile at
     TAIL_PERCENTILE of n draws reads ranks floor((n-1) q) and the one
-    above, the top 2 of 300 or the top 7 of 2,000.  So each chunk takes
-    certified bounds lo <= gamma_test <= hi on every draw (_gamma_bounds,
-    the quadratic residual bound of R. Mathias, SIAM J. Matrix Anal.
-    Appl. 1998, and C.-K. Li & R.-C. Li, Linear Algebra Appl. 2005), lets
-    L be each geometry's K-th largest lo, K one more than the ranks read,
-    and runs the centring and the spectrum only on the draws with
-    hi >= L; every other draw enters the percentile as -inf.  This is
-    exact: K draws have gamma >= lo >= L, so the K-th largest gamma is
-    >= L, while a draw left out has gamma <= hi < L; every rank read is
-    therefore a solved draw, and a batched eigvalsh gives each matrix the
-    bits of a batch of one.  Every row is bit for bit what the geometry
-    gives on its own with every draw solved.
+    above, the top 2 of 300 or the top 7 of 2,000.  So each chunk goes
+    through edm.top_gammas, which solves only the draws that can hold one
+    of those ranks and enters every other one as -inf.  Every row is bit
+    for bit what the geometry gives on its own with every draw solved.
     """
     if n_noise < 300:
         raise ValueError(f"n_noise must be >= 300 to resolve the {TAIL_PERCENTILE} percentile")
@@ -533,7 +444,7 @@ def build_training_set(
         feats[rows] = batch_features(analysis)
         lead[rows] = analysis.left_vectors[:, :, :3]
         subs[rows] = exact[cliques[:, :, None], cliques[:, None, :]]
-    basis = _bound_basis(lead)
+    basis = edm.bound_basis(lead)
 
     targets = np.empty(n_geometries)
     per_chunk = max(1, TARGET_CHUNK_MATRICES // n_noise)
@@ -548,10 +459,6 @@ def build_training_set(
             for g in range(first, last)
         ])
         d = (subs[first:last, None] + w) ** 2
-        lo, hi = _gamma_bounds(basis[first:last], d)
-        solve = hi >= np.partition(lo, n_noise - keep, axis=1)[:, n_noise - keep, None]
-        gamma = np.full(solve.shape, -np.inf)
-        # d[solve] is a 3-D stack: geometric_center's matmul runs faster on it than on a 4-D one.
-        gamma[solve] = edm.gamma_from_spectrum(edm.spectrum(edm.geometric_center(d[solve])))
-        targets[first:last] = np.percentile(gamma, TAIL_PERCENTILE, axis=1)
+        targets[first:last] = np.percentile(edm.top_gammas(basis[first:last], d, keep),
+                                            TAIL_PERCENTILE, axis=1)
     return feats, targets

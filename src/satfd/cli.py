@@ -420,7 +420,9 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses an allocation larger than the machine at once, with
+        # a MemoryError that says how large it was.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,6 +110,16 @@ def is_scalar_threshold(threshold: object) -> bool:
     return isinstance(threshold, numbers.Real)
 
 
+def analysis_floor(thresholds) -> float | None:
+    """The analysis floor of a detection under every one of thresholds: the
+    smallest if each is a finite scalar (no clique at or below it is
+    flagged), else None (a predictor reads every clique, so all are solved)."""
+    values = list(thresholds)
+    if all(is_scalar_threshold(v) and math.isfinite(v) for v in values):
+        return float(min(values))
+    return None
+
+
 def _resolve_thresholds(params: DetectorParams, batch: edm.BatchAnalysis) -> np.ndarray:
     thr = params.gamma_threshold
     if is_scalar_threshold(thr):
@@ -166,14 +176,13 @@ def detect_faults(
     clique_lists ((m, k) arrays) and ranges are aligned per epoch;
     measurements are generated once per epoch by the caller and
     re-examined unchanged after each removal.  Terminates in at most
-    n_sats rounds.  A scalar threshold is also the analysis floor: a
-    clique that edm.gamma_bound puts at or below it is not flagged, so it
-    is not solved.
+    n_sats rounds.  A scalar threshold is also the analysis floor
+    (analysis_floor): a clique that edm.gamma_bound puts at or below it is
+    not flagged, so it is not solved.
     """
     if len(ranges) != len(clique_lists):
         raise ValueError("clique lists and range matrices must cover the same epochs")
-    thr = params.gamma_threshold
-    floor = float(thr) if is_scalar_threshold(thr) else None
+    floor = analysis_floor([params.gamma_threshold])
     batches = [
         edm.analyze_clique_batch(rm, cliques, floor=floor)
         for cliques, rm in zip(clique_lists, ranges)

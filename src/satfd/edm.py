@@ -29,26 +29,47 @@ range matrix once and gathers every clique's block from it with one flat
 take, which gives the same bits as gathering the ranges and squaring
 them (squaring rounds each entry alone).
 
-A detector that compares gamma_test with a fixed threshold reads nothing
-of a clique whose gamma_test is at or below it, and most fault-free
-cliques are.  analyze_clique_batch(..., floor=t) therefore runs the
-eigensolver only on the cliques that gamma_bound, a certified upper bound
-computed with stacked matrix products and no eigensolver, cannot put at
-or below t.  The bound rests on the theorem of L. Mirsky ("Symmetric
-gauge functions and unitarily invariant norms", Quart. J. Math. 1960):
-for any X of rank at most 3, s4 + s5 of G is at most the sum of the two
-largest singular values of G - X.  X is the Nystrom approximation
-G U (U^T G U)^-1 U^T G in a basis U from one subspace step of G on three
-fixed probes; the residual R = G - X vanishes on U and (G being centred)
-on the all-ones vector, so it has rank 2 and its two singular values
-follow in closed form from its trace and Frobenius norm.  What rounding
-leaves of R outside that rank-2 part is bounded by |R Q|_F, Q = [U,
-1/sqrt(k)]; s1 is bounded below by the Rayleigh quotient of G at a
-vector of U's span; and an allowance proportional to |G|_F, as in the
-training targets' bounds (calibration._gamma_bounds), covers the
-eigensolver's backward error and the bound's own rounding.  A row the bound does not
-put at or below t is solved from the same centred matrix as without the
-screen, so its results are the same bits.
+Two screens spare the eigensolver the matrices whose gamma_test no reader
+needs.  Each bounds gamma_test with stacked products and no eigensolver,
+and solves what it cannot rule out from the same centred matrices, so
+every value read has its unscreened bits.  Both bound s4 + s5 by the
+eigenvalues mu1, mu2 of a symmetric block of rank <= 2, trace t and
+Frobenius norm f: |mu1| + |mu2| = max(|t|, d) and max |mu_i| =
+(|t| + d) / 2 for d = |mu1 - mu2| = sqrt(2 f^2 - t^2) (_pair_magnitudes).
+Both allow tau, _ROUNDING times a Frobenius norm, for the rounding they do
+not compute (the eigensolver's backward error, the asymmetry of the
+computed G, their own products), and widen the result by _WIDEN.
+
+The analysis screen (gamma_bound): a fixed threshold reads nothing of the
+many cliques at or below it, so analyze_clique_batch(..., floor=t) solves
+only those gamma_bound cannot put at or below t.  For any X of rank <= 3,
+s4 + s5 of G is at most s1 + s2 of R = G - X (L. Mirsky, "Symmetric gauge
+functions and unitarily invariant norms", Quart. J. Math. 1960).  X is
+the Nystrom approximation C^T C, C = L^-1 U^T G, U^T G U = L L^T, in a
+basis U from one subspace step G P on three fixed probes P (_probes),
+orthonormalised by Cholesky-QR.  R vanishes on U and (G being centred) on
+the all-ones vector, so it has rank 2; what rounding leaves outside that
+part is bounded by |R Q|_F, Q = [U, 1/sqrt(k)] (_top_pair_bound).  s1 is
+at least a Rayleigh quotient in U's span; tau = _ROUNDING (|G|_F +
+|C|_F^2).
+
+The training-target screen (top_gammas): a target is a tail percentile of
+a geometry's noise draws and reads only the top few ranks.  The noiseless
+centred matrix G0 has rank 3; V (bound_basis) holds its top three
+eigenvectors and two vectors spanning the rest of its null space, all
+orthogonal to the all-ones vector, so a draw's G has the spectrum of
+M = V^T G V = -1/2 V^T D V, plus 0.  Split M = [[A, B], [B^T, C]] (A 3x3,
+C 2x2) and let tau = _ROUNDING |D|_F.  If Gershgorin's lower bound a_lo on
+eig(A) exceeds both eigenvalues mu1, mu2 of C by eta = a_lo - max |mu_i| -
+2 tau > 0, the quadratic residual bound (R. Mathias, SIAM J. Matrix Anal.
+Appl. 1998; C.-K. Li & R.-C. Li, Linear Algebra Appl. 2005) puts each
+eigenvalue of M within eps = |B|_F^2 / eta + 3 tau of its sorted
+counterpart in eig(A) u {mu1, mu2}.  So s4 + s5 lies within 2 eps of
+|mu1| + |mu2| and s1 within eps of [max diag A, Gershgorin's top of A],
+which gives lo <= gamma_test <= hi (lo = 0 and hi = inf where eta or the
+bound on s1 is not positive).  With L a geometry's keep-th largest lo,
+keep draws have gamma_test >= L and a draw with hi < L has gamma_test < L,
+so the draws with hi >= L hold every one of the top keep ranks.
 """
 
 from __future__ import annotations
@@ -179,12 +200,12 @@ def spectrum(g: np.ndarray) -> np.ndarray:
     return s[..., ::-1]
 
 
-# Allowance, per unit of |G|_F and of |C|_F^2, for the rounding that
-# gamma_bound does not compute: the eigensolver's backward error, the
-# asymmetry of the computed G (eigh reads its lower triangle) and the
-# rounding of the bound's own products; each is a few hundred eps at most.
+# Allowance, per unit of the Frobenius norm a screen scales it by, for the
+# rounding the screen does not compute: the eigensolver's backward error,
+# the asymmetry of the computed G and the rounding of the screen's own
+# products; each is a few hundred eps at most.
 _ROUNDING = 1e-12
-# Relative widening of the bound, for the rounding of its last sums and
+# Relative widening of a bound, for the rounding of its last sums and
 # divisions and of gamma_test's own.
 _WIDEN = 1e-9
 # Largest trace(Y^T Y) |L^-1|_F^2, an upper bound on cond(Y)^2, for which
@@ -194,6 +215,12 @@ _WIDEN = 1e-9
 # the singular values of [U, 1/sqrt(k)] stay far above the 4/5 that
 # _top_pair_bound assumes.
 _BASIS_CONDITION = 1e8
+# The upper triangle of the 5x5 matrix M = V^T G V that _gamma_bounds reads,
+# as (row, column) pairs: A's diagonal, A's off-diagonal, B, C's diagonal
+# and C's off-diagonal, where A is rows/columns 0-2 and C is 3-4.
+_M_ROWS, _M_COLS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2),
+                             (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4),
+                             (3, 3), (4, 4), (3, 4)]).T
 
 
 @functools.cache
@@ -239,49 +266,48 @@ def _cholesky_inverse(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(inv.T).reshape(m, 3, 3), (s00 + s11 + s22) * (inv * inv).sum(axis=0)
 
 
+def _pair_magnitudes(t: np.ndarray, spread: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|mu1| + |mu2| and max |mu_i| for the eigenvalues mu1, mu2 of symmetric
+    blocks of rank at most 2, from their traces t = mu1 + mu2 and spreads
+    |mu1 - mu2| = sqrt(2 f^2 - t^2), f the Frobenius norm."""
+    t = np.abs(t)
+    return np.maximum(spread, t), 0.5 * (t + spread)
+
+
 def _top_pair_bound(r: np.ndarray, rq: np.ndarray) -> np.ndarray:
     """Upper bound on s1 + s2 of each symmetric matrix of an (m, k, k) stack
     r, given rq = Q^T r for (m, k, 4) columns Q whose singular values are
     all at least 4/5.
 
     Let P project onto the complement of Q's columns.  For k <= 6, P r P
-    has rank at most 2, so its s1 + s2 is max(|t|, sqrt(2 f^2 - t^2)) for
-    its trace t and Frobenius norm f; this is 1-Lipschitz in t and grows
-    with f.  f <= |r|_F, |t - trace(r)| <= 2 |r Q|_F and the rest
-    r - P r P has |.|_F <= sqrt(2) |r Q|_F (for Q orthonormal; 5/4 of that
-    here), so s1 + s2 of r is at most the closed form at (trace(r), |r|_F)
-    plus 5 |rq|_F.  For k > 6 it is sqrt(2) |r|_F, which holds for any
-    matrix.
+    has rank at most 2, so its s1 + s2 is the closed form of its trace t
+    and Frobenius norm f, which is 1-Lipschitz in t and grows with f.
+    f <= |r|_F, |t - trace(r)| <= 2 |r Q|_F and the rest r - P r P has
+    |.|_F <= sqrt(2) |r Q|_F (for Q orthonormal; 5/4 of that here), so
+    s1 + s2 of r is at most the closed form at (trace(r), |r|_F) plus
+    5 |rq|_F.  For k > 6 it is sqrt(2) |r|_F, which holds for any matrix.
     """
     m, k = r.shape[:2]
     flat = r.reshape(m, k * k)
     if k > 6:
         return np.sqrt(2.0 * np.vecdot(flat, flat))
     trace = flat @ np.eye(k).ravel()
-    top = np.sqrt(np.maximum(2.0 * np.vecdot(flat, flat) - trace * trace, 0.0))
-    np.maximum(top, np.abs(trace), out=top)
+    spread = np.sqrt(np.maximum(2.0 * np.vecdot(flat, flat) - trace * trace, 0.0))
+    top = _pair_magnitudes(trace, spread)[0]
     rq = rq.reshape(m, 4 * k)
     return top + 5.0 * np.sqrt(np.vecdot(rq, rq))
 
 
 def gamma_bound(g: np.ndarray) -> np.ndarray:
     """Certified upper bound on gamma_test of each matrix of an (m, k, k)
-    stack of centred matrices (k >= 5), with no eigensolver: every step is
-    a stacked matrix product or elementwise.  +inf where it certifies none.
+    stack of centred matrices (k >= 5), or +inf where it certifies none:
+    the analysis screen of the module docstring.
 
-    U: one subspace step Y = G X on the fixed probes X (_probes),
-    orthonormalised by Cholesky-QR.  With A = U^T G U = L L^T and
-    C = L^-1 U^T G, C^T C = G U A^-1 U^T G has rank 3, so by Mirsky's
-    theorem s4 + s5 of G is at most s1 + s2 of R = G - C^T C, which
-    _top_pair_bound bounds with Q = [U, 1/sqrt(k)].  s1 of G is at least
-    the Rayleigh quotient of v = U z, z = A^2 e_j for A's largest diagonal
-    entry j: v^T G v = z^T A z, over |v|^2 computed as is, so U need not be
-    exactly orthonormal.  tau = _ROUNDING (|G|_F + |C|_F^2) covers the
-    rounding of eigh (its backward error), of the computed G's asymmetry
-    and of C^T C; the result is (bound on s4 + s5 + 2 tau) / (bound on s1 -
-    tau), widened by _WIDEN.  Where the Cholesky factor of Y^T Y or of A
-    does not exist, Y is too ill-conditioned (_BASIS_CONDITION), or the
-    bound on s1 is not positive, the bound is +inf.
+    The Rayleigh quotient is of v = U z, z = A^2 e_j for A's largest
+    diagonal entry j: z^T A z / |v|^2 with |v|^2 computed, so U need not be
+    exactly orthonormal.  The bound is (s4 + s5 bound + 2 tau) / (s1 bound
+    - tau); +inf where a Cholesky factor fails, Y = G P is too
+    ill-conditioned (_BASIS_CONDITION) or the s1 bound is not positive.
     """
     m, k = g.shape[:2]
     # One workspace for the stacked temporaries, each written with out=:
@@ -338,6 +364,62 @@ def _solve(g: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None,
     return s, u, gamma_from_spectrum(s)
 
 
+def bound_basis(lead: np.ndarray) -> np.ndarray:
+    """(m, 6, 5) bases V of the training-target screen, from u1-u3 of each
+    geometry's noiseless centred matrix, (m, 6, 3): columns 2-6 of one
+    complete QR of [1/sqrt(6), u1, u2, u3], which are u1-u3 without their
+    rounding-sized component along 1 (up to sign) and the rest of the
+    null space.
+    """
+    ones = np.full(lead.shape[:-1] + (1,), 1.0 / math.sqrt(lead.shape[-2]))
+    return np.linalg.qr(np.concatenate([ones, lead], axis=-1), mode="complete")[0][..., 1:]
+
+
+def _gamma_bounds(basis: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, n) arrays lo <= gamma_test <= hi for a (c, n, 6, 6) stack of
+    squared noisy ranges, in each geometry's bound_basis, (c, 6, 5)."""
+    c, n = d.shape[:2]
+    table = -0.5 * (basis[:, :, None, _M_ROWS] * basis[:, None, :, _M_COLS])
+    flat = d.reshape(c, n, -1)
+    # (c, 15, n): row k is entry k of every draw's M.
+    m = table.reshape(c, -1, _M_ROWS.size).transpose(0, 2, 1) @ flat.transpose(0, 2, 1)
+    tau = _ROUNDING * np.sqrt(np.einsum("cnk,cnk->cn", flat, flat))
+    diag = m[:, 0:3]
+    off = np.abs(m[:, 3:6])
+    radius = off.sum(axis=1, keepdims=True) - off[:, ::-1]  # row i skips the pair without i
+    a_lo = (diag - radius).min(axis=1)
+    top_hi = (diag + radius).max(axis=1)
+    top_lo = diag.max(axis=1)
+    b2 = (m[:, 6:12] ** 2).sum(axis=1)
+    # C's spread as a hypot, free of the cancellation in 2 f^2 - t^2.
+    spread = np.hypot(m[:, 12] - m[:, 13], 2.0 * m[:, 14])
+    pair, top_c = _pair_magnitudes(m[:, 12] + m[:, 13], spread)
+    eta = a_lo - top_c - 2.0 * tau
+    good = eta > 0.0
+    eps = np.divide(b2, eta, out=np.full(eta.shape, np.inf), where=good) + 3.0 * tau
+    good &= top_lo > eps
+    lo = np.divide(np.maximum(pair - 2.0 * eps, 0.0), top_hi + eps,
+                   out=np.zeros(eta.shape), where=good)
+    hi = np.divide(pair + 2.0 * eps, top_lo - eps, out=np.full(eta.shape, np.inf), where=good)
+    return lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
+
+
+def top_gammas(basis: np.ndarray, d: np.ndarray, keep: int) -> np.ndarray:
+    """gamma_test of each draw of a (c, n, 6, 6) stack of squared noisy
+    ranges that can hold one of its geometry's top keep ranks, -inf for the
+    others: the training-target screen, in bound_basis bases (c, 6, 5).
+    Solved draws have their unscreened bits, so each row's top keep values
+    are those of solving every draw.
+    """
+    lo, hi = _gamma_bounds(basis, d)
+    n = d.shape[1]
+    solve = hi >= np.partition(lo, n - keep, axis=1)[:, n - keep, None]
+    gamma = np.full(solve.shape, -np.inf)
+    # d[solve] is a 3-D stack: geometric_center's matmul runs faster on it than on a 4-D one.
+    gamma[solve] = _solve(geometric_center(d[solve]), vectors=False)[2]
+    return gamma
+
+
 def analyze_clique_batch(
     ranges: RangeMatrix, cliques: np.ndarray, vectors: bool = True, floor: float | None = None
 ) -> BatchAnalysis:
@@ -348,11 +430,10 @@ def analyze_clique_batch(
     eigenvectors, both in magnitude_order.  Vector signs are arbitrary.
     With vectors=False the values come from spectrum (eigvalsh) instead,
     and left_vectors and fault_vertex_local are None.  With a floor, only
-    the rows whose gamma_bound exceeds it are solved, gathered from the
-    same centred matrices, so each gives the bits it gives unscreened; the
-    others keep their place with gamma_test -inf (BatchAnalysis), and no
-    threshold at or above the floor flags them.  Requires cliques of k >= 5
-    vertices.
+    the rows whose gamma_bound exceeds it are solved (the analysis screen);
+    the others keep their place with gamma_test -inf (BatchAnalysis), and
+    no threshold at or above the floor flags them.  Requires cliques of
+    k >= 5 vertices.
     """
     if cliques.shape[1] < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")

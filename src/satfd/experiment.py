@@ -51,6 +51,7 @@ from .constellation import ConstellationConfig, resolve_config
 from .detector import (
     DetectorParams,
     FlagTable,
+    analysis_floor,
     detect_faults_from_analyses,
     is_scalar_threshold,
     table_from_analyses,
@@ -221,18 +222,15 @@ class CampaignContext:
         once; every config biases the same draw, so a clique row is analysed
         only for the first config that biases its vertices the way it does
         (none, or the same vertices by the same magnitude), and a config
-        whose rows are all shared is not biased at all.  When every grid
-        threshold is a finite scalar, the smallest is the analysis floor: a
-        row that gamma_bound puts at or below it has gamma_test -inf and is
-        not solved, since no threshold of the grid flags it.
+        whose rows are all shared is not biased at all.  Under the grid's
+        analysis_floor, a row that gamma_bound puts at or below it has
+        gamma_test -inf and is not solved, since no threshold flags it.
         """
         biased = np.zeros((len(configs), self.n_sats), dtype=bool)
         for c, faults in enumerate(configs):
             # A zero bias leaves every range as it is (add_bias).
             biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
-        values = [thr.value for thr in self.grid.thresholds]
-        finite = all(is_scalar_threshold(v) and math.isfinite(v) for v in values)
-        floor = float(min(values)) if finite else None
+        floor = analysis_floor(thr.value for thr in self.grid.thresholds)
         out = []
         for offset in range(n_epochs):
             g = t0_index + offset

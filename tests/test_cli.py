@@ -202,6 +202,16 @@ class TestCalibrate:
         assert "error: need step > 0" in capsys.readouterr().err
         assert not (tmp_path / "thresholds.json").exists()
 
+    def test_step_too_fine_for_memory_is_one_error_line(self, tmp_path, capsys):
+        # A 1e-12 s grid over one period would take 307 PiB; numpy refuses
+        # it with a MemoryError before allocating anything.
+        rc = main(["calibrate", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--step", "1e-12"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not (tmp_path / "thresholds.json").exists()
+
     def test_percentiles_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
         def sample(*args, **kwargs):
             raise AssertionError("sampled before the percentile check")

@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from satfd import calibration, experiment
+from satfd import calibration, edm, experiment
 from satfd.constellation import load_bundled
-from satfd.detector import DetectorParams, detect_faults_from_analyses, table_from_analyses
+from satfd.detector import (
+    DetectorParams,
+    analysis_floor,
+    detect_faults,
+    detect_faults_from_analyses,
+    table_from_analyses,
+)
 from satfd.experiment import (
     CampaignContext,
     CellResult,
@@ -17,7 +23,7 @@ from satfd.experiment import (
     compute_metrics,
     run_campaign,
 )
-from satfd.ranging import FaultConfig
+from satfd.ranging import FaultConfig, measure_ranges
 from satfd.results import read_results_csv, write_results_csv
 
 P99 = 4.6e-7
@@ -49,6 +55,43 @@ def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
     classified = np.zeros(ctx.n_sats, dtype=bool)
     classified[list(outcome.fault_list)] = True
     return classified
+
+
+class StubPredictor:
+    """A per-subgraph threshold that flags no clique."""
+
+    def predict(self, features):
+        return np.ones(len(features))
+
+
+class TestAnalysisFloor:
+    @pytest.mark.parametrize("values, floor", [
+        ((5.86e-7, P99, 3.58e-7), 3.58e-7),
+        ((P99, StubPredictor()), None),
+        ((P99, 0), 0.0),
+    ], ids=["scalar", "mixed-predictor", "holding-zero"])
+    def test_campaign_and_detector_take_the_same_floor(self, monkeypatch, values, floor):
+        got = analysis_floor(values)
+        assert got == floor and type(got) is type(floor)
+        seen = []
+        real = edm.analyze_clique_batch
+
+        def recording(*args, floor=None, **kwargs):
+            seen.append(floor)
+            return real(*args, floor=floor, **kwargs)
+
+        monkeypatch.setattr(edm, "analyze_clique_batch", recording)
+        ctx = make_ctx(small_grid(
+            thresholds=tuple(ThresholdSpec(f"t{i}", v) for i, v in enumerate(values))))
+        ctx.epoch_analyses(1, 0, [FaultConfig(), FaultConfig({3}, 20.0)], 2)
+        assert seen and seen == [floor] * len(seen)
+        entry = ctx.schedule[0]
+        rm = measure_ranges(entry.positions, entry.graph, FaultConfig(), 1.0,
+                            np.random.default_rng(0))
+        for value in values:
+            seen.clear()
+            detect_faults([entry.cliques], [rm], DetectorParams(gamma_threshold=value))
+            assert seen == [analysis_floor([value])]
 
 
 class TestComputeMetrics:

@@ -41,7 +41,7 @@ schedule entry once and computes targets over chunks of geometries) must
 equal, bit for bit, a reference that builds one geometry at a time, and a
 call for n geometries must give the first n rows of a call for more, so
 no row depends on where a chunk boundary falls.  The bounds that decide
-which noise draws it solves (calibration._gamma_bounds) must contain the
+which noise draws it solves (edm._gamma_bounds) must contain the
 solved gamma_test of every draw, at every noise level from none to 500 m;
 a coplanar clique, where the bounds have no gap to work with, must have
 every draw solved and the reference's target.
@@ -75,6 +75,7 @@ from satfd.constellation import config_from_dict, load_bundled, propagate
 from satfd.calibration import (
     FEATURE_DIM,
     TAIL_PERCENTILE,
+    TARGET_CHUNK_MATRICES,
     MlpPredictor,
     batch_features,
     build_training_set,
@@ -684,13 +685,19 @@ def exact_gamma(d):
     return edm.gamma_from_spectrum(s).reshape(d.shape[:2])
 
 
+def screen_inputs(exact, cliques, draws):
+    """(bound_basis, squared noisy ranges) of draws (c, n, 6, 6 pair noise)
+    on the cliques of one true-range matrix."""
+    analysis = edm.analyze_clique_batch(RangeMatrix(r=exact), cliques)
+    basis = edm.bound_basis(analysis.left_vectors[:, :, :3])
+    return basis, (exact[cliques[:, :, None], cliques[:, None, :]][:, None] + draws) ** 2
+
+
 def bounds_of(exact, cliques, draws):
     """_gamma_bounds of draws (c, n, 6, 6 pair noise) on the cliques of one
     true-range matrix, with the squared noisy ranges they bound."""
-    analysis = edm.analyze_clique_batch(RangeMatrix(r=exact), cliques)
-    basis = calibration._bound_basis(analysis.left_vectors[:, :, :3])
-    d = (exact[cliques[:, :, None], cliques[:, None, :]][:, None] + draws) ** 2
-    return calibration._gamma_bounds(basis, d), d
+    basis, d = screen_inputs(exact, cliques, draws)
+    return edm._gamma_bounds(basis, d), d
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -707,6 +714,29 @@ def test_gamma_bounds_contain_gamma(name, seed, sigma_w):
     assert (0.0 <= lo).all()
     assert (lo <= gamma).all()
     assert (gamma <= hi).all()
+
+
+# Chunks as build_training_set stacks them: TARGET_CHUNK_MATRICES draws,
+# never fewer than one geometry.  At 10 nm of noise the draws differ by
+# about the rounding of their squared ranges, so a screen without its
+# rounding allowance (tau) leaves out draws of the top ranks there.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-8, 1.0, 50.0]), st.sampled_from([300, 457, 2000]), st.data())
+def test_top_gammas_equal_solving_every_draw(name, seed, sigma_w, n, data):
+    rng = np.random.default_rng(seed)
+    schedule = coarse_schedule(name)
+    entry = schedule[rng.integers(len(schedule))]
+    c = max(1, TARGET_CHUNK_MATRICES // n)
+    cliques = entry.cliques[rng.integers(len(entry.cliques), size=c)]
+    draws = pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(c, n))
+    basis, d = screen_inputs(true_ranges(entry.positions, entry.graph), cliques, draws)
+    keep = data.draw(st.integers(1, n))
+    got = edm.top_gammas(basis, d, keep)
+    assert got.shape == (c, n) and not np.isnan(got).any()
+    # Every draw of the top keep ranks is solved, with its unscreened bits.
+    top = slice(n - keep, None)
+    assert np.array_equal(np.sort(got, axis=1)[:, top], np.sort(exact_gamma(d), axis=1)[:, top])
 
 
 # Six satellites 20 degrees apart on one circular equatorial orbit: they see
