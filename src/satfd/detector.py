@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def is_scalar_threshold(threshold: object) -> bool:
     return isinstance(threshold, numbers.Real)
 
 
-def analysis_floor(thresholds) -> float | None:
+def analysis_floor(thresholds: Iterable[object]) -> float | None:
     """The analysis floor of a detection under every one of thresholds: the
     smallest if each is a finite scalar (no clique at or below it is
     flagged), else None (a predictor reads every clique, so all are solved)."""

@@ -42,8 +42,9 @@ equal, bit for bit, a reference that builds one geometry at a time, and a
 call for n geometries must give the first n rows of a call for more, so
 no row depends on where a chunk boundary falls.  The bounds that decide
 which noise draws it solves (edm._gamma_bounds) must contain the
-solved gamma_test of every draw, at every noise level from none to 500 m;
-a coplanar clique, where the bounds have no gap to work with, must have
+solved gamma_test of every draw, at every noise level from none to 500 m,
+and edm.top_gammas must give every row's top keep values of solving every
+draw, bit for bit, for any keep; a coplanar clique, where the bounds have no gap to work with, must have
 every draw solved and the reference's target.
 
 The analysis screen's bound (edm.gamma_bound) must contain gamma_test, as
@@ -69,7 +70,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satfd import calibration, edm
+from satfd import edm
 from satfd.cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule, list_k_cliques
 from satfd.constellation import config_from_dict, load_bundled, propagate
 from satfd.calibration import (
