@@ -155,6 +155,7 @@ def _greedy(table: FlagTable, n_sats: int, params: DetectorParams) -> DetectionO
     fault_list: list[int] = []
     history: list[VoteState] = []
     alive = table.flagged.copy()
+    k = table.vertices.shape[1]
     for _ in range(n_sats):
         votes = VoteState(counts=np.bincount(table.voted[alive], minlength=n_sats))
         history.append(votes)
@@ -162,7 +163,10 @@ def _greedy(table: FlagTable, n_sats: int, params: DetectorParams) -> DetectionO
             break
         removal = int(np.argmax(votes.counts))
         fault_list.append(removal)
-        alive &= ~np.any(table.vertices == removal, axis=1)
+        # A clique holds a satellite at most once, and flatnonzero ravels the
+        # comparison in C order whatever the layout of vertices, so each hit
+        # is one row of the table.
+        alive[np.flatnonzero(table.vertices == removal) // k] = False
     return DetectionOutcome(fault_list=tuple(fault_list), vote_history=tuple(history))
 
 

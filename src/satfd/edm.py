@@ -95,7 +95,9 @@ def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
     flat take from it.  Raises MissingEdgeError, naming the first such
     clique, if any clique pair has no measured range (range <= 0
     off-diagonal), which means the clique schedule is stale for this
-    epoch's topology.
+    epoch's topology; otherwise a ValueError, naming the first such clique,
+    if a pair's squared range is not finite (a NaN range, or one beyond
+    about 1.3e154 m).
     """
     r = ranges.r
     n = len(r)
@@ -103,13 +105,22 @@ def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
     # in r's flattened (row-major) storage.
     flat = cliques * n
     flat = flat[:, :, None] + cliques[:, None, :]
-    unmeasured = r <= 0.0
-    unmeasured.flat[::n + 1] = False
-    missing = unmeasured.take(flat)
-    if missing.any():
-        first = missing.reshape(len(cliques), -1).any(axis=1).argmax()
-        raise MissingEdgeError(f"clique {cliques[first].tolist()} has unmeasured pairs")
-    squared = r * r
+    with np.errstate(over="ignore"):
+        squared = r * r
+    # One check of both faults: a range <= 0, or a square that is NaN or inf.
+    good = (r > 0.0) & (squared < np.inf)
+    good.flat[::n + 1] = True
+    read = good.take(flat)
+    if not read.all():
+        def first(hits):
+            return cliques[hits.reshape(len(cliques), -1).any(axis=1).argmax()].tolist()
+
+        unmeasured = r <= 0.0
+        unmeasured.flat[::n + 1] = False
+        missing = unmeasured.take(flat)
+        if missing.any():
+            raise MissingEdgeError(f"clique {first(missing)} has unmeasured pairs")
+        raise ValueError(f"clique {first(~read)} has a range whose square is not finite")
     squared.flat[::n + 1] = 0.0
     return squared.take(flat)
 

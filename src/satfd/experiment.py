@@ -18,7 +18,8 @@ any are, on the magnitude.  A trial therefore does each piece of work once
   to that draw (ranging.add_bias);
 * each clique is analysed once per distinct (biased vertices, magnitude),
   so the fault-free cliques are shared by every magnitude and nested
-  fault count;
+  fault count, and an epoch's analyses are one analyze_clique_batch call
+  on the fault configs' biased ranges stacked block-diagonally;
 * each threshold flags every analysed row once (one predictor evaluation
   per epoch), and a cell's flag table is gathered from those rows by
   index: the vertex and vote columns once per config, which every
@@ -37,7 +38,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -56,7 +57,7 @@ from .detector import (
     is_scalar_threshold,
     table_from_analyses,
 )
-from .ranging import FaultConfig, add_bias, check_sigma_w, measure_ranges
+from .ranging import FaultConfig, RangeMatrix, add_bias, check_sigma_w, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, substream
 
 
@@ -225,8 +226,16 @@ class CampaignContext:
         whose rows are all shared is not biased at all.  Under the grid's
         analysis_floor, a row that gamma_bound puts at or below it has
         gamma_test -inf and is not solved, since no threshold flags it.
+
+        An epoch is one analyze_clique_batch call.  The biased ranges of
+        the b-th config with new rows are block b of one block-diagonal
+        range matrix, and its rows' satellite ids are offset by n_sats * b;
+        no clique reads an entry off the blocks, and a solved row has the
+        bits of analysing its block alone (build_edm squares each entry
+        alone, the centring and the eigensolver work per matrix).
         """
-        biased = np.zeros((len(configs), self.n_sats), dtype=bool)
+        n = self.n_sats
+        biased = np.zeros((len(configs), n), dtype=bool)
         for c, faults in enumerate(configs):
             # A zero bias leaves every range as it is (add_bias).
             biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
@@ -241,7 +250,7 @@ class CampaignContext:
             # (configs, m) codes: bit j is set when vertex j of the row is biased.
             codes = (biased[:, cliques] << np.arange(cliques.shape[1])).sum(axis=2)
             source = np.full(codes.shape, -1, dtype=np.intp)
-            parts = []  # analysed rows, in order of analysis
+            blocks, rows = [], []  # per analysed config: biased ranges, new rows
             n_rows = 0
             for c, faults in enumerate(configs):
                 for p in range(c):
@@ -251,22 +260,19 @@ class CampaignContext:
                     source[c, same] = source[p, same]
                 new = np.flatnonzero(source[c] < 0)
                 if c == 0 or new.size:
-                    rm = add_bias(clean, entry.graph, faults)
-                    parts.append(edm.analyze_clique_batch(rm, cliques[new], floor=floor))
+                    blocks.append(add_bias(clean, entry.graph, faults).r)
+                    rows.append(cliques[new])
                     source[c, new] = n_rows + np.arange(new.size)
                     n_rows += new.size
-            out.append((_concat(parts), source))
+            stacked = np.zeros((len(blocks) * n, len(blocks) * n))
+            for b, block in enumerate(blocks):
+                stacked[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
+            ids = np.concatenate(rows)
+            shift = np.repeat(n * np.arange(len(rows)), [len(part) for part in rows])
+            analysed = edm.analyze_clique_batch(
+                RangeMatrix(stacked), ids + shift[:, None], floor=floor)
+            out.append((replace(analysed, cliques=ids), source))
         return out
-
-
-def _concat(parts: list[edm.BatchAnalysis]) -> edm.BatchAnalysis:
-    """The rows of every part, in order."""
-    if len(parts) == 1:
-        return parts[0]
-    return edm.BatchAnalysis(*(
-        np.concatenate([getattr(part, f.name) for part in parts])
-        for f in fields(edm.BatchAnalysis)
-    ))
 
 
 def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:

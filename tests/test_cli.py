@@ -692,12 +692,15 @@ class TestLibraryValueErrors:
          "learning rate must be positive and finite, got 0.0"),
         (["train-predictor", "--n-geometries", "20", "--n-noise", "300", "--epochs", "-3"],
          "epochs must be >= 1, got -3"),
+        (["detect", "--t0", "0", "--fault-sats", "3", "--threshold", "4.6e-7", "--dl", "1",
+          "--seed", "0", "--magnitude", "1e200"],
+         "clique [1, 2, 3, 4, 5, 6] has a range whose square is not finite"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
             "train-sigma-w", "train-diverges", "calibrate-duration-inf", "calibrate-step-nan",
             "detect-threshold-nan", "detect-threshold-inf", "train-lr-nan", "train-lr-0",
-            "train-epochs-negative"])
+            "train-epochs-negative", "detect-magnitude-1e200"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])

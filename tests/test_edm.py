@@ -1,7 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from satfd import edm
+from satfd.detector import DetectorParams, detect_faults
 from satfd.cliques import list_k_cliques
 from satfd.constellation import load_bundled, propagate
 from satfd.linkgraph import build_visibility_graph
@@ -86,6 +90,45 @@ class TestBuildEdm:
     def test_single_point_degenerate(self):
         rm = RangeMatrix(r=np.zeros((1, 1)))
         assert np.array_equal(edm.build_edm(rm, whole(1)), np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("floor", [None, 4.6e-7])
+    def test_overflowing_square_refused_without_warning(self, floor):
+        pts = np.random.default_rng(2).uniform(5.0, 9.0, size=(6, 3)) * 1e6
+        rm = faulted_ranges(pts, fault_ids=(2,), magnitude=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "clique [0, 1, 2, 3, 4, 5] has a range whose square is not finite")):
+                edm.analyze_clique_batch(rm, whole(6), floor=floor)
+
+    def test_nan_pair_names_the_first_clique_that_reads_it(self):
+        pts = np.random.default_rng(2).uniform(5.0, 9.0, size=(7, 3)) * 1e6
+        rm = faulted_ranges(pts)
+        rm.r[2, 6] = rm.r[6, 2] = np.nan
+        cliques = np.array([[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6], [0, 2, 3, 4, 5, 6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "clique [1, 2, 3, 4, 5, 6] has a range whose square is not finite")):
+                edm.build_edm(rm, cliques)
+        # An unmeasured pair is reported as such, before any non-finite one.
+        rm.r[0, 1] = rm.r[1, 0] = 0.0
+        with pytest.raises(edm.MissingEdgeError, match=re.escape("clique [0, 1, 2, 3, 4, 5]")):
+            edm.build_edm(rm, cliques[::-1])
+
+    def test_nan_range_refused_by_detect_faults(self):
+        config = load_bundled("elfo_moon")
+        ps = propagate(config, 3600.0)
+        graph = build_visibility_graph(ps, config.body.radius)
+        cliques = list_k_cliques(graph, 6)
+        rm = measure_ranges(ps, graph, FaultConfig(), 1.0, substream(5, 1))
+        i, j = cliques[0, :2]
+        rm.r[i, j] = rm.r[j, i] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"clique {cliques[0].tolist()} has a range whose square is not finite")):
+                detect_faults([cliques], [rm], DetectorParams(gamma_threshold=4.6e-7))
 
 
 class TestGeometricCenter:
@@ -316,6 +359,59 @@ class TestSignCanonicalization:
         fixed = edm.canonicalize_signs(u)
         assert np.array_equal(fixed[:, 1], np.zeros(4))
         assert fixed[1, 0] == 1.0
+
+
+def block_diagonal(*blocks):
+    """The range matrix with blocks on its diagonal and zeros elsewhere."""
+    n = sum(len(b) for b in blocks)
+    r = np.zeros((n, n))
+    start = 0
+    for b in blocks:
+        r[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return RangeMatrix(r=r)
+
+
+class TestBlockDiagonalStack:
+    """Analysing the cliques of several range matrices in one call, on their
+    block-diagonal stack, gives each row the bits of its own block alone."""
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("floor", [None, 3.58e-7])
+    def test_rows_equal_their_own_block(self, floor, vectors):
+        config = load_bundled("elfo_moon")
+        ps = propagate(config, 300.0)
+        graph = build_visibility_graph(ps, config.body.radius)
+        cliques = list_k_cliques(graph, 6)
+        n = len(ps)
+        first = measure_ranges(ps, graph, FaultConfig({2}, 15.0), 1.0, substream(5, 1))
+        second = measure_ranges(ps, graph, FaultConfig({2, 7}, 5.0), 1.0, substream(5, 2))
+        parts = [(first, cliques[::2]), (second, cliques[1::3])]
+        stacked = edm.analyze_clique_batch(
+            block_diagonal(first.r, second.r),
+            np.concatenate([cliques[::2], cliques[1::3] + n]), vectors=vectors, floor=floor)
+        start = 0
+        for rm, part in parts:
+            rows = slice(start, start + len(part))
+            start += len(part)
+            got = stacked.gamma_test[rows]
+            solved = got != -np.inf
+            # Without a floor every row is solved; with one, the unsolved rows
+            # are those no threshold at or above the floor flags.
+            want = edm.analyze_clique_batch(rm, part, vectors=vectors)
+            assert solved.all() if floor is None else solved.any() and not solved.all()
+            if floor is not None:
+                assert (want.gamma_test[~solved] <= floor).all()
+            assert np.array_equal(got[solved], want.gamma_test[solved])
+            assert np.array_equal(stacked.singular_values[rows][solved],
+                                  want.singular_values[solved])
+            if vectors:
+                assert np.array_equal(stacked.left_vectors[rows][solved],
+                                      want.left_vectors[solved])
+                assert np.array_equal(stacked.fault_vertex_local[rows][solved],
+                                      want.fault_vertex_local[solved])
+            else:
+                assert stacked.left_vectors is None and want.left_vectors is None
 
 
 class TestBatchMatchesSingle:

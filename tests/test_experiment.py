@@ -94,6 +94,39 @@ class TestAnalysisFloor:
             assert seen == [analysis_floor([value])]
 
 
+class TestOneAnalysisPerEpoch:
+    def count_calls(self, monkeypatch):
+        """The side of the range matrix of every analyze_clique_batch call."""
+        sides = []
+        real = edm.analyze_clique_batch
+
+        def counting(ranges, cliques, **kwargs):
+            sides.append(len(ranges.r))
+            return real(ranges, cliques, **kwargs)
+
+        monkeypatch.setattr(edm, "analyze_clique_batch", counting)
+        return sides
+
+    def test_configs_of_an_epoch_share_one_call(self, monkeypatch):
+        sides = self.count_calls(monkeypatch)
+        ctx = make_ctx(small_grid())
+        configs = [FaultConfig({3}, 5.0), FaultConfig({3}, 20.0), FaultConfig({3, 7}, 20.0),
+                   FaultConfig()]
+        epochs = ctx.epoch_analyses(1, 4, configs, 3)
+        # Four blocks: the fault-free config's rows are all shared but those with 3.
+        assert sides == [4 * ctx.n_sats] * 3
+        for offset, (rows, source) in enumerate(epochs):
+            assert rows.cliques.min() >= 0 and rows.cliques.max() < ctx.n_sats
+            for index in source:
+                assert np.array_equal(rows.cliques[index], ctx.schedule[4 + offset].cliques)
+
+    def test_trial_makes_one_call_per_epoch(self, monkeypatch):
+        sides = self.count_calls(monkeypatch)
+        ctx = make_ctx(small_grid(fault_counts=(1, 2), magnitudes=(5.0, 20.0), dls=(1, 3)))
+        experiment._trial_cell_counts(ctx, 2)
+        assert len(sides) == 3 and max(sides) > ctx.n_sats
+
+
 class TestComputeMetrics:
     def test_perfect_detector(self):
         m = compute_metrics(ConfusionCounts(tp=10, fn=0, fp=0, tn=110))

@@ -22,7 +22,7 @@ union of two disjoint fault sets is the sum of their separate changes.
 
 The greedy loop must give the removal order and per-round vote counts of a
 reference that rebuilds its live set from every removed satellite each
-round.
+round, whatever the memory layout of the table's vertex column.
 
 A held clique schedule (build_clique_schedule, one listing per distinct
 adjacency) must equal the per-epoch stream (iter_schedule) entry by entry
@@ -442,12 +442,27 @@ def reference_greedy(batches, params, n_sats):
     return removed, history
 
 
+def laid_out(vertices, layout):
+    """vertices as a C-ordered array, a Fortran-ordered one, or a
+    non-contiguous column slice of a wider array."""
+    if layout == "F":
+        return np.asfortranarray(vertices)
+    if layout == "slice":
+        wide = np.concatenate([vertices, vertices[:, :1]], axis=1)[:, :-1]
+        assert not (wide.flags.c_contiguous or wide.flags.f_contiguous) or len(wide) < 2
+        return wide
+    return vertices
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(flag_window(), st.integers(1, 6), st.floats(0.05, 0.6))
-def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf):
+@given(flag_window(), st.integers(1, 6), st.floats(0.05, 0.6),
+       st.sampled_from(["C", "F", "slice"]))
+def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf, layout):
     n, batches = window
     params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf, gamma_threshold=0.5)
-    outcome = detect_faults_from_analyses(table_from_analyses(batches, params), params, n)
+    table = table_from_analyses(batches, params)
+    table = dataclasses.replace(table, vertices=laid_out(table.vertices, layout))
+    outcome = detect_faults_from_analyses(table, params, n)
     removed, history = reference_greedy(batches, params, n)
     assert list(outcome.fault_list) == removed
     assert [v.counts.tolist() for v in outcome.vote_history] == history
