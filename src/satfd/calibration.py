@@ -9,14 +9,17 @@ distribution whose shape depends on subgraph geometry, so a small MLP is
 also provided that maps a subgraph's first three singular values and
 vectors to its own 99.7th-percentile threshold, trading the conservatism
 of a single global percentile for per-geometry sensitivity.  Its training
-targets use the range model of ranging (true_ranges plus pair_noise) on
-one clique's submatrix, so they follow any change to that model.
+targets use the range model of ranging (true_ranges plus pair_draws) on
+one clique's pairs, so they follow any change to that model.
 
 A target is a tail percentile, which reads only the top few of a
 geometry's noise draws, so build_training_set solves only the draws that
 edm.top_gammas (the training-target screen, derived in edm's docstring)
-cannot rule out of those ranks.  The targets are bit for bit those of
-solving every draw.
+cannot rule out of those ranks.  The screen reads each draw as its 15
+squared pair ranges, and only the draws it solves are mirrored to 6x6
+matrices.  The features of many schedule entries are one analysis call
+(edm.analyze_blocks).  The targets are bit for bit those of solving every
+draw, one geometry at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import edm
 from .cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule
 from .constellation import ConstellationConfig
 from .ranging import (
-    FaultConfig, RangeMatrix, check_sigma_w, measure_ranges, pair_noise, true_ranges,
+    FaultConfig, check_sigma_w, measure_ranges, pair_draws, pair_rows, true_ranges,
 )
 from .seeds import CALIBRATION, TRAINING, substream
 
@@ -47,6 +50,15 @@ TAIL_PERCENTILE = 99.7
 # draws): enough to pay numpy's per-call cost once for several geometries,
 # few enough that a chunk's arrays do not raise the process's peak memory.
 TARGET_CHUNK_MATRICES = 1200
+# Noise draws whose targets one np.percentile call reads (whole target
+# chunks, 64 geometries at 300 draws): numpy's per-call cost is paid once
+# for many geometries, and the block's gamma_test buffer stays at 150 KB.
+PERCENTILE_BLOCK_DRAWS = 16 * TARGET_CHUNK_MATRICES
+# Largest side of the block-diagonal range matrix of one feature analysis
+# call (edm.analyze_blocks): 16 schedule entries of 12 satellites.  The
+# call's per-call cost is paid once for many entries, and the stacked
+# matrix (295 KB) and its square stay small.
+FEATURE_STACK_SIDE = 192
 
 
 class EmptySampleError(ValueError):
@@ -328,6 +340,16 @@ def check_epochs(epochs: int) -> None:
         raise ValueError(f"epochs must be >= 1, got {epochs!r}")
 
 
+def check_training_size(n_geometries: int, n_noise: int) -> None:
+    """Refuse a training set of no geometries, or of too few noise draws per
+    geometry to resolve the TAIL_PERCENTILE target."""
+    if n_geometries < 1:
+        raise ValueError(f"empty training set: n_geometries must be >= 1, got {n_geometries!r}")
+    if n_noise < 300:
+        raise ValueError(f"n_noise must be >= 300 to resolve the {TAIL_PERCENTILE} "
+                         f"percentile, got {n_noise!r}")
+
+
 def train_predictor(
     features: np.ndarray,
     targets: np.ndarray,
@@ -403,12 +425,15 @@ def build_training_set(
     own substream.
 
     The work is batched in two passes.  Features: the geometries are
-    grouped by schedule entry, and each distinct entry takes one
-    true_ranges, one analysis of all its chosen cliques (whose u1-u3 also
-    give each geometry's bound basis, edm.bound_basis) and one gather of
-    their exact submatrices.  Targets: consecutive geometries are
-    stacked into chunks of about TARGET_CHUNK_MATRICES noise draws (never
-    fewer than one geometry), so memory stays flat in n_geometries.
+    grouped by schedule entry, each distinct entry takes one true_ranges
+    and one gather of its cliques' exact pair ranges, and groups of entries
+    (at most FEATURE_STACK_SIDE satellites) take one analysis of all their
+    chosen cliques (edm.analyze_blocks), whose u1-u3 also give each
+    geometry's bound basis (edm.bound_basis).  Targets: consecutive
+    geometries are stacked into chunks of about TARGET_CHUNK_MATRICES noise
+    draws (never fewer than one geometry), and np.percentile reads blocks
+    of about PERCENTILE_BLOCK_DRAWS (whole chunks), so memory stays flat in
+    n_geometries.
 
     A target reads only the draws of the top ranks: np.percentile at
     TAIL_PERCENTILE of n draws reads ranks floor((n-1) q) and the one
@@ -417,8 +442,7 @@ def build_training_set(
     of those ranks and enters every other one as -inf.  Every row is bit
     for bit what the geometry gives on its own with every draw solved.
     """
-    if n_noise < 300:
-        raise ValueError(f"n_noise must be >= 300 to resolve the {TAIL_PERCENTILE} percentile")
+    check_training_size(n_geometries, n_noise)
     check_sigma_w(sigma_w)
     schedule = build_clique_schedule(config, sampling_times(step, config.period))
     counts = np.array([len(entry.cliques) for entry in schedule])
@@ -433,32 +457,50 @@ def build_training_set(
     entry_of = np.searchsorted(starts, chosen, side="right") - 1
 
     feats = np.empty((n_geometries, FEATURE_DIM))
-    subs = np.empty((n_geometries, CLIQUE_SIZE, CLIQUE_SIZE))
+    # Each geometry's exact ranges of the pairs i < j, row-major.
+    i, j = pair_rows(CLIQUE_SIZE)
+    pairs = np.empty((n_geometries, i.size))
     lead = np.empty((n_geometries, CLIQUE_SIZE, 3))
-    for e in np.unique(entry_of):
-        rows = np.flatnonzero(entry_of == e)
-        entry = schedule[e]
-        cliques = entry.cliques[chosen[rows] - starts[e]]
-        exact = true_ranges(entry.positions, entry.graph)
-        analysis = edm.analyze_clique_batch(RangeMatrix(r=exact), cliques)
-        feats[rows] = batch_features(analysis)
-        lead[rows] = analysis.left_vectors[:, :, :3]
-        subs[rows] = exact[cliques[:, :, None], cliques[:, None, :]]
+    # The geometries of each distinct entry, in increasing order.
+    order = np.argsort(entry_of, kind="stable")
+    entries, firsts = np.unique(entry_of[order], return_index=True)
+    groups = list(zip(entries, np.split(order, firsts[1:])))
+    per_group = max(1, FEATURE_STACK_SIDE // config.n_satellites)
+    for first in range(0, len(groups), per_group):
+        blocks, rows, parts = [], [], []
+        for e, part in groups[first:first + per_group]:
+            entry = schedule[e]
+            cliques = entry.cliques[chosen[part] - starts[e]]
+            exact = true_ranges(entry.positions, entry.graph)
+            pairs[part] = exact[cliques[:, i], cliques[:, j]]
+            blocks.append(exact)
+            rows.append(cliques)
+            parts.append(part)
+        analysed = np.concatenate(parts)
+        analysis = edm.analyze_blocks(blocks, rows)
+        feats[analysed] = batch_features(analysis)
+        lead[analysed] = analysis.left_vectors[:, :, :3]
     basis = edm.bound_basis(lead)
 
     targets = np.empty(n_geometries)
     per_chunk = max(1, TARGET_CHUNK_MATRICES // n_noise)
+    per_block = per_chunk * max(1, PERCENTILE_BLOCK_DRAWS // (per_chunk * n_noise))
     # np.percentile reads the draws of descending rank 1 .. n_noise - i,
     # i = floor((n_noise - 1) q); one rank more is kept, so that numpy's own
     # rounding of that floor cannot move a read rank out of the solved set.
     keep = n_noise - math.floor((n_noise - 1) * TAIL_PERCENTILE / 100.0) + 1
-    for first in range(0, n_geometries, per_chunk):
-        last = min(first + per_chunk, n_geometries)
-        w = np.stack([
-            pair_noise(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w, size=(n_noise,))
-            for g in range(first, last)
-        ])
-        d = (subs[first:last, None] + w) ** 2
-        targets[first:last] = np.percentile(edm.top_gammas(basis[first:last], d, keep),
-                                            TAIL_PERCENTILE, axis=1)
+    for block in range(0, n_geometries, per_block):
+        end = min(block + per_block, n_geometries)
+        gamma = np.empty((end - block, n_noise))
+        for first in range(block, end, per_chunk):
+            last = min(first + per_chunk, end)
+            # The chunk's squared noisy pair ranges, (geometries, n_noise, 15).
+            d = np.empty((last - first, n_noise, i.size))
+            for g in range(first, last):
+                d[g - first] = pair_draws(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w,
+                                          size=(n_noise,))
+            d += pairs[first:last, None]
+            d *= d
+            gamma[first - block:last - block] = edm.top_gammas(basis[first:last], d, keep)
+        targets[block:end] = np.percentile(gamma, TAIL_PERCENTILE, axis=1)
     return feats, targets

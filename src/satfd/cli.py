@@ -166,6 +166,7 @@ def cmd_train_predictor(args) -> int:
     _check_seed(args.seed)
     calibration.check_learning_rate(args.lr)
     calibration.check_epochs(args.epochs)
+    calibration.check_training_size(args.n_geometries, args.n_noise)
     path = _outdir(args) / "model.json"
     feats, targets = calibration.build_training_set(
         config, args.sigma_w, args.n_geometries, args.n_noise, seed=args.seed

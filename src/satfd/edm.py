@@ -58,8 +58,12 @@ a geometry's noise draws and reads only the top few ranks.  The noiseless
 centred matrix G0 has rank 3; V (bound_basis) holds its top three
 eigenvectors and two vectors spanning the rest of its null space, all
 orthogonal to the all-ones vector, so a draw's G has the spectrum of
-M = V^T G V = -1/2 V^T D V, plus 0.  Split M = [[A, B], [B^T, C]] (A 3x3,
-C 2x2) and let tau = _ROUNDING |D|_F.  If Gershgorin's lower bound a_lo on
+M = V^T G V = -1/2 V^T D V, plus 0.  D is symmetric with a zero diagonal,
+so the screen reads only its entries d_ij of the pairs i < j: each entry
+of M is the 15-term sum M_ab = sum_{i<j} t_ij d_ij over the folded table
+t_ij = -1/2 (V_ia V_jb + V_ja V_ib), and |D|_F = sqrt(2 sum_{i<j} d_ij^2).
+Split M = [[A, B], [B^T, C]] (A 3x3, C 2x2) and let tau = _ROUNDING |D|_F.
+If Gershgorin's lower bound a_lo on
 eig(A) exceeds both eigenvalues mu1, mu2 of C by eta = a_lo - max |mu_i| -
 2 tau > 0, the quadratic residual bound (R. Mathias, SIAM J. Matrix Anal.
 Appl. 1998; C.-K. Li & R.-C. Li, Linear Algebra Appl. 2005) puts each
@@ -69,22 +73,29 @@ counterpart in eig(A) u {mu1, mu2}.  So s4 + s5 lies within 2 eps of
 which gives lo <= gamma_test <= hi (lo = 0 and hi = inf where eta or the
 bound on s1 is not positive).  With L a geometry's keep-th largest lo,
 keep draws have gamma_test >= L and a draw with hi < L has gamma_test < L,
-so the draws with hi >= L hold every one of the top keep ranks.
+so the draws with hi >= L hold every one of the top keep ranks.  The
+computed M is within tau of the exact one: sum_{i<j} t_ij^2 <= 1/2 for
+orthonormal columns of V, so a 15-term sum whose table entries carry three
+roundings each errs by at most about 18 eps |D|_F / 2, some 1e-15 |D|_F.
+The draws that are solved are mirrored back to their 6x6 matrices
+(ranging.mirror_pairs) and solved as every other matrix is.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .ranging import RangeMatrix
+from .ranging import RangeMatrix, mirror_pairs, pair_rows
 
 
-class MissingEdgeError(RuntimeError):
-    """A clique refers to a pair with no measured range (stale schedule)."""
+class MissingEdgeError(ValueError):
+    """A clique reads a pair with no positive range: the pair is unmeasured
+    (a stale schedule), or its noise is larger than its range."""
 
 
 def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
@@ -93,11 +104,11 @@ def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
     The members of a clique are distinct satellite ids.  The range matrix
     is squared once (diagonal zeroed), and every clique's block is one
     flat take from it.  Raises MissingEdgeError, naming the first such
-    clique, if any clique pair has no measured range (range <= 0
-    off-diagonal), which means the clique schedule is stale for this
-    epoch's topology; otherwise a ValueError, naming the first such clique,
-    if a pair's squared range is not finite (a NaN range, or one beyond
-    about 1.3e154 m).
+    clique, if any clique pair has no positive range (range <= 0
+    off-diagonal): the clique schedule is stale for this epoch's topology,
+    or the pair's noise is larger than its range; otherwise a ValueError,
+    naming the first such clique, if a pair's squared range is not finite
+    (a NaN range, or one beyond about 1.3e154 m).
     """
     r = ranges.r
     n = len(r)
@@ -119,7 +130,8 @@ def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
         unmeasured.flat[::n + 1] = False
         missing = unmeasured.take(flat)
         if missing.any():
-            raise MissingEdgeError(f"clique {first(missing)} has unmeasured pairs")
+            raise MissingEdgeError(f"clique {first(missing)} has a range <= 0: the pair is "
+                                   f"unmeasured, or its noise is larger than its range")
         raise ValueError(f"clique {first(~read)} has a range whose square is not finite")
     squared.flat[::n + 1] = 0.0
     return squared.take(flat)
@@ -387,14 +399,17 @@ def bound_basis(lead: np.ndarray) -> np.ndarray:
 
 
 def _gamma_bounds(basis: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, n) arrays lo <= gamma_test <= hi for a (c, n, 6, 6) stack of
-    squared noisy ranges, in each geometry's bound_basis, (c, 6, 5)."""
-    c, n = d.shape[:2]
-    table = -0.5 * (basis[:, :, None, _M_ROWS] * basis[:, None, :, _M_COLS])
-    flat = d.reshape(c, n, -1)
+    """(c, n) arrays lo <= gamma_test <= hi for a (c, n, 15) stack of squared
+    noisy ranges of the pairs i < j, in each geometry's bound_basis,
+    (c, 6, 5)."""
+    i, j = pair_rows(basis.shape[1])
+    vi, vj = basis[:, i], basis[:, j]
+    # (c, 15, 15): row k is the folded table of entry k of M.
+    table = -0.5 * (vi[:, :, _M_ROWS] * vj[:, :, _M_COLS]
+                    + vj[:, :, _M_ROWS] * vi[:, :, _M_COLS]).transpose(0, 2, 1)
     # (c, 15, n): row k is entry k of every draw's M.
-    m = table.reshape(c, -1, _M_ROWS.size).transpose(0, 2, 1) @ flat.transpose(0, 2, 1)
-    tau = _ROUNDING * np.sqrt(np.einsum("cnk,cnk->cn", flat, flat))
+    m = table @ d.transpose(0, 2, 1)
+    tau = _ROUNDING * np.sqrt(2.0 * np.einsum("cnk,cnk->cn", d, d))
     diag = m[:, 0:3]
     off = np.abs(m[:, 3:6])
     radius = off.sum(axis=1, keepdims=True) - off[:, ::-1]  # row i skips the pair without i
@@ -416,18 +431,21 @@ def _gamma_bounds(basis: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def top_gammas(basis: np.ndarray, d: np.ndarray, keep: int) -> np.ndarray:
-    """gamma_test of each draw of a (c, n, 6, 6) stack of squared noisy
-    ranges that can hold one of its geometry's top keep ranks, -inf for the
-    others: the training-target screen, in bound_basis bases (c, 6, 5).
-    Solved draws have their unscreened bits, so each row's top keep values
+    """gamma_test of each draw of a (c, n, 15) stack of squared noisy ranges
+    of the pairs i < j (row-major) that can hold one of its geometry's top
+    keep ranks, -inf for the others: the training-target screen, in
+    bound_basis bases (c, 6, 5).  Solved draws are mirrored to their
+    matrices and have their unscreened bits, so each row's top keep values
     are those of solving every draw.
     """
     lo, hi = _gamma_bounds(basis, d)
     n = d.shape[1]
     solve = hi >= np.partition(lo, n - keep, axis=1)[:, n - keep, None]
     gamma = np.full(solve.shape, -np.inf)
-    # d[solve] is a 3-D stack: geometric_center's matmul runs faster on it than on a 4-D one.
-    gamma[solve] = _solve(geometric_center(d[solve]), vectors=False)[2]
+    # d[solve] is a 2-D stack, so its matrices are a 3-D one: geometric_center's
+    # matmul runs faster on it than on a 4-D one.
+    gamma[solve] = _solve(geometric_center(mirror_pairs(d[solve], basis.shape[1])),
+                          vectors=False)[2]
     return gamma
 
 
@@ -466,3 +484,29 @@ def analyze_clique_batch(
         gamma_test=gamma,
         fault_vertex_local=None if u is None else np.argmax(np.abs(u[:, :, 3]), axis=1),
     )
+
+
+def analyze_blocks(
+    blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray], vectors: bool = True,
+    floor: float | None = None,
+) -> BatchAnalysis:
+    """analyze_clique_batch of the cliques rows[b] of each (n, n) range
+    matrix blocks[b], in one call.
+
+    The blocks are the diagonal of one block-diagonal range matrix (zeros
+    off the blocks, which build_edm would refuse as unmeasured but no
+    clique reads), and the satellite ids of rows[b] are offset by n * b for
+    the call and restored in the returned cliques, whose rows are those of
+    rows in order.  A solved row has the bits of analysing its block alone:
+    build_edm squares each entry alone, and the centring and the
+    eigensolver work per matrix.
+    """
+    n = len(blocks[0])
+    stacked = np.zeros((len(blocks) * n, len(blocks) * n))
+    for b, block in enumerate(blocks):
+        stacked[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
+    ids = np.concatenate(rows)
+    shift = np.repeat(n * np.arange(len(rows)), [len(part) for part in rows])
+    analysed = analyze_clique_batch(RangeMatrix(stacked), ids + shift[:, None], vectors=vectors,
+                                    floor=floor)
+    return replace(analysed, cliques=ids)

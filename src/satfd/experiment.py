@@ -57,7 +57,7 @@ from .detector import (
     is_scalar_threshold,
     table_from_analyses,
 )
-from .ranging import FaultConfig, RangeMatrix, add_bias, check_sigma_w, measure_ranges
+from .ranging import FaultConfig, add_bias, check_sigma_w, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, substream
 
 
@@ -227,12 +227,10 @@ class CampaignContext:
         analysis_floor, a row that gamma_bound puts at or below it has
         gamma_test -inf and is not solved, since no threshold flags it.
 
-        An epoch is one analyze_clique_batch call.  The biased ranges of
-        the b-th config with new rows are block b of one block-diagonal
-        range matrix, and its rows' satellite ids are offset by n_sats * b;
-        no clique reads an entry off the blocks, and a solved row has the
-        bits of analysing its block alone (build_edm squares each entry
-        alone, the centring and the eigensolver work per matrix).
+        An epoch is one analyze_clique_batch call (edm.analyze_blocks): the
+        biased ranges of the b-th config with new rows are block b of one
+        block-diagonal range matrix, and a solved row has the bits of
+        analysing its block alone.
         """
         n = self.n_sats
         biased = np.zeros((len(configs), n), dtype=bool)
@@ -264,14 +262,7 @@ class CampaignContext:
                     rows.append(cliques[new])
                     source[c, new] = n_rows + np.arange(new.size)
                     n_rows += new.size
-            stacked = np.zeros((len(blocks) * n, len(blocks) * n))
-            for b, block in enumerate(blocks):
-                stacked[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
-            ids = np.concatenate(rows)
-            shift = np.repeat(n * np.arange(len(rows)), [len(part) for part in rows])
-            analysed = edm.analyze_clique_batch(
-                RangeMatrix(stacked), ids + shift[:, None], floor=floor)
-            out.append((replace(analysed, cliques=ids), source))
+            out.append((edm.analyze_blocks(blocks, rows, floor=floor), source))
         return out
 
 

@@ -10,9 +10,11 @@ two-way, so both ends see the same value) and f_k equal to the fault bias
 for satellites in the fault set, zero otherwise.  The three terms are
 true_ranges, pair_noise and add_bias, and measure_ranges is their sum.
 
-pair_noise draws for every pair i < j in a fixed row-major order regardless
-of visibility or fault configuration, so a given generator state produces
-the same noise field whether or not faults are injected.  That makes
+pair_draws is the one home of the draw order: one value for every pair
+i < j, in a fixed row-major order, regardless of visibility or fault
+configuration, so a given generator state produces the same noise field
+whether or not faults are injected.  pair_noise is its mirror into the
+(n, n) matrix (mirror_pairs, one gather).  That makes
 fault/no-fault comparisons exact and keeps parameter sweeps on the same
 noise realizations; a caller that needs several fault configurations of
 one epoch draws the noise once and biases it per configuration.
@@ -20,6 +22,7 @@ one epoch draws the noise once and biases it per configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,15 +64,45 @@ def true_ranges(positions: np.ndarray, graph: VisibilityGraph) -> np.ndarray:
     return np.where(graph.adjacency, np.sqrt((diff**2).sum(axis=2)), 0.0)
 
 
-def pair_noise(rng: np.random.Generator, n: int, sigma_w: float, size: tuple = ()) -> np.ndarray:
-    """size + (n, n) range noise: w_ij drawn once per pair i < j, in
-    row-major order, then mirrored; zero diagonal."""
+def pair_draws(rng: np.random.Generator, n: int, sigma_w: float, size: tuple = ()) -> np.ndarray:
+    """size + (n(n-1)/2,) range noise: w_ij for every pair i < j, in
+    row-major order; consecutive draws along the leading axes."""
     check_sigma_w(sigma_w)
-    w = np.zeros(size + (n, n))
-    # A boolean mask selects the pairs i < j in row-major order.
-    w[..., ~np.tri(n, dtype=bool)] = rng.standard_normal(size + (n * (n - 1) // 2,)) * sigma_w
-    w += np.swapaxes(w, -1, -2)
-    return w
+    return rng.standard_normal(size + (n * (n - 1) // 2,)) * sigma_w
+
+
+@functools.cache
+def pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the pairs i < j of an n x n matrix, in the
+    row-major order of pair_draws (read-only: every call shares them)."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+@functools.cache
+def _mirror_index(n: int) -> np.ndarray:
+    """(n, n) read-only table: entry (i, j) is 1 + the index of the pair
+    (min(i, j), max(i, j)) in pair_rows(n), and 0 on the diagonal."""
+    index = np.zeros((n, n), dtype=np.intp)
+    index[pair_rows(n)] = np.arange(1, n * (n - 1) // 2 + 1)
+    index += index.T
+    index.setflags(write=False)
+    return index
+
+
+def mirror_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    """size + (n, n) symmetric matrices with zero diagonals from size +
+    (n(n-1)/2,) values of the pairs i < j in row-major order: one gather,
+    with slot 0 a zero for the diagonal."""
+    padded = np.concatenate([np.zeros(pairs.shape[:-1] + (1,)), pairs], axis=-1)
+    return padded.take(_mirror_index(n), axis=-1)
+
+
+def pair_noise(rng: np.random.Generator, n: int, sigma_w: float, size: tuple = ()) -> np.ndarray:
+    """size + (n, n) range noise: pair_draws mirrored; zero diagonal."""
+    return mirror_pairs(pair_draws(rng, n, sigma_w, size), n)
 
 
 def measure_ranges(

@@ -428,3 +428,45 @@ class TestBuildTrainingSet:
         config = load_bundled("elfo_moon")
         with pytest.raises(ValueError):
             build_training_set(config, 1.0, n_geometries=1, n_noise=100, seed=1)
+
+    @pytest.mark.parametrize("n_geometries, n_noise, message", [
+        (0, 300, "empty training set: n_geometries must be >= 1, got 0"),
+        (-5, 300, "empty training set: n_geometries must be >= 1, got -5"),
+        (1, 299, "n_noise must be >= 300 to resolve the 99.7 percentile, got 299"),
+    ])
+    def test_training_size_checked_before_the_schedule(self, monkeypatch, n_geometries,
+                                                       n_noise, message):
+        def schedule(*args, **kwargs):
+            raise AssertionError("built the schedule before checking the training size")
+
+        monkeypatch.setattr(calibration, "build_clique_schedule", schedule)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_training_set(load_bundled("elfo_moon"), 1.0, n_geometries=n_geometries,
+                               n_noise=n_noise, seed=1)
+
+    @pytest.mark.parametrize("side", [12, 36, calibration.FEATURE_STACK_SIDE])
+    def test_one_feature_analysis_per_entry_group(self, monkeypatch, side):
+        # The features of up to side // 12 schedule entries (elfo_moon has 12
+        # satellites) are one analyze_clique_batch call, whatever the side.
+        config = load_bundled("elfo_moon")
+        args = dict(sigma_w=1.0, n_geometries=40, n_noise=300, seed=4, step=600.0)
+        want = build_training_set(config, **args)
+        calls = []
+        analyze = edm.analyze_clique_batch
+
+        def counted(*a, **kw):
+            calls.append(len(a[1]))
+            return analyze(*a, **kw)
+
+        monkeypatch.setattr(edm, "analyze_clique_batch", counted)
+        monkeypatch.setattr(calibration, "FEATURE_STACK_SIDE", side)
+        got = build_training_set(config, **args)
+        schedule = build_clique_schedule(config, sampling_times(600.0, config.period))
+        pool = np.cumsum([len(entry.cliques) for entry in schedule])
+        chosen = substream(4, TRAINING, 0).integers(pool[-1], size=40)
+        n_entries = np.unique(np.searchsorted(pool, chosen, side="right")).size
+        per_group = side // config.n_satellites
+        assert n_entries > per_group
+        assert len(calls) == -(-n_entries // per_group)
+        assert sum(calls) == 40
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -725,6 +726,48 @@ class TestLibraryValueErrors:
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be >= 0, got -1\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--t0", "0", "--fault-sats", "3", "--threshold", "4.6e-7", "--dl", "1"],
+        ["calibrate", "--duration", "120"],
+        ["montecarlo"],
+    ], ids=["detect", "calibrate", "montecarlo"])
+    def test_noise_larger_than_a_range_is_one_error_line(self, tmp_path, capsys, argv):
+        # At sigma_w 1e8 m some noise draws exceed their ranges, which makes
+        # those ranges <= 0: no clique reading them can be analysed.
+        if argv[0] == "montecarlo":
+            exp = tmp_path / "exp.json"
+            exp.write_text(json.dumps({
+                "constellation": "elfo_moon", "sigma_w_m": 1e8, "fault_counts": [1],
+                "magnitudes_m": [20.0], "thresholds": {"values": [{"label": "p99", "value": 4.6e-7}]},
+                "dl_list": [1], "n_trials": 2, "master_seed": 11,
+            }), encoding="utf-8")
+            argv = argv + ["--experiment", str(exp)]
+        else:
+            argv = argv[:1] + ["--config", "elfo_moon", "--sigma-w", "1e8"] + argv[1:]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: clique \[[0-9, ]+\] has a range <= 0: the pair is "
+                            r"unmeasured, or its noise is larger than its range\n", captured.err)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-geometries", "0"], "empty training set: n_geometries must be >= 1, got 0"),
+        (["--n-geometries", "-5"], "empty training set: n_geometries must be >= 1, got -5"),
+        (["--n-noise", "299"], "n_noise must be >= 300 to resolve the 99.7 percentile, got 299"),
+    ], ids=["n-geometries-0", "n-geometries-negative", "n-noise-299"])
+    def test_training_size_refused_before_out(self, tmp_path, capsys, monkeypatch, argv,
+                                              message):
+        def never(*args, **kwargs):
+            raise AssertionError("build_training_set ran before the training size was checked")
+
+        monkeypatch.setattr(calibration, "build_training_set", never)
+        out = tmp_path / "out"
+        rc = main(["train-predictor", "--config", "elfo_moon", "--out", str(out)] + argv)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_learning_rate_checked_before_the_training_set(self, tmp_path, capsys, monkeypatch):

@@ -96,7 +96,9 @@ from satfd.experiment import (
     run_campaign,
 )
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
-from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges, pair_noise, true_ranges
+from satfd.ranging import (
+    FaultConfig, RangeMatrix, measure_ranges, mirror_pairs, pair_draws, pair_noise, true_ranges,
+)
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -313,7 +315,8 @@ def gathered_edm(ranges, cliques):
     off = ~np.eye(k, dtype=bool)
     missing = np.any(sub[:, off] <= 0.0, axis=1)
     if missing.any():
-        raise edm.MissingEdgeError(f"clique {cliques[missing.argmax()].tolist()} has unmeasured pairs")
+        raise edm.MissingEdgeError(f"clique {cliques[missing.argmax()].tolist()} has a range <= 0: "
+                                   f"the pair is unmeasured, or its noise is larger than its range")
     d = sub**2
     d[:, np.arange(k), np.arange(k)] = 0.0
     return d
@@ -696,22 +699,24 @@ def coarse_schedule(name):
 
 
 def exact_gamma(d):
-    """gamma_test of every draw of a (c, n, 6, 6) stack, as build_training_set solves it."""
-    s = edm.spectrum(edm.geometric_center(d.reshape(-1, CLIQUE_SIZE, CLIQUE_SIZE)))
-    return edm.gamma_from_spectrum(s).reshape(d.shape[:2])
+    """gamma_test of every draw of a (c, n, 15) stack of squared pair ranges,
+    each mirrored to its 6x6 matrix and solved as build_training_set solves it."""
+    full = mirror_pairs(d.reshape(-1, d.shape[-1]), CLIQUE_SIZE)
+    return edm.gamma_from_spectrum(edm.spectrum(edm.geometric_center(full))).reshape(d.shape[:2])
 
 
 def screen_inputs(exact, cliques, draws):
-    """(bound_basis, squared noisy ranges) of draws (c, n, 6, 6 pair noise)
+    """(bound_basis, squared noisy pair ranges) of draws (c, n, 15 pair_draws)
     on the cliques of one true-range matrix."""
     analysis = edm.analyze_clique_batch(RangeMatrix(r=exact), cliques)
     basis = edm.bound_basis(analysis.left_vectors[:, :, :3])
-    return basis, (exact[cliques[:, :, None], cliques[:, None, :]][:, None] + draws) ** 2
+    i, j = np.triu_indices(CLIQUE_SIZE, 1)
+    return basis, (exact[cliques[:, i], cliques[:, j]][:, None] + draws) ** 2
 
 
 def bounds_of(exact, cliques, draws):
-    """_gamma_bounds of draws (c, n, 6, 6 pair noise) on the cliques of one
-    true-range matrix, with the squared noisy ranges they bound."""
+    """_gamma_bounds of draws (c, n, 15 pair_draws) on the cliques of one
+    true-range matrix, with the squared noisy pair ranges they bound."""
     basis, d = screen_inputs(exact, cliques, draws)
     return edm._gamma_bounds(basis, d), d
 
@@ -724,7 +729,7 @@ def test_gamma_bounds_contain_gamma(name, seed, sigma_w):
     schedule = coarse_schedule(name)
     entry = schedule[rng.integers(len(schedule))]
     cliques = entry.cliques[rng.integers(len(entry.cliques), size=4)]
-    draws = pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(4, 500))
+    draws = pair_draws(rng, CLIQUE_SIZE, sigma_w, size=(4, 500))
     (lo, hi), d = bounds_of(true_ranges(entry.positions, entry.graph), cliques, draws)
     gamma = exact_gamma(d)
     assert (0.0 <= lo).all()
@@ -745,7 +750,7 @@ def test_top_gammas_equal_solving_every_draw(name, seed, sigma_w, n, data):
     entry = schedule[rng.integers(len(schedule))]
     c = max(1, TARGET_CHUNK_MATRICES // n)
     cliques = entry.cliques[rng.integers(len(entry.cliques), size=c)]
-    draws = pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(c, n))
+    draws = pair_draws(rng, CLIQUE_SIZE, sigma_w, size=(c, n))
     basis, d = screen_inputs(true_ranges(entry.positions, entry.graph), cliques, draws)
     keep = data.draw(st.integers(1, n))
     got = edm.top_gammas(basis, d, keep)
@@ -764,14 +769,14 @@ COPLANAR = config_from_dict({
 })
 
 
-@pytest.mark.parametrize("sigma_w", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("sigma_w", [0.0, 1e-8, 1.0, 50.0])
 def test_coplanar_clique_solves_every_draw(sigma_w):
     entry = build_clique_schedule(COPLANAR, [0.0])[0]
     assert entry.cliques.tolist() == [list(range(CLIQUE_SIZE))]
     exact = true_ranges(entry.positions, entry.graph)
     s = edm.analyze_clique_batch(RangeMatrix(r=exact), entry.cliques).singular_values[0]
     assert s[2] < 1e-12 * s[0]
-    draws = pair_noise(substream(3, TRAINING, 1, 0), CLIQUE_SIZE, sigma_w, size=(1, 2000))
+    draws = pair_draws(substream(3, TRAINING, 1, 0), CLIQUE_SIZE, sigma_w, size=(1, 2000))
     (lo, hi), d = bounds_of(exact, entry.cliques, draws)
     gamma = exact_gamma(d)
     assert (lo <= gamma).all() and (gamma <= hi).all()

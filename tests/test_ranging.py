@@ -5,7 +5,8 @@ import pytest
 
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 from satfd.ranging import (
-    FaultConfig, RangeMatrix, add_bias, measure_ranges, pair_noise, true_ranges,
+    FaultConfig, RangeMatrix, add_bias, measure_ranges, mirror_pairs, pair_draws, pair_noise,
+    true_ranges,
 )
 from satfd.seeds import substream
 
@@ -130,6 +131,35 @@ class TestRangeModel:
         assert stack.shape == (3, 6, 6)
         for w in stack:
             assert np.array_equal(w, pair_noise(rng, 6, 1.0))
+
+    @pytest.mark.parametrize("sigma_w", [0.0, 1e-8, 2.0])
+    @pytest.mark.parametrize("n, size", [(5, ()), (6, (300,)), (12, ()), (6, (2, 3))])
+    def test_pair_noise_is_the_mirror_of_pair_draws(self, n, size, sigma_w):
+        noise_rng, draws_rng = substream(7, 9), substream(7, 9)
+        w = pair_noise(noise_rng, n, sigma_w, size=size)
+        draws = pair_draws(draws_rng, n, sigma_w, size=size)
+        assert draws.shape == size + (n * (n - 1) // 2,)
+        assert w.shape == size + (n, n)
+        assert np.array_equal(w, mirror_pairs(draws, n))
+        # The pairs i < j in row-major order, mirrored, with a zero diagonal.
+        iu = np.triu_indices(n, k=1)
+        assert np.array_equal(w[..., iu[0], iu[1]], draws)
+        assert np.array_equal(w, np.swapaxes(w, -1, -2))
+        assert not w[..., np.arange(n), np.arange(n)].any()
+        # Both leave their generator in the same state.
+        assert noise_rng.bit_generator.state == draws_rng.bit_generator.state
+
+    def test_pair_draws_stack_is_consecutive_draws(self):
+        stack = pair_draws(substream(7, 9), 6, 1.0, size=(3, 4))
+        rng = substream(7, 9)
+        assert stack.shape == (3, 4, 15)
+        for row in stack.reshape(-1, 15):
+            assert np.array_equal(row, pair_draws(rng, 6, 1.0))
+
+    @pytest.mark.parametrize("sigma_w", [-1.0, math.inf, math.nan])
+    def test_pair_draws_rejects_sigma(self, sigma_w):
+        with pytest.raises(ValueError, match="^sigma_w must be >= 0 and finite"):
+            pair_draws(substream(7, 9), 6, sigma_w)
 
     @pytest.mark.parametrize("magnitude", [-1.0, math.inf, math.nan])
     def test_fault_config_rejects_magnitude(self, magnitude):
