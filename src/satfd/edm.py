@@ -487,8 +487,7 @@ def analyze_clique_batch(
 
 
 def analyze_blocks(
-    blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray], vectors: bool = True,
-    floor: float | None = None,
+    blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray], floor: float | None = None
 ) -> BatchAnalysis:
     """analyze_clique_batch of the cliques rows[b] of each (n, n) range
     matrix blocks[b], in one call.
@@ -507,6 +506,5 @@ def analyze_blocks(
         stacked[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
     ids = np.concatenate(rows)
     shift = np.repeat(n * np.arange(len(rows)), [len(part) for part in rows])
-    analysed = analyze_clique_batch(RangeMatrix(stacked), ids + shift[:, None], vectors=vectors,
-                                    floor=floor)
+    analysed = analyze_clique_batch(RangeMatrix(stacked), ids + shift[:, None], floor=floor)
     return replace(analysed, cliques=ids)

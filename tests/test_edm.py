@@ -413,9 +413,8 @@ class TestBlockDiagonalStack:
             else:
                 assert stacked.left_vectors is None and want.left_vectors is None
 
-    @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("floor", [None, 3.58e-7])
-    def test_analyze_blocks_rows_equal_their_own_block(self, floor, vectors):
+    def test_analyze_blocks_rows_equal_their_own_block(self, floor):
         config = load_bundled("elfo_moon")
         ps = propagate(config, 300.0)
         graph = build_visibility_graph(ps, config.body.radius)
@@ -427,18 +426,14 @@ class TestBlockDiagonalStack:
              cliques[1::3]),
         ]
         got = edm.analyze_blocks([rm.r for rm, _ in parts], [part for _, part in parts],
-                                 vectors=vectors, floor=floor)
+                                 floor=floor)
         # The satellite ids are restored, and the rows follow the blocks in order.
         assert np.array_equal(got.cliques, np.concatenate([part for _, part in parts]))
-        want = [edm.analyze_clique_batch(rm, part, vectors=vectors, floor=floor)
-                for rm, part in parts]
+        want = [edm.analyze_clique_batch(rm, part, floor=floor) for rm, part in parts]
         # Every row, solved or not, has the bits of its block alone.
         for field in ("singular_values", "gamma_test", "left_vectors", "fault_vertex_local"):
             rows = [getattr(w, field) for w in want]
-            if vectors or field in ("singular_values", "gamma_test"):
-                assert np.array_equal(getattr(got, field), np.concatenate(rows), equal_nan=True)
-            else:
-                assert getattr(got, field) is None
+            assert np.array_equal(getattr(got, field), np.concatenate(rows), equal_nan=True)
 
 
 class TestBatchMatchesSingle:
