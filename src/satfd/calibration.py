@@ -17,9 +17,11 @@ geometry's noise draws, so build_training_set solves only the draws that
 edm.top_gammas (the training-target screen, derived in edm's docstring)
 cannot rule out of those ranks.  The screen reads each draw as its 15
 squared pair ranges, and only the draws it solves are mirrored to 6x6
-matrices.  The features of many schedule entries are one analysis call
-(edm.analyze_blocks).  The targets are bit for bit those of solving every
-draw, one geometry at a time.
+matrices.  Each geometry is measured as its own 6-satellite block, and
+the features and targets of a block of consecutive geometries take one
+analysis call (edm.analyze_blocks) and one screen call.  Features and
+targets are bit for bit those of analysing each clique inside its epoch's
+range matrix and solving every draw, one geometry at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from . import edm
 from .cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule
 from .constellation import ConstellationConfig
+from .linkgraph import VisibilityGraph
 from .ranging import (
     FaultConfig, check_sigma_w, measure_ranges, pair_draws, pair_rows, true_ranges,
 )
@@ -46,19 +49,11 @@ BATCH_SIZE = 128
 MOMENTUM = 0.9
 # Training target: this percentile of gamma_test over a geometry's noise draws.
 TAIL_PERCENTILE = 99.7
-# Noise draws per target chunk of build_training_set (4 geometries at 300
-# draws): enough to pay numpy's per-call cost once for several geometries,
-# few enough that a chunk's arrays do not raise the process's peak memory.
-TARGET_CHUNK_MATRICES = 1200
-# Noise draws whose targets one np.percentile call reads (whole target
-# chunks, 64 geometries at 300 draws): numpy's per-call cost is paid once
-# for many geometries, and the block's gamma_test buffer stays at 150 KB.
-PERCENTILE_BLOCK_DRAWS = 16 * TARGET_CHUNK_MATRICES
-# Largest side of the block-diagonal range matrix of one feature analysis
-# call (edm.analyze_blocks): 16 schedule entries of 12 satellites.  The
-# call's per-call cost is paid once for many entries, and the stacked
-# matrix (295 KB) and its square stay small.
-FEATURE_STACK_SIDE = 192
+# Noise draws per block of build_training_set (32 geometries at 300 draws,
+# never fewer than one geometry): numpy's per-call cost is paid once for
+# the block's geometries, their 6x6 range blocks stack to a 192-wide
+# matrix for the one feature analysis, and the block's arrays stay small.
+BLOCK_DRAWS = 9600
 
 
 class EmptySampleError(ValueError):
@@ -395,11 +390,11 @@ def train_predictor(
                 loss, gw, gb = loss_and_grads(model, xs[sel], ys[sel])
                 if not math.isfinite(loss):
                     raise DivergenceError("training loss is not finite; lower the learning rate")
-                for layer in range(len(model.weights)):
-                    vel_w[layer] = MOMENTUM * vel_w[layer] - lr * gw[layer]
-                    vel_b[layer] = MOMENTUM * vel_b[layer] - lr * gb[layer]
-                    model.weights[layer] = model.weights[layer] + vel_w[layer]
-                    model.biases[layer] = model.biases[layer] + vel_b[layer]
+                # In place: the same bits as new arrays, without allocating them.
+                for param, vel, grad in zip(model.weights + model.biases, vel_w + vel_b, gw + gb):
+                    vel *= MOMENTUM
+                    vel -= lr * grad
+                    param += vel
     return model
 
 
@@ -424,23 +419,23 @@ def build_training_set(
     pair-noise draws on the clique's submatrix, drawn from the geometry's
     own substream.
 
-    The work is batched in two passes.  Features: the geometries are
-    grouped by schedule entry, each distinct entry takes one true_ranges
-    and one gather of its cliques' exact pair ranges, and groups of entries
-    (at most FEATURE_STACK_SIDE satellites) take one analysis of all their
-    chosen cliques (edm.analyze_blocks), whose u1-u3 also give each
-    geometry's bound basis (edm.bound_basis).  Targets: consecutive
-    geometries are stacked into chunks of about TARGET_CHUNK_MATRICES noise
-    draws (never fewer than one geometry), and np.percentile reads blocks
-    of about PERCENTILE_BLOCK_DRAWS (whole chunks), so memory stays flat in
-    n_geometries.
+    Each geometry's six positions are gathered in clique order, and one
+    true_ranges call on that stack gives every geometry's exact 6x6 range
+    block.  The geometries are then taken in blocks of consecutive ones,
+    about BLOCK_DRAWS noise draws each (never fewer than one geometry), so
+    memory stays flat in n_geometries.  A block takes one analysis of its
+    geometries' range blocks (edm.analyze_blocks), whose u1-u3 also give
+    each geometry's bound basis (edm.bound_basis), one edm.top_gammas call
+    on its noise draws and one np.percentile call.
 
     A target reads only the draws of the top ranks: np.percentile at
     TAIL_PERCENTILE of n draws reads ranks floor((n-1) q) and the one
-    above, the top 2 of 300 or the top 7 of 2,000.  So each chunk goes
-    through edm.top_gammas, which solves only the draws that can hold one
-    of those ranks and enters every other one as -inf.  Every row is bit
-    for bit what the geometry gives on its own with every draw solved.
+    above, the top 2 of 300 or the top 7 of 2,000.  So edm.top_gammas
+    solves only the draws that can hold one of those ranks and enters
+    every other one as -inf.  Every row is bit for bit what the geometry
+    gives on its own, inside its schedule entry's range matrix, with every
+    draw solved: build_edm squares each entry alone, and the centring and
+    the eigensolver work per matrix.
     """
     check_training_size(n_geometries, n_noise)
     check_sigma_w(sigma_w)
@@ -455,52 +450,31 @@ def build_training_set(
     pick = substream(seed, TRAINING, 0)
     chosen = pick.integers(pool_size, size=n_geometries)
     entry_of = np.searchsorted(starts, chosen, side="right") - 1
+    # Each geometry's six positions in clique order; a clique links every pair.
+    positions = np.stack([schedule[e].positions[schedule[e].cliques[c - starts[e]]]
+                          for e, c in zip(entry_of.tolist(), chosen.tolist())])
+    exact = true_ranges(positions, VisibilityGraph(adjacency=~np.eye(CLIQUE_SIZE, dtype=bool)))
 
     feats = np.empty((n_geometries, FEATURE_DIM))
-    # Each geometry's exact ranges of the pairs i < j, row-major.
-    i, j = pair_rows(CLIQUE_SIZE)
-    pairs = np.empty((n_geometries, i.size))
-    lead = np.empty((n_geometries, CLIQUE_SIZE, 3))
-    # The geometries of each distinct entry, in increasing order.
-    order = np.argsort(entry_of, kind="stable")
-    entries, firsts = np.unique(entry_of[order], return_index=True)
-    groups = list(zip(entries, np.split(order, firsts[1:])))
-    per_group = max(1, FEATURE_STACK_SIDE // config.n_satellites)
-    for first in range(0, len(groups), per_group):
-        blocks, rows, parts = [], [], []
-        for e, part in groups[first:first + per_group]:
-            entry = schedule[e]
-            cliques = entry.cliques[chosen[part] - starts[e]]
-            exact = true_ranges(entry.positions, entry.graph)
-            pairs[part] = exact[cliques[:, i], cliques[:, j]]
-            blocks.append(exact)
-            rows.append(cliques)
-            parts.append(part)
-        analysed = np.concatenate(parts)
-        analysis = edm.analyze_blocks(blocks, rows)
-        feats[analysed] = batch_features(analysis)
-        lead[analysed] = analysis.left_vectors[:, :, :3]
-    basis = edm.bound_basis(lead)
-
     targets = np.empty(n_geometries)
-    per_chunk = max(1, TARGET_CHUNK_MATRICES // n_noise)
-    per_block = per_chunk * max(1, PERCENTILE_BLOCK_DRAWS // (per_chunk * n_noise))
+    i, j = pair_rows(CLIQUE_SIZE)
+    per_block = max(1, BLOCK_DRAWS // n_noise)
     # np.percentile reads the draws of descending rank 1 .. n_noise - i,
     # i = floor((n_noise - 1) q); one rank more is kept, so that numpy's own
     # rounding of that floor cannot move a read rank out of the solved set.
     keep = n_noise - math.floor((n_noise - 1) * TAIL_PERCENTILE / 100.0) + 1
-    for block in range(0, n_geometries, per_block):
-        end = min(block + per_block, n_geometries)
-        gamma = np.empty((end - block, n_noise))
-        for first in range(block, end, per_chunk):
-            last = min(first + per_chunk, end)
-            # The chunk's squared noisy pair ranges, (geometries, n_noise, 15).
-            d = np.empty((last - first, n_noise, i.size))
-            for g in range(first, last):
-                d[g - first] = pair_draws(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w,
-                                          size=(n_noise,))
-            d += pairs[first:last, None]
-            d *= d
-            gamma[first - block:last - block] = edm.top_gammas(basis[first:last], d, keep)
-        targets[block:end] = np.percentile(gamma, TAIL_PERCENTILE, axis=1)
+    whole = np.arange(CLIQUE_SIZE)[None]  # the one clique of each range block
+    for first in range(0, n_geometries, per_block):
+        block = exact[first:first + per_block]
+        last = first + len(block)
+        analysis = edm.analyze_blocks(block, [whole] * len(block))
+        feats[first:last] = batch_features(analysis)
+        basis = edm.bound_basis(analysis.left_vectors[:, :, :3])
+        # The block's squared noisy pair ranges, (geometries, n_noise, 15).
+        d = np.stack([pair_draws(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w,
+                                 size=(n_noise,)) for g in range(first, last)])
+        d += block[:, i, j][:, None]
+        d *= d
+        targets[first:last] = np.percentile(edm.top_gammas(basis, d, keep), TAIL_PERCENTILE,
+                                            axis=1)
     return feats, targets

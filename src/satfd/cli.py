@@ -419,12 +419,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    out = Path(args.out)
+    # --out and those of its parents that this run would make, deepest first.
+    missing = [path for path in (out, *out.parents) if not path.exists()]
     try:
         return args.func(args)
     except (ValueError, MemoryError) as exc:
         # numpy refuses an allocation larger than the machine at once, with
         # a MemoryError that says how large it was.
         print(f"error: {exc}", file=sys.stderr)
+        # A failed run takes back the directories it made and left empty.
+        for path in missing:
+            try:
+                path.rmdir()
+            except OSError:  # not made, or not empty
+                break
         return 1
 
 

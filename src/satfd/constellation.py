@@ -23,12 +23,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Standard gravitational parameters / mean radii for the bundled bodies.
-MU_MOON = 4.9028e12     # m^3/s^2
-R_MOON = 1.7374e6       # m
-MU_MARS = 4.282837e13   # m^3/s^2
-R_MARS = 3.3895e6       # m
-
 
 class KeplerConvergenceError(RuntimeError):
     """Kepler solver failed to reach tolerance (pathological input)."""

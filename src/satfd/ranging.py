@@ -58,10 +58,11 @@ def check_sigma_w(sigma_w: float) -> None:
 
 
 def true_ranges(positions: np.ndarray, graph: VisibilityGraph) -> np.ndarray:
-    """(n, n) distances |x_i - x_j| of (n, 3) positions on the visible
-    edges; zero elsewhere."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.where(graph.adjacency, np.sqrt((diff**2).sum(axis=2)), 0.0)
+    """(..., n, n) distances |x_i - x_j| of (..., n, 3) positions on the
+    visible edges; zero elsewhere.  Leading axes broadcast against the
+    graph's adjacency, and each slice has the bits of its own call."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    return np.where(graph.adjacency, np.sqrt((diff**2).sum(axis=-1)), 0.0)
 
 
 def pair_draws(rng: np.random.Generator, n: int, sigma_w: float, size: tuple = ()) -> np.ndarray:

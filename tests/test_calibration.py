@@ -444,10 +444,10 @@ class TestBuildTrainingSet:
             build_training_set(load_bundled("elfo_moon"), 1.0, n_geometries=n_geometries,
                                n_noise=n_noise, seed=1)
 
-    @pytest.mark.parametrize("side", [12, 36, calibration.FEATURE_STACK_SIDE])
-    def test_one_feature_analysis_per_entry_group(self, monkeypatch, side):
-        # The features of up to side // 12 schedule entries (elfo_moon has 12
-        # satellites) are one analyze_clique_batch call, whatever the side.
+    @pytest.mark.parametrize("draws", [300, 900, calibration.BLOCK_DRAWS])
+    def test_one_feature_analysis_per_block(self, monkeypatch, draws):
+        # A block of draws // 300 consecutive geometries is one
+        # analyze_clique_batch call, and the rows do not depend on the block.
         config = load_bundled("elfo_moon")
         args = dict(sigma_w=1.0, n_geometries=40, n_noise=300, seed=4, step=600.0)
         want = build_training_set(config, **args)
@@ -459,14 +459,10 @@ class TestBuildTrainingSet:
             return analyze(*a, **kw)
 
         monkeypatch.setattr(edm, "analyze_clique_batch", counted)
-        monkeypatch.setattr(calibration, "FEATURE_STACK_SIDE", side)
+        monkeypatch.setattr(calibration, "BLOCK_DRAWS", draws)
         got = build_training_set(config, **args)
-        schedule = build_clique_schedule(config, sampling_times(600.0, config.period))
-        pool = np.cumsum([len(entry.cliques) for entry in schedule])
-        chosen = substream(4, TRAINING, 0).integers(pool[-1], size=40)
-        n_entries = np.unique(np.searchsorted(pool, chosen, side="right")).size
-        per_group = side // config.n_satellites
-        assert n_entries > per_group
-        assert len(calls) == -(-n_entries // per_group)
+        per_block = draws // 300
+        assert len(calls) == -(-40 // per_block)
+        assert calls[:-1] == [per_block] * (len(calls) - 1)
         assert sum(calls) == 40
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -36,11 +36,12 @@ each detection length as a row prefix) must equal a reference that
 measures, analyses and detects every cell on its own, and a campaign's
 results must not depend on its worker count.
 
-The predictor's training set (build_training_set, which analyses each
-schedule entry once and computes targets over chunks of geometries) must
-equal, bit for bit, a reference that builds one geometry at a time, and a
-call for n geometries must give the first n rows of a call for more, so
-no row depends on where a chunk boundary falls.  The bounds that decide
+The predictor's training set (build_training_set, which measures each
+geometry as its own 6x6 block and takes blocks of consecutive geometries)
+must equal, bit for bit, a reference that analyses each clique inside its
+epoch's range matrix, one geometry at a time, and a call for n geometries
+must give the first n rows of a call for more, so no row depends on where
+a block boundary falls.  The bounds that decide
 which noise draws it solves (edm._gamma_bounds) must contain the
 solved gamma_test of every draw, at every noise level from none to 500 m,
 and edm.top_gammas must give every row's top keep values of solving every
@@ -75,8 +76,8 @@ from satfd.cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule, lis
 from satfd.constellation import config_from_dict, load_bundled, propagate
 from satfd.calibration import (
     FEATURE_DIM,
+    BLOCK_DRAWS,
     TAIL_PERCENTILE,
-    TARGET_CHUNK_MATRICES,
     MlpPredictor,
     batch_features,
     build_training_set,
@@ -669,9 +670,10 @@ def reference_training_set(config, sigma_w, n_geometries, n_noise, seed, step):
     return feats, targets
 
 
-# Up to 18 geometries cross chunk boundaries at every n_noise drawn (4, 3,
-# 2 and 1 geometries per chunk); the coarse step puts several geometries on
-# one schedule entry, the fine one spreads them out.  2,000 draws (the CLI's
+# Up to 18 geometries cross block boundaries at 2,000 draws (4 geometries
+# per block) and fill part of one block at 300, 301 and 457; the coarse step
+# puts several geometries on one schedule entry, the fine one spreads them
+# out.  2,000 draws (the CLI's
 # default) make the percentile read the top 7, so the screen keeps 8.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
@@ -737,8 +739,8 @@ def test_gamma_bounds_contain_gamma(name, seed, sigma_w):
     assert (gamma <= hi).all()
 
 
-# Chunks as build_training_set stacks them: TARGET_CHUNK_MATRICES draws,
-# never fewer than one geometry.  At 10 nm of noise the draws differ by
+# Blocks as build_training_set stacks them: BLOCK_DRAWS draws, never fewer
+# than one geometry.  At 10 nm of noise the draws differ by
 # about the rounding of their squared ranges, so a screen without its
 # rounding allowance (tau) leaves out draws of the top ranks there.
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -748,7 +750,7 @@ def test_top_gammas_equal_solving_every_draw(name, seed, sigma_w, n, data):
     rng = np.random.default_rng(seed)
     schedule = coarse_schedule(name)
     entry = schedule[rng.integers(len(schedule))]
-    c = max(1, TARGET_CHUNK_MATRICES // n)
+    c = max(1, BLOCK_DRAWS // n)
     cliques = entry.cliques[rng.integers(len(entry.cliques), size=c)]
     draws = pair_draws(rng, CLIQUE_SIZE, sigma_w, size=(c, n))
     basis, d = screen_inputs(true_ranges(entry.positions, entry.graph), cliques, draws)

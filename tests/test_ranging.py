@@ -117,6 +117,22 @@ class TestRangeModel:
         assert np.array_equal(r, np.where(adjacency, true_distances(ps), 0.0))
         assert r[0, 3] == 0.0 and r[0, 1] > 0.0
 
+    def test_true_ranges_stack_equals_each_slice(self):
+        # Leading axes broadcast against one graph or a stack of graphs, and
+        # each slice keeps the bits of its own call.
+        clusters = [cluster(seed, n=7) for seed in range(4)]
+        ps = np.stack([pos for pos, _ in clusters])
+        adjacency = np.stack([graph.adjacency for _, graph in clusters])
+        adjacency[1, 2, 5] = adjacency[1, 5, 2] = False
+        stacked = true_ranges(ps, VisibilityGraph(adjacency=adjacency))
+        shared = true_ranges(ps, VisibilityGraph(adjacency=adjacency[1]))
+        assert stacked.shape == shared.shape == (4, 7, 7)
+        for t in range(4):
+            assert np.array_equal(stacked[t],
+                                  true_ranges(ps[t], VisibilityGraph(adjacency=adjacency[t])))
+            assert np.array_equal(shared[t],
+                                  true_ranges(ps[t], VisibilityGraph(adjacency=adjacency[1])))
+
     def test_pair_noise_one_row_major_draw_per_pair(self):
         n, sigma_w = 5, 2.0
         w = pair_noise(substream(7, 9), n, sigma_w)
