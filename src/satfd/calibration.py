@@ -2,15 +2,16 @@
 predictor.
 
 Fixed thresholds come from the empirical distribution of gamma_test over
-all non-fault (but noisy) 6-cliques of a constellation, sampled on a 60 s
-grid over one orbital period; the 95/99/99.9 percentiles of that sample
-are the operational thresholds.  The tail is well approximated by a gamma
-distribution whose shape depends on subgraph geometry, so a small MLP is
-also provided that maps a subgraph's first three singular values and
-vectors to its own 99.7th-percentile threshold, trading the conservatism
-of a single global percentile for per-geometry sensitivity.  Its training
-targets use the range model of ranging (true_ranges plus pair_draws) on
-one clique's pairs, so they follow any change to that model.
+all non-fault (but noisy) 6-cliques of a constellation, sampled on a grid
+of cliques.EPOCH_STEP (60 s) over one orbital period; the 95/99/99.9
+percentiles of that sample are the operational thresholds.  The tail is
+well approximated by a gamma distribution whose shape depends on subgraph
+geometry, so a small MLP is also provided that maps a subgraph's first
+three singular values and vectors (edm.batch_features, which the detector
+reads too) to its own 99.7th-percentile threshold, trading the
+conservatism of a single global percentile for per-geometry sensitivity.
+Its training targets use the range model of ranging (true_ranges plus
+pair_draws) on one clique's pairs, so they follow any change to that model.
 
 A target is a tail percentile, which reads only the top few of a
 geometry's noise draws, so build_training_set solves only the draws that
@@ -34,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import edm
-from .cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule
+from .cliques import CLIQUE_SIZE, EPOCH_STEP, build_clique_schedule, iter_schedule
 from .constellation import ConstellationConfig
+from .edm import batch_features  # build_training_set's call is traced under this name
 from .linkgraph import VisibilityGraph
 from .ranging import (
     FaultConfig, check_sigma_w, measure_ranges, pair_draws, pair_rows, true_ranges,
@@ -152,18 +154,6 @@ def write_thresholds(path: str | Path, sample: StatisticSample, percentiles: lis
 # standardized inputs and targets.
 # ---------------------------------------------------------------------------
 
-def batch_features(batch: edm.BatchAnalysis) -> np.ndarray:
-    """Feature rows [s1, s2, s3, u1^T, u2^T, u3^T], shape (m, 21) for 6-cliques.
-
-    Singular vectors are sign-canonicalized so the features are a function
-    of the subgraph alone, not of the eigensolver's sign choices.
-    """
-    lam = batch.singular_values[:, :3]
-    u = edm.canonicalize_signs(batch.left_vectors[:, :, :3])
-    k = batch.left_vectors.shape[1]
-    return np.concatenate([lam, u.transpose(0, 2, 1).reshape(-1, 3 * k)], axis=1)
-
-
 class MlpPredictor:
     """Feed-forward regressor mapping subgraph features to a gamma threshold.
 
@@ -268,7 +258,14 @@ class MlpPredictor:
 
     @classmethod
     def load(cls, path: str | Path) -> "MlpPredictor":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The model saved at path; one ValueError naming an unreadable or non-JSON file."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:  # its text names the file
+            raise ValueError(f"cannot load threshold model: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"cannot load threshold model: {path} is not JSON: {exc}") from exc
+        return cls.from_dict(raw)
 
 
 def _field_array(value, name: str, shape: tuple) -> np.ndarray:
@@ -408,7 +405,7 @@ def build_training_set(
     n_geometries: int,
     n_noise: int,
     seed: int,
-    step: float = 60.0,
+    step: float = EPOCH_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (features, empirical tail threshold) pairs for training.
 

@@ -16,16 +16,15 @@ config and seed.  Only calibrate, train-predictor and detect take --seed
 (montecarlo reads master_seed from its experiment file), and only
 montecarlo takes --threads.
 
-Each command imports only the modules it runs: calibration, experiment
-and results are imported inside the commands that use them, so detect
---threshold loads none of them, detect --model loads calibration, and
-report loads only results (the standard-library CSV reader).
+Each command imports only the modules it runs: calibration and
+experiment are imported inside the commands that use them, so detect
+--threshold loads neither, detect --model loads calibration, and report
+loads only results (standard-library CSV, the writer of every table).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -33,11 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliques import iter_schedule
+from .cliques import EPOCH_STEP, check_window, iter_schedule
 from .constellation import propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
 from .ranging import FaultConfig, measure_ranges
+from .results import METRICS, read_results_csv, write_csv, write_results_csv
 from .seeds import EPOCH_NOISE, substream
 
 
@@ -67,14 +67,6 @@ def _outdir(args) -> Path:
     except OSError as exc:
         raise ValueError(f"cannot create output directory: {exc}") from exc
     return out
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    """One UTF-8 CSV table: the header row, then every row of rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +102,7 @@ def cmd_propagate(args) -> int:
                 for sat, p in enumerate(positions.tolist()):
                     yield [repr(t), sat] + [repr(v) for v in p]
 
-    _write_csv(path, ["t", "sat_id", "x_m", "y_m", "z_m"], rows())
+    write_csv(path, ["t", "sat_id", "x_m", "y_m", "z_m"], rows())
     print(f"wrote {path}")
     return 0
 
@@ -119,23 +111,21 @@ def cmd_graph(args) -> int:
     config = resolve_config(args.config)
     edges = build_visibility_graph(propagate(config, args.t), config.body.radius).edges()
     path = _outdir(args) / "edges.csv"
-    _write_csv(path, ["t", "i", "j"], ([repr(args.t), i, j] for i, j in edges))
+    write_csv(path, ["t", "i", "j"], ([repr(args.t), i, j] for i, j in edges))
     print(f"wrote {path} ({len(edges)} edges)")
     return 0
 
 
 def cmd_cliques(args) -> int:
     config = resolve_config(args.config)
-    if args.k < 1:
-        raise ValueError("need k >= 1")
     found = next(iter_schedule(config, [args.t], args.k)).cliques
     out = _outdir(args)
     path = out / "cliques.csv"
-    _write_csv(path, ["t"] + [f"v{i}" for i in range(args.k)],
-               ([repr(args.t)] + clique for clique in found.tolist()))
+    write_csv(path, ["t"] + [f"v{i}" for i in range(args.k)],
+              ([repr(args.t)] + clique for clique in found.tolist()))
     counts = np.bincount(found.ravel(), minlength=config.n_satellites)
     counts_path = out / "clique_counts.csv"
-    _write_csv(counts_path, ["sat_id", "n_cliques"], enumerate(counts.tolist()))
+    write_csv(counts_path, ["sat_id", "n_cliques"], enumerate(counts.tolist()))
     print(f"wrote {path} ({len(found)} cliques) and {counts_path}")
     return 0
 
@@ -193,10 +183,7 @@ def cmd_detect(args) -> int:
     if args.model is not None:
         from . import calibration
 
-        try:
-            threshold = calibration.MlpPredictor.load(args.model)
-        except OSError as exc:
-            raise ValueError(f"cannot load threshold model: {exc}") from exc
+        threshold = calibration.MlpPredictor.load(args.model)
     elif args.threshold is not None:
         threshold = args.threshold
     else:
@@ -205,19 +192,14 @@ def cmd_detect(args) -> int:
     if any(s < 0 or s >= config.n_satellites for s in fault_ids):
         raise ValueError("fault satellite id out of range")
 
-    if args.dl < 1:
-        raise ValueError("invalid detector option: di (--dl) must be >= 1")
-    period_epochs = math.ceil(config.period / 60.0)
-    if args.dl > period_epochs:
-        raise ValueError(f"invalid detector option: di (--dl) must not exceed one orbital "
-                         f"period, {period_epochs} epochs of 60 s; got {args.dl}")
     try:
+        check_window(args.dl, config.period, EPOCH_STEP, "di (--dl)")
         params = DetectorParams(delta_nf=args.delta_nf, delta_rf=args.delta_rf,
                                 gamma_threshold=threshold)
     except ValueError as exc:
         raise ValueError(f"invalid detector option: {exc}") from exc
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
-    times = args.t0 + 60.0 * np.arange(args.dl)
+    times = args.t0 + EPOCH_STEP * np.arange(args.dl)
     window = tuple(iter_schedule(config, times))
     ranges = [
         measure_ranges(entry.positions, entry.graph, faults, args.sigma_w,
@@ -226,7 +208,7 @@ def cmd_detect(args) -> int:
     ]
     if args.dump_ranges:
         path = _outdir(args) / "ranges.csv"
-        _write_csv(path, ["t", "i", "j", "range_m"], (
+        write_csv(path, ["t", "i", "j", "range_m"], (
             [repr(entry.t), i, j, repr(float(rm.r[i, j]))]
             for entry, rm in zip(window, ranges) for i, j in entry.graph.edges()))
         print(f"wrote {path}")
@@ -242,7 +224,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    from . import experiment, results
+    from . import experiment
 
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
@@ -250,35 +232,32 @@ def cmd_montecarlo(args) -> int:
     # Calibrate and run only once the output directory exists.
     path = _outdir(args) / "results.csv"
     cells = experiment.run_campaign(spec.calibrated(), spec.n_trials, workers=args.threads)
-    results.write_results_csv(path, cells)
+    write_results_csv(path, cells)
     print(f"wrote {path} ({len(cells)} cells x {spec.n_trials} trials)")
     return 0
 
 
 def cmd_report(args) -> int:
-    from . import results
-
     try:
-        rows = results.read_results_csv(args.results)
+        rows = read_results_csv(args.results)
     except OSError as exc:
         raise ValueError(str(exc)) from exc
     if not rows:
         raise ValueError("results file has no rows")
 
     fmt = "{:>7} {:>12} {:>10} {:>4} {:>8} {:>8} {:>8} {:>8} {:>8}"
-    print(fmt.format("faults", "magnitude_m", "threshold", "dl",
-                     "tpr", "fpr", "ppv", "f1", "p4"))
+    print(fmt.format("faults", "magnitude_m", "threshold", "dl", *METRICS))
     for r in rows:
         print(fmt.format(
             r["faults"], r["magnitude_m"], r["threshold_label"], r["dl"],
-            *(f"{float(r[m]):.3f}" for m in ("tpr", "fpr", "ppv", "f1", "p4")),
+            *(f"{float(r[m]):.3f}" for m in METRICS),
         ))
 
     # Plot-ready series: per metric and fault count, magnitude rows against
     # one column per (threshold, DL) pair.
     out = _outdir(args)
     fault_counts = sorted({r["faults"] for r in rows}, key=int)
-    for metric in ("tpr", "fpr", "ppv", "f1", "p4"):
+    for metric in METRICS:
         for fc in fault_counts:
             sub = [r for r in rows if r["faults"] == fc]
             pairs = sorted({(r["threshold_label"], int(r["dl"])) for r in sub})
@@ -287,7 +266,7 @@ def cmd_report(args) -> int:
                 (r["threshold_label"], int(r["dl"]), float(r["magnitude_m"])): r[metric]
                 for r in sub
             }
-            _write_csv(
+            write_csv(
                 out / f"report_{metric}_faults{fc}.csv",
                 ["magnitude_m"] + [f"{lab}_dl{dl}" for lab, dl in pairs],
                 ([repr(mag)] + [lookup.get((lab, dl, mag), "") for lab, dl in pairs]
@@ -305,7 +284,7 @@ def _propagate_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, default=0.0)
-    p.add_argument("--step", type=float, default=60.0)
+    p.add_argument("--step", type=float, default=EPOCH_STEP)
     p.set_defaults(func=cmd_propagate)
 
 
@@ -328,7 +307,7 @@ def _calibrate_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-w", type=float, default=1.0, help="range noise std (m)")
     p.add_argument("--percentiles", type=lambda s: [float(v) for v in s.split(",")],
                    default=[95.0, 99.0, 99.9])
-    p.add_argument("--step", type=float, default=60.0)
+    p.add_argument("--step", type=float, default=EPOCH_STEP)
     p.add_argument("--duration", type=float, default=None,
                    help="sampling window (s); default one orbital period")
     p.set_defaults(func=cmd_calibrate)

@@ -1,10 +1,11 @@
-"""k-clique enumeration and clique schedules over a time grid.
+"""k-clique enumeration, the detection grid and clique schedules on time grids.
 
 Detection subgraphs are k-cliques of the visibility graph; fully connected
 subgraphs of 5 or more vertices keep their shape in 3D even after losing
 any single vertex, which is what makes a single faulty member stand out.
 CLIQUE_SIZE = 6 is the operational size; the enumerator works for any
-k >= 1.
+k >= 1.  A detection window is DL epochs EPOCH_STEP = 60 s apart (every
+grid's default step), and check_window keeps it within one orbital period.
 
 Enumeration grows every clique one vertex at a time, level by level, as
 numpy arrays.  upper is the adjacency above the diagonal (upper[u, v]: u
@@ -33,6 +34,7 @@ change replaces them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -43,6 +45,20 @@ from .linkgraph import VisibilityGraph, build_visibility_graph
 
 # Size of the detection subgraphs: the paper's 6-cliques.
 CLIQUE_SIZE = 6
+# Seconds between the epochs of a detection window: the paper's step.
+EPOCH_STEP = 60.0
+
+
+def check_window(dl: int, period: float, step: float, field: str) -> int:
+    """ceil(period / step), the epochs of one orbital period, once a window
+    of dl epochs is checked to lie in 1 .. that count (errors name field)."""
+    epochs = math.ceil(period / step)
+    if dl < 1:
+        raise ValueError(f"{field} must be >= 1, got {dl}")
+    if dl > epochs:
+        raise ValueError(f"{field} must not exceed one orbital period, "
+                         f"{epochs} epochs of {step:g} s; got {dl}")
+    return epochs
 
 
 @dataclass(frozen=True)
@@ -64,7 +80,7 @@ def list_k_cliques(graph: VisibilityGraph, k: int) -> np.ndarray:
     """All k-cliques of the graph, each once, as lexicographically sorted
     rows of an (m, k) np.intp array; (0, k) when there are none."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k must be >= 1, got {k}")
     adj = graph.adjacency
     n = len(adj)
     if k > n:

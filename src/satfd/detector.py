@@ -10,7 +10,8 @@ cached measurements are re-examined.
 
 The threshold is either a fixed scalar (a calibrated percentile of the
 non-fault statistic) or a per-subgraph value from a trained predictor,
-evaluated on the observed subgraph's singular-value features.
+evaluated on the observed subgraph's singular-value features
+(edm.batch_features); a predictor is read only through its predict method.
 """
 
 from __future__ import annotations
@@ -126,10 +127,7 @@ def _resolve_thresholds(params: DetectorParams, batch: edm.BatchAnalysis) -> np.
         return np.full(len(batch.cliques), float(thr))
     # Predictor mode: features come from the observed analyses (the first
     # three singular values and vectors are nearly noise-invariant).
-    # Imported here so the module-level dependency stays one-directional.
-    from .calibration import batch_features
-
-    return np.asarray(thr.predict(batch_features(batch)), dtype=float).reshape(-1)
+    return np.asarray(thr.predict(edm.batch_features(batch)), dtype=float).reshape(-1)
 
 
 def table_from_analyses(

@@ -20,11 +20,12 @@ analysis therefore runs a symmetric eigensolver and orders each spectrum
 by |lambda|, descending; no SVD is computed.  Readers of singular values
 alone (calibration, training targets) run the values-only eigvalsh
 (spectrum), which computes no eigenvector and sorts the magnitudes
-themselves; readers of vectors (the vote, the predictor features) run
-eigh, order it by magnitude_order and keep u1-u4.  Every function works
-on a stack of cliques: cliques are an (m, k) integer array of satellite
-ids, and a single clique is a batch of one, so the Monte-Carlo hot loops
-run one stacked LAPACK call per epoch.  build_edm squares the epoch's
+themselves; readers of vectors (the vote, the predictor features that
+batch_features reads for detector and training set) run eigh, order it
+by magnitude_order and keep u1-u4.  Every function works on a stack of
+cliques: cliques are an (m, k) integer array of satellite ids, and a
+single clique is a batch of one, so the Monte-Carlo hot loops run one
+stacked LAPACK call per epoch.  build_edm squares the epoch's
 range matrix once and gathers every clique's block from it with one flat
 take, which gives the same bits as gathering the ranges and squaring
 them (squaring rounds each entry alone).
@@ -189,6 +190,14 @@ class BatchAnalysis:
     def fault_vertex_global(self) -> np.ndarray:
         """Map per-clique fault attributions to satellite ids."""
         return self.cliques[np.arange(len(self.cliques)), self.fault_vertex_local]
+
+
+def batch_features(batch: BatchAnalysis) -> np.ndarray:
+    """Predictor feature rows [s1, s2, s3, u1^T, u2^T, u3^T], (m, 21) for
+    6-cliques; u1-u3 are sign-canonicalized, so a row depends on the
+    subgraph alone, not on the eigensolver's sign choices."""
+    u = canonicalize_signs(batch.left_vectors[:, :, :3]).transpose(0, 2, 1)
+    return np.concatenate([batch.singular_values[:, :3], u.reshape(-1, 3 * u.shape[2])], axis=1)
 
 
 def gamma_from_spectrum(s: np.ndarray) -> np.ndarray:

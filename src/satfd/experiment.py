@@ -2,12 +2,12 @@
 
 A campaign runs n_trials independent trials against every cell of a grid
 (fault count x fault magnitude x threshold x detection length).  Each
-trial draws an initial epoch on the 60 s grid of one orbital period and a
-fault permutation from a substream keyed only by (master seed, trial id),
-so every grid cell sees the same trial conditions; measurement noise is
-keyed by (master seed, trial id, absolute epoch index) so cells that share
-epochs share noise too.  Per-cell confusion counts are integer sums over
-trials, which makes parallel and serial runs byte-identical.
+trial draws an initial epoch on the timestep grid of one orbital period
+and a fault permutation from a substream keyed only by (master seed,
+trial id), so every grid cell sees the same trial conditions; measurement
+noise is keyed by (master seed, trial id, absolute epoch index) so cells
+that share epochs share noise too.  Per-cell confusion counts are integer
+sums over trials, which makes parallel and serial runs byte-identical.
 
 Because the noise of an epoch is the same under every fault condition, a
 clique's analysis depends only on which of its vertices are biased and, if
@@ -47,7 +47,7 @@ import numpy as np
 from . import calibration, edm
 # list_k_cliques is bound here only so that perfbench's tracer, which wraps
 # every module binding of a traced function, finds it in this module too.
-from .cliques import build_clique_schedule, list_k_cliques  # noqa: F401
+from .cliques import EPOCH_STEP, build_clique_schedule, check_window, list_k_cliques  # noqa: F401
 from .constellation import ConstellationConfig, resolve_config
 from .detector import (
     DetectorParams,
@@ -101,10 +101,7 @@ class ExperimentGrid:
 
     @property
     def n_cells(self) -> int:
-        return (
-            len(self.fault_counts) * len(self.magnitudes)
-            * len(self.thresholds) * len(self.dls)
-        )
+        return math.prod(map(len, (self.fault_counts, self.magnitudes, self.thresholds, self.dls)))
 
 
 @dataclass(frozen=True)
@@ -158,9 +155,9 @@ class CampaignContext:
     """Precomputed epoch grid plus fixed detector settings for one campaign.
 
     The epoch grid covers one orbital period at the detection timestep,
-    extended by (max DL - 1) epochs so any trial window fits; a DL longer
-    than the period is refused before anything is propagated.  Trials index
-    into this grid's clique schedule, which is computed once.
+    extended by (max DL - 1) epochs so any trial window fits; check_window
+    refuses a DL longer than the period before anything is propagated.
+    Trials index into this grid's clique schedule, which is computed once.
     """
 
     def __init__(
@@ -169,7 +166,7 @@ class CampaignContext:
         sigma_w: float,
         grid: ExperimentGrid,
         master_seed: int,
-        timestep: float = 60.0,
+        timestep: float = EPOCH_STEP,
         delta_nf: int = 10,
         delta_rf: float = 0.2,
     ):
@@ -184,13 +181,12 @@ class CampaignContext:
         self.sigma_w = sigma_w
         self.grid = grid
         self.master_seed = master_seed
+        self.timestep = timestep
         # Settings shared by every cell; each grid threshold sets gamma_threshold.
         self.detector = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
 
-        self.n_start_epochs = math.ceil(config.period / timestep)
-        if max(grid.dls) > self.n_start_epochs:
-            raise ValueError(f"detection lengths (dl_list) must not exceed one orbital period, "
-                             f"{self.n_start_epochs} epochs of {timestep:g} s; got {max(grid.dls)}")
+        self.n_start_epochs = check_window(max(grid.dls), config.period, timestep,
+                                           "detection lengths (dl_list)")
         times = timestep * np.arange(self.n_start_epochs + max(grid.dls) - 1)
         self.schedule = build_clique_schedule(config, times)
 
@@ -446,7 +442,6 @@ class ExperimentSpec:
 
     context: CampaignContext
     n_trials: int
-    timestep: float
     percentiles: tuple[float, ...]  # empty unless the thresholds are percentiles
 
     @classmethod
@@ -466,7 +461,7 @@ class ExperimentSpec:
             config = resolve_config(str(raw["constellation"]))
             try:  # resolve_config's errors carry their own prefix.
                 sigma_w = _number(raw["sigma_w_m"], "sigma_w_m")
-                timestep = _number(raw.get("timestep_s", 60.0), "timestep_s")
+                timestep = _number(raw.get("timestep_s", EPOCH_STEP), "timestep_s")
                 master_seed = _integer(raw["master_seed"], "master_seed")
                 n_trials = _integer(raw["n_trials"], "n_trials")
                 if n_trials < 1:
@@ -482,11 +477,11 @@ class ExperimentSpec:
                     delta_rf=_number(raw.get("delta_rf", 0.2), "delta_rf"))
                 if percentiles:  # refuses a step that leaves no calibration epoch
                     calibration.sampling_times(timestep, config.period)
-            except (OSError, ValueError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"invalid experiment config: {exc}") from exc
         except KeyError as exc:
             raise ValueError(f"invalid experiment config: missing field {exc}") from exc
-        return cls(context, n_trials, timestep, percentiles)
+        return cls(context, n_trials, percentiles)
 
     def calibrated(self) -> CampaignContext:
         """context, or a shallow copy of it whose grid holds the calibrated percentiles."""
@@ -494,7 +489,7 @@ class ExperimentSpec:
         if not self.percentiles:
             return ctx
         sample = calibration.sample_statistics(
-            ctx.config, ctx.sigma_w, self.timestep, ctx.config.period, seed=ctx.master_seed)
+            ctx.config, ctx.sigma_w, ctx.timestep, ctx.config.period, seed=ctx.master_seed)
         run = copy.copy(ctx)
         run.grid = replace(ctx.grid, thresholds=tuple(
             replace(thr, value=calibration.percentile(sample, p))

@@ -1,4 +1,4 @@
-"""The campaign results table: results.csv, one row per grid cell.
+"""The campaign table results.csv, one row per cell, and write_csv, every table's writer.
 
 Standard library only, so that reading a table (satfd report) loads none
 of the campaign code that wrote it.
@@ -8,29 +8,34 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .experiment import CellResult
 
+# The MetricSet fields, in the order of the table's last columns.
+METRICS = ("tpr", "fpr", "ppv", "f1", "p4")
 RESULT_COLUMNS = [
     "faults", "magnitude_m", "threshold_label", "threshold_value", "dl",
-    "trials", "tp", "fn", "fp", "tn", "tpr", "fpr", "ppv", "f1", "p4",
+    "trials", "tp", "fn", "fp", "tn", *METRICS,
 ]
 
 
-def write_results_csv(path: str | Path, results: Sequence[CellResult]) -> None:
+def write_csv(path: str | Path, header: list, rows: Iterable) -> None:
+    """One UTF-8 CSV table: the header row, then every row of rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            writer.writerow([
-                r.faults, repr(r.magnitude), r.threshold.label,
-                repr(r.threshold.scalar), r.dl, r.trials,
-                r.counts.tp, r.counts.fn, r.counts.fp, r.counts.tn,
-                repr(r.metrics.tpr), repr(r.metrics.fpr), repr(r.metrics.ppv),
-                repr(r.metrics.f1), repr(r.metrics.p4),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(path: str | Path, results: Sequence[CellResult]) -> None:
+    write_csv(path, RESULT_COLUMNS, ([
+        r.faults, repr(r.magnitude), r.threshold.label,
+        repr(r.threshold.scalar), r.dl, r.trials,
+        r.counts.tp, r.counts.fn, r.counts.fp, r.counts.tn,
+        *(repr(getattr(r.metrics, m)) for m in METRICS),
+    ] for r in results))
 
 
 def read_results_csv(path: str | Path) -> list[dict]:

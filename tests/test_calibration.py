@@ -273,6 +273,16 @@ class TestMlp:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_file_is_one_value_error(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match="^cannot load threshold model: ") as exc:
+            MlpPredictor.load(path)
+        assert str(path) in str(exc.value)
+
     def test_rejects_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "other"}), encoding="utf-8")

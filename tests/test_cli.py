@@ -160,7 +160,7 @@ class TestGraphAndCliques:
     def test_k_below_one_rejected(self, tmp_path, capsys):
         rc = main(["cliques", "--config", "elfo_moon", "--out", str(tmp_path), "--k", "0"])
         assert rc != 0
-        assert "error: need k >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
         assert not (tmp_path / "cliques.csv").exists()
 
     def test_synthetic_complete_graph_binomial(self, tmp_path):
@@ -270,6 +270,30 @@ class TestDetect:
             f"720 epochs of 60 s; got {dl}\n")
         assert captured.out == ""
         assert not out.exists()
+
+    def test_window_of_one_period_accepted(self, tmp_path, capsys, monkeypatch):
+        # The window rule is cliques.check_window; detect's window starts at
+        # --t0 and steps by cliques.EPOCH_STEP.
+        checked, grids = [], []
+        original = satfd.cli.check_window
+
+        def check_window(*args):
+            checked.append(args)
+            return original(*args)
+
+        def schedule(config, times):
+            grids.append(times)
+            raise ValueError("stop before the detection")
+
+        monkeypatch.setattr("satfd.cli.check_window", check_window)
+        monkeypatch.setattr("satfd.cli.iter_schedule", schedule)
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--threshold", "4.6e-7", "--t0", "30", "--dl", "720"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: stop before the detection\n"
+        config = load_bundled("elfo_moon")
+        assert checked == [(720, config.period, 60.0, "di (--dl)")]
+        assert np.array_equal(grids[0], 30.0 + 60.0 * np.arange(720))
 
     def test_range_dump(self, tmp_path, capsys):
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path),
@@ -558,6 +582,48 @@ class TestMonteCarloAndReport:
             "error: invalid experiment config: detection lengths (dl_list) must not exceed "
             f"one orbital period, 720 epochs of 60 s; got {dl}\n")
         assert not out.exists()
+
+    def test_window_of_one_period_accepted(self, tmp_path, monkeypatch):
+        # The window rule is cliques.check_window; the grid covers every
+        # start epoch of the period and the last window's 719 more.
+        checked, grids = [], []
+        original = experiment.check_window
+
+        def check_window(*args):
+            checked.append(args)
+            return original(*args)
+
+        def schedule(config, times):
+            grids.append(times)
+            return ()
+
+        monkeypatch.setattr(experiment, "check_window", check_window)
+        monkeypatch.setattr(experiment, "build_clique_schedule", schedule)
+        spec = experiment.ExperimentSpec.load(self.experiment_file(tmp_path, dl_list=[720, 1]))
+        config = load_bundled("elfo_moon")
+        assert checked == [(720, config.period, 60.0, "detection lengths (dl_list)")]
+        assert spec.context.n_start_epochs == 720
+        assert np.array_equal(grids[0], 60.0 * np.arange(720 + 719))
+
+    def test_missing_model_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "nope.json"
+        exp = self.experiment_file(tmp_path, thresholds={"model": str(model)})
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config: cannot load threshold model: ")
+        assert str(model) in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_model_not_json_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("{not json", encoding="utf-8")
+        exp = self.experiment_file(tmp_path, thresholds={"model": str(model)})
+        rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid experiment config: cannot load threshold model: {model} is not JSON: ")
 
     def test_percentiles_checked_before_calibrating(self, tmp_path, capsys, monkeypatch):
         def calibrate(*args, **kwargs):

@@ -5,7 +5,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from satfd.cliques import build_clique_schedule, iter_schedule, list_k_cliques
+from satfd.cliques import (
+    EPOCH_STEP, build_clique_schedule, check_window, iter_schedule, list_k_cliques,
+)
 from satfd.constellation import load_bundled, orbital_period, propagate
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 
@@ -89,6 +91,31 @@ class TestListKCliques:
         schedule = build_clique_schedule(config, times)
         for entry in schedule:
             assert (np.bincount(entry.cliques.ravel(), minlength=12) >= 32).all()
+
+
+class TestCheckWindow:
+    def test_period_epochs_accepted_one_more_refused(self):
+        period = load_bundled("elfo_moon").period
+        epochs = math.ceil(period / EPOCH_STEP)
+        assert epochs == 720
+        for dl in (1, epochs):
+            assert check_window(dl, period, EPOCH_STEP, "dl") == epochs
+        with pytest.raises(ValueError) as exc:
+            check_window(epochs + 1, period, EPOCH_STEP, "di (--dl)")
+        assert str(exc.value) == ("di (--dl) must not exceed one orbital period, "
+                                  "720 epochs of 60 s; got 721")
+
+    @pytest.mark.parametrize("dl", [0, -3])
+    def test_empty_window_refused_by_name(self, dl):
+        with pytest.raises(ValueError) as exc:
+            check_window(dl, 3600.0, 120.0, "detection lengths (dl_list)")
+        assert str(exc.value) == f"detection lengths (dl_list) must be >= 1, got {dl}"
+
+    def test_partial_last_epoch_counts(self):
+        # A period of 30.5 steps has 31 start epochs.
+        assert check_window(31, 30.5 * 120.0, 120.0, "dl") == 31
+        with pytest.raises(ValueError, match="31 epochs of 120 s; got 32"):
+            check_window(32, 30.5 * 120.0, 120.0, "dl")
 
 
 class TestCliqueOps:

@@ -339,7 +339,7 @@ class TestExperimentSpec:
         monkeypatch.setattr(calibration, "sample_statistics", never)
         spec = self.load(tmp_path, {"values": [{"label": "p99", "value": P99}]})
         assert spec.calibrated() is spec.context
-        assert (spec.n_trials, spec.timestep, spec.percentiles) == (3, 120.0, ())
+        assert (spec.n_trials, spec.context.timestep, spec.percentiles) == (3, 120.0, ())
         assert spec.context.grid == small_grid()
 
 

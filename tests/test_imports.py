@@ -113,6 +113,11 @@ class TestWhatIsLoaded:
         assert {m for m in loaded if m.startswith("satfd.")} <= {
             "satfd.constellation", "satfd.configs"}
 
+    def test_detector_loads_no_calibration(self):
+        loaded = loaded_after("import satfd.detector")
+        assert "satfd.edm" in loaded
+        assert not loaded & {"satfd.calibration", "satfd.experiment"}
+
     def test_detect_with_threshold(self):
         loaded = loaded_after(run_main([
             "detect", "--config", "elfo_moon", "--t0", "0", "--fault-sats", "3",

@@ -692,6 +692,21 @@ def test_training_set_equals_per_geometry_reference(name, seed, n, extra, n_nois
     assert np.array_equal(head_targets, targets[:n])
 
 
+# The drawn cases above hold at most 18 geometries, one partial block at 300
+# draws.  40 geometries at 300 draws fill one block of 32 and part of a
+# second; on the coarse step many of them share a schedule entry.
+@pytest.mark.parametrize("name, seed, sigma_w", [("elfo_moon", 5, 1.0), ("walker_mars", 9, 50.0)])
+def test_training_set_across_a_block_boundary_equals_reference(name, seed, sigma_w):
+    config = SCHEDULE_CONFIGS[name]
+    n_geometries, n_noise, step = 40, 300, 7200.0
+    assert BLOCK_DRAWS // n_noise < n_geometries < 2 * (BLOCK_DRAWS // n_noise)
+    feats, targets = build_training_set(config, sigma_w, n_geometries, n_noise, seed, step)
+    ref_feats, ref_targets = reference_training_set(config, sigma_w, n_geometries, n_noise,
+                                                    seed, step)
+    assert np.array_equal(feats, ref_feats)
+    assert np.array_equal(targets, ref_targets)
+
+
 @functools.lru_cache(maxsize=None)
 def coarse_schedule(name):
     """The entries with cliques of a 600 s grid over one period of a bundled config."""
