@@ -38,7 +38,7 @@ from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
 from .ranging import FaultConfig, measure_ranges
 from .results import METRICS, read_results_csv, write_csv, write_results_csv
-from .seeds import EPOCH_NOISE, substream
+from .seeds import EPOCH_NOISE, check_seed, substream
 
 
 def _common_flags(parser: argparse.ArgumentParser, config: bool = True) -> None:
@@ -51,13 +51,6 @@ def _common_flags(parser: argparse.ArgumentParser, config: bool = True) -> None:
 
 def _seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-
-
-def _check_seed(seed: int) -> None:
-    """Refuse a negative --seed, which seeds.substream cannot take, before
-    any output is written."""
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
 
 
 def _outdir(args) -> Path:
@@ -135,7 +128,7 @@ def cmd_calibrate(args) -> int:
 
     config = resolve_config(args.config)
     duration = config.period if args.duration is None else args.duration
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     for p in args.percentiles:
         calibration.check_percentile(p)
     path = _outdir(args) / "thresholds.json"
@@ -153,7 +146,7 @@ def cmd_train_predictor(args) -> int:
     from . import calibration
 
     config = resolve_config(args.config)
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     calibration.check_learning_rate(args.lr)
     calibration.check_epochs(args.epochs)
     calibration.check_training_size(args.n_geometries, args.n_noise)
@@ -179,7 +172,7 @@ def _satellite_ids(text: str) -> frozenset[int]:
 
 def cmd_detect(args) -> int:
     config = resolve_config(args.config)
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     if args.model is not None:
         from . import calibration
 
@@ -238,10 +231,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        rows = read_results_csv(args.results)
-    except OSError as exc:
-        raise ValueError(str(exc)) from exc
+    rows = read_results_csv(args.results)
     if not rows:
         raise ValueError("results file has no rows")
 

@@ -16,10 +16,12 @@ any are, on the magnitude.  A trial therefore does each piece of work once
 
 * each epoch's noise is drawn once, and each fault config adds its bias
   to that draw (ranging.add_bias);
-* each clique is analysed once per distinct (biased vertices, magnitude),
-  so the fault-free cliques are shared by every magnitude and nested
-  fault count, and an epoch's analyses are one analyze_clique_batch call
-  on the fault configs' biased ranges stacked block-diagonally;
+* each (config, clique) row has one key, 0 when none of the clique's
+  vertices is biased and otherwise its biased vertices with the config's
+  magnitude, and a clique is analysed once per distinct key: the
+  fault-free cliques are shared by every magnitude and nested fault
+  count, and an epoch's analyses are one analyze_clique_batch call on the
+  fault configs' biased ranges stacked block-diagonally;
 * each threshold flags every analysed row once (one predictor evaluation
   per epoch), and a cell's flag table is gathered from those rows by
   index: the vertex and vote columns once per config, which every
@@ -58,7 +60,7 @@ from .detector import (
     table_from_analyses,
 )
 from .ranging import FaultConfig, add_bias, check_sigma_w, measure_ranges
-from .seeds import EPOCH_NOISE, TRIAL_SETUP, substream
+from .seeds import EPOCH_NOISE, TRIAL_SETUP, check_seed, substream
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,6 @@ class ExperimentGrid:
             raise ValueError("fault counts must be >= 0")
         if not all(0.0 <= m < math.inf for m in self.magnitudes):
             raise ValueError("fault magnitudes must be >= 0 and finite")
-        if min(self.dls) < 1:
-            raise ValueError("detection lengths must be >= 1")
 
     def cells(self):
         """Row order of the results table."""
@@ -156,7 +156,8 @@ class CampaignContext:
 
     The epoch grid covers one orbital period at the detection timestep,
     extended by (max DL - 1) epochs so any trial window fits; check_window
-    refuses a DL longer than the period before anything is propagated.
+    refuses a DL below 1 or longer than the period before anything is
+    propagated.
     Trials index into this grid's clique schedule, which is computed once.
     """
 
@@ -173,8 +174,7 @@ class CampaignContext:
         if not 0.0 < timestep < math.inf:
             raise ValueError(f"timestep must be > 0 and finite, got {timestep!r}")
         check_sigma_w(sigma_w)
-        if master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+        check_seed(master_seed, "master_seed")
         if max(grid.fault_counts) > config.n_satellites:
             raise ValueError(f"fault counts must not exceed the {config.n_satellites} satellites")
         self.config = config
@@ -185,8 +185,9 @@ class CampaignContext:
         # Settings shared by every cell; each grid threshold sets gamma_threshold.
         self.detector = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
 
-        self.n_start_epochs = check_window(max(grid.dls), config.period, timestep,
-                                           "detection lengths (dl_list)")
+        field = "detection lengths (dl_list)"
+        check_window(min(grid.dls), config.period, timestep, field)
+        self.n_start_epochs = check_window(max(grid.dls), config.period, timestep, field)
         times = timestep * np.arange(self.n_start_epochs + max(grid.dls) - 1)
         self.schedule = build_clique_schedule(config, times)
 
@@ -216,9 +217,12 @@ class CampaignContext:
         and row source[c, i] of rows is the analysis of the epoch's clique i
         under configs[c], equal to analyze_clique_batch on that config's own
         measured ranges with the same floor.  The epoch's noise is drawn
-        once; every config biases the same draw, so a clique row is analysed
-        only for the first config that biases its vertices the way it does
-        (none, or the same vertices by the same magnitude), and a config
+        once and every config biases the same draw, so a row's analysis
+        depends only on its key: 0 when none of the clique's vertices is
+        biased, else the bits of its biased vertices plus (r + 1) << k, r
+        the rank of the config's magnitude among the configs'.  A row is
+        analysed only for the first config with its key, rows holds them in
+        config order and then clique order, and a config after the first
         whose rows are all shared is not biased at all.  Under the grid's
         analysis_floor, a row that gamma_bound puts at or below it has
         gamma_test -inf and is not solved, since no threshold flags it.
@@ -228,11 +232,12 @@ class CampaignContext:
         block-diagonal range matrix, and a solved row has the bits of
         analysing its block alone.
         """
-        n = self.n_sats
-        biased = np.zeros((len(configs), n), dtype=bool)
+        biased = np.zeros((len(configs), self.n_sats), dtype=bool)
         for c, faults in enumerate(configs):
             # A zero bias leaves every range as it is (add_bias).
             biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
+        # 1 + each config's magnitude rank, which a key holds above its vertex bits.
+        ranks = np.unique([faults.magnitude for faults in configs], return_inverse=True)[1] + 1
         floor = analysis_floor(thr.value for thr in self.grid.thresholds)
         out = []
         for offset in range(n_epochs):
@@ -242,22 +247,16 @@ class CampaignContext:
             rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
             clean = measure_ranges(entry.positions, entry.graph, FaultConfig(), self.sigma_w, rng)
             # (configs, m) codes: bit j is set when vertex j of the row is biased.
-            codes = (biased[:, cliques] << np.arange(cliques.shape[1])).sum(axis=2)
-            source = np.full(codes.shape, -1, dtype=np.intp)
-            blocks, rows = [], []  # per analysed config: biased ranges, new rows
-            n_rows = 0
-            for c, faults in enumerate(configs):
-                for p in range(c):
-                    same = (source[c] < 0) & (codes[p] == codes[c])
-                    if configs[p].magnitude != faults.magnitude:
-                        same &= codes[c] == 0
-                    source[c, same] = source[p, same]
-                new = np.flatnonzero(source[c] < 0)
-                if c == 0 or new.size:
-                    blocks.append(add_bias(clean, entry.graph, faults).r)
-                    rows.append(cliques[new])
-                    source[c, new] = n_rows + np.arange(new.size)
-                    n_rows += new.size
+            k = cliques.shape[1]
+            codes = (biased[:, cliques] << np.arange(k)).sum(axis=2)
+            keys = np.where(codes == 0, 0, codes + (ranks << k)[:, None])
+            # first[c, i]: the first config whose row i has the key of config c's.
+            first = (keys[:, None] == keys[None]).argmax(axis=1)
+            own = first == np.arange(len(configs))[:, None]
+            source = (own.cumsum() - 1).reshape(own.shape)[first, np.arange(len(cliques))]
+            analysed = [c for c in range(len(configs)) if c == 0 or own[c].any()]
+            blocks = [add_bias(clean, entry.graph, configs[c]).r for c in analysed]
+            rows = [cliques[own[c]] for c in analysed]
             out.append((edm.analyze_blocks(blocks, rows, floor=floor), source))
         return out
 

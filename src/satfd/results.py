@@ -39,10 +39,12 @@ def write_results_csv(path: str | Path, results: Sequence[CellResult]) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULT_COLUMNS:
-            raise ValueError(
-                f"results file has columns {reader.fieldnames}, want {RESULT_COLUMNS}"
-            )
-        return [dict(row) for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != RESULT_COLUMNS:
+                raise ValueError(f"results file has columns {reader.fieldnames}, "
+                                 f"want {RESULT_COLUMNS}")
+            return [dict(row) for row in reader]
+    except OSError as exc:
+        raise ValueError(f"cannot read results file: {exc}") from exc

@@ -13,6 +13,8 @@ Key layout (first key component is a domain tag):
     EPOCH_NOISE, trial_id, epoch_idx -> range noise for one epoch of one trial
     CALIBRATION, epoch_idx           -> range noise for threshold sampling
     TRAINING, geometry_idx           -> noise realizations for one training geometry
+
+check_seed refuses a master seed that substream cannot take, by its field.
 """
 
 import numpy as np
@@ -27,3 +29,9 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for the given (master seed, key path)."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.default_rng(seq)
+
+
+def check_seed(seed: int, field: str) -> None:
+    """Refuse a negative master seed (errors name field)."""
+    if seed < 0:
+        raise ValueError(f"{field} must be >= 0, got {seed}")

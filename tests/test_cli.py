@@ -601,7 +601,8 @@ class TestMonteCarloAndReport:
         monkeypatch.setattr(experiment, "build_clique_schedule", schedule)
         spec = experiment.ExperimentSpec.load(self.experiment_file(tmp_path, dl_list=[720, 1]))
         config = load_bundled("elfo_moon")
-        assert checked == [(720, config.period, 60.0, "detection lengths (dl_list)")]
+        assert checked == [(dl, config.period, 60.0, "detection lengths (dl_list)")
+                           for dl in (1, 720)]
         assert spec.context.n_start_epochs == 720
         assert np.array_equal(grids[0], 60.0 * np.arange(720 + 719))
 
@@ -713,6 +714,15 @@ class TestMonteCarloAndReport:
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
         rc = main(["report", "--results", str(bad), "--out", str(tmp_path)])
         assert rc != 0
+
+    def test_report_missing_results_names_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        rc = main(["report", "--results", str(missing), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read results file: ")
+        assert str(missing) in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_report_single_row_echoes(self, tmp_path, capsys):
         exp = self.experiment_file(tmp_path)

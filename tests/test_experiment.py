@@ -120,6 +120,36 @@ class TestOneAnalysisPerEpoch:
             for index in source:
                 assert np.array_equal(rows.cliques[index], ctx.schedule[4 + offset].cliques)
 
+    def test_rows_in_config_then_clique_order(self):
+        ctx = make_ctx(small_grid())
+        # Config 1 shares config 0's rows that bias 3 alone, by the same 20 m;
+        # configs 2-5 share rows with no biased vertex, and config 4 (a zero
+        # bias) shares every row.
+        configs = [FaultConfig({3}, 20.0), FaultConfig({3, 7}, 20.0), FaultConfig({3}, 5.0),
+                   FaultConfig(), FaultConfig({7}, 0.0), FaultConfig({7}, 20.0)]
+        for offset, (rows, source) in enumerate(ctx.epoch_analyses(1, 4, configs, 3)):
+            cliques = ctx.schedule[4 + offset].cliques
+            # Rows are numbered in config order, then clique order; a row is
+            # new unless an earlier config biases the same vertices of its
+            # clique by the same magnitude, or neither biases any.
+            numbers, order = {}, []
+            want = np.empty(source.shape, dtype=np.intp)
+            for c, faults in enumerate(configs):
+                for i, clique in enumerate(cliques.tolist()):
+                    hit = faults.fault_set.intersection(clique) if faults.magnitude else set()
+                    key = (i, frozenset(hit), faults.magnitude if hit else None)
+                    if key not in numbers:
+                        numbers[key] = len(order)
+                        order.append(i)
+                    want[c, i] = numbers[key]
+            assert np.array_equal(source, want)
+            assert np.array_equal(rows.cliques, cliques[order])
+            has3, has7 = (cliques == 3).any(axis=1), (cliques == 7).any(axis=1)
+            assert (has3 & ~has7).any() and (~has3 & ~has7).any()
+            assert np.array_equal(source[1, has3 & ~has7], source[0, has3 & ~has7])
+            assert np.array_equal(source[3, ~has3], source[0, ~has3])
+            assert np.array_equal(source[4], source[3])
+
     def test_trial_makes_one_call_per_epoch(self, monkeypatch):
         sides = self.count_calls(monkeypatch)
         ctx = make_ctx(small_grid(fault_counts=(1, 2), magnitudes=(5.0, 20.0), dls=(1, 3)))
@@ -254,11 +284,14 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             run_campaign(make_ctx(small_grid()), n_trials=0)
         # out-of-range grid values and campaign settings
-        for bad in (dict(dls=(0,)), dict(dls=(1, -2)), dict(fault_counts=(-1,)),
-                    dict(magnitudes=(-5.0,)), dict(magnitudes=(20.0, math.inf)),
-                    dict(magnitudes=(math.nan,))):
+        for bad in (dict(fault_counts=(-1,)), dict(magnitudes=(-5.0,)),
+                    dict(magnitudes=(20.0, math.inf)), dict(magnitudes=(math.nan,))):
             with pytest.raises(ValueError):
                 small_grid(**bad)
+        # cliques.check_window is the one DL rule, so the campaign refuses these.
+        for dls in ((0,), (1, -2)):
+            with pytest.raises(ValueError, match=f"^detection lengths .* >= 1, got {min(dls)}$"):
+                make_ctx(small_grid(dls=dls))
         with pytest.raises(ValueError, match="12 satellites"):
             make_ctx(small_grid(fault_counts=(1, 13)))
         for timestep in (0.0, -60.0):

@@ -30,11 +30,12 @@ on any time grid, repeated and unsorted epochs included.
 
 A campaign trial's shared analyses (CampaignContext.epoch_analyses, which
 analyses each distinct clique measurement once) must equal, field for
-field, analysing every fault config on its own measured ranges.  A trial's
-cell counts (which flag each analysed row once per threshold and take
-each detection length as a row prefix) must equal a reference that
-measures, analyses and detects every cell on its own, and a campaign's
-results must not depend on its worker count.
+field, analysing every fault config on its own measured ranges, on drawn
+grids and on the paper's 20 configs.  A trial's cell counts (which flag
+each analysed row once per threshold and take each detection length as a
+row prefix) must equal a reference that measures, analyses and detects
+every cell on its own, windows with epochs of no clique included, and a
+campaign's results must not depend on its worker count.
 
 The predictor's training set (build_training_set, which measures each
 geometry as its own 6x6 block and takes blocks of consecutive geometries)
@@ -67,7 +68,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -525,8 +526,14 @@ def trial_grid(draw):
     return counts, magnitudes, others, draw(grid_thresholds())
 
 
+# The paper's grid: fault counts 0-3 by five magnitudes, 20 configs.
+PAPER_GRID = ([0, 1, 2, 3], [5.0, 8.0, 10.0, 15.0, 20.0], [],
+              (ThresholdSpec("p99.9", 5.86e-7), ThresholdSpec("p95", 3.58e-7)))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 10**6), trial_grid())
+@example(trial_id=11, grid=PAPER_GRID)
 def test_shared_analyses_equal_unshared(trial_id, grid):
     counts, magnitudes, others, thresholds = grid
     ctx = campaign_on(ExperimentGrid(fault_counts=(campaign_context().n_sats,),
@@ -634,6 +641,27 @@ def test_trial_counts_equal_per_cell_reference(trial_id, grid):
     got = _trial_cell_counts(ctx, trial_id)
     assert got.shape == (grid.n_cells, 4)
     assert np.array_equal(got, reference_cell_counts(ctx, trial_id))
+
+
+def test_trial_counts_with_cliqueless_epochs_equal_reference():
+    # On the first 7 elfo_moon satellites, some epochs have no 6-clique.
+    config = load_bundled("elfo_moon")
+    grid = ExperimentGrid(fault_counts=(0, 1, 2, 3), magnitudes=(5.0, 20.0),
+                          thresholds=(ThresholdSpec("p95", 3.58e-7), ThresholdSpec("p99", P99)),
+                          dls=(1, 3))
+    ctx = CampaignContext(config=dataclasses.replace(config, satellites=config.satellites[:7]),
+                          sigma_w=1.0, grid=grid, master_seed=5)
+    empty = {g for g, entry in enumerate(ctx.schedule) if not len(entry.cliques)}
+    assert len(ctx.schedule) == 722 and len(empty) == 38
+    # One trial per pattern of cliqueless epochs in its window.
+    trials = {}
+    for trial_id in range(200):
+        t0_index, _ = ctx.trial_conditions(trial_id)
+        trials.setdefault(tuple(g in empty for g in range(t0_index, t0_index + 3)), trial_id)
+    assert (True, True, True) in trials and (True, False, False) in trials
+    for trial_id in trials.values():
+        assert np.array_equal(_trial_cell_counts(ctx, trial_id),
+                              reference_cell_counts(ctx, trial_id))
 
 
 def test_campaign_results_do_not_depend_on_worker_count():
