@@ -111,13 +111,15 @@ def is_scalar_threshold(threshold: object) -> bool:
     return isinstance(threshold, numbers.Real)
 
 
-def analysis_floor(thresholds: Iterable[object]) -> float | None:
-    """The analysis floor of a detection under every one of thresholds: the
-    smallest if each is a finite scalar (no clique at or below it is
-    flagged), else None (a predictor reads every clique, so all are solved)."""
+def analysis_floor(thresholds: Iterable[object]) -> tuple[float, ...] | None:
+    """The thresholds that edm.analyze_clique_batch may decide the rows of a
+    detection under every one of thresholds by: all of them, as floats, if
+    each is a finite scalar (the smallest is the floor below which no row is
+    solved), else None (a predictor reads every clique's values and
+    vectors, so all are solved)."""
     values = list(thresholds)
     if all(is_scalar_threshold(v) and math.isfinite(v) for v in values):
-        return float(min(values))
+        return tuple(float(v) for v in values)
     return None
 
 
@@ -178,15 +180,15 @@ def detect_faults(
     clique_lists ((m, k) arrays) and ranges are aligned per epoch;
     measurements are generated once per epoch by the caller and
     re-examined unchanged after each removal.  Terminates in at most
-    n_sats rounds.  A scalar threshold is also the analysis floor
-    (analysis_floor): a clique that edm.gamma_bound puts at or below it is
-    not flagged, so it is not solved.
+    n_sats rounds.  A scalar threshold is passed to the analysis
+    (analysis_floor), which solves only the cliques whose flag or vote
+    it cannot decide without the eigensolver.
     """
     if len(ranges) != len(clique_lists):
         raise ValueError("clique lists and range matrices must cover the same epochs")
-    floor = analysis_floor([params.gamma_threshold])
+    thresholds = analysis_floor([params.gamma_threshold])
     batches = [
-        edm.analyze_clique_batch(rm, cliques, floor=floor)
+        edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
         for cliques, rm in zip(clique_lists, ranges)
     ]
     return _greedy(table_from_analyses(batches, params), len(ranges[0].r), params)

@@ -31,21 +31,24 @@ take, which gives the same bits as gathering the ranges and squaring
 them (squaring rounds each entry alone).
 
 Two screens spare the eigensolver the matrices whose gamma_test no reader
-needs.  Each bounds gamma_test with stacked products and no eigensolver,
-and solves what it cannot rule out from the same centred matrices, so
-every value read has its unscreened bits.  Both bound s4 + s5 by the
+needs, and a certificate those whose flags and vote it can prove.  Each
+bounds gamma_test with stacked products and no eigensolver, and solves
+what it cannot decide from the same centred matrices, so every value read
+has its unscreened bits and every decision read is the unscreened one.
+All three bound s4 + s5 by the
 eigenvalues mu1, mu2 of a symmetric block of rank <= 2, trace t and
 Frobenius norm f: |mu1| + |mu2| = max(|t|, d) and max |mu_i| =
 (|t| + d) / 2 for d = |mu1 - mu2| = sqrt(2 f^2 - t^2) (_pair_magnitudes).
-Both allow tau, _ROUNDING times a Frobenius norm, for the rounding they do
+All allow tau, _ROUNDING times a Frobenius norm, for the rounding they do
 not compute (the eigensolver's backward error, the asymmetry of the
 computed G, their own products), and widen the result by _WIDEN.
 
 The analysis screen (gamma_bound): a fixed threshold reads nothing of the
-many cliques at or below it, so analyze_clique_batch(..., floor=t) solves
-only those gamma_bound cannot put at or below t.  For any X of rank <= 3,
-s4 + s5 of G is at most s1 + s2 of R = G - X (L. Mirsky, "Symmetric gauge
-functions and unitarily invariant norms", Quart. J. Math. 1960).  X is
+many cliques at or below it, so analyze_clique_batch(..., thresholds=ts)
+solves none that gamma_bound puts at or below min(ts).  For any X of
+rank <= 3, s4 + s5 of G is at most s1 + s2 of R = G - X (L. Mirsky,
+"Symmetric gauge functions and unitarily invariant norms", Quart. J.
+Math. 1960).  X is
 the Nystrom approximation C^T C, C = L^-1 U^T G, U^T G U = L L^T, in a
 basis U from one subspace step G P on three fixed probes P (_probes),
 orthonormalised by Cholesky-QR.  R vanishes on U and (G being centred) on
@@ -53,6 +56,43 @@ the all-ones vector, so it has rank 2; what rounding leaves outside that
 part is bounded by |R Q|_F, Q = [U, 1/sqrt(k)] (_top_pair_bound).  s1 is
 at least a Rayleigh quotient in U's span; tau = _ROUNDING (|G|_F +
 |C|_F^2).
+
+The certificate (_settle): a threshold t reads only whether gamma_test > t,
+and the vote only which entry of |u4| is largest, so of the 6-cliques the
+screen passes, only those are solved whose flag at some t of ts, or whose
+vote when some t flags them, the certificate cannot prove from the
+screen's basis.  It argues in exact arithmetic on G (G 1 = 0); as in the
+screens, tau covers the distance from the matrix eigh solves to the one
+the products describe.  Let U~ and W be orthonormal bases of span(U) and
+of its complement in the complement of 1 (two columns for k = 6), and
+A' = U~^T G U~, B = U~^T G W, C' = W^T G W.  R vanishes on U and on 1, so
+R = W S W^T for S = C' - B^T A'^-1 B, the Schur complement of A' in
+[U~, W]^T G [U~, W]: S's eigenvalues sigma1, sigma2 are R's nonzero pair,
+known from tr(R) and |R|_F (_pair_magnitudes; within sqrt(k) tau and
+tau).  For |z| <= rho < a = lambda_min(A'), G has as many eigenvalues
+off 1 below z as S(z) = C' - B^T (A' - z)^-1 B has (E. V. Haynsworth,
+"Determination of the inertia of a partitioned Hermitian matrix", Linear
+Algebra Appl. 1968), and S(z) is within |z| phi of S, phi = |F|^2 /
+(a - rho), F = A'^-1/2 B.  So if max |sigma_i| < rho (1 - phi), G has two
+eigenvalues within |sigma_i| phi / (1 - phi) of sigma_i and three of at
+least rho: s4 + s5 is |sigma1| + |sigma2| to that relative margin.  rho is
+a / 2, a >= 1 / (|L^-1|_F^2 (1 + omega)) for omega = |U^T U - I|_F, and
+|F| = |C W| <= |L^-1|_F |E|_F for E = (I - P_U) G U, which is G U - U A
+to within 2 omega |A|_F.  s1 is lambda_max(A') to within |B| <=
+sqrt(lambda_max(A')) |F| (interlacing and Weyl), lambda_max(A') is A's to
+a factor 1 +- omega (Ostrowski), and A's is enclosed by the signs of its
+characteristic polynomial (_top_eigenvalue).  That gives lo <= gamma_test
+<= hi; a row's flags are proved when no t of ts has lo <= t < hi, and its
+gamma_test is then a value in [lo, hi].  For the vote, x is R's
+eigenvector of sigma, the one of sigma1, sigma2 of larger magnitude, less
+its part U A^-1 U^T G x that couples to span(U), normalised.  By the
+Davis-Kahan sin theta theorem (C. Davis & W. M. Kahan, SIAM J. Numer.
+Anal. 1970) it is within eps = sqrt(2) (|G x - sigma x| + 2 tau) / delta
+of u4, delta the distance from sigma to G's other eigenvalues by the
+enclosures above, so the vote is proved when sigma's eigenvalue is 4th by
+|lambda| with margin and the top two entries of |x| differ by more than
+2 eps.  On campaign and detect rows the certificate settles about 99.8%
+of the rows the screen passes; eigh solves the rest.
 
 The training-target screen (top_gammas): a target is a tail percentile of
 a geometry's noise draws and reads only the top few ranks.  The noiseless
@@ -87,10 +127,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .cliques import CLIQUE_SIZE
 from .ranging import RangeMatrix, mirror_pairs, pair_rows
 
 
@@ -175,10 +216,13 @@ class BatchAnalysis:
     left_vectors holds u1-u4 only (the vote reads u4, the predictor
     features u1-u3).  An analysis built without vectors
     (analyze_clique_batch(..., vectors=False)) has None for left_vectors
-    and fault_vertex_local.  A row that a screened analysis
-    (analyze_clique_batch(..., floor=t)) left unsolved has gamma_test
+    and fault_vertex_local.  A row that an analysis under thresholds
+    (analyze_clique_batch(..., thresholds=ts)) screened out has gamma_test
     -inf, NaN singular values and vectors and fault vertex 0: no threshold
-    at or above t flags it, so its values, vectors and vote are never read.
+    at or above min(ts) flags it, so its values, vectors and vote are never
+    read.  A row the certificate settled has NaN singular values and
+    vectors too, a gamma_test that each t of ts flags exactly when it flags
+    the solved one, and, when some t flags it, the solved vote.
     """
 
     cliques: np.ndarray           # (m, k) satellite ids
@@ -330,10 +374,28 @@ def _top_pair_bound(r: np.ndarray, rq: np.ndarray) -> np.ndarray:
     return top + 5.0 * np.sqrt(np.vecdot(rq, rq))
 
 
-def gamma_bound(g: np.ndarray) -> np.ndarray:
+class _Basis(NamedTuple):
+    """The products of gamma_bound's basis that the certificate reuses
+    (_settle; the module docstring), one row per matrix of the stack."""
+
+    ut: np.ndarray     # (m, 3, k) U^T
+    u: np.ndarray      # (m, k, 3) U
+    ugt: np.ndarray    # (m, 3, k) U^T G
+    a: np.ndarray      # (m, 3, 3) A = U^T G U = L L^T
+    a_inv: np.ndarray  # (m, 3, 3) L^-1
+    c: np.ndarray      # (m, 3, k) C = L^-1 U^T G
+    r: np.ndarray      # (m, k, k) R = G - C^T C
+    tau: np.ndarray    # (m,) the rounding allowance
+
+    def rows(self, index: np.ndarray) -> "_Basis":
+        return _Basis(*(part[index] for part in self))
+
+
+def gamma_bound(g: np.ndarray) -> tuple[np.ndarray, _Basis]:
     """Certified upper bound on gamma_test of each matrix of an (m, k, k)
     stack of centred matrices (k >= 5), or +inf where it certifies none:
-    the analysis screen of the module docstring.
+    the analysis screen of the module docstring; and the basis products it
+    was computed from, which the certificate reuses.
 
     The Rayleigh quotient is of v = U z, z = A^2 e_j for A's largest
     diagonal entry j: z^T A z / |v|^2 with |v|^2 computed, so U need not be
@@ -343,26 +405,28 @@ def gamma_bound(g: np.ndarray) -> np.ndarray:
     """
     m, k = g.shape[:2]
     # One workspace for the stacked temporaries, each written with out=:
-    # R, Q^T, and two scratch blocks that later steps reuse once earlier
+    # R, Q^T, U, U^T G, C, A (Y^T and Y^T Y in the last two until they are
+    # written), and a scratch block that later steps reuse once earlier
     # ones are done with them.
-    r, qt, one, two, s, a = _carve(np.empty(m * (k * k + 11 * k + 18)), (m, k, k), (m, 4, k),
-                                   (4 * k * m,), (3 * k * m,), (m, 3, 3), (m, 3, 3))
+    r, qt, u, ugt, c, a, one = _carve(
+        np.empty(m * (k * k + 17 * k + 9)), (m, k, k), (m, 4, k), (m, k, 3), (m, 3, k),
+        (m, 3, k), (m, 3, 3), (4 * k * m,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = one[:3 * k * m].reshape(m, k, 3)
         np.matmul(g.reshape(m * k, k), _probes(k), out=y.reshape(m * k, 3))
-        yt = two.reshape(m, 3, k)
+        yt = c
         np.copyto(yt, y.transpose(0, 2, 1))
-        linv, condition = _cholesky_inverse(np.matmul(yt, y, out=s))
+        linv, condition = _cholesky_inverse(np.matmul(yt, y, out=a))
         # Rows u1-u3, then the all-ones vector, normalised.
         qt[:, 3] = 1.0 / math.sqrt(k)
         ut = np.matmul(linv, yt, out=qt[:, :3])
-        ugt = np.matmul(ut, g, out=y.reshape(m, 3, k))
-        u = yt.reshape(m, k, 3)
+        np.matmul(ut, g, out=ugt)
         np.copyto(u, ut.transpose(0, 2, 1))
         # The Cholesky factor reads A's lower triangle only.
         np.matmul(ugt, u, out=a)
-        c = np.matmul(_cholesky_inverse(a)[0], ugt, out=u.reshape(m, 3, k))
-        ct = ugt.reshape(m, k, 3)
+        a_inv = _cholesky_inverse(a)[0]
+        np.matmul(a_inv, ugt, out=c)
+        ct = one[:3 * k * m].reshape(m, k, 3)
         np.copyto(ct, c.transpose(0, 2, 1))
         np.subtract(g, np.matmul(ct, c, out=r), out=r)
         gf = g.reshape(m, k * k)
@@ -377,8 +441,124 @@ def gamma_bound(g: np.ndarray) -> np.ndarray:
         v = (np.ascontiguousarray(z.T)[:, None] @ ut).reshape(m, k)
         s1 = ((z * w).sum(axis=0) - tau * (z * z).sum(axis=0)) / np.vecdot(v, v) - tau
         bound = (top_pair + 2.0 * tau) / s1 * (1.0 + _WIDEN)
-        return np.where((s1 > 0.0) & (condition < _BASIS_CONDITION) & (bound >= 0.0),
-                        bound, np.inf)
+        bound = np.where((s1 > 0.0) & (condition < _BASIS_CONDITION) & (bound >= 0.0),
+                         bound, np.inf)
+    return bound, _Basis(ut, u, ugt, a, a_inv, c, r, tau)
+
+
+def _top_eigenvalue(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, estimate) of the largest eigenvalue of each symmetric matrix
+    of an (m, 9) stack of flattened 3x3s; NaN bounds where it cannot
+    certify them.
+
+    The estimate is the trigonometric root of the characteristic polynomial
+    h(x) = x^3 - 3 p2 x - det(B) of B = A - q I (q = trace(A) / 3, p2 =
+    |B|_F^2 / 6), whose roots are A's eigenvalues less q and whose largest
+    root is at least p = sqrt(p2), the larger zero of h'.  So a point x with
+    h(x) < 0 lies below the largest root, and a point x >= p with h(x) > 0
+    lies above it.  Each sign is taken only beyond _ROUNDING s^3, s = |q| +
+    3 p, an allowance for the rounding of B and of h, at points
+    sqrt(_ROUNDING) s either side of the estimate: that certifies every
+    largest eigenvalue that stands about 1e-6 s clear of the next.
+    """
+    a00, a01, a02, _, a11, a12, _, _, a22 = np.ascontiguousarray(a.T)
+    q = (a00 + a11 + a22) / 3.0
+    b0, b1, b2 = a00 - q, a11 - q, a22 - q
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0
+    det = (b0 * (b1 * b2 - a12 * a12) - a01 * (a01 * b2 - a12 * a02)
+           + a02 * (a01 * a12 - b1 * a02))
+    p = np.sqrt(p2)
+    root = 2.0 * p * np.cos(np.arccos(np.clip(det / (2.0 * p2 * p), -1.0, 1.0)) / 3.0)
+    scale = np.abs(q) + 3.0 * p
+    allowance = _ROUNDING * scale ** 3
+    below = root - math.sqrt(_ROUNDING) * scale
+    above = root + math.sqrt(_ROUNDING) * scale
+    lo = np.where((below * below - 3.0 * p2) * below - det < -allowance, q + below, np.nan)
+    hi = np.where((above > p) & ((above * above - 3.0 * p2) * above - det > allowance),
+                  q + above, np.nan)
+    return lo, hi, q + root
+
+
+def _settle(
+    g: np.ndarray, basis: _Basis, thresholds: np.ndarray, vectors: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(settled, gamma, vote) of each 6x6 centred matrix of a stack, from
+    gamma_bound's basis products: the certificate of the module docstring.
+
+    A row is settled when its enclosure of eigh's gamma_test holds no
+    threshold of the (t, 1) column thresholds (so gamma, a value inside
+    it, is flagged by exactly the thresholds eigh's gamma_test is) and, if
+    any threshold flags it and vectors is set, vote is the vertex eigh's u4
+    votes for.  vote is None without vectors.
+    """
+    m, k = g.shape[:2]
+    ut, u, ugt, a, a_inv, c, r, tau = basis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # omega >= |U^T U - I|_F.
+        gram = np.matmul(ut, u).reshape(m, 9)
+        gram[:, ::4] -= 1.0
+        omega = np.sqrt(np.vecdot(gram, gram)) + _ROUNDING
+        # |E|_F bound for E = (I - P_U) G U = G U - U A plus what U's
+        # non-orthonormality adds.
+        e = np.subtract(ugt, np.matmul(a, ut)).reshape(m, 3 * k)
+        a = a.reshape(m, 9)
+        e = np.sqrt(np.vecdot(e, e)) + 2.0 * (omega * np.sqrt(np.vecdot(a, a)) + tau)
+        # |L^-1|_F^2 >= 1 / lambda_min(A); rho is half a lower bound on the
+        # least eigenvalue of A in an orthonormal basis of span(U).
+        a_inv = a_inv.reshape(m, 9)
+        inv2 = np.vecdot(a_inv, a_inv)
+        rho = 0.5 / (inv2 * (1.0 + omega)) - 0.5 * tau
+        phi = inv2 * e * e / rho
+        rel = phi / (1.0 - phi)
+        # R's nonzero eigenvalue pair, from its trace t and Frobenius norm f.
+        rf = r.reshape(m, k * k)
+        t = rf @ np.eye(k).ravel()
+        f = np.sqrt(np.vecdot(rf, rf))
+        at = np.abs(t)
+        t_lo = np.maximum(at - math.sqrt(k) * tau, 0.0)
+        t_hi = at + math.sqrt(k) * tau
+        d_lo = np.sqrt(np.maximum(2.0 * np.maximum(f - tau, 0.0) ** 2 - t_hi * t_hi, 0.0))
+        d_hi = np.sqrt(2.0 * (f + tau) ** 2 - t_lo * t_lo)
+        top_hi = 0.5 * (t_hi + d_hi)
+        valid = ((omega < 0.25) & (phi < 0.5) & (top_hi < rho * (1.0 - phi))
+                 & (top_hi * (1.0 + rel) + 2.0 * tau < rho))
+        lam_lo, lam_hi, lam = _top_eigenvalue(a)
+        s1_lo = (lam_lo - tau) / (1.0 + omega) - tau
+        lam_hi = (lam_hi + tau) / (1.0 - omega)
+        s1_hi = lam_hi + np.sqrt(lam_hi * inv2) * e + tau
+        lo = (np.maximum(t_lo, d_lo) * (1.0 - rel) - 2.0 * tau) / s1_hi * (1.0 - _WIDEN)
+        hi = (np.maximum(t_hi, d_hi) * (1.0 + rel) + 2.0 * tau) / s1_lo * (1.0 + _WIDEN)
+        settled = valid & (s1_lo > 0.0) & ((thresholds < lo) | (thresholds >= hi)).all(axis=0)
+        spread = np.sqrt(np.maximum(2.0 * f * f - t * t, 0.0))
+        gamma = np.clip(np.maximum(at, spread) / lam, lo, hi)
+        if not vectors:
+            return settled, gamma, None
+        # The eigenvector of R's eigenvalue sigma of larger magnitude, (R -
+        # other I) R p for a probe p, then the Nystrom correction x - U A^-1
+        # U^T G x, which makes it nearly G's eigenvector.
+        sigma = 0.5 * (at + spread)
+        sigma[t < 0.0] *= -1.0
+        other = t - sigma
+        rp = (rf.reshape(m * k, k) @ _probes(k)[:, 0]).reshape(m, k)
+        x = np.einsum("mij,mj->mi", r, rp) - other[:, None] * rp
+        x -= np.einsum("mij,mj->mi", u, np.einsum(
+            "mji,mj->mi", a_inv.reshape(m, 3, 3), np.einsum("mij,mj->mi", c, x)))
+        x /= np.sqrt(np.vecdot(x, x))[:, None]
+        res = np.einsum("mij,mj->mi", g, x) - sigma[:, None] * x
+        # |lambda| of the pair's other eigenvalue (at most), and of sigma's
+        # (at least), in the matrix eigh solves; gap is from sigma to its
+        # other eigenvalues, and eps bounds |x - u4| (Davis-Kahan).
+        low_hi = 0.5 * np.maximum(t_hi - d_lo, d_hi - t_lo) * (1.0 + rel) + tau
+        top_lo = 0.5 * (t_lo + d_lo) * (1.0 - rel) - tau
+        gap = np.minimum(np.abs(sigma) - low_hi, rho - tau - np.abs(sigma))
+        eps = math.sqrt(2.0) * (np.sqrt(np.vecdot(res, res)) + 2.0 * tau) / gap + _ROUNDING
+        x = np.abs(x)
+        vote = x.argmax(axis=1)
+        top = x[np.arange(m), vote]
+        x[np.arange(m), vote] = -1.0
+        voted = (top_lo > low_hi) & (gap > 0.0) & (top - x.max(axis=1) > 2.0 * eps)
+        flagged = (thresholds < lo).any(axis=0)
+        return settled & (voted | ~flagged), gamma, vote
 
 
 def _solve(g: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -459,7 +639,8 @@ def top_gammas(basis: np.ndarray, d: np.ndarray, keep: int) -> np.ndarray:
 
 
 def analyze_clique_batch(
-    ranges: RangeMatrix, cliques: np.ndarray, vectors: bool = True, floor: float | None = None
+    ranges: RangeMatrix, cliques: np.ndarray, vectors: bool = True,
+    thresholds: Sequence[float] | None = None,
 ) -> BatchAnalysis:
     """Singular values and left singular vectors u1-u4 of every clique's
     centered distance matrix, plus gamma_test.
@@ -467,36 +648,59 @@ def analyze_clique_batch(
     One batched eigh: singular values are |lambda| and the vectors are the
     eigenvectors, both in magnitude_order.  Vector signs are arbitrary.
     With vectors=False the values come from spectrum (eigvalsh) instead,
-    and left_vectors and fault_vertex_local are None.  With a floor, only
-    the rows whose gamma_bound exceeds it are solved (the analysis screen);
-    the others keep their place with gamma_test -inf (BatchAnalysis), and
-    no threshold at or above the floor flags them.  Requires cliques of
-    k >= 5 vertices.
+    and left_vectors and fault_vertex_local are None.
+
+    thresholds, when given, are the scalar thresholds the caller will read
+    (gamma_test > t flags a row).  A row whose gamma_bound is at or below
+    the smallest keeps its place with gamma_test -inf (the analysis
+    screen).  A 6-clique the screen passes goes to the certificate: if it
+    settles, its gamma_test is flagged by exactly the thresholds that
+    flag eigh's, and if any flags it, its vote is eigh's; its values and
+    vectors are NaN (BatchAnalysis).  Only the rows left are solved, with
+    the bits they have unscreened.  Requires cliques of k >= 5 vertices.
     """
-    if cliques.shape[1] < 5:
+    m, k = cliques.shape
+    if k < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
     g = geometric_center(build_edm(ranges, cliques))
-    if floor is None:
+    if thresholds is None:
         s, u, gamma = _solve(g, vectors)
+        vote = None if u is None else np.argmax(np.abs(u[:, :, 3]), axis=1)
     else:
-        s = np.full(g.shape[:2], np.nan)
-        u = np.full(g.shape[:2] + (4,), np.nan) if vectors else None
-        gamma = np.full(len(g), -np.inf)
-        rows = np.flatnonzero(~(gamma_bound(g) <= floor))
-        s[rows], u_rows, gamma[rows] = _solve(g[rows], vectors)
-        if vectors:
-            u[rows] = u_rows
+        thresholds = np.asarray(thresholds, dtype=float)
+        s = np.full((m, k), np.nan)
+        u = np.full((m, k, 4), np.nan) if vectors else None
+        gamma = np.full(m, -np.inf)
+        vote = np.zeros(m, dtype=np.intp) if vectors else None
+        bound, basis = gamma_bound(g)
+        rows = np.flatnonzero(~(bound <= thresholds.min()))
+        if k == CLIQUE_SIZE:
+            # Only the rows the screen passes are kept, so the screen's
+            # workspace is freed before the certificate and eigh run.
+            basis = basis.rows(rows)
+            settled, gamma_rows, vote_rows = _settle(g[rows], basis, thresholds[:, None], vectors)
+            gamma[rows[settled]] = gamma_rows[settled]
+            if vectors:
+                vote[rows[settled]] = vote_rows[settled]
+            rows = rows[~settled]
+        # Most calls leave no row to solve, and an empty eigh still costs a call.
+        if len(rows):
+            s[rows], u_rows, gamma[rows] = _solve(g[rows], vectors)
+            if vectors:
+                u[rows] = u_rows
+                vote[rows] = np.argmax(np.abs(u_rows[:, :, 3]), axis=1)
     return BatchAnalysis(
         cliques=cliques,
         singular_values=s,
         left_vectors=u,
         gamma_test=gamma,
-        fault_vertex_local=None if u is None else np.argmax(np.abs(u[:, :, 3]), axis=1),
+        fault_vertex_local=vote,
     )
 
 
 def analyze_blocks(
-    blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray], floor: float | None = None
+    blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray],
+    thresholds: Sequence[float] | None = None,
 ) -> BatchAnalysis:
     """analyze_clique_batch of the cliques rows[b] of each (n, n) range
     matrix blocks[b], in one call.
@@ -515,5 +719,6 @@ def analyze_blocks(
         stacked[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
     ids = np.concatenate(rows)
     shift = np.repeat(n * np.arange(len(rows)), [len(part) for part in rows])
-    analysed = analyze_clique_batch(RangeMatrix(stacked), ids + shift[:, None], floor=floor)
+    analysed = analyze_clique_batch(RangeMatrix(stacked), ids + shift[:, None],
+                                    thresholds=thresholds)
     return replace(analysed, cliques=ids)

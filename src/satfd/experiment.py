@@ -31,8 +31,11 @@ any are, on the magnitude.  A trial therefore does each piece of work once
 
 A batched eigh gives each matrix the result of a batch of one, so every
 cell's verdict equals analysing that cell alone, bit for bit.  When every
-threshold is a scalar, a trial solves only the rows that the smallest can
-flag (edm.gamma_bound); the others cannot change a cell's flags.
+threshold is a scalar, the analysis takes them all: it solves none of the
+rows that the smallest cannot flag (edm.gamma_bound), and of the rest only
+those whose flags and vote it cannot certify without the eigensolver; a
+certified row is flagged by the same thresholds and votes for the same
+satellite as its solved analysis, so no cell's verdict changes.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ class CampaignContext:
         (rows, source): rows holds every clique row analysed in the epoch,
         and row source[c, i] of rows is the analysis of the epoch's clique i
         under configs[c], equal to analyze_clique_batch on that config's own
-        measured ranges with the same floor.  The epoch's noise is drawn
+        measured ranges with the same thresholds.  The epoch's noise is drawn
         once and every config biases the same draw, so a row's analysis
         depends only on its key: 0 when none of the clique's vertices is
         biased, else the bits of its biased vertices plus (r + 1) << k, r
@@ -224,13 +227,14 @@ class CampaignContext:
         analysed only for the first config with its key, rows holds them in
         config order and then clique order, and a config after the first
         whose rows are all shared is not biased at all.  Under the grid's
-        analysis_floor, a row that gamma_bound puts at or below it has
-        gamma_test -inf and is not solved, since no threshold flags it.
+        analysis_floor, a row that gamma_bound puts at or below the
+        smallest has gamma_test -inf and is not solved, since no threshold
+        flags it, and a row the certificate settles is not solved either.
 
         An epoch is one analyze_clique_batch call (edm.analyze_blocks): the
         biased ranges of the b-th config with new rows are block b of one
         block-diagonal range matrix, and a solved row has the bits of
-        analysing its block alone.
+        analysing its block alone (a settled row, its flags and vote).
         """
         biased = np.zeros((len(configs), self.n_sats), dtype=bool)
         for c, faults in enumerate(configs):
@@ -238,7 +242,7 @@ class CampaignContext:
             biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
         # 1 + each config's magnitude rank, which a key holds above its vertex bits.
         ranks = np.unique([faults.magnitude for faults in configs], return_inverse=True)[1] + 1
-        floor = analysis_floor(thr.value for thr in self.grid.thresholds)
+        thresholds = analysis_floor(thr.value for thr in self.grid.thresholds)
         out = []
         for offset in range(n_epochs):
             g = t0_index + offset
@@ -257,7 +261,7 @@ class CampaignContext:
             analysed = [c for c in range(len(configs)) if c == 0 or own[c].any()]
             blocks = [add_bias(clean, entry.graph, configs[c]).r for c in analysed]
             rows = [cliques[own[c]] for c in analysed]
-            out.append((edm.analyze_blocks(blocks, rows, floor=floor), source))
+            out.append((edm.analyze_blocks(blocks, rows, thresholds=thresholds), source))
         return out
 
 

@@ -46,5 +46,7 @@ def read_results_csv(path: str | Path) -> list[dict]:
                 raise ValueError(f"results file has columns {reader.fieldnames}, "
                                  f"want {RESULT_COLUMNS}")
             return [dict(row) for row in reader]
-    except OSError as exc:
+    except OSError as exc:  # its text names the file
         raise ValueError(f"cannot read results file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read results file: {path} is not UTF-8: {exc}") from exc

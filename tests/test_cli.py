@@ -724,6 +724,16 @@ class TestMonteCarloAndReport:
         assert str(missing) in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_report_non_utf8_results_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfef\x00a\x00u\x00l\x00t\x00s\x00")
+        rc = main(["report", "--results", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read results file: {bad} is not UTF-8: ")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_report_single_row_echoes(self, tmp_path, capsys):
         exp = self.experiment_file(tmp_path)
         main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path)])

@@ -36,6 +36,25 @@ def whole(n):
     return np.arange(n)[None]
 
 
+def assert_same_decisions(got, want, thresholds):
+    """got, an analysis under thresholds, against want, the same rows
+    analysed with every row solved: a row got's eigensolver solved has
+    want's bits, every row is flagged by the same thresholds, and a flagged
+    row votes for the same vertex."""
+    assert np.array_equal(got.cliques, want.cliques)
+    solved = ~np.isnan(got.singular_values[:, 0])
+    fields = ["singular_values", "gamma_test"]
+    if want.left_vectors is not None:
+        fields += ["left_vectors", "fault_vertex_local"]
+    for name in fields:
+        assert np.array_equal(getattr(got, name)[solved], getattr(want, name)[solved])
+    flags = got.gamma_test[:, None] > np.asarray(thresholds)
+    assert np.array_equal(flags, want.gamma_test[:, None] > np.asarray(thresholds))
+    if want.left_vectors is not None:
+        flagged = flags.any(axis=1)
+        assert np.array_equal(got.fault_vertex_local[flagged], want.fault_vertex_local[flagged])
+
+
 def analysis_of(points, **kw):
     """Analysis of the clique of all points: a batch of one."""
     rm = faulted_ranges(points, **kw)
@@ -91,15 +110,15 @@ class TestBuildEdm:
         rm = RangeMatrix(r=np.zeros((1, 1)))
         assert np.array_equal(edm.build_edm(rm, whole(1)), np.zeros((1, 1, 1)))
 
-    @pytest.mark.parametrize("floor", [None, 4.6e-7])
-    def test_overflowing_square_refused_without_warning(self, floor):
+    @pytest.mark.parametrize("thresholds", [None, (4.6e-7,)], ids=["None", "4.6e-07"])
+    def test_overflowing_square_refused_without_warning(self, thresholds):
         pts = np.random.default_rng(2).uniform(5.0, 9.0, size=(6, 3)) * 1e6
         rm = faulted_ranges(pts, fault_ids=(2,), magnitude=1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
                     "clique [0, 1, 2, 3, 4, 5] has a range whose square is not finite")):
-                edm.analyze_clique_batch(rm, whole(6), floor=floor)
+                edm.analyze_clique_batch(rm, whole(6), thresholds=thresholds)
 
     def test_nan_pair_names_the_first_clique_that_reads_it(self):
         pts = np.random.default_rng(2).uniform(5.0, 9.0, size=(7, 3)) * 1e6
@@ -372,13 +391,18 @@ def block_diagonal(*blocks):
     return RangeMatrix(r=r)
 
 
+TREND_THRESHOLDS = (3.58e-7, 4.57e-7, 5.86e-7)
+
+
 class TestBlockDiagonalStack:
     """Analysing the cliques of several range matrices in one call, on their
-    block-diagonal stack, gives each row the bits of its own block alone."""
+    block-diagonal stack, gives each row the bits of its own block alone;
+    under thresholds, each row the eigensolver solves has them, and every
+    row the decisions of its block alone."""
 
     @pytest.mark.parametrize("vectors", [True, False])
-    @pytest.mark.parametrize("floor", [None, 3.58e-7])
-    def test_rows_equal_their_own_block(self, floor, vectors):
+    @pytest.mark.parametrize("thresholds", [None, TREND_THRESHOLDS], ids=["None", "3.58e-07"])
+    def test_rows_equal_their_own_block(self, thresholds, vectors):
         config = load_bundled("elfo_moon")
         ps = propagate(config, 300.0)
         graph = build_visibility_graph(ps, config.body.radius)
@@ -389,32 +413,35 @@ class TestBlockDiagonalStack:
         parts = [(first, cliques[::2]), (second, cliques[1::3])]
         stacked = edm.analyze_clique_batch(
             block_diagonal(first.r, second.r),
-            np.concatenate([cliques[::2], cliques[1::3] + n]), vectors=vectors, floor=floor)
+            np.concatenate([cliques[::2], cliques[1::3] + n]), vectors=vectors,
+            thresholds=thresholds)
         start = 0
         for rm, part in parts:
             rows = slice(start, start + len(part))
             start += len(part)
-            got = stacked.gamma_test[rows]
-            solved = got != -np.inf
-            # Without a floor every row is solved; with one, the unsolved rows
-            # are those no threshold at or above the floor flags.
+            got = edm.BatchAnalysis(
+                part, stacked.singular_values[rows],
+                None if stacked.left_vectors is None else stacked.left_vectors[rows],
+                stacked.gamma_test[rows],
+                None if stacked.fault_vertex_local is None else stacked.fault_vertex_local[rows])
             want = edm.analyze_clique_batch(rm, part, vectors=vectors)
-            assert solved.all() if floor is None else solved.any() and not solved.all()
-            if floor is not None:
-                assert (want.gamma_test[~solved] <= floor).all()
-            assert np.array_equal(got[solved], want.gamma_test[solved])
-            assert np.array_equal(stacked.singular_values[rows][solved],
-                                  want.singular_values[solved])
-            if vectors:
-                assert np.array_equal(stacked.left_vectors[rows][solved],
-                                      want.left_vectors[solved])
-                assert np.array_equal(stacked.fault_vertex_local[rows][solved],
-                                      want.fault_vertex_local[solved])
-            else:
-                assert stacked.left_vectors is None and want.left_vectors is None
+            if thresholds is None:
+                for name in ("singular_values", "left_vectors", "gamma_test",
+                             "fault_vertex_local"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                continue
+            assert_same_decisions(got, want, thresholds)
+            # The screen leaves rows no threshold flags unsolved, the
+            # certificate settles most of the rest, and eigh solves some.
+            screened = got.gamma_test == -np.inf
+            solved = ~np.isnan(got.singular_values[:, 0])
+            assert (want.gamma_test[screened] <= min(thresholds)).all()
+            assert screened.any() and (~screened & ~solved).any()
+            if not vectors:
+                assert got.left_vectors is None and got.fault_vertex_local is None
 
-    @pytest.mark.parametrize("floor", [None, 3.58e-7])
-    def test_analyze_blocks_rows_equal_their_own_block(self, floor):
+    @pytest.mark.parametrize("thresholds", [None, TREND_THRESHOLDS], ids=["None", "3.58e-07"])
+    def test_analyze_blocks_rows_equal_their_own_block(self, thresholds):
         config = load_bundled("elfo_moon")
         ps = propagate(config, 300.0)
         graph = build_visibility_graph(ps, config.body.radius)
@@ -426,10 +453,10 @@ class TestBlockDiagonalStack:
              cliques[1::3]),
         ]
         got = edm.analyze_blocks([rm.r for rm, _ in parts], [part for _, part in parts],
-                                 floor=floor)
+                                 thresholds=thresholds)
         # The satellite ids are restored, and the rows follow the blocks in order.
         assert np.array_equal(got.cliques, np.concatenate([part for _, part in parts]))
-        want = [edm.analyze_clique_batch(rm, part, floor=floor) for rm, part in parts]
+        want = [edm.analyze_clique_batch(rm, part, thresholds=thresholds) for rm, part in parts]
         # Every row, solved or not, has the bits of its block alone.
         for field in ("singular_values", "gamma_test", "left_vectors", "fault_vertex_local"):
             rows = [getattr(w, field) for w in want]

@@ -54,11 +54,17 @@ eigh and spectrum compute it and for every matrix within the eigensolvers'
 backward error, on schedule epochs, the coplanar clique, cliques with two
 coincident satellites and random cliques of 5 to 9 points, at noise levels
 from none to 500 m and biases up to 1,000 m; its rank-2 closed form (edm._top_pair_bound) must hold for
-any symmetric matrix.  A screened analysis must solve exactly the rows the
-bound leaves above the floor, give them the bits of the unscreened
-analysis, and flag the same rows at every threshold at or above the floor;
-a screened detection and a campaign trial must equal their unscreened
-references.
+any symmetric matrix.  An analysis under thresholds must leave unsolved
+exactly the rows the bound puts at or below the smallest, give every row
+the eigensolver solves the bits of the unscreened analysis, and flag every
+row at every given threshold, and vote for every flagged row, as the
+unscreened analysis does; a screened detection and a campaign trial must
+equal their unscreened references.  The certificate (edm._settle) must
+flag a row it settles at every given threshold as eigh, eigvalsh and
+eigvalsh of every matrix within the eigensolvers' backward error do, and
+vote as eigh does, on schedule epochs of both bundled configs, the
+coplanar clique and cliques with two coincident satellites, at noise levels
+from none to 500 m, biases up to 1e6 m and drawn threshold tuples.
 """
 
 import copy
@@ -86,6 +92,7 @@ from satfd.calibration import (
 )
 from satfd.detector import (
     DetectorParams,
+    analysis_floor,
     detect_faults,
     detect_faults_from_analyses,
     table_from_analyses,
@@ -102,6 +109,7 @@ from satfd.ranging import (
     FaultConfig, RangeMatrix, measure_ranges, mirror_pairs, pair_draws, pair_noise, true_ranges,
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
+from test_edm import assert_same_decisions
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -494,21 +502,15 @@ def gathered(rows, index):
 
 
 def grid_thresholds():
-    """Threshold sets of a campaign grid: all scalar (so the smallest is the
-    analysis floor; 0 lets the screen rule out no clique) or with a
-    predictor (no floor)."""
+    """Threshold sets of a campaign grid: all scalar (the analysis decides
+    rows by them; 0 lets the screen rule out no clique) or with a predictor
+    (every row is solved)."""
     return st.sampled_from([
         (ThresholdSpec("p99", P99),),
         (ThresholdSpec("p99.9", 5.86e-7), ThresholdSpec("p95", 3.58e-7)),
         (ThresholdSpec("zero", 0.0), ThresholdSpec("p99", P99)),
         (ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())),
     ])
-
-
-def screen_floor(thresholds):
-    """The smallest threshold if every one is a scalar, else None."""
-    values = [thr.value for thr in thresholds]
-    return min(values) if all(isinstance(v, float) for v in values) else None
 
 
 @st.composite
@@ -538,7 +540,7 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
     counts, magnitudes, others, thresholds = grid
     ctx = campaign_on(ExperimentGrid(fault_counts=(campaign_context().n_sats,),
                                      magnitudes=(0.0,), thresholds=thresholds, dls=(MAX_DL,)))
-    floor = screen_floor(thresholds)
+    decided = analysis_floor(thr.value for thr in thresholds)
     t0_index, perm = ctx.trial_conditions(trial_id)
     fault_sets = [perm[:fc].tolist() for fc in counts] + others
     configs = [FaultConfig(fault_set=s, magnitude=mag) for s in fault_sets for mag in magnitudes]
@@ -553,18 +555,21 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
             rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
             rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
             # The reference solves every row.
-            want = edm.analyze_clique_batch(rm, entry.cliques, floor=None)
+            want = edm.analyze_clique_batch(rm, entry.cliques)
             assert np.array_equal(got.cliques, want.cliques)
+            if decided is None:
+                for name in ("singular_values", "left_vectors", "gamma_test",
+                             "fault_vertex_local"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                continue
+            assert_same_decisions(got, want, decided)
             # A row the screen left unsolved is one no grid threshold flags.
-            solved = got.gamma_test != -np.inf
-            if floor is None or floor <= 0.0:
-                assert solved.all()
-            else:
-                assert (want.gamma_test[~solved] <= floor).all()
-            if floor == P99 and not faults.fault_set:
-                assert not solved.all()
-            for name in ("singular_values", "left_vectors", "gamma_test", "fault_vertex_local"):
-                assert np.array_equal(getattr(got, name)[solved], getattr(want, name)[solved])
+            screened = got.gamma_test == -np.inf
+            assert (want.gamma_test[screened] <= min(decided)).all()
+            if min(decided) <= 0.0:
+                assert not screened.any()
+            if min(decided) == P99 and not faults.fault_set:
+                assert screened.any()
 
 
 P99 = 4.6e-7
@@ -608,7 +613,7 @@ def reference_cell_counts(ctx, trial_id):
             entry = ctx.schedule[g]
             rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
             rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
-            batches.append(edm.analyze_clique_batch(rm, entry.cliques, floor=None))
+            batches.append(edm.analyze_clique_batch(rm, entry.cliques))
         params = dataclasses.replace(ctx.detector, gamma_threshold=thr.value)
         outcome = detect_faults_from_analyses(table_from_analyses(batches, params), params, n)
         truth = np.isin(np.arange(n), perm[:fc])
@@ -836,7 +841,8 @@ def test_coplanar_clique_solves_every_draw(sigma_w):
 
 
 # ---------------------------------------------------------------------------
-# The analysis screen: edm.gamma_bound and analyze_clique_batch(floor=...).
+# The analysis screen and certificate: edm.gamma_bound, edm._settle and
+# analyze_clique_batch(..., thresholds=...).
 # ---------------------------------------------------------------------------
 
 SIGMAS = [0.0, 0.5, 1.0, 5.0, 50.0, 500.0]
@@ -887,20 +893,18 @@ FLOORS = [-1e-6, 0.0, 1e-9, 3.58e-7, P99, 1e-5, 1e-3]
 def test_screen_solves_what_a_threshold_reads(epoch, floor, above):
     rm, cliques = epoch
     g = edm.geometric_center(edm.build_edm(rm, cliques))
-    bound = edm.gamma_bound(g)
+    bound = edm.gamma_bound(g)[0]
     for gamma in solved_gammas(g):
         assert (gamma <= bound).all()
+    thresholds = tuple(floor + a for a in above) + (floor,)
     full = edm.analyze_clique_batch(rm, cliques)
-    screened = edm.analyze_clique_batch(rm, cliques, floor=floor)
-    solved = screened.gamma_test != -np.inf
-    assert np.array_equal(solved, ~(bound <= floor))
-    assert np.array_equal(screened.cliques, full.cliques)
-    for name in ("singular_values", "left_vectors", "gamma_test", "fault_vertex_local"):
-        assert np.array_equal(getattr(screened, name)[solved], getattr(full, name)[solved])
-    for threshold in [floor + a for a in above]:
-        assert np.array_equal(screened.gamma_test > threshold, full.gamma_test > threshold)
-    values = edm.analyze_clique_batch(rm, cliques, vectors=False, floor=floor)
-    assert np.array_equal(values.gamma_test != -np.inf, solved)
+    screened = edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
+    assert np.array_equal(screened.gamma_test != -np.inf, ~(bound <= floor))
+    assert_same_decisions(screened, full, thresholds)
+    values = edm.analyze_clique_batch(rm, cliques, vectors=False, thresholds=thresholds)
+    assert np.array_equal(values.gamma_test != -np.inf, ~(bound <= floor))
+    assert_same_decisions(values, edm.analyze_clique_batch(rm, cliques, vectors=False),
+                          thresholds)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -920,7 +924,7 @@ def test_gamma_bound_holds_with_coincident_satellites(name, seed, sigma_w, magni
     r[:, :, 2] += magnitude
     r[:, 2, 2] = 0.0
     g = edm.geometric_center(r**2)
-    bound = edm.gamma_bound(g)
+    bound = edm.gamma_bound(g)[0]
     for gamma in solved_gammas(g, seed):
         assert (gamma <= bound).all()
 
@@ -936,12 +940,12 @@ def test_gamma_bound_holds_for_every_clique_size(k, seed, sigma_w, floor):
     rm = RangeMatrix(r=np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
                      + pair_noise(rng, k, sigma_w))
     clique = np.arange(k)[None]
-    bound = edm.gamma_bound(edm.geometric_center(edm.build_edm(rm, clique)))
+    bound = edm.gamma_bound(edm.geometric_center(edm.build_edm(rm, clique)))[0]
     for gamma in solved_gammas(edm.geometric_center(edm.build_edm(rm, clique)), seed):
         assert (gamma <= bound).all()
     full = edm.analyze_clique_batch(rm, clique)
-    screened = edm.analyze_clique_batch(rm, clique, floor=floor)
-    assert np.array_equal(screened.gamma_test > floor, full.gamma_test > floor)
+    screened = edm.analyze_clique_batch(rm, clique, thresholds=(floor,))
+    assert_same_decisions(screened, full, (floor,))
 
 
 @st.composite
@@ -968,6 +972,86 @@ def test_top_pair_bound_holds(case):
     assert top <= edm._top_pair_bound(r[None], (qt @ r)[None])[0] * (1.0 + 1e-12) + 1e-15
 
 
+def threshold_tuples():
+    """1 to 4 thresholds: the reference percentiles, 0 and log-uniform
+    values from 1e-9 to 1e-4."""
+    return st.lists(st.one_of(st.sampled_from([0.0, 3.58e-7, 4.57e-7, 5.86e-7, P99]),
+                              st.floats(-9.0, -4.0).map(lambda e: 10.0**e)),
+                    min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def certified_epoch(draw):
+    """(ranges, cliques) of one epoch, as screened_epoch draws it, but with
+    sigma_w down to 10 nm and biases up to 1e6 m."""
+    if draw(st.booleans()):
+        schedule = coarse_schedule(draw(st.sampled_from(sorted(SCHEDULE_CONFIGS))))
+        entry = schedule[draw(st.integers(0, len(schedule) - 1))]
+    else:
+        entry = build_clique_schedule(COPLANAR, [draw(st.floats(0.0, 86400.0))])[0]
+    n = len(entry.positions)
+    magnitude = draw(st.one_of(st.floats(0.0, 1000.0), st.sampled_from([1e4, 1e5, 1e6])))
+    faults = FaultConfig(fault_set=draw(st.sets(st.integers(0, n - 1), max_size=3)),
+                         magnitude=magnitude)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma_w = draw(st.sampled_from(SIGMAS + [1e-8]))
+    return measure_ranges(entry.positions, entry.graph, faults, sigma_w, rng), entry.cliques
+
+
+def assert_settled_rows_decided(g, thresholds):
+    """Run the screen and the certificate on a stack of centred 6x6
+    matrices, and check every row it settles against the eigensolvers: its
+    flag at each threshold is that of eigh's, eigvalsh's and a perturbed
+    eigvalsh's gamma_test (solved_gammas), and a flagged row's vote is
+    eigh's.  Returns the share of the rows the screen passes that settle."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    bound, basis = edm.gamma_bound(g)
+    rows = np.flatnonzero(~(bound <= thresholds.min()))
+    g, basis = g[rows], basis.rows(rows)
+    settled, gamma, vote = edm._settle(g, basis, thresholds[:, None], True)
+    values, values_gamma, no_vote = edm._settle(g, basis, thresholds[:, None], False)
+    assert no_vote is None and np.array_equal(values_gamma, gamma, equal_nan=True)
+    # Without vectors a row needs no vote, so it settles wherever it does with them.
+    assert not (settled & ~values).any()
+    flags = gamma[:, None] > thresholds
+    for want in solved_gammas(g):
+        assert np.array_equal(flags[values], want[values, None] > thresholds)
+    u = edm._solve(g, vectors=True)[1]
+    flagged = settled & flags.any(axis=1)
+    assert np.array_equal(vote[flagged], np.abs(u[flagged, :, 3]).argmax(axis=1))
+    return settled.mean() if len(rows) else 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(certified_epoch(), threshold_tuples())
+def test_certificate_decides_as_eigh(epoch, thresholds):
+    rm, cliques = epoch
+    got = edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
+    assert_same_decisions(got, edm.analyze_clique_batch(rm, cliques), thresholds)
+    assert_settled_rows_decided(edm.geometric_center(edm.build_edm(rm, cliques)), thresholds)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.integers(0, 2**32 - 1),
+       st.sampled_from(SIGMAS + [1e-8]), st.sampled_from([0.0, 5.0, 20.0, 1e3, 1e6]),
+       threshold_tuples())
+def test_certificate_decides_with_coincident_satellites(name, seed, sigma_w, magnitude,
+                                                       thresholds):
+    """Two satellites of each clique at one point (their range is noise
+    alone), the ranges of a third biased."""
+    rng = np.random.default_rng(seed)
+    schedule = coarse_schedule(name)
+    entry = schedule[rng.integers(len(schedule))]
+    points = entry.positions[entry.cliques[rng.integers(len(entry.cliques), size=8)]]
+    points[:, 1] = points[:, 0]
+    r = np.sqrt(((points[:, :, None] - points[:, None, :]) ** 2).sum(axis=3))
+    r += pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(8,))
+    r[:, 2, :] += magnitude
+    r[:, :, 2] += magnitude
+    r[:, 2, 2] = 0.0
+    assert_settled_rows_decided(edm.geometric_center(r**2), thresholds)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 10**6), st.integers(1, MAX_DL), st.sets(st.integers(0, 11), max_size=3),
        st.sampled_from([0.0, 5.0, 20.0, 200.0]), st.sampled_from([-1e-7, 0.0, 3.58e-7, P99, 1e-5]),
@@ -983,7 +1067,7 @@ def test_screened_detection_equals_unscreened(seed, dl, faulty, magnitude, thres
               for k, entry in enumerate(window)]
     params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf, gamma_threshold=threshold)
     got = detect_faults([entry.cliques for entry in window], ranges, params)
-    batches = [edm.analyze_clique_batch(rm, entry.cliques, floor=None)
+    batches = [edm.analyze_clique_batch(rm, entry.cliques)
                for entry, rm in zip(window, ranges)]
     want = detect_faults_from_analyses(table_from_analyses(batches, params), params, ctx.n_sats)
     assert got.fault_list == want.fault_list
