@@ -333,7 +333,8 @@ def _detect_parser(p: argparse.ArgumentParser) -> None:
 
 def _montecarlo_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p, config=False)
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1,
+                   help="processes, at most one per trial and per usable CPU")
     p.add_argument("--experiment", required=True, help="experiment config JSON")
     p.set_defaults(func=cmd_montecarlo)
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -259,6 +260,8 @@ class CampaignContext:
             analysed = [c for c in range(len(configs)) if c == 0 or own[c].any()]
             blocks = [add_bias(clean, entry.graph, configs[c]).r for c in analysed]
             rows = [cliques[own[c]] for c in analysed]
+            # The keys are not needed during the analysis.
+            del codes, keys, first, own
             out.append((edm.analyze_blocks(blocks, rows, thresholds=thresholds), source))
         return out
 
@@ -317,18 +320,55 @@ def _sum_trials(ctx: CampaignContext, trial_ids: range) -> np.ndarray:
     return total
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trial_order(ctx: CampaignContext, n_trials: int) -> list[int]:
+    """Trial ids, largest predicted cost first, ties by id.
+
+    A trial's cost is predicted by the cliques of its longest window: its
+    analyses and detections follow them (a correlation of 0.985 between
+    the two over 24 walker_mars trials of one master seed on one core).
+    """
+    dl = max(ctx.grid.dls)
+    costs = [sum(len(ctx.schedule[g].cliques) for g in range(t0, t0 + dl))
+             for t0, _ in map(ctx.trial_conditions, range(n_trials))]
+    return sorted(range(n_trials), key=lambda t: -costs[t])
+
+
+def _take_trials(ctx: CampaignContext, order: Sequence[int], taken) -> np.ndarray:
+    """(n_cells, 4) counts of the trials this process takes: each time it is
+    free, the next trial of order that no process has taken yet.
+
+    taken is a multiprocessing.Value shared by every process of the
+    campaign: the number of trials of order handed out so far.
+    """
+    total = np.zeros((ctx.grid.n_cells, 4), dtype=np.int64)
+    while True:
+        with taken.get_lock():
+            i = taken.value
+            taken.value = i + 1
+        if i >= len(order):
+            return total
+        total += _trial_cell_counts(ctx, order[i])
+
+
 # Module-level worker state: set once per worker process by the pool
 # initializer, read by every task.
-_WORKER_CTX: CampaignContext | None = None
+_WORKER_ARGS: tuple | None = None
 
 
-def _worker_init(ctx: CampaignContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
+def _worker_init(ctx: CampaignContext, order: Sequence[int], taken) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = ctx, order, taken
 
 
-def _worker_chunk(trial_ids: range) -> np.ndarray:
-    return _sum_trials(_WORKER_CTX, trial_ids)
+def _worker_take() -> np.ndarray:
+    return _take_trials(*_WORKER_ARGS)
 
 
 def run_campaign(
@@ -336,26 +376,36 @@ def run_campaign(
 ) -> list[CellResult]:
     """All grid cells x n_trials; returns one result row per cell.
 
-    The aggregation is a sum of per-trial integer count arrays, so the
-    result is independent of worker count and scheduling order.
+    With workers > 1 the campaign runs in min(workers, n_trials, CPUs this
+    process may run on) processes: this one and a pool of the others.  The
+    trials go largest first, by the cliques of each trial's longest window
+    (_trial_order), each to the first process that is free (Graham's
+    longest-processing-time list schedule), so the processes finish within
+    about one trial of each other however fast each CPU runs.  With one
+    process no pool is made.  The aggregation is a sum of per-trial
+    integer count arrays, so the result is independent of worker count and
+    scheduling order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if workers <= 1:
+    n_procs = min(workers, n_trials, _usable_cpus())
+    if n_procs <= 1:
         total = _sum_trials(ctx, range(n_trials))
     else:
         # Imported here, so that a serial campaign and every other command
         # skip the import of the pool and multiprocessing (about 11 ms).
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Value
 
-        chunk = max(1, math.ceil(n_trials / (workers * 4)))
-        spans = [range(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-        # The pool may start every worker at its first task, so it gets no
-        # more than there are spans.
+        order = _trial_order(ctx, n_trials)
+        taken = Value("q", 0)
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(spans)), initializer=_worker_init, initargs=(ctx,)
+            max_workers=n_procs - 1, initializer=_worker_init, initargs=(ctx, order, taken)
         ) as pool:
-            total = sum(pool.map(_worker_chunk, spans))
+            futures = [pool.submit(_worker_take) for _ in range(n_procs - 1)]
+            total = _take_trials(ctx, order, taken)
+            for future in futures:
+                total += future.result()
 
     results = []
     for row, (fc, mag, thr, dl) in enumerate(ctx.grid.cells()):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -256,20 +257,25 @@ class TestRunCampaign:
         write_results_csv(pb, b)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+        # Eight usable CPUs, so that every worker count below gets its own
+        # number of shares on any machine.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         grid = small_grid(magnitudes=(5.0, 20.0))
-        serial = run_campaign(make_ctx(grid, seed=4), n_trials=12, workers=1)
-        parallel = run_campaign(make_ctx(grid, seed=4), n_trials=12, workers=3)
-        ps, pp = tmp_path / "s.csv", tmp_path / "p.csv"
+        serial = run_campaign(make_ctx(grid, seed=4), n_trials=13, workers=1)
+        ps = tmp_path / "s.csv"
         write_results_csv(ps, serial)
-        write_results_csv(pp, parallel)
-        assert ps.read_bytes() == pp.read_bytes()
+        for workers in (2, 3, 5):
+            parallel = run_campaign(make_ctx(grid, seed=4), n_trials=13, workers=workers)
+            pp = tmp_path / f"p{workers}.csv"
+            write_results_csv(pp, parallel)
+            assert ps.read_bytes() == pp.read_bytes()
 
-    def test_pool_size_is_capped_by_the_spans(self, monkeypatch):
+    def test_pool_is_capped_by_the_cpus(self, monkeypatch):
         """A pool may start every worker at its first task, so a huge worker
-        count gets no more processes than there are spans of trials.  The
-        recorder runs the spans in this process and starts none."""
-        sizes, spans = [], []
+        count gets one process per usable CPU, this one included.  The
+        recorder runs each submitted task in this process and starts none."""
+        sizes, submits, taken = [], [], []
 
         class Recorder:
             def __init__(self, max_workers, initializer, initargs):
@@ -282,17 +288,40 @@ class TestRunCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                spans.extend(items)
-                return map(fn, spans)
+            def submit(self, fn, *args):
+                submits.append(fn)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        trial_cell_counts = experiment._trial_cell_counts
+
+        def recording_counts(ctx, trial_id):
+            taken.append(trial_id)
+            return trial_cell_counts(ctx, trial_id)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(experiment, "_WORKER_CTX", None)
+        monkeypatch.setattr(experiment, "_WORKER_ARGS", None)
+        monkeypatch.setattr(experiment, "_trial_cell_counts", recording_counts)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         grid = small_grid(magnitudes=(5.0, 20.0))
         pooled = run_campaign(make_ctx(grid, seed=4), n_trials=5, workers=10**6)
-        assert sizes and sizes[0] <= len(spans) == 5
+        assert sizes == [2] and len(submits) == 2
+        assert sorted(taken) == list(range(5))
         serial = run_campaign(make_ctx(grid, seed=4), n_trials=5, workers=1)
         assert [r.counts for r in pooled] == [r.counts for r in serial]
+
+    def test_trials_go_largest_window_first(self):
+        """The order the processes take trials in: descending count of the
+        cliques in the trial's longest window, ties by trial id."""
+        ctx = make_ctx(small_grid(dls=(1, 3)), seed=6)
+        costs = []
+        for trial_id in range(40):
+            t0, _ = ctx.trial_conditions(trial_id)
+            costs.append(sum(len(ctx.schedule[t0 + o].cliques) for o in range(3)))
+        order = experiment._trial_order(ctx, 40)
+        assert order == sorted(range(40), key=lambda t: (-costs[t], t))
+        assert len(set(costs)) > 1
 
     def test_seed_isolation_across_grid_dimensions(self):
         # adding grid cells must not disturb shared cells' outcomes

@@ -148,6 +148,21 @@ class TestWhatIsLoaded:
         assert (tmp_path / "out" / "results.csv").is_file()
         assert not loaded & {"concurrent.futures.process", "multiprocessing"}
 
+    def test_one_trial_campaign_loads_no_pool(self, tmp_path):
+        """One trial is one share, whatever the thread count: this process
+        runs it and no pool is imported."""
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({
+            "constellation": "elfo_moon", "sigma_w_m": 1.0, "fault_counts": [1],
+            "magnitudes_m": [20.0], "thresholds": {"values": [{"label": "p99", "value": 4.6e-7}]},
+            "dl_list": [1], "n_trials": 1, "master_seed": 3,
+        }), encoding="utf-8")
+        loaded = loaded_after(run_main([
+            "montecarlo", "--experiment", str(exp), "--threads", "8",
+            "--out", str(tmp_path / "out")]))
+        assert (tmp_path / "out" / "results.csv").is_file()
+        assert not loaded & {"concurrent.futures", "multiprocessing"}
+
     def test_report_loads_no_campaign_code(self, tmp_path):
         table = tmp_path / "results.csv"
         row = ["1", "20.0", "p99", "4.6e-07", "3", "5", "4", "1", "2", "98",

@@ -35,7 +35,9 @@ grids and on the paper's 20 configs.  A trial's cell counts (which flag
 each analysed row once per threshold and take each detection length as a
 row prefix) must equal a reference that measures, analyses and detects
 every cell on its own, windows with epochs of no clique included, and a
-campaign's results must not depend on its worker count.
+campaign's results must not depend on its worker count, and the
+processes of a parallel campaign, taking trials from one shared counter,
+must take each trial exactly once.
 
 The predictor's training set (build_training_set, which measures each
 geometry as its own 6x6 block and takes blocks of consecutive geometries)
@@ -68,6 +70,11 @@ import copy
 import dataclasses
 import functools
 import itertools
+import multiprocessing
+import sys
+import threading
+import types
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -75,7 +82,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satfd import edm
+from satfd import edm, experiment
 from satfd.cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule, list_k_cliques
 from satfd.constellation import config_from_dict, load_bundled, propagate
 from satfd.calibration import (
@@ -673,9 +680,51 @@ def test_campaign_results_do_not_depend_on_worker_count():
         dls=(3, 1, 3),
     )
     ctx = campaign_on(grid)
-    # With 2 or 3 workers, 13 trials run in chunks of 2 plus one of 1.
+    # 2 or 3 processes (at most one per usable CPU) take the 13 trials.
     serial, *parallel = [run_campaign(ctx, n_trials=13, workers=w) for w in (1, 2, 3)]
     assert parallel == [serial, serial]
+
+
+@settings(deadline=None)
+@given(order=st.lists(st.integers(0, 10**6), unique=True, max_size=60).map(tuple),
+       n_takers=st.integers(2, 6))
+def test_taken_trials_partition_the_order(order, n_takers):
+    """Processes that take trials from one shared counter take every trial
+    of the order exactly once, each its trials in order.  Threads stand in
+    for the processes, more of them than cores, with a short switch
+    interval, so that a lost update of the counter would show as a trial
+    taken twice or never."""
+    taken = multiprocessing.Value("q", 0)
+    per_taker = [[] for _ in range(n_takers)]
+    ctx = types.SimpleNamespace(grid=types.SimpleNamespace(n_cells=1))
+
+    def counts(ctx, trial_id):
+        per_taker[int(threading.current_thread().name)].append(trial_id)
+        return np.ones((1, 4), dtype=np.int64)
+
+    totals = [None] * n_takers
+
+    def take(k):
+        totals[k] = experiment._take_trials(ctx, order, taken)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with unittest.mock.patch.object(experiment, "_trial_cell_counts", counts):
+            threads = [threading.Thread(target=take, args=(k,), name=str(k))
+                       for k in range(n_takers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(t for trials in per_taker for t in trials) == sorted(order)
+    position = {t: i for i, t in enumerate(order)}
+    for trials in per_taker:
+        assert [position[t] for t in trials] == sorted(position[t] for t in trials)
+    assert sum(total.sum() for total in totals) == 4 * len(order)
 
 
 def reference_training_set(config, sigma_w, n_geometries, n_noise, seed, step):
