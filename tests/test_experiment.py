@@ -258,8 +258,8 @@ class TestRunCampaign:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
-        # Eight usable CPUs, so that every worker count below gets its own
-        # number of shares on any machine.
+        # Eight usable CPUs, so that every worker count below runs that many
+        # processes on any machine.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         grid = small_grid(magnitudes=(5.0, 20.0))
         serial = run_campaign(make_ctx(grid, seed=4), n_trials=13, workers=1)

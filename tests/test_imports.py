@@ -149,8 +149,8 @@ class TestWhatIsLoaded:
         assert not loaded & {"concurrent.futures.process", "multiprocessing"}
 
     def test_one_trial_campaign_loads_no_pool(self, tmp_path):
-        """One trial is one share, whatever the thread count: this process
-        runs it and no pool is imported."""
+        """One trial runs in this process whatever the thread count, and no
+        pool is imported."""
         exp = tmp_path / "exp.json"
         exp.write_text(json.dumps({
             "constellation": "elfo_moon", "sigma_w_m": 1.0, "fault_counts": [1],
