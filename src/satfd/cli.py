@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -173,14 +174,14 @@ def _satellite_ids(text: str) -> frozenset[int]:
 def cmd_detect(args) -> int:
     config = resolve_config(args.config)
     check_seed(args.seed, "--seed")
+    if (args.threshold is None) == (args.model is None):
+        raise ValueError("need exactly one of --threshold and --model")
     if args.model is not None:
         from . import calibration
 
         threshold = calibration.MlpPredictor.load(args.model)
-    elif args.threshold is not None:
-        threshold = args.threshold
     else:
-        raise ValueError("need --threshold or --model")
+        threshold = args.threshold
     fault_ids = _satellite_ids(args.fault_sats)
     if any(s < 0 or s >= config.n_satellites for s in fault_ids):
         raise ValueError("fault satellite id out of range")
@@ -393,18 +394,25 @@ def main(argv=None) -> int:
     # --out and those of its parents that this run would make, deepest first.
     missing = [path for path in (out, *out.parents) if not path.exists()]
     try:
-        return args.func(args)
+        rc = args.func(args)
+        # A reader that closed stdout early shows here at the latest.
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader closed stdout (satfd report | head): send what is left
+        # to os.devnull, so that the flush at exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, MemoryError) as exc:
         # numpy refuses an allocation larger than the machine at once, with
         # a MemoryError that says how large it was.
         print(f"error: {exc}", file=sys.stderr)
-        # A failed run takes back the directories it made and left empty.
-        for path in missing:
-            try:
-                path.rmdir()
-            except OSError:  # not made, or not empty
-                break
-        return 1
+    # A failed run takes back the directories it made and left empty.
+    for path in missing:
+        try:
+            path.rmdir()
+        except OSError:  # not made, or not empty
+            break
+    return 1
 
 
 if __name__ == "__main__":

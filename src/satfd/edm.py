@@ -46,7 +46,8 @@ The certificate (_settle): a threshold t reads only whether gamma_test > t,
 and the vote only which entry of |u4| is largest, so
 analyze_clique_batch(..., thresholds=ts) solves only the 6-cliques whose
 flag at some t of ts, or whose vote when some t flags them, the
-certificate cannot prove.  It works in a Nystrom basis (_nystrom_basis):
+certificate cannot prove, and returns no singular values or vectors,
+which no threshold reads.  It works in a Nystrom basis (_nystrom_basis):
 U from one subspace step G P on three fixed probes P (_probes),
 orthonormalised by Cholesky-QR, A = U^T G U = L L^T, C = L^-1 U^T G and
 R = G - C^T C, with tau = _ROUNDING (|G|_F + |C|_F^2).  It argues in exact
@@ -116,7 +117,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -200,20 +201,20 @@ def canonicalize_signs(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchAnalysis:
-    """Stacked analyses of m cliques against one range matrix.
-
-    left_vectors holds u1-u4 only (the vote reads u4, the predictor
-    features u1-u3).  An analysis built without vectors
-    (analyze_clique_batch(..., vectors=False)) has None for left_vectors
-    and fault_vertex_local.  A row that the certificate of an analysis
-    under thresholds (analyze_clique_batch(..., thresholds=ts)) settled has
-    NaN singular values and vectors, a gamma_test that each t of ts flags
-    exactly when it flags the solved one, and, when some t flags it, the
-    solved vote; when none does, fault vertex 0, which no reader reads.
+    """Stacked analyses of m cliques against one range matrix, in one of
+    three shapes.  Full (analyze_clique_batch(...)): every field, with
+    u1-u4 only in left_vectors (the vote reads u4, the predictor features
+    u1-u3).  Values only (vectors=False): None for left_vectors and
+    fault_vertex_local.  Thresholded (thresholds=ts, on 6-cliques): None
+    for singular_values and left_vectors; a row eigh solved has its
+    unthresholded gamma_test and vote, and a row the certificate settled a
+    gamma_test that each t of ts flags exactly when it flags the solved
+    one and, when some t flags it, the solved vote (else vertex 0, which
+    no reader reads).
     """
 
     cliques: np.ndarray           # (m, k) satellite ids
-    singular_values: np.ndarray   # (m, k) descending per row
+    singular_values: np.ndarray | None  # (m, k) descending per row
     left_vectors: np.ndarray | None  # (m, k, 4): u1-u4 as columns
     gamma_test: np.ndarray        # (m,)
     fault_vertex_local: np.ndarray | None  # (m,) argmax |u4| per clique, first on ties
@@ -328,24 +329,10 @@ def _pair_magnitudes(t: np.ndarray, spread: np.ndarray) -> tuple[np.ndarray, np.
     return np.maximum(spread, t), 0.5 * (t + spread)
 
 
-class _Basis(NamedTuple):
-    """The Nystrom basis products the certificate works from (_settle; the
-    module docstring), one row per matrix of the stack."""
-
-    ut: np.ndarray     # (m, 3, k) U^T
-    u: np.ndarray      # (m, k, 3) U
-    ugt: np.ndarray    # (m, 3, k) U^T G
-    a: np.ndarray      # (m, 3, 3) A = U^T G U = L L^T
-    a_inv: np.ndarray  # (m, 3, 3) L^-1
-    c: np.ndarray      # (m, 3, k) C = L^-1 U^T G
-    r: np.ndarray      # (m, k, k) R = G - C^T C
-    tau: np.ndarray    # (m,) the rounding allowance
-
-
-def _nystrom_basis(g: np.ndarray) -> _Basis:
-    """The certificate's Nystrom basis products of each centred matrix of
-    an (m, k, k) stack (the module docstring); NaN rows where a Cholesky
-    factor fails."""
+def _nystrom_basis(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(U^T, U, U^T G, A, L^-1, C, R, tau) of each centred matrix of an
+    (m, k, k) stack: the certificate's Nystrom basis products (the module
+    docstring); NaN rows where a Cholesky factor fails."""
     m, k = g.shape[:2]
     # One workspace for the stacked temporaries, each written with out=:
     # R, U^T, U, U^T G, C, A (Y^T and Y^T Y in the last two until they are
@@ -370,7 +357,7 @@ def _nystrom_basis(g: np.ndarray) -> _Basis:
         gf = g.reshape(m, k * k)
         cf = c.reshape(m, 3 * k)
         tau = _ROUNDING * (np.sqrt(np.vecdot(gf, gf)) + np.vecdot(cf, cf))
-    return _Basis(ut, u, ugt, a, a_inv, c, r, tau)
+    return ut, u, ugt, a, a_inv, c, r, tau
 
 
 def _top_eigenvalue(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,19 +394,20 @@ def _top_eigenvalue(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _settle(
-    g: np.ndarray, basis: _Basis, thresholds: np.ndarray
+    g: np.ndarray, thresholds: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(settled, gamma, vote) of each 6x6 centred matrix of a stack, from
     its Nystrom basis products: the certificate of the module docstring.
 
     A row is settled when its enclosure of eigh's gamma_test holds no
-    threshold of the (t, 1) column thresholds (so gamma, a value inside
-    it, is flagged by exactly the thresholds eigh's gamma_test is) and, if
-    any threshold flags it, vote is the vertex eigh's u4 votes for.  A row
-    no threshold flags has vote 0.
+    threshold of thresholds (so gamma, a value inside it, is flagged by
+    exactly the thresholds eigh's gamma_test is) and, if any threshold
+    flags it, vote is the vertex eigh's u4 votes for.  A row no threshold
+    flags has vote 0.
     """
     m, k = g.shape[:2]
-    ut, u, ugt, a, a_inv, c, r, tau = basis
+    thresholds = np.asarray(thresholds, dtype=float)[:, None]
+    ut, u, ugt, a, a_inv, c, r, tau = _nystrom_basis(g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # omega >= |U^T U - I|_F.
         gram = np.matmul(ut, u).reshape(m, 9)
@@ -491,19 +479,20 @@ def _settle(
     return settled, gamma, vote
 
 
-def _solve(g: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(singular values, u1-u4 or None, gamma_test) of a stack of centred
-    matrices: one eigh, or one spectrum without vectors."""
+def _solve(g: np.ndarray, vectors: bool) -> tuple[np.ndarray | None, ...]:
+    """(singular values, u1-u4, gamma_test, vote) of a stack of centred
+    matrices: one eigh, or one spectrum without vectors (u1-u4 and vote
+    None).  The vote is argmax |u4|, first on ties."""
     if not vectors:
         s = spectrum(g)
-        return s, None, gamma_from_spectrum(s)
+        return s, None, gamma_from_spectrum(s), None
     lam, vecs = np.linalg.eigh(g)
     order = magnitude_order(lam)
     s = np.abs(np.take_along_axis(lam, order, axis=1))
     # Gather u1-u4 as whole rows of the transposed stack: numpy copies
     # contiguous rows faster than it gathers single columns.
     u = vecs.swapaxes(1, 2)[np.arange(len(order))[:, None], order[:, :4]].swapaxes(1, 2)
-    return s, u, gamma_from_spectrum(s)
+    return s, u, gamma_from_spectrum(s), np.argmax(np.abs(u[:, :, 3]), axis=1)
 
 
 def bound_basis(lead: np.ndarray) -> np.ndarray:
@@ -584,38 +573,29 @@ def analyze_clique_batch(
     (gamma_test > t flags a row), and the caller reads the vote of a
     flagged row, so vectors must be set.  Each 6-clique then goes to the
     certificate: if it settles, its gamma_test is flagged by exactly the
-    thresholds that flag eigh's, and if any flags it, its vote is eigh's;
-    its values and vectors are NaN (BatchAnalysis).  Only the rows left are
-    solved, with the bits they have without thresholds; cliques of other
-    sizes are all solved.  Requires cliques of k >= 5 vertices.
+    thresholds that flag eigh's, and if any flags it, its vote is eigh's.
+    Only the rows left are solved, with the gamma_test and vote they have
+    without thresholds, and singular_values and left_vectors are None (the
+    thresholded BatchAnalysis).  Cliques of other sizes are all solved, as
+    without thresholds.  Requires cliques of k >= 5 vertices.
     """
-    m, k = cliques.shape
+    k = cliques.shape[1]
     if k < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
     if thresholds is not None and not vectors:
         raise ValueError("an analysis under thresholds reads the vote, so it needs vectors")
     g = geometric_center(build_edm(ranges, cliques))
     if thresholds is None or k != CLIQUE_SIZE:
-        s, u, gamma = _solve(g, vectors)
-        vote = None if u is None else np.argmax(np.abs(u[:, :, 3]), axis=1)
+        s, u, gamma, vote = _solve(g, vectors)
     else:
-        settled, gamma, vote = _settle(g, _nystrom_basis(g),
-                                       np.asarray(thresholds, dtype=float)[:, None])
-        s = np.full((m, k), np.nan)
-        u = np.full((m, k, 4), np.nan)
+        s = u = None
+        settled, gamma, vote = _settle(g, thresholds)
         rows = np.flatnonzero(~settled)
         # Most calls leave no row to solve, and an empty eigh still costs a call.
         if len(rows):
-            s[rows], u_rows, gamma[rows] = _solve(g[rows], vectors=True)
-            u[rows] = u_rows
-            vote[rows] = np.argmax(np.abs(u_rows[:, :, 3]), axis=1)
-    return BatchAnalysis(
-        cliques=cliques,
-        singular_values=s,
-        left_vectors=u,
-        gamma_test=gamma,
-        fault_vertex_local=vote,
-    )
+            _, _, gamma[rows], vote[rows] = _solve(g[rows], vectors=True)
+    return BatchAnalysis(cliques=cliques, singular_values=s, left_vectors=u, gamma_test=gamma,
+                         fault_vertex_local=vote)
 
 
 def analyze_blocks(

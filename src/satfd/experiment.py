@@ -228,7 +228,9 @@ class CampaignContext:
         analysed only for the first config with its key, rows holds them in
         config order and then clique order, and a config after the first
         whose rows are all shared is not biased at all.  Under the grid's
-        analysis_thresholds, a row the certificate settles is not solved.
+        analysis_thresholds, a row the certificate settles is not solved,
+        and rows holds no singular values or vectors (the thresholded
+        edm.BatchAnalysis).
 
         An epoch is one analyze_clique_batch call (edm.analyze_blocks): the
         biased ranges of the b-th config with new rows are block b of one

@@ -240,6 +240,23 @@ class TestDetect:
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path)])
         assert rc != 0
 
+    def test_threshold_and_model_together_refused(self, tmp_path, capsys, monkeypatch):
+        # One of the two would be dropped without a word, so neither runs.
+        def schedule(*args, **kwargs):
+            raise AssertionError("ran a detection with one of two thresholds")
+
+        monkeypatch.setattr("satfd.cli.iter_schedule", schedule)
+        model = tmp_path / "model.json"
+        calibration.MlpPredictor.initialize(np.random.default_rng(0)).save(model)
+        out = tmp_path / "out"
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(out), "--dump-ranges",
+                   "--threshold", "4.6e-7", "--model", str(model)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need exactly one of --threshold and --model\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, value, name", [
         ("--dl", "0", "di"),
         ("--delta-nf", "0", "delta_nf"),
@@ -733,6 +750,28 @@ class TestMonteCarloAndReport:
         assert err.startswith(f"error: cannot read results file: {bad} is not UTF-8: ")
         assert err.count("\n") == 1 and err.count("error:") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_report_to_a_closed_pipe_exits_without_traceback(self, tmp_path):
+        # The reader of stdout is gone before the report writes its first
+        # line (satfd report | head, with head done): exit 1, no traceback,
+        # and no empty --out left behind.
+        src = Path(satfd.__file__).resolve().parent.parent
+        read, write = os.pipe()
+        os.close(read)
+        out = tmp_path / "out"
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "satfd.cli", "report", "--results",
+                 str(Path(__file__).resolve().parent / "data" / "paper_elfo_slice_results.csv"),
+                 "--out", str(out)],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "BrokenPipeError" not in result.stderr
+        assert not out.exists()
 
     def test_report_single_row_echoes(self, tmp_path, capsys):
         exp = self.experiment_file(tmp_path)

@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import re
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -36,23 +39,50 @@ def whole(n):
     return np.arange(n)[None]
 
 
-def assert_same_decisions(got, want, thresholds):
-    """got, an analysis under thresholds, against want, the same rows
-    analysed with every row solved: a row got's eigensolver solved has
-    want's bits, every row is flagged by the same thresholds, and a flagged
-    row votes for the same vertex."""
+def assert_same_decisions(got, want, thresholds, settled):
+    """got, an analysis of 6-cliques under thresholds whose rows settled
+    marks the certificate settled (edm._settle), against want, the same
+    rows analysed with every row solved: got has no values or vectors, a
+    row got's eigensolver solved has want's gamma_test and vote bits, every
+    row is flagged by the same thresholds, and a flagged row votes for the
+    same vertex."""
     assert np.array_equal(got.cliques, want.cliques)
-    solved = ~np.isnan(got.singular_values[:, 0])
-    fields = ["singular_values", "gamma_test"]
-    if want.left_vectors is not None:
-        fields += ["left_vectors", "fault_vertex_local"]
-    for name in fields:
-        assert np.array_equal(getattr(got, name)[solved], getattr(want, name)[solved])
+    assert got.singular_values is None and got.left_vectors is None
+    for name in ("gamma_test", "fault_vertex_local"):
+        assert np.array_equal(getattr(got, name)[~settled], getattr(want, name)[~settled])
     flags = got.gamma_test[:, None] > np.asarray(thresholds)
     assert np.array_equal(flags, want.gamma_test[:, None] > np.asarray(thresholds))
-    if want.left_vectors is not None:
-        flagged = flags.any(axis=1)
-        assert np.array_equal(got.fault_vertex_local[flagged], want.fault_vertex_local[flagged])
+    flagged = flags.any(axis=1)
+    assert np.array_equal(got.fault_vertex_local[flagged], want.fault_vertex_local[flagged])
+
+
+def settled_rows(ranges, cliques, thresholds):
+    """The rows of cliques that the certificate settles under thresholds
+    (edm._settle, on the centred matrices analyze_clique_batch builds)."""
+    return edm._settle(edm.geometric_center(edm.build_edm(ranges, cliques)), thresholds)[0]
+
+
+@contextlib.contextmanager
+def recorded_settles():
+    """A list that gets the settled mask of every edm._settle call made
+    inside the block, in call order."""
+    masks = []
+    settle = edm._settle
+
+    def recording(g, thresholds):
+        out = settle(g, thresholds)
+        masks.append(out[0])
+        return out
+
+    with unittest.mock.patch.object(edm, "_settle", recording):
+        yield masks
+
+
+def gathered(rows, index):
+    """The analysis whose i-th row is row index[i] of rows (index may be a
+    slice); a field that is None in rows is None in it."""
+    return edm.BatchAnalysis(*(None if value is None else value[index] for value in (
+        getattr(rows, f.name) for f in dataclasses.fields(rows))))
 
 
 def analysis_of(points, **kw):
@@ -423,21 +453,17 @@ class TestBlockDiagonalStack:
         for rm, part in parts:
             rows = slice(start, start + len(part))
             start += len(part)
-            got = edm.BatchAnalysis(
-                part, stacked.singular_values[rows],
-                None if stacked.left_vectors is None else stacked.left_vectors[rows],
-                stacked.gamma_test[rows],
-                None if stacked.fault_vertex_local is None else stacked.fault_vertex_local[rows])
+            got = dataclasses.replace(gathered(stacked, rows), cliques=part)
             want = edm.analyze_clique_batch(rm, part, vectors=vectors)
             if thresholds is None:
                 for name in ("singular_values", "left_vectors", "gamma_test",
                              "fault_vertex_local"):
                     assert np.array_equal(getattr(got, name), getattr(want, name))
                 continue
-            assert_same_decisions(got, want, thresholds)
+            settled = settled_rows(ranges, ids, thresholds)[rows]
+            assert_same_decisions(got, want, thresholds, settled)
             # The certificate settles flagged and unflagged rows, and a
             # settled row that no threshold flags votes for vertex 0.
-            settled = np.isnan(got.singular_values[:, 0])
             flagged = (got.gamma_test[:, None] > np.asarray(thresholds)).any(axis=1)
             assert (settled & flagged).any() and (settled & ~flagged).any()
             assert (got.fault_vertex_local[settled & ~flagged] == 0).all()
@@ -459,10 +485,16 @@ class TestBlockDiagonalStack:
         # The satellite ids are restored, and the rows follow the blocks in order.
         assert np.array_equal(got.cliques, np.concatenate([part for _, part in parts]))
         want = [edm.analyze_clique_batch(rm, part, thresholds=thresholds) for rm, part in parts]
+        # Under thresholds there are no values or vectors, here or alone.
+        if thresholds is not None:
+            assert got.singular_values is None and got.left_vectors is None
         # Every row, solved or not, has the bits of its block alone.
         for field in ("singular_values", "gamma_test", "left_vectors", "fault_vertex_local"):
             rows = [getattr(w, field) for w in want]
-            assert np.array_equal(getattr(got, field), np.concatenate(rows), equal_nan=True)
+            if getattr(got, field) is None:
+                assert all(row is None for row in rows)
+            else:
+                assert np.array_equal(getattr(got, field), np.concatenate(rows))
 
 
 class TestBatchMatchesSingle:

@@ -29,6 +29,7 @@ from satfd.experiment import (
 )
 from satfd.ranging import FaultConfig, measure_ranges
 from satfd.results import read_results_csv, write_results_csv
+from test_edm import recorded_settles
 
 P99 = 4.6e-7
 
@@ -490,9 +491,15 @@ class TestCertificateReach:
             t0_index, perm = ctx.trial_conditions(trial_id)
             configs = [FaultConfig(fault_set=perm[:1].tolist(), magnitude=magnitude)
                        for magnitude in grid.magnitudes]
-            for rows, _ in ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls)):
+            # One certificate call per epoch, on that epoch's rows.
+            with recorded_settles() as masks:
+                epochs = ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls))
+            assert len(masks) == len(epochs)
+            for (rows, _), mask in zip(epochs, masks):
+                assert rows.singular_values is None and rows.left_vectors is None
+                assert len(mask) == len(rows.cliques)
                 analysed += len(rows.cliques)
-                settled += np.isnan(rows.singular_values[:, 0]).sum()
+                settled += mask.sum()
         assert analysed > 10000
         assert settled >= 0.99 * analysed
 

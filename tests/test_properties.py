@@ -51,10 +51,10 @@ and edm.top_gammas must give every row's top keep values of solving every
 draw, bit for bit, for any keep; a coplanar clique, where the bounds have no gap to work with, must have
 every draw solved and the reference's target.
 
-An analysis under thresholds must give every row the eigensolver solves
-the bits of the unscreened analysis, and flag every row at every given
-threshold, and vote for every flagged row, as the unscreened analysis
-does; it must refuse to run without vectors, and analyse cliques of 5, 7,
+An analysis under thresholds must hold no values or vectors, give every
+row the eigensolver solves the gamma_test and vote bits of the unscreened
+analysis, and flag every row at every given threshold, and vote for
+every flagged row, as the unscreened analysis does; it must refuse to run without vectors, and analyse cliques of 5, 7,
 8 and 9 points as the unscreened analysis does, bit for bit.  A screened
 detection and a campaign trial must equal their unscreened references.
 The certificate (edm._settle) must flag a row it settles at every given
@@ -113,7 +113,7 @@ from satfd.ranging import (
     FaultConfig, RangeMatrix, measure_ranges, mirror_pairs, pair_draws, pair_noise, true_ranges,
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
-from test_edm import assert_same_decisions
+from test_edm import assert_same_decisions, gathered, recorded_settles, settled_rows
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -500,11 +500,6 @@ def campaign_context():
     return CampaignContext(config=config, sigma_w=1.0, grid=grid, master_seed=7)
 
 
-def gathered(rows, index):
-    """The analysis whose i-th row is row index[i] of rows."""
-    return edm.BatchAnalysis(*(getattr(rows, f.name)[index] for f in dataclasses.fields(rows)))
-
-
 def grid_thresholds():
     """Threshold sets of a campaign grid: all scalar (the analysis decides
     rows by them; 0 lets the screen rule out no clique) or with a predictor
@@ -548,12 +543,19 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
     t0_index, perm = ctx.trial_conditions(trial_id)
     fault_sets = [perm[:fc].tolist() for fc in counts] + others
     configs = [FaultConfig(fault_set=s, magnitude=mag) for s in fault_sets for mag in magnitudes]
-    shared = ctx.epoch_analyses(trial_id, t0_index, configs, SHARED_EPOCHS)
+    with recorded_settles() as masks:
+        shared = ctx.epoch_analyses(trial_id, t0_index, configs, SHARED_EPOCHS)
     assert len(shared) == SHARED_EPOCHS
+    # The certificate runs once per epoch under the grid's scalar thresholds
+    # only, and its analyses then hold no values or vectors.
+    assert len(masks) == (0 if decided is None else SHARED_EPOCHS)
     for offset, (rows, source) in enumerate(shared):
         g = t0_index + offset
         entry = ctx.schedule[g]
         assert source.shape == (len(configs), len(entry.cliques))
+        if decided is not None:
+            assert rows.singular_values is None and rows.left_vectors is None
+            assert len(masks[offset]) == len(rows.cliques)
         for faults, index in zip(configs, source):
             got = gathered(rows, index)
             rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
@@ -566,10 +568,10 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
                              "fault_vertex_local"):
                     assert np.array_equal(getattr(got, name), getattr(want, name))
                 continue
-            assert_same_decisions(got, want, decided)
+            settled = masks[offset][index]
+            assert_same_decisions(got, want, decided, settled)
             # A row is solved or settled, and a settled row that no grid
             # threshold flags votes for vertex 0.
-            settled = np.isnan(got.singular_values[:, 0])
             flagged = (got.gamma_test[:, None] > np.asarray(decided)).any(axis=1)
             assert (got.fault_vertex_local[settled & ~flagged] == 0).all()
             if min(decided) == P99 and not faults.fault_set:
@@ -948,7 +950,8 @@ def test_screen_solves_what_a_threshold_reads(epoch, floor, above):
     rm, cliques = epoch
     thresholds = tuple(floor + a for a in above) + (floor,)
     assert_same_decisions(edm.analyze_clique_batch(rm, cliques, thresholds=thresholds),
-                          edm.analyze_clique_batch(rm, cliques), thresholds)
+                          edm.analyze_clique_batch(rm, cliques), thresholds,
+                          settled_rows(rm, cliques, thresholds))
     # The vote of a flagged row is read, so thresholds imply vectors.
     with pytest.raises(ValueError, match="needs vectors"):
         edm.analyze_clique_batch(rm, cliques, vectors=False, thresholds=thresholds)
@@ -998,7 +1001,7 @@ def assert_settled_rows_decided(g, thresholds):
     gamma_test (solved_gammas), a flagged row's vote is eigh's and an
     unflagged row's is 0."""
     thresholds = np.asarray(thresholds, dtype=float)
-    settled, gamma, vote = edm._settle(g, edm._nystrom_basis(g), thresholds[:, None])
+    settled, gamma, vote = edm._settle(g, thresholds)
     flags = gamma[:, None] > thresholds
     for want in solved_gammas(g):
         assert np.array_equal(flags[settled], want[settled, None] > thresholds)
@@ -1013,7 +1016,8 @@ def assert_settled_rows_decided(g, thresholds):
 def test_certificate_decides_as_eigh(epoch, thresholds):
     rm, cliques = epoch
     got = edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
-    assert_same_decisions(got, edm.analyze_clique_batch(rm, cliques), thresholds)
+    assert_same_decisions(got, edm.analyze_clique_batch(rm, cliques), thresholds,
+                          settled_rows(rm, cliques, thresholds))
     assert_settled_rows_decided(edm.geometric_center(edm.build_edm(rm, cliques)), thresholds)
 
 
