@@ -427,8 +427,8 @@ TREND_THRESHOLDS = (3.58e-7, 4.57e-7, 5.86e-7)
 class TestBlockDiagonalStack:
     """Analysing the cliques of several range matrices in one call, on their
     block-diagonal stack, gives each row the bits of its own block alone;
-    under thresholds, each row the eigensolver solves has them, and every
-    row the decisions of its block alone."""
+    under thresholds, each row the eigensolver solves has its gamma_test
+    and vote bits, and every row the decisions of its block alone."""
 
     @pytest.mark.parametrize("vectors", [True, False])
     @pytest.mark.parametrize("thresholds", [None, TREND_THRESHOLDS], ids=["None", "3.58e-07"])

@@ -54,8 +54,9 @@ every draw solved and the reference's target.
 An analysis under thresholds must hold no values or vectors, give every
 row the eigensolver solves the gamma_test and vote bits of the unscreened
 analysis, and flag every row at every given threshold, and vote for
-every flagged row, as the unscreened analysis does; it must refuse to run without vectors, and analyse cliques of 5, 7,
-8 and 9 points as the unscreened analysis does, bit for bit.  A screened
+every flagged row, as the unscreened analysis does; it must refuse to
+run without vectors, and analyse cliques of 5, 7, 8 and 9 points as the
+unscreened analysis does, bit for bit.  A screened
 detection and a campaign trial must equal their unscreened references.
 The certificate (edm._settle) must flag a row it settles at every given
 threshold as eigh, eigvalsh and eigvalsh of every matrix within the
