@@ -35,7 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import edm
-from .cliques import CLIQUE_SIZE, EPOCH_STEP, build_clique_schedule, iter_schedule
+from .cliques import (
+    CLIQUE_SIZE, EPOCH_STEP, build_clique_schedule, epoch_count, iter_schedule,
+)
 from .constellation import ConstellationConfig
 from .edm import batch_features  # build_training_set's call is traced under this name
 from .linkgraph import VisibilityGraph
@@ -86,7 +88,7 @@ def sampling_times(step: float, duration: float) -> np.ndarray:
                          f"got step={step!r}, duration={duration!r}")
     if step <= 0.0 or duration < step:
         raise ValueError("need step > 0 and duration >= step")
-    return step * np.arange(math.ceil(duration / step))
+    return step * np.arange(epoch_count(duration, step))
 
 
 def sample_statistics(
@@ -423,7 +425,10 @@ def build_training_set(
     memory stays flat in n_geometries.  A block takes one analysis of its
     geometries' range blocks (edm.analyze_blocks), whose u1-u3 also give
     each geometry's bound basis (edm.bound_basis), one edm.top_gammas call
-    on its noise draws and one np.percentile call.
+    on its noise draws and one np.percentile call.  As build_edm does in
+    an epoch's range matrix, a noisy range <= 0 (noise larger than the
+    range) or one whose square is not finite is refused with a ValueError
+    that names the first such geometry.
 
     A target reads only the draws of the top ranks: np.percentile at
     TAIL_PERCENTILE of n draws reads ranks floor((n-1) q) and the one
@@ -452,6 +457,13 @@ def build_training_set(
                           for e, c in zip(entry_of.tolist(), chosen.tolist())])
     exact = true_ranges(positions, VisibilityGraph(adjacency=~np.eye(CLIQUE_SIZE, dtype=bool)))
 
+    def geometry(first: int, good: np.ndarray) -> str:
+        """The first geometry of the block at first with a draw not good."""
+        g = first + int((~good).any(axis=(1, 2)).argmax())
+        e = int(entry_of[g])
+        clique = schedule[e].cliques[chosen[g] - starts[e]].tolist()
+        return f"training geometry {g} (clique {clique} at t={schedule[e].t:g} s)"
+
     feats = np.empty((n_geometries, FEATURE_DIM))
     targets = np.empty(n_geometries)
     i, j = pair_rows(CLIQUE_SIZE)
@@ -471,7 +483,16 @@ def build_training_set(
         d = np.stack([pair_draws(substream(seed, TRAINING, 1, g), CLIQUE_SIZE, sigma_w,
                                  size=(n_noise,)) for g in range(first, last)])
         d += block[:, i, j][:, None]
-        d *= d
+        # build_edm's range rule: a range <= 0 (noise larger than the range)
+        # or one whose square is not finite is refused, naming the geometry.
+        if not d.min() > 0.0:
+            raise edm.MissingEdgeError(f"{geometry(first, d > 0.0)} has a range <= 0: "
+                                       f"its noise is larger than its range")
+        with np.errstate(over="ignore"):
+            d *= d
+        if not d.max() < np.inf:
+            raise ValueError(f"{geometry(first, d < np.inf)} has a range whose square "
+                             f"is not finite")
         targets[first:last] = np.percentile(edm.top_gammas(basis, d, keep), TAIL_PERCENTILE,
                                             axis=1)
     return feats, targets

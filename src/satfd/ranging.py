@@ -69,7 +69,10 @@ def pair_draws(rng: np.random.Generator, n: int, sigma_w: float, size: tuple = (
     """size + (n(n-1)/2,) range noise: w_ij for every pair i < j, in
     row-major order; consecutive draws along the leading axes."""
     check_sigma_w(sigma_w)
-    return rng.standard_normal(size + (n * (n - 1) // 2,)) * sigma_w
+    # A draw beyond the float range is inf, which the range rule refuses by
+    # name (edm.build_edm, calibration.build_training_set).
+    with np.errstate(over="ignore"):
+        return rng.standard_normal(size + (n * (n - 1) // 2,)) * sigma_w
 
 
 @functools.cache
@@ -129,6 +132,8 @@ def add_bias(ranges: RangeMatrix, graph: VisibilityGraph, faults: FaultConfig) -
     """
     bias = np.zeros(len(ranges.r))
     bias[list(faults.fault_set)] = faults.magnitude
-    r = np.where(graph.adjacency, ranges.r + (bias[:, None] + bias[None, :]), 0.0)
+    # A bias sum beyond the float range is inf, which build_edm refuses by name.
+    with np.errstate(over="ignore"):
+        r = np.where(graph.adjacency, ranges.r + (bias[:, None] + bias[None, :]), 0.0)
     np.fill_diagonal(r, 0.0)
     return RangeMatrix(r=r)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -453,6 +454,32 @@ class TestBuildTrainingSet:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_training_set(load_bundled("elfo_moon"), 1.0, n_geometries=n_geometries,
                                n_noise=n_noise, seed=1)
+
+    @pytest.mark.parametrize("scale, message", [
+        (-1e8, "has a range <= 0: its noise is larger than its range"),
+        (1e200, "has a range whose square is not finite"),
+    ], ids=["range<=0", "square-not-finite"])
+    def test_range_rule_names_the_geometry(self, monkeypatch, scale, message):
+        # Geometry 5 of 8, in the second block of 4, draws scale * |w|; the
+        # others draw as usual.  The refusal names it, with no warning.
+        config = load_bundled("elfo_moon")
+        seed, step = 3, 7200.0
+        draws, calls = calibration.pair_draws, []
+
+        def pair_draws(*args, **kwargs):
+            w = draws(*args, **kwargs)
+            calls.append(None)
+            return scale * np.abs(w) if len(calls) == 6 else w
+
+        monkeypatch.setattr(calibration, "pair_draws", pair_draws)
+        monkeypatch.setattr(calibration, "BLOCK_DRAWS", 1200)
+        schedule = build_clique_schedule(config, sampling_times(step, config.period))
+        pool = [(entry.t, clique.tolist()) for entry in schedule for clique in entry.cliques]
+        t, clique = pool[substream(seed, TRAINING, 0).integers(len(pool), size=8)[5]]
+        want = f"training geometry 5 (clique {clique} at t={t:g} s) {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            build_training_set(config, 1.0, n_geometries=8, n_noise=300, seed=seed, step=step)
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("draws", [300, 900, calibration.BLOCK_DRAWS])
     def test_one_feature_analysis_per_block(self, monkeypatch, draws):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -46,6 +48,18 @@ def incomplete_models():
 TINY_TRAINING = ["--n-geometries", "20", "--n-noise", "300", "--epochs", "1"]
 
 
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """The model.json that train-predictor writes from TINY_TRAINING."""
+    out = tmp_path_factory.mktemp("tiny_model")
+    # Its "wrote" line is not the output of the test that first asks for it.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-predictor", "--config", "elfo_moon", "--out", str(out)]
+                    + TINY_TRAINING) == 0
+    calibration.MlpPredictor.load(out / "model.json")
+    return out / "model.json"
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -68,6 +82,15 @@ class TestPropagate:
                    "--t-start", "0", "--t-end", "100", "--step", "500"])
         assert rc == 0
         assert len(read_csv(tmp_path / "positions.csv")) == 1 + 12
+
+    def test_default_start_epochs(self, tmp_path):
+        # Eleven epochs from t = 0, one array propagation.
+        rc = main(["propagate", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--t-end", "600"])
+        assert rc == 0
+        rows = read_csv(tmp_path / "positions.csv")[1:]
+        assert len(rows) == 11 * 12
+        assert [float(r[0]) for r in rows[::12]] == [60.0 * k for k in range(11)]
 
     @pytest.mark.parametrize("option, value", [
         ("--t-end", "inf"), ("--t-start", "nan"), ("--step", "nan"), ("--step", "inf"),
@@ -190,6 +213,13 @@ class TestCalibrate:
         assert len(records) == 2
         assert all(r["value"] <= 1e-10 for r in records)
 
+    def test_thresholds_at_the_default_noise(self, tmp_path):
+        rc = main(["calibrate", "--config", "elfo_moon", "--out", str(tmp_path),
+                   "--duration", "600"])
+        assert rc == 0
+        records = json.loads((tmp_path / "thresholds.json").read_text(encoding="utf-8"))
+        assert records and all(0.0 < r["value"] < math.inf for r in records)
+
     def test_missing_config(self, tmp_path):
         rc = main(["calibrate", "--config", "nope.json", "--out", str(tmp_path)])
         assert rc != 0
@@ -235,6 +265,29 @@ class TestDetect:
         report = json.loads(capsys.readouterr().out)
         assert report["injected"] == [5]
         assert 5 in report["fault_list"]
+
+    @pytest.mark.parametrize("threshold, sigma_w", [
+        pytest.param(["--threshold", "4.57e-7"], "1", id="threshold"),
+        # Every clique is flagged, so the certificate must prove every vote it settles.
+        pytest.param(["--threshold", "0"], "1", id="threshold-0"),
+        # A clean clique's tail eigenvalues are near-degenerate, so the
+        # certificate's margins decide which biased cliques it settles.
+        pytest.param(["--threshold", "4.57e-7"], "0", id="sigma-w-0"),
+        pytest.param(["--threshold", "4.57e-7"], "1e-8", id="sigma-w-1e-8"),
+        # The unthresholded path: eigh on every clique, the features, the model.
+        pytest.param(None, "1", id="model"),
+    ])
+    def test_fault_on_satellite_3(self, tmp_path, capsys, request, threshold, sigma_w):
+        if threshold is None:
+            threshold = ["--model", str(request.getfixturevalue("tiny_model"))]
+        rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path), "--t0", "0",
+                   "--fault-sats", "3", "--magnitude", "20", "--sigma-w", sigma_w,
+                   "--dl", "3", "--seed", "0"] + threshold)
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["injected"] == [3]
+        if threshold[0] == "--threshold":
+            assert report["fault_list"] == [3]
 
     def test_requires_threshold_or_model(self, tmp_path):
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path)])
@@ -372,6 +425,11 @@ class TestDetect:
         assert list(tmp_path.iterdir()) == [blocker]
 
 
+# Two scalar thresholds, both read by every trial's analysis.
+TWO_VALUES = {"values": [{"label": "p95", "value": 3.58e-7},
+                         {"label": "p99.9", "value": 5.86e-7}]}
+
+
 class TestMonteCarloAndReport:
     def experiment_file(self, tmp_path, **overrides):
         raw = {
@@ -411,6 +469,38 @@ class TestMonteCarloAndReport:
         main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "a")])
         main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
+
+    @pytest.mark.parametrize("overrides, threads, cells", [
+        pytest.param({}, (2, 3, 16), 2, id="one-value"),
+        # One trial runs in this process at any thread count, with no pool.
+        pytest.param({"n_trials": 1}, (8,), 2, id="one-trial"),
+        pytest.param({"thresholds": TWO_VALUES}, (2,), 4, id="two-values"),
+        # Several fault configs stack into each epoch's one analysis call.
+        pytest.param({"thresholds": TWO_VALUES, "fault_counts": [1, 2],
+                      "magnitudes_m": [5.0, 20.0]}, (2,), 16, id="four-configs"),
+        # 20 fault configs per epoch go through the keyed sharing of rows.
+        pytest.param({"thresholds": TWO_VALUES, "fault_counts": [0, 1, 2, 3],
+                      "magnitudes_m": [5.0, 8.0, 10.0, 15.0, 20.0], "dl_list": [1, 2, 3, 5],
+                      "n_trials": 3}, (2,), 160, id="paper-grid"),
+        pytest.param({"thresholds": "model", "n_trials": 3}, (2,), 2, id="model"),
+    ])
+    def test_results_do_not_depend_on_threads(self, tmp_path, request, overrides, threads,
+                                              cells):
+        # --threads 16 asks for more processes than there are trials or
+        # CPUs: the pool never outgrows either.
+        if overrides.get("thresholds") == "model":
+            overrides = {**overrides,
+                         "thresholds": {"model": str(request.getfixturevalue("tiny_model"))}}
+        exp = self.experiment_file(tmp_path, **{"dl_list": [1, 3], "master_seed": 3,
+                                                **overrides})
+        tables = []
+        for count in (1,) + threads:
+            out = tmp_path / f"threads{count}"
+            assert main(["montecarlo", "--experiment", str(exp), "--threads", str(count),
+                         "--out", str(out)]) == 0
+            tables.append((out / "results.csv").read_bytes())
+        assert tables[1:] == tables[:1] * len(threads)
+        assert tables[0].count(b"\n") == 1 + cells
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
@@ -465,6 +555,8 @@ class TestMonteCarloAndReport:
         ("dl_list", [math.nan], "dl_list must be an integer, got nan"),
         ("master_seed", -1, "master_seed must be >= 0"),
         ("dl_list", None, "dl_list must be an array, got None"),
+        # One period would hold more epochs than a float can count.
+        ("timestep_s", 1e-310, "step 1e-310 s is too small"),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
@@ -472,7 +564,7 @@ class TestMonteCarloAndReport:
             "magnitudes_m=[Infinity]", "timestep_s=NaN", "timestep_s=Infinity", "values=[NaN]",
             "values=[-Infinity]", "n_trials=Infinity", "n_trials=NaN", "delta_nf=Infinity",
             "master_seed=-Infinity", "fault_counts=[Infinity]", "dl_list=[NaN]",
-            "master_seed=-1", "dl_list=null"])
+            "master_seed=-1", "dl_list=null", "timestep_s=1e-310"])
     def test_out_of_range_experiment_rejected(self, tmp_path, capsys, field, value, reason):
         exp = self.experiment_file(tmp_path, **{field: value})
         out = tmp_path / "out"
@@ -784,6 +876,14 @@ class TestMonteCarloAndReport:
         assert f"{tpr:.3f}" in out
 
 
+# The error lines of a noisy range <= 0: in an epoch's range matrix, and in
+# a training geometry's draws.
+CLIQUE_RANGE = (r"clique \[[0-9, ]+\] has a range <= 0: the pair is unmeasured, or its "
+                r"noise is larger than its range")
+GEOMETRY_RANGE = (r"training geometry [0-9]+ \(clique \[[0-9, ]+\] at t=[0-9.e+-]+ s\) has a "
+                  r"range <= 0: its noise is larger than its range")
+
+
 class TestLibraryValueErrors:
     @pytest.mark.parametrize("argv, message", [
         (["detect", "--threshold", "4.6e-7", "--fault-sats", "x"],
@@ -821,12 +921,26 @@ class TestLibraryValueErrors:
         (["detect", "--t0", "0", "--fault-sats", "3", "--threshold", "4.6e-7", "--dl", "1",
           "--seed", "0", "--magnitude", "1e200"],
          "clique [1, 2, 3, 4, 5, 6] has a range whose square is not finite"),
+        # The bias sum overflows to inf, and the range matrix reads it.
+        (["detect", "--threshold", "4.6e-7", "--dl", "1", "--fault-sats", "3", "--magnitude",
+          "1e308"], "clique [1, 2, 3, 4, 5, 6] has a range whose square is not finite"),
+        # Noise draws beyond the float range are inf.
+        (["calibrate", "--duration", "120", "--sigma-w", "1e308"],
+         "clique [0, 5, 6, 7, 8, 9] has a range <= 0"),
+        # One period at a subnormal step would hold more epochs than a float can count.
+        (["calibrate", "--step", "5e-324"], "step 5e-324 s is too small"),
+        (["train-predictor", "--sigma-w", "-1"], "sigma_w must be >= 0"),
+        (["train-predictor", "--lr", "nan"], "learning rate must be positive and finite"),
+        (["detect", "--threshold", "nan", "--fault-sats", "1", "--magnitude", "20", "--dl", "3"],
+         "invalid detector option: gamma_threshold must be finite, got nan"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
             "train-sigma-w", "train-diverges", "calibrate-duration-inf", "calibrate-step-nan",
             "detect-threshold-nan", "detect-threshold-inf", "train-lr-nan", "train-lr-0",
-            "train-epochs-negative", "detect-magnitude-1e200"])
+            "train-epochs-negative", "detect-magnitude-1e200", "detect-magnitude-1e308",
+            "calibrate-sigma-w-1e308", "calibrate-step-5e-324", "train-sigma-w-default-size",
+            "train-lr-nan-default-size", "detect-threshold-nan-dl-3"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])
@@ -853,32 +967,39 @@ class TestLibraryValueErrors:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["detect", "--t0", "0", "--fault-sats", "3", "--threshold", "4.6e-7", "--dl", "1"],
-        ["calibrate", "--duration", "120"],
-        ["montecarlo"],
-    ], ids=["detect", "calibrate", "montecarlo"])
-    def test_noise_larger_than_a_range_is_one_error_line(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, sigma_w, message", [
+        pytest.param(["detect", "--t0", "0", "--fault-sats", "3", "--threshold", "4.6e-7",
+                      "--dl", "1"], "1e8", CLIQUE_RANGE, id="detect"),
+        pytest.param(["calibrate", "--duration", "120"], "1e8", CLIQUE_RANGE, id="calibrate"),
+        pytest.param(["montecarlo"], "1e8", CLIQUE_RANGE, id="montecarlo"),
+        pytest.param(["train-predictor"] + TINY_TRAINING, "1e8", GEOMETRY_RANGE,
+                     id="train-predictor"),
+        # Squares of such draws overflow: no warning, the same one line.
+        pytest.param(["train-predictor"] + TINY_TRAINING, "1e200", GEOMETRY_RANGE,
+                     id="train-predictor-1e200"),
+    ])
+    def test_noise_larger_than_a_range_is_one_error_line(self, tmp_path, capsys, argv,
+                                                         sigma_w, message):
         # At sigma_w 1e8 m some noise draws exceed their ranges, which makes
-        # those ranges <= 0: no clique reading them can be analysed.  calibrate
-        # and montecarlo make --out before that: the directories a failed run
-        # made are removed again, and one that was there before stays.
+        # those ranges <= 0: no clique reading them can be analysed, and no
+        # training target solved.  calibrate, montecarlo and train-predictor
+        # make --out before that: the directories a failed run made are
+        # removed again, and one that was there before stays.
         if argv[0] == "montecarlo":
             exp = tmp_path / "exp.json"
             exp.write_text(json.dumps({
-                "constellation": "elfo_moon", "sigma_w_m": 1e8, "fault_counts": [1],
+                "constellation": "elfo_moon", "sigma_w_m": float(sigma_w), "fault_counts": [1],
                 "magnitudes_m": [20.0], "thresholds": {"values": [{"label": "p99", "value": 4.6e-7}]},
                 "dl_list": [1], "n_trials": 2, "master_seed": 11,
             }), encoding="utf-8")
             argv = argv + ["--experiment", str(exp)]
         else:
-            argv = argv[:1] + ["--config", "elfo_moon", "--sigma-w", "1e8"] + argv[1:]
+            argv = argv[:1] + ["--config", "elfo_moon", "--sigma-w", sigma_w] + argv[1:]
         before = sorted(tmp_path.iterdir())
         rc = main(argv + ["--out", str(tmp_path / "made" / "out")])
         assert rc == 1
         captured = capsys.readouterr()
-        assert re.fullmatch(r"error: clique \[[0-9, ]+\] has a range <= 0: the pair is "
-                            r"unmeasured, or its noise is larger than its range\n", captured.err)
+        assert re.fullmatch(f"error: {message}\n", captured.err)
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
         kept = tmp_path / "kept"
@@ -925,6 +1046,26 @@ class TestLibraryValueErrors:
         assert rc == 1
         assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestTrainPredictor:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(TINY_TRAINING, id="tiny"),
+        # With no noise the target screen can rule no draw out: every draw is solved.
+        pytest.param(["--sigma-w", "0", "--n-geometries", "5", "--n-noise", "300",
+                      "--epochs", "1"], id="sigma-w-0"),
+        # At 10 nm the draws differ by about the rounding of their squared
+        # ranges, so the screen's rounding allowance decides what is solved.
+        pytest.param(["--sigma-w", "1e-8", "--n-geometries", "5", "--n-noise", "300",
+                      "--epochs", "1"], id="sigma-w-1e-8"),
+        # A block of 2,000 draws holds 4 geometries, so the last of 9 is partial.
+        pytest.param(["--n-geometries", "9", "--n-noise", "2000", "--epochs", "1"],
+                     id="partial-block"),
+    ])
+    def test_writes_a_model(self, tmp_path, argv):
+        rc = main(["train-predictor", "--config", "elfo_moon", "--out", str(tmp_path)] + argv)
+        assert rc == 0
+        calibration.MlpPredictor.load(tmp_path / "model.json")
 
 
 # The subcommands as the top-level usage line lists them.

@@ -504,12 +504,13 @@ class TestCertificateReach:
         assert settled >= 0.99 * analysed
 
 
-def test_paper_grid_slice_writes_its_committed_results(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_paper_grid_slice_writes_its_committed_results(tmp_path, threads):
     """Ten trials of the paper's elfo_moon grid (fault counts 0-3 by five
-    magnitudes, three thresholds, DL 1, 2, 3 and 5), run serially, write
-    the committed results.csv byte for byte."""
+    magnitudes, three thresholds, DL 1, 2, 3 and 5), run serially and in a
+    pool of two, write the committed results.csv byte for byte."""
     rc = main(["montecarlo", "--experiment", str(DATA / "paper_elfo_slice.json"),
-               "--threads", "1", "--out", str(tmp_path)])
+               "--threads", str(threads), "--out", str(tmp_path)])
     assert rc == 0
     assert ((tmp_path / "results.csv").read_bytes()
             == (DATA / "paper_elfo_slice_results.csv").read_bytes())

@@ -118,6 +118,9 @@ class TestWhatIsLoaded:
         assert "satfd.edm" in loaded
         assert not loaded & {"satfd.calibration", "satfd.experiment"}
 
+    def test_cli_loads_no_campaign_code(self):
+        assert "satfd.experiment" not in loaded_after("import satfd.cli")
+
     def test_detect_with_threshold(self):
         loaded = loaded_after(run_main([
             "detect", "--config", "elfo_moon", "--t0", "0", "--fault-sats", "3",
@@ -172,5 +175,5 @@ class TestWhatIsLoaded:
         loaded = loaded_after(run_main([
             "report", "--results", str(table), "--out", str(tmp_path / "out")]))
         assert "satfd.results" in loaded
-        assert (tmp_path / "out" / "report_tpr_faults1.csv").is_file()
+        assert (tmp_path / "out" / "report_tpr_faults1.csv").stat().st_size > 0
         assert not loaded & {"satfd.experiment", "satfd.calibration"}
