@@ -82,13 +82,11 @@ class StatisticSample:
 
 
 def sampling_times(step: float, duration: float) -> np.ndarray:
-    """Epoch grid t = 0, step, ... strictly below duration."""
-    if not (math.isfinite(step) and math.isfinite(duration)):
-        raise ValueError(f"need step > 0 and duration >= step, both finite; "
-                         f"got step={step!r}, duration={duration!r}")
-    if step <= 0.0 or duration < step:
-        raise ValueError("need step > 0 and duration >= step")
-    return step * np.arange(epoch_count(duration, step))
+    """Epoch grid t = 0, step, ... strictly below duration >= step (and epoch_count's rule)."""
+    epochs = epoch_count(duration, step)
+    if duration < step:
+        raise ValueError(f"need duration >= step, got step={step!r} s, duration={duration!r} s")
+    return step * np.arange(epochs)
 
 
 def sample_statistics(

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .cliques import EPOCH_STEP, check_window, iter_schedule
+from .cliques import EPOCH_STEP, check_window, epoch_count, iter_schedule
 from .constellation import propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
@@ -73,19 +72,16 @@ PROPAGATE_BLOCK = 4096
 
 def cmd_propagate(args) -> int:
     config = resolve_config(args.config)
-    # A non-finite span would write rows without end; so would one whose
-    # epoch count overflows a float.
-    if not (0.0 < args.step < math.inf and -math.inf < args.t_start <= args.t_end < math.inf
-            and (args.t_end - args.t_start) / args.step < math.inf):
-        raise ValueError("need step > 0 and t-end >= t-start, all finite")
-    # So would a step too small to change t: every row would share one epoch.
+    # Every epoch t-start + k*step <= last has k < n_epochs; rows() keeps those.
+    last = args.t_end + 1e-9
+    n_epochs = epoch_count(last - args.t_start, args.step) + 1
+    if args.t_start > args.t_end:
+        raise ValueError(f"need t-end >= t-start, got t-start={args.t_start!r}, t-end={args.t_end!r}")
+    # A step too small to change t would repeat one epoch without end.
     for end in (args.t_start, args.t_end):
         if end + args.step == end:
             raise ValueError(f"step {args.step!r} does not advance t at {end!r}")
     path = _outdir(args) / "positions.csv"
-    # Epochs t-start + k*step up to t-end, the way sampling_times builds its grid.
-    last = args.t_end + 1e-9
-    n_epochs = math.floor((last - args.t_start) / args.step) + 1
 
     def rows():
         for first in range(0, n_epochs, PROPAGATE_BLOCK):
@@ -183,9 +179,6 @@ def cmd_detect(args) -> int:
     else:
         threshold = args.threshold
     fault_ids = _satellite_ids(args.fault_sats)
-    if any(s < 0 or s >= config.n_satellites for s in fault_ids):
-        raise ValueError("fault satellite id out of range")
-
     try:
         check_window(args.dl, config.period, EPOCH_STEP, "di (--dl)")
         params = DetectorParams(delta_nf=args.delta_nf, delta_rf=args.delta_rf,

@@ -6,8 +6,8 @@ any single vertex, which is what makes a single faulty member stand out.
 CLIQUE_SIZE = 6 is the operational size; the enumerator works for any
 k >= 1.  A detection window is DL epochs EPOCH_STEP = 60 s apart (every
 grid's default step), and check_window keeps it within one orbital period.
-epoch_count is the one count of the epochs a span holds on a step, which
-check_window and calibration.sampling_times read.
+epoch_count counts a span's epochs on a step and is the one rule on steps
+and spans (check_window, calibration.sampling_times, satfd propagate).
 
 Enumeration grows every clique one vertex at a time, level by level, as
 numpy arrays.  upper is the adjacency above the diagonal (upper[u, v]: u
@@ -52,20 +52,19 @@ EPOCH_STEP = 60.0
 
 
 def epoch_count(span: float, step: float) -> int:
-    """ceil(span / step), the epochs of step s that a span of span s holds;
-    a ValueError naming the step if that count is not finite (a step so
-    small that the quotient overflows)."""
-    count = span / step
-    if not count < math.inf:
-        raise ValueError(f"step {step!r} s is too small: a span of {span:g} s "
-                         f"would hold {count} epochs")
+    """ceil(span / step), the epochs of step s in a span of span s; a ValueError
+    naming both unless step is > 0 and finite and so are span and the count."""
+    count = span / step if 0.0 < step < math.inf else math.nan
+    if not -math.inf < count < math.inf:
+        raise ValueError(f"need a finite step > 0 and a finite span of finitely many steps, "
+                         f"got step={step!r} s, span={span!r} s")
     return math.ceil(count)
 
 
 def check_window(dl: int, period: float, step: float, field: str) -> int:
     """epoch_count(period, step), the epochs of one orbital period, once a
-    window of dl epochs is checked to lie in 1 .. that count (errors name
-    field)."""
+    window of dl epochs is checked to lie in 1 .. that count (the errors of
+    that check name field)."""
     epochs = epoch_count(period, step)
     if dl < 1:
         raise ValueError(f"{field} must be >= 1, got {dl}")

@@ -44,9 +44,9 @@ own products), and widen the result by _WIDEN.
 
 The certificate (_settle): a threshold t reads only whether gamma_test > t,
 and the vote only which entry of |u4| is largest, so
-analyze_clique_batch(..., thresholds=ts) solves only the 6-cliques whose
-flag at some t of ts, or whose vote when some t flags them, the
-certificate cannot prove, and returns no singular values or vectors,
+analyze_clique_batch(..., thresholds=ts), on 6-cliques only, solves just
+the rows whose flag at some t of ts, or whose vote when some t flags them,
+the certificate cannot prove, and returns no singular values or vectors,
 which no threshold reads.  It works in a Nystrom basis (_nystrom_basis):
 U from one subspace step G P on three fixed probes P (_probes),
 orthonormalised by Cholesky-QR, A = U^T G U = L L^T, C = L^-1 U^T G and
@@ -205,7 +205,7 @@ class BatchAnalysis:
     three shapes.  Full (analyze_clique_batch(...)): every field, with
     u1-u4 only in left_vectors (the vote reads u4, the predictor features
     u1-u3).  Values only (vectors=False): None for left_vectors and
-    fault_vertex_local.  Thresholded (thresholds=ts, on 6-cliques): None
+    fault_vertex_local.  Thresholded (thresholds=ts, 6-cliques only): None
     for singular_values and left_vectors; a row eigh solved has its
     unthresholded gamma_test and vote, and a row the certificate settled a
     gamma_test that each t of ts flags exactly when it flags the solved
@@ -576,16 +576,17 @@ def analyze_clique_batch(
     thresholds that flag eigh's, and if any flags it, its vote is eigh's.
     Only the rows left are solved, with the gamma_test and vote they have
     without thresholds, and singular_values and left_vectors are None (the
-    thresholded BatchAnalysis).  Cliques of other sizes are all solved, as
-    without thresholds.  Requires cliques of k >= 5 vertices.
+    thresholded BatchAnalysis).  The certificate is derived for 6-cliques,
+    so thresholds take no other size.  Requires cliques of k >= 5 vertices.
     """
     k = cliques.shape[1]
     if k < 5:
         raise ValueError("gamma_test undefined for cliques smaller than 5")
-    if thresholds is not None and not vectors:
-        raise ValueError("an analysis under thresholds reads the vote, so it needs vectors")
+    if thresholds is not None and not (vectors and k == CLIQUE_SIZE):
+        raise ValueError(f"an analysis under thresholds needs vectors (it reads the vote) and "
+                         f"{CLIQUE_SIZE}-cliques; got vectors={vectors} and {k}-cliques")
     g = geometric_center(build_edm(ranges, cliques))
-    if thresholds is None or k != CLIQUE_SIZE:
+    if thresholds is None:
         s, u, gamma, vote = _solve(g, vectors)
     else:
         s = u = None

@@ -63,7 +63,7 @@ from .detector import (
     is_scalar_threshold,
     table_from_analyses,
 )
-from .ranging import FaultConfig, add_bias, check_sigma_w, measure_ranges
+from .ranging import FaultConfig, add_bias, check_magnitude, check_sigma_w, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, check_seed, substream
 
 
@@ -92,8 +92,8 @@ class ExperimentGrid:
             raise ValueError("every grid dimension must be non-empty")
         if min(self.fault_counts) < 0:
             raise ValueError("fault counts must be >= 0")
-        if not all(0.0 <= m < math.inf for m in self.magnitudes):
-            raise ValueError("fault magnitudes must be >= 0 and finite")
+        for magnitude in self.magnitudes:
+            check_magnitude(magnitude)
 
     def cells(self):
         """Row order of the results table."""
@@ -160,8 +160,8 @@ class CampaignContext:
 
     The epoch grid covers one orbital period at the detection timestep,
     extended by (max DL - 1) epochs so any trial window fits; check_window
-    refuses a DL below 1 or longer than the period before anything is
-    propagated.
+    refuses a DL below 1 or longer than the period, and its epoch_count a
+    timestep that is not > 0 and finite, before anything is propagated.
     Trials index into this grid's clique schedule, which is computed once.
     """
 
@@ -175,8 +175,6 @@ class CampaignContext:
         delta_nf: int = 10,
         delta_rf: float = 0.2,
     ):
-        if not 0.0 < timestep < math.inf:
-            raise ValueError(f"timestep must be > 0 and finite, got {timestep!r}")
         check_sigma_w(sigma_w)
         check_seed(master_seed, "master_seed")
         if max(grid.fault_counts) > config.n_satellites:

@@ -33,15 +33,16 @@ from .linkgraph import VisibilityGraph
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Set of faulty satellite ids sharing one bias magnitude (m)."""
+    """Set of faulty satellite ids (>= 0) sharing one bias magnitude (m)."""
 
     fault_set: frozenset[int] = field(default_factory=frozenset)
     magnitude: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "fault_set", frozenset(self.fault_set))
-        if not (0.0 <= self.magnitude < math.inf):
-            raise ValueError(f"fault magnitude must be >= 0 and finite, got {self.magnitude!r}")
+        check_magnitude(self.magnitude)
+        if min(self.fault_set, default=0) < 0:
+            raise ValueError(f"fault satellite ids must be >= 0, got {min(self.fault_set)}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,12 @@ class RangeMatrix:
     """Symmetric measured ranges (m); zero diagonal, zero on non-edges."""
 
     r: np.ndarray
+
+
+def check_magnitude(magnitude: float) -> None:
+    """Refuse a fault bias magnitude that is negative or not finite."""
+    if not (0.0 <= magnitude < math.inf):
+        raise ValueError(f"fault magnitude must be >= 0 and finite, got {magnitude!r}")
 
 
 def check_sigma_w(sigma_w: float) -> None:
@@ -131,6 +138,8 @@ def add_bias(ranges: RangeMatrix, graph: VisibilityGraph, faults: FaultConfig) -
     changes no range.
     """
     bias = np.zeros(len(ranges.r))
+    if max(faults.fault_set, default=-1) >= len(bias):
+        raise ValueError(f"fault satellite ids must be in 0 .. {len(bias) - 1}, got {max(faults.fault_set)}")
     bias[list(faults.fault_set)] = faults.magnitude
     # A bias sum beyond the float range is inf, which build_edm refuses by name.
     with np.errstate(over="ignore"):

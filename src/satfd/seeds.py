@@ -10,9 +10,11 @@ measurement noise, which is what makes grid cells comparable.
 Key layout (first key component is a domain tag):
 
     TRIAL_SETUP, trial_id            -> initial epoch + fault permutation
-    EPOCH_NOISE, trial_id, epoch_idx -> range noise for one epoch of one trial
+    EPOCH_NOISE, trial_id, epoch_idx -> range noise for one epoch of one trial (satfd detect: 0, k)
     CALIBRATION, epoch_idx           -> range noise for threshold sampling
-    TRAINING, geometry_idx           -> noise realizations for one training geometry
+    TRAINING                         -> train_predictor's initial weights and shuffles
+    TRAINING, 0                      -> build_training_set's draw of geometries
+    TRAINING, 1, geometry_idx        -> noise realizations for one training geometry
 
 check_seed refuses a master seed that substream cannot take, by its field.
 """

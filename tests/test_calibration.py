@@ -44,7 +44,10 @@ class TestSamplingTimes:
         (60.0, math.inf), (math.nan, 600.0), (60.0, math.nan), (math.inf, math.inf),
     ])
     def test_non_finite_refused(self, step, duration):
-        with pytest.raises(ValueError, match="^need step > 0 and duration >= step, both finite"):
+        # cliques.epoch_count is the one rule on steps and spans.
+        message = (f"need a finite step > 0 and a finite span of finitely many steps, "
+                   f"got step={step!r} s, span={duration!r} s")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sampling_times(step, duration)
 
 

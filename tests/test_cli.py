@@ -60,6 +60,16 @@ def tiny_model(tmp_path_factory):
     return out / "model.json"
 
 
+# elfo_moon's orbital period: the span calibrate and an experiment count by default.
+ELFO_PERIOD = load_bundled("elfo_moon").period
+
+
+def step_refusal(step, span):
+    """The one refusal of a step or span, cliques.epoch_count's."""
+    return (f"need a finite step > 0 and a finite span of finitely many steps, "
+            f"got step={step!r} s, span={span!r} s")
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -92,14 +102,20 @@ class TestPropagate:
         assert len(rows) == 11 * 12
         assert [float(r[0]) for r in rows[::12]] == [60.0 * k for k in range(11)]
 
-    @pytest.mark.parametrize("option, value", [
-        ("--t-end", "inf"), ("--t-start", "nan"), ("--step", "nan"), ("--step", "inf"),
-    ])
-    def test_non_finite_span_refused(self, tmp_path, capsys, option, value):
+    # The span is t-end + 1e-9 - t-start: the grid keeps t <= t-end + 1e-9.
+    @pytest.mark.parametrize("option, value, message", [
+        ("--t-end", "inf", step_refusal(60.0, math.inf)),
+        ("--t-start", "nan", step_refusal(60.0, math.nan)),
+        ("--step", "nan", step_refusal(math.nan, 1e-9)),
+        ("--step", "inf", step_refusal(math.inf, 1e-9)),
+        ("--step", "0", step_refusal(0.0, 1e-9)),
+        ("--t-start", "10", "need t-end >= t-start, got t-start=10.0, t-end=0.0"),
+    ], ids=["--t-end-inf", "--t-start-nan", "--step-nan", "--step-inf", "--step-0",
+            "--t-start-10"])
+    def test_non_finite_span_refused(self, tmp_path, capsys, option, value, message):
         rc = main(["propagate", "--config", "elfo_moon", "--out", str(tmp_path), option, value])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: need step > 0 and t-end >= t-start, all finite\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "positions.csv").exists()
 
     def test_integer_grid_epochs(self, tmp_path):
@@ -118,7 +134,7 @@ class TestPropagate:
         # At 1e20 a 1 s step is below half an ulp: t + step == t.
         ("1e20", "2e20", "1", "step 1.0 does not advance t at 1e+20"),
         # t-end - t-start overflows to inf, so the epoch count is not finite.
-        ("-1e308", "1e308", "1e300", "need step > 0 and t-end >= t-start, all finite"),
+        ("-1e308", "1e308", "1e300", step_refusal(1e300, math.inf)),
     ], ids=["step-below-ulp", "span-overflows"])
     def test_grid_without_end_refused(self, tmp_path, t_start, t_end, step, message):
         # Run in a subprocess with a timeout, so a grid that never ends fails
@@ -224,13 +240,17 @@ class TestCalibrate:
         rc = main(["calibrate", "--config", "nope.json", "--out", str(tmp_path)])
         assert rc != 0
 
-    @pytest.mark.parametrize("step", ["0", "-60", "200"])
-    def test_step_out_of_range_rejected(self, tmp_path, capsys, step):
+    @pytest.mark.parametrize("step, message", [
+        ("0", step_refusal(0.0, 120.0)),
+        ("-60", step_refusal(-60.0, 120.0)),
         # 200 s exceeds the 120 s sampling window
+        ("200", "need duration >= step, got step=200.0 s, duration=120.0 s"),
+    ], ids=["0", "-60", "200"])
+    def test_step_out_of_range_rejected(self, tmp_path, capsys, step, message):
         rc = main(["calibrate", "--config", "elfo_moon", "--out", str(tmp_path),
                    "--duration", "120", "--step", step])
         assert rc != 0
-        assert "error: need step > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "thresholds.json").exists()
 
     def test_step_too_fine_for_memory_is_one_error_line(self, tmp_path, capsys):
@@ -524,9 +544,9 @@ class TestMonteCarloAndReport:
         assert rc != 0
 
     @pytest.mark.parametrize("field, value, reason", [
-        ("timestep_s", 0, "timestep"),
+        ("timestep_s", 0, step_refusal(0.0, ELFO_PERIOD)),
         ("dl_list", [0], "detection lengths"),
-        ("magnitudes_m", [-5], "magnitudes"),
+        ("magnitudes_m", [-5], "fault magnitude must be >= 0 and finite, got -5.0"),
         ("fault_counts", [-1], "fault counts"),
         ("fault_counts", [20], "fault counts"),
         ("delta_nf", 0, "delta_nf"),
@@ -539,9 +559,9 @@ class TestMonteCarloAndReport:
         ("fault_counts", 5, "fault_counts must be an array, got 5"),
         ("thresholds", {"values": [{"value": 4.6e-7}]}, "missing field 'label'"),
         ("sigma_w_m", math.nan, "sigma_w must be >= 0 and finite, got nan"),
-        ("magnitudes_m", [math.inf], "fault magnitudes must be >= 0 and finite"),
-        ("timestep_s", math.nan, "timestep must be > 0 and finite, got nan"),
-        ("timestep_s", math.inf, "timestep must be > 0 and finite, got inf"),
+        ("magnitudes_m", [math.inf], "fault magnitude must be >= 0 and finite, got inf"),
+        ("timestep_s", math.nan, step_refusal(math.nan, ELFO_PERIOD)),
+        ("timestep_s", math.inf, step_refusal(math.inf, ELFO_PERIOD)),
         ("thresholds", {"values": [{"label": "p99", "value": math.nan}]},
          "threshold 'p99' must be finite, got nan"),
         ("thresholds", {"values": [{"label": "a", "value": 4.6e-7},
@@ -556,7 +576,7 @@ class TestMonteCarloAndReport:
         ("master_seed", -1, "master_seed must be >= 0"),
         ("dl_list", None, "dl_list must be an array, got None"),
         # One period would hold more epochs than a float can count.
-        ("timestep_s", 1e-310, "step 1e-310 s is too small"),
+        ("timestep_s", 1e-310, step_refusal(1e-310, ELFO_PERIOD)),
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
@@ -758,7 +778,8 @@ class TestMonteCarloAndReport:
         rc = main(["montecarlo", "--experiment", str(exp), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: invalid experiment config: need step > 0 and duration >= step\n")
+            "error: invalid experiment config: need duration >= step, "
+            f"got step=50000.0 s, duration={ELFO_PERIOD!r} s\n")
         assert not out.exists()
 
     def test_percentile_thresholds_from_calibration(self, tmp_path, monkeypatch):
@@ -905,9 +926,8 @@ class TestLibraryValueErrors:
         (["train-predictor", "--sigma-w", "-1"] + TINY_TRAINING, "sigma_w must be >= 0"),
         (["train-predictor", "--lr", "1e30", "--n-geometries", "20", "--n-noise", "300",
           "--epochs", "3"], "training loss is not finite"),
-        (["calibrate", "--duration", "inf"],
-         "need step > 0 and duration >= step, both finite; got step=60.0, duration=inf"),
-        (["calibrate", "--step", "nan"], "need step > 0 and duration >= step, both finite"),
+        (["calibrate", "--duration", "inf"], step_refusal(60.0, math.inf)),
+        (["calibrate", "--step", "nan"], step_refusal(math.nan, ELFO_PERIOD)),
         (["detect", "--threshold", "nan", "--fault-sats", "1", "--magnitude", "20"],
          "invalid detector option: gamma_threshold must be finite, got nan"),
         (["detect", "--threshold", "inf"],
@@ -928,7 +948,14 @@ class TestLibraryValueErrors:
         (["calibrate", "--duration", "120", "--sigma-w", "1e308"],
          "clique [0, 5, 6, 7, 8, 9] has a range <= 0"),
         # One period at a subnormal step would hold more epochs than a float can count.
-        (["calibrate", "--step", "5e-324"], "step 5e-324 s is too small"),
+        (["calibrate", "--step", "5e-324"], step_refusal(5e-324, ELFO_PERIOD)),
+        (["calibrate", "--step", "0"], step_refusal(0.0, ELFO_PERIOD)),
+        (["calibrate", "--duration", "nan"], step_refusal(60.0, math.nan)),
+        # ranging refuses a fault id: FaultConfig below 0, add_bias from n up.
+        (["detect", "--threshold", "4.6e-7", "--fault-sats", "12", "--magnitude", "20"],
+         "fault satellite ids must be in 0 .. 11, got 12"),
+        (["detect", "--threshold", "4.6e-7", "--fault-sats=-1", "--magnitude", "20"],
+         "fault satellite ids must be >= 0, got -1"),
         (["train-predictor", "--sigma-w", "-1"], "sigma_w must be >= 0"),
         (["train-predictor", "--lr", "nan"], "learning rate must be positive and finite"),
         (["detect", "--threshold", "nan", "--fault-sats", "1", "--magnitude", "20", "--dl", "3"],
@@ -939,7 +966,9 @@ class TestLibraryValueErrors:
             "train-sigma-w", "train-diverges", "calibrate-duration-inf", "calibrate-step-nan",
             "detect-threshold-nan", "detect-threshold-inf", "train-lr-nan", "train-lr-0",
             "train-epochs-negative", "detect-magnitude-1e200", "detect-magnitude-1e308",
-            "calibrate-sigma-w-1e308", "calibrate-step-5e-324", "train-sigma-w-default-size",
+            "calibrate-sigma-w-1e308", "calibrate-step-5e-324", "calibrate-step-0",
+            "calibrate-duration-nan", "detect-fault-sats-12", "detect-fault-sats--1",
+            "train-sigma-w-default-size",
             "train-lr-nan-default-size", "detect-threshold-nan-dl-3"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

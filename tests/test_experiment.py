@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -357,8 +358,12 @@ class TestRunCampaign:
                 make_ctx(small_grid(dls=dls))
         with pytest.raises(ValueError, match="12 satellites"):
             make_ctx(small_grid(fault_counts=(1, 13)))
+        # cliques.epoch_count, which check_window reads, is the one step rule.
+        period = load_bundled("elfo_moon").period
         for timestep in (0.0, -60.0):
-            with pytest.raises(ValueError, match="timestep"):
+            message = (f"need a finite step > 0 and a finite span of finitely many steps, "
+                       f"got step={timestep!r} s, span={period!r} s")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 CampaignContext(config=load_bundled("elfo_moon"), sigma_w=1.0,
                                 grid=small_grid(), master_seed=1, timestep=timestep)
         with pytest.raises(ValueError, match="delta_nf"):

@@ -26,7 +26,9 @@ round, whatever the memory layout of the table's vertex column.
 
 A held clique schedule (build_clique_schedule, one listing per distinct
 adjacency) must equal the per-epoch stream (iter_schedule) entry by entry
-on any time grid, repeated and unsorted epochs included.
+on any time grid, repeated and unsorted epochs included.  satfd propagate
+must write a row for exactly the epochs t-start + k*step <= t-end + 1e-9,
+on grids whose ends lie within a few ulps of that bound.
 
 A campaign trial's shared analyses (CampaignContext.epoch_analyses, which
 analyses each distinct clique measurement once) must equal, field for
@@ -55,8 +57,7 @@ An analysis under thresholds must hold no values or vectors, give every
 row the eigensolver solves the gamma_test and vote bits of the unscreened
 analysis, and flag every row at every given threshold, and vote for
 every flagged row, as the unscreened analysis does; it must refuse to
-run without vectors, and analyse cliques of 5, 7, 8 and 9 points as the
-unscreened analysis does, bit for bit.  A screened
+run without vectors or on cliques of 5, 7, 8 or 9 points.  A screened
 detection and a campaign trial must equal their unscreened references.
 The certificate (edm._settle) must flag a row it settles at every given
 threshold as eigh, eigvalsh and eigvalsh of every matrix within the
@@ -67,12 +68,16 @@ satellites, at noise levels from none to 500 m, biases up to 1e6 m and
 drawn threshold tuples.
 """
 
+import contextlib
 import copy
 import dataclasses
 import functools
+import io
 import itertools
+import math
 import multiprocessing
 import sys
+import tempfile
 import threading
 import types
 import unittest.mock
@@ -84,6 +89,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satfd import edm, experiment
+from satfd.cli import main
 from satfd.cliques import CLIQUE_SIZE, build_clique_schedule, iter_schedule, list_k_cliques
 from satfd.constellation import config_from_dict, load_bundled, propagate
 from satfd.calibration import (
@@ -190,6 +196,43 @@ def test_cliques_match_brute_force(graph, k):
     rows = found.tolist()
     assert all(a < b for a, b in zip(rows, rows[1:]))  # lexicographic, no repeats
     assert np.array_equal(found, brute_force_cliques(graph, k))
+
+
+@st.composite
+def propagate_grid(draw):
+    """(t-start, t-end, step) of up to about 40 epochs: t-end a few ulps from
+    a grid point less the 1e-9 s allowance, on it, or up to a step past it."""
+    t_start = draw(st.one_of(st.floats(-1e6, 1e6), st.integers(-10**6, 10**6).map(float)))
+    step = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-3, 0.1, 7.3, 60.0])))
+    point = t_start + step * draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["allowance", "point", "past"]))
+    if kind == "past":
+        return t_start, point + draw(st.floats(0.0, step)), step
+    t_end = point - 1e-9 if kind == "allowance" else point
+    for _ in range(abs(ulps := draw(st.integers(-3, 3)))):
+        t_end = math.nextafter(t_end, math.copysign(math.inf, ulps))
+    assume(t_end >= t_start)
+    return t_start, t_end, step
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(propagate_grid())
+# Grids on which the floor of the rounded epoch quotient stopped one epoch short.
+@example(grid=(-120.0, 150.09999999899998, 7.3))
+@example(grid=(1e6, 1000000.021999999, 0.001))
+def test_propagate_writes_every_epoch_up_to_the_end(grid):
+    t_start, t_end, step = grid
+    want = []
+    while (t := t_start + step * len(want)) <= t_end + 1e-9:
+        want.append(repr(t))
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["propagate", "--config", "elfo_moon", "--out", out,
+                         f"--t-start={t_start!r}", f"--t-end={t_end!r}",
+                         f"--step={step!r}"]) == 0
+        with open(f"{out}/positions.csv", encoding="utf-8") as fh:
+            times = [line.split(",", 1)[0] for line in fh.readlines()[1::12]]
+    assert times == want
 
 
 SCHEDULE_CONFIGS = {name: load_bundled(name) for name in ("elfo_moon", "walker_mars")}
@@ -958,23 +1001,19 @@ def test_screen_solves_what_a_threshold_reads(epoch, floor, above):
         edm.analyze_clique_batch(rm, cliques, vectors=False, thresholds=thresholds)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([5, 7, 8, 9]), st.integers(0, 2**32 - 1),
-       st.sampled_from([0.0, 1e-3, 1.0, 100.0]), threshold_tuples())
-def test_other_clique_sizes_ignore_thresholds(k, seed, sigma_w, thresholds):
-    """Every k-clique of 9 random points 1,000 km apart: the certificate
-    reads 6-cliques only, so cliques of other sizes are analysed under
-    thresholds as without them, bit for bit."""
-    rng = np.random.default_rng(seed)
-    points = 1e6 * rng.standard_normal((9, 3))
-    rm = RangeMatrix(r=np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
-                     + pair_noise(rng, 9, sigma_w))
-    cliques = np.array(list(itertools.combinations(range(9), k)), dtype=np.intp)
-    got = edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
-    want = edm.analyze_clique_batch(rm, cliques)
-    for name in ("cliques", "singular_values", "left_vectors", "gamma_test",
-                 "fault_vertex_local"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+def test_other_clique_sizes_refused_under_thresholds():
+    """The certificate is derived for 6-cliques, so an analysis under
+    thresholds refuses the k-cliques of 9 random points 1,000 km apart for
+    k = 5, 7, 8 and 9, which an analysis without thresholds takes."""
+    points = 1e6 * np.random.default_rng(0).standard_normal((9, 3))
+    rm = RangeMatrix(r=np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2)))
+    for k in (5, 7, 8, 9):
+        cliques = np.array(list(itertools.combinations(range(9), k)), dtype=np.intp)
+        assert len(edm.analyze_clique_batch(rm, cliques).gamma_test) == len(cliques)
+        message = (r"^an analysis under thresholds needs vectors \(it reads the vote\) and "
+                   f"6-cliques; got vectors=True and {k}-cliques$")
+        with pytest.raises(ValueError, match=message):
+            edm.analyze_clique_batch(rm, cliques, thresholds=(P99,))
 
 
 @st.composite

@@ -100,6 +100,17 @@ class TestMeasureRanges:
         with pytest.raises(ValueError, match="^sigma_w must be >= 0 and finite"):
             measure_ranges(ps, graph, FaultConfig(), sigma_w, substream(0, 9))
 
+    def test_fault_config_rejects_negative_id(self):
+        # A negative id would index from the end: -1 would bias the last satellite.
+        with pytest.raises(ValueError, match=r"^fault satellite ids must be >= 0, got -1$"):
+            FaultConfig(fault_set={-1}, magnitude=5.0)
+
+    def test_rejects_fault_id_beyond_the_satellites(self):
+        ps, graph = cluster(n=12)
+        with pytest.raises(ValueError, match=r"^fault satellite ids must be in 0 \.\. 11, got 99$"):
+            measure_ranges(ps, graph, FaultConfig(fault_set={99}, magnitude=5.0), 1.0,
+                           substream(0, 9))
+
     def test_is_true_ranges_plus_pair_noise_then_bias(self):
         ps, graph = cluster(4)
         faults = FaultConfig(fault_set={2}, magnitude=3.0)
