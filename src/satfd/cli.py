@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliques import EPOCH_STEP, check_window, epoch_count, iter_schedule
+from .cliques import EPOCH_STEP, check_grid, check_window, epoch_count, iter_schedule
 from .constellation import propagate, resolve_config
 from .detector import DetectorParams, detect_faults
 from .linkgraph import build_visibility_graph
@@ -77,10 +77,7 @@ def cmd_propagate(args) -> int:
     n_epochs = epoch_count(last - args.t_start, args.step) + 1
     if args.t_start > args.t_end:
         raise ValueError(f"need t-end >= t-start, got t-start={args.t_start!r}, t-end={args.t_end!r}")
-    # A step too small to change t would repeat one epoch without end.
-    for end in (args.t_start, args.t_end):
-        if end + args.step == end:
-            raise ValueError(f"step {args.step!r} does not advance t at {end!r}")
+    check_grid(args.t_start, args.t_end, args.step)
     path = _outdir(args) / "positions.csv"
 
     def rows():
@@ -185,6 +182,7 @@ def cmd_detect(args) -> int:
                                 gamma_threshold=threshold)
     except ValueError as exc:
         raise ValueError(f"invalid detector option: {exc}") from exc
+    check_grid(args.t0, args.t0 + EPOCH_STEP * (args.dl - 1), EPOCH_STEP)
     faults = FaultConfig(fault_set=fault_ids, magnitude=args.magnitude)
     times = args.t0 + EPOCH_STEP * np.arange(args.dl)
     window = tuple(iter_schedule(config, times))
@@ -215,10 +213,9 @@ def cmd_montecarlo(args) -> int:
 
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
+    path = _outdir(args) / "results.csv"  # before calibrating; main removes it on failure
     spec = experiment.ExperimentSpec.load(args.experiment)
-    # Calibrate and run only once the output directory exists.
-    path = _outdir(args) / "results.csv"
-    cells = experiment.run_campaign(spec.calibrated(), spec.n_trials, workers=args.threads)
+    cells = experiment.run_campaign(spec.context, spec.n_trials, workers=args.threads)
     write_results_csv(path, cells)
     print(f"wrote {path} ({len(cells)} cells x {spec.n_trials} trials)")
     return 0

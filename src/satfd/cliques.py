@@ -6,8 +6,8 @@ any single vertex, which is what makes a single faulty member stand out.
 CLIQUE_SIZE = 6 is the operational size; the enumerator works for any
 k >= 1.  A detection window is DL epochs EPOCH_STEP = 60 s apart (every
 grid's default step), and check_window keeps it within one orbital period.
-epoch_count counts a span's epochs on a step and is the one rule on steps
-and spans (check_window, calibration.sampling_times, satfd propagate).
+epoch_count is the one rule on steps and spans, and check_grid the one
+rule that a grid's epochs do not repeat (satfd propagate and detect).
 
 Enumeration grows every clique one vertex at a time, level by level, as
 numpy arrays.  upper is the adjacency above the diagonal (upper[u, v]: u
@@ -59,6 +59,14 @@ def epoch_count(span: float, step: float) -> int:
         raise ValueError(f"need a finite step > 0 and a finite span of finitely many steps, "
                          f"got step={step!r} s, span={span!r} s")
     return math.ceil(count)
+
+
+def check_grid(first: float, last: float, step: float) -> None:
+    """Refuse a step below the float spacing at a grid's larger |end| (if finite): epochs would repeat."""
+    spacing = math.ulp(max(abs(first), abs(last)))
+    if spacing < math.inf and not step >= spacing:
+        raise ValueError(f"step {step!r} s is below the float spacing {spacing!r} s "
+                         f"at t = {max(first, last, key=abs)!r}, so epochs would repeat")
 
 
 def check_window(dl: int, period: float, step: float, field: str) -> int:

@@ -40,7 +40,6 @@ cell's verdict changes.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -94,6 +93,9 @@ class ExperimentGrid:
             raise ValueError("fault counts must be >= 0")
         for magnitude in self.magnitudes:
             check_magnitude(magnitude)
+        labels = [thr.label for thr in self.thresholds]  # the keys of satfd report's series
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"threshold labels must be distinct, got {labels}")
 
     def cells(self):
         """Row order of the results table."""
@@ -371,6 +373,13 @@ def _worker_take() -> np.ndarray:
     return _take_trials(*_WORKER_ARGS)
 
 
+def check_trials(n_trials: int) -> int:
+    """n_trials, refusing a campaign of fewer than one trial."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    return n_trials
+
+
 def run_campaign(
     ctx: CampaignContext, n_trials: int, workers: int = 1
 ) -> list[CellResult]:
@@ -386,8 +395,7 @@ def run_campaign(
     integer count arrays, so the result is independent of worker count and
     scheduling order.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_trials(n_trials)
     n_procs = min(workers, n_trials, _usable_cpus())
     if n_procs <= 1:
         total = _sum_trials(ctx, range(n_trials))
@@ -461,7 +469,7 @@ def _array(raw: dict, field: str) -> list:
 
 def _thresholds(spec) -> tuple[tuple[ThresholdSpec, ...], tuple[float, ...]]:
     """An experiment file's grid thresholds and its percentiles (empty unless
-    it gives them); percentile values are NaN until ExperimentSpec.calibrated."""
+    it gives them); ExperimentSpec.load calibrates the NaN percentile values."""
     if not (isinstance(spec, dict) and len(spec) == 1
             and spec.keys() <= {"percentiles", "values", "model"}):
         raise ValueError("thresholds must be an object giving exactly one of 'percentiles', "
@@ -491,15 +499,14 @@ def _thresholds(spec) -> tuple[tuple[ThresholdSpec, ...], tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A checked experiment file; context keeps NaN percentile thresholds (see calibrated())."""
+    """A checked experiment file: the campaign to run, and its trial count."""
 
     context: CampaignContext
     n_trials: int
-    percentiles: tuple[float, ...]  # empty unless the thresholds are percentiles
 
     @classmethod
     def load(cls, path: str | Path) -> ExperimentSpec:
-        """Read and check an experiment file, before anything is calibrated or written."""
+        """Read and check an experiment file, then calibrate any percentile thresholds."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
@@ -516,9 +523,7 @@ class ExperimentSpec:
                 sigma_w = _number(raw["sigma_w_m"], "sigma_w_m")
                 timestep = _number(raw.get("timestep_s", EPOCH_STEP), "timestep_s")
                 master_seed = _integer(raw["master_seed"], "master_seed")
-                n_trials = _integer(raw["n_trials"], "n_trials")
-                if n_trials < 1:
-                    raise ValueError("n_trials must be >= 1")
+                n_trials = check_trials(_integer(raw["n_trials"], "n_trials"))
                 fault_counts = tuple(_integer(v, "fault_counts") for v in _array(raw, "fault_counts"))
                 magnitudes = tuple(_number(v, "magnitudes_m") for v in _array(raw, "magnitudes_m"))
                 thresholds, percentiles = _thresholds(raw["thresholds"])
@@ -528,23 +533,13 @@ class ExperimentSpec:
                     config, sigma_w, grid, master_seed, timestep,
                     delta_nf=_integer(raw.get("delta_nf", 10), "delta_nf"),
                     delta_rf=_number(raw.get("delta_rf", 0.2), "delta_rf"))
-                if percentiles:  # refuses a step that leaves no calibration epoch
-                    calibration.sampling_times(timestep, config.period)
+                if percentiles:
+                    sample = calibration.sample_statistics(config, sigma_w, timestep, config.period, master_seed)
+                    context.grid = replace(grid, thresholds=tuple(
+                        replace(thr, value=calibration.percentile(sample, p))
+                        for thr, p in zip(thresholds, percentiles)))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"invalid experiment config: {exc}") from exc
         except KeyError as exc:
             raise ValueError(f"invalid experiment config: missing field {exc}") from exc
-        return cls(context, n_trials, percentiles)
-
-    def calibrated(self) -> CampaignContext:
-        """context, or a shallow copy of it whose grid holds the calibrated percentiles."""
-        ctx = self.context
-        if not self.percentiles:
-            return ctx
-        sample = calibration.sample_statistics(
-            ctx.config, ctx.sigma_w, ctx.timestep, ctx.config.period, seed=ctx.master_seed)
-        run = copy.copy(ctx)
-        run.grid = replace(ctx.grid, thresholds=tuple(
-            replace(thr, value=calibration.percentile(sample, p))
-            for thr, p in zip(ctx.grid.thresholds, self.percentiles)))
-        return run
+        return cls(context, n_trials)

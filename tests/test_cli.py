@@ -131,8 +131,9 @@ class TestPropagate:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("t_start, t_end, step, message", [
-        # At 1e20 a 1 s step is below half an ulp: t + step == t.
-        ("1e20", "2e20", "1", "step 1.0 does not advance t at 1e+20"),
+        # At 2e20 floats are 32768 s apart, so a 1 s step would repeat epochs.
+        ("1e20", "2e20", "1", "step 1.0 s is below the float spacing 32768.0 s at t = 2e+20, "
+                              "so epochs would repeat"),
         # t-end - t-start overflows to inf, so the epoch count is not finite.
         ("-1e308", "1e308", "1e300", step_refusal(1e300, math.inf)),
     ], ids=["step-below-ulp", "span-overflows"])
@@ -558,6 +559,12 @@ class TestMonteCarloAndReport:
         ("n_trials", "5", "n_trials must be an integer"),
         ("fault_counts", 5, "fault_counts must be an array, got 5"),
         ("thresholds", {"values": [{"value": 4.6e-7}]}, "missing field 'label'"),
+        ("thresholds", {"values": [{"label": "a", "value": 3.58e-7},
+                                   {"label": "a", "value": 5.86e-7}]},
+         "threshold labels must be distinct, got ['a', 'a']"),
+        ("thresholds", {"percentiles": [99.9, 99.90000001]},
+         "threshold labels must be distinct, got ['p99.9', 'p99.9']"),
+        ("n_trials", 0, "n_trials must be >= 1"),
         ("sigma_w_m", math.nan, "sigma_w must be >= 0 and finite, got nan"),
         ("magnitudes_m", [math.inf], "fault magnitude must be >= 0 and finite, got inf"),
         ("timestep_s", math.nan, step_refusal(math.nan, ELFO_PERIOD)),
@@ -580,7 +587,8 @@ class TestMonteCarloAndReport:
     ], ids=["timestep_s=0", "dl_list=[0]", "magnitudes_m=[-5]", "fault_counts=[-1]",
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
-            "fault_counts=5", "values-without-label", "sigma_w_m=NaN",
+            "fault_counts=5", "values-without-label", "values-label-repeated",
+            "percentiles-label-repeated", "n_trials=0", "sigma_w_m=NaN",
             "magnitudes_m=[Infinity]", "timestep_s=NaN", "timestep_s=Infinity", "values=[NaN]",
             "values=[-Infinity]", "n_trials=Infinity", "n_trials=NaN", "delta_nf=Infinity",
             "master_seed=-Infinity", "fault_counts=[Infinity]", "dl_list=[NaN]",
@@ -767,10 +775,10 @@ class TestMonteCarloAndReport:
             "error: invalid experiment config: percentile must be in (0, 100)\n")
 
     def test_calibration_step_checked_before_out(self, tmp_path, capsys, monkeypatch):
-        def calibrate(*args, **kwargs):
-            raise AssertionError("calibrated before the step check")
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled an epoch before the step check")
 
-        monkeypatch.setattr(calibration, "sample_statistics", calibrate)
+        monkeypatch.setattr(calibration, "iter_schedule", sample)
         # elfo_moon's period is about 43,200 s, so a 50,000 s step leaves no
         # calibration epoch.
         exp = self.experiment_file(tmp_path, thresholds={"percentiles": [99]}, timestep_s=50000)
@@ -960,6 +968,16 @@ class TestLibraryValueErrors:
         (["train-predictor", "--lr", "nan"], "learning rate must be positive and finite"),
         (["detect", "--threshold", "nan", "--fault-sats", "1", "--magnitude", "20", "--dl", "3"],
          "invalid detector option: gamma_threshold must be finite, got nan"),
+        # cliques.check_grid: floats are 16384 s apart at 1e20, so a window
+        # on the 60 s step would judge one epoch three times.
+        (["detect", "--t0", "1e20", "--fault-sats", "3", "--magnitude", "20", "--threshold",
+          "4.57e-7", "--dl", "3", "--seed", "0", "--dump-ranges"],
+         "step 60.0 s is below the float spacing 16384.0 s at t = 1e+20, "
+         "so epochs would repeat"),
+        # t + 1.5 != t at 1e16, but floats there are 2 s apart, so epochs repeat.
+        (["propagate", "--t-start", "1e16", "--t-end", "10000000000000020", "--step", "1.5"],
+         "step 1.5 s is below the float spacing 2.0 s at t = 1.000000000000002e+16, "
+         "so epochs would repeat"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
@@ -969,7 +987,8 @@ class TestLibraryValueErrors:
             "calibrate-sigma-w-1e308", "calibrate-step-5e-324", "calibrate-step-0",
             "calibrate-duration-nan", "detect-fault-sats-12", "detect-fault-sats--1",
             "train-sigma-w-default-size",
-            "train-lr-nan-default-size", "detect-threshold-nan-dl-3"])
+            "train-lr-nan-default-size", "detect-threshold-nan-dl-3", "detect-t0-1e20",
+            "propagate-t-start-1e16"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])
@@ -1173,7 +1192,8 @@ class TestCliqueLessConstellation:
             "dl_list": [1], "n_trials": 2, "master_seed": 11,
         }), encoding="utf-8")
         rc = main(["montecarlo", "--experiment", str(exp), "--out", str(tmp_path / "out")])
-        self.assert_error_line(capsys, rc, "no cliques over the entire sampling window")
+        self.assert_error_line(
+            capsys, rc, "invalid experiment config: no cliques over the entire sampling window")
 
 
 class TestOutputDirectoryBeforeWork:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -385,10 +386,9 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("dimension, values", [
         ("magnitudes", (10.0, 10.0)),
-        ("thresholds", (ThresholdSpec("p99", P99), ThresholdSpec("p99", P99))),
         ("dls", (2, 2)),
         ("fault_counts", (1, 1)),
-    ], ids=["magnitudes", "thresholds", "dls", "fault_counts"])
+    ], ids=["magnitudes", "dls", "fault_counts"])
     def test_repeated_grid_values_give_equal_rows(self, dimension, values):
         # each row is found by its grid position, not by its cell values
         single = run_campaign(make_ctx(small_grid(**{dimension: values[:1]}), seed=5),
@@ -398,6 +398,13 @@ class TestRunCampaign:
         assert len(single) == 1 and len(repeated) == 2
         assert [r.counts for r in repeated] == [single[0].counts] * 2
         assert [r.metrics for r in repeated] == [single[0].metrics] * 2
+
+    def test_repeated_threshold_label_refused(self):
+        # A label keys its rows and satfd report's series, so a second
+        # threshold under one label would lose a row of the report.
+        with pytest.raises(ValueError, match=re.escape(
+                "threshold labels must be distinct, got ['p99', 'p99']")):
+            small_grid(thresholds=(ThresholdSpec("p99", P99), ThresholdSpec("p99", P99)))
 
 
 class TestExperimentSpec:
@@ -411,7 +418,14 @@ class TestExperimentSpec:
         }), encoding="utf-8")
         return ExperimentSpec.load(path)
 
-    def test_calibrated_copies_the_context(self, tmp_path, monkeypatch):
+    @staticmethod
+    def forbid_calibration(monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("calibrated a file that needs no calibration yet")
+
+        monkeypatch.setattr(calibration, "sample_statistics", never)
+
+    def test_load_calibrates_percentiles_once(self, tmp_path, monkeypatch):
         sample = calibration.StatisticSample(
             values=np.linspace(0.0, 1e-6, 101), constellation="Moon", sigma_w=2.0)
         calls = []
@@ -422,26 +436,41 @@ class TestExperimentSpec:
 
         monkeypatch.setattr(calibration, "sample_statistics", sample_statistics)
         spec = self.load(tmp_path, {"percentiles": [50, 99]})
-        assert calls == []
-        ctx = spec.calibrated()
         assert calls == [(2.0, 120.0, spec.context.config.period, 7)]
-        assert [(thr.label, thr.value) for thr in ctx.grid.thresholds] == [
+        assert [(thr.label, thr.value) for thr in spec.context.grid.thresholds] == [
             ("p50", calibration.percentile(sample, 50)),
             ("p99", calibration.percentile(sample, 99)),
         ]
-        assert ctx is not spec.context and ctx.schedule is spec.context.schedule
-        assert [thr.label for thr in spec.context.grid.thresholds] == ["p50", "p99"]
-        assert all(math.isnan(thr.value) for thr in spec.context.grid.thresholds)
+        assert [f.name for f in dataclasses.fields(ExperimentSpec)] == ["context", "n_trials"]
 
     def test_fixed_thresholds_need_no_calibration(self, tmp_path, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("calibrated a campaign with fixed thresholds")
-
-        monkeypatch.setattr(calibration, "sample_statistics", never)
+        self.forbid_calibration(monkeypatch)
         spec = self.load(tmp_path, {"values": [{"label": "p99", "value": P99}]})
-        assert spec.calibrated() is spec.context
-        assert (spec.n_trials, spec.context.timestep, spec.percentiles) == (3, 120.0, ())
+        assert (spec.n_trials, spec.context.timestep) == (3, 120.0)
         assert spec.context.grid == small_grid()
+
+    def test_model_thresholds_need_no_calibration(self, tmp_path, monkeypatch):
+        model = tmp_path / "model.json"
+        calibration.MlpPredictor.initialize(np.random.default_rng(0)).save(model)
+        self.forbid_calibration(monkeypatch)
+        spec = self.load(tmp_path, {"model": str(model)})
+        [threshold] = spec.context.grid.thresholds
+        assert threshold.label == "predicted"
+        assert isinstance(threshold.value, calibration.MlpPredictor)
+
+    def test_loaded_percentiles_are_runnable(self, tmp_path):
+        # No NaN placeholder leaves the reader: every threshold is finite.
+        spec = self.load(tmp_path, {"percentiles": [95, 99.9]})
+        assert all(math.isfinite(thr.value) for thr in spec.context.grid.thresholds)
+        assert [r.trials for r in run_campaign(spec.context, spec.n_trials)] == [3, 3]
+
+    def test_repeated_percentile_label_refused_before_calibration(self, tmp_path, monkeypatch):
+        self.forbid_calibration(monkeypatch)
+        # f"p{p:g}" gives both percentiles the label p99.9.
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid experiment config: threshold labels must be distinct, "
+                "got ['p99.9', 'p99.9']")):
+            self.load(tmp_path, {"percentiles": [99.9, 99.90000001]})
 
 
 class TestThresholdSpec:

@@ -20,6 +20,10 @@ sorted) must equal the magnitude_order gather bit for bit.
 Fault biases must add up: on one noise draw, the range change from the
 union of two disjoint fault sets is the sum of their separate changes.
 
+On exact ranges, a schedule 6-clique's centred matrix must have rank 3
+((s4 + s5) <= 1e-13 * s1), and biasing one member by 10 m to 10 km must
+lift s4 above that.
+
 The greedy loop must give the removal order and per-round vote counts of a
 reference that rebuilds its live set from every removed satellite each
 round, whatever the memory layout of the table's vertex column.
@@ -117,7 +121,8 @@ from satfd.experiment import (
 )
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 from satfd.ranging import (
-    FaultConfig, RangeMatrix, measure_ranges, mirror_pairs, pair_draws, pair_noise, true_ranges,
+    FaultConfig, RangeMatrix, add_bias, measure_ranges, mirror_pairs, pair_draws, pair_noise,
+    true_ranges,
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
 from test_edm import assert_same_decisions, gathered, recorded_settles, settled_rows
@@ -255,6 +260,32 @@ def test_held_schedule_equals_stream(name, drawn):
         assert np.array_equal(h.graph.adjacency, s.graph.adjacency)
         assert h.cliques.dtype == s.cliques.dtype
         assert np.array_equal(h.cliques, s.cliques)
+
+
+# Over every clique of every 60 s epoch of one period of both bundled
+# configs, exact ranges give (s4 + s5) / s1 <= 7.5e-16 (rounding), and one
+# member biased by 10 m gives s4 / s1 >= 2.4e-12 (walker_mars; 1.7e-11 on
+# elfo_moon), growing linearly with the bias.
+RANK_TOL = 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCHEDULE_CONFIGS)), st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(0, 10**6), st.integers(0, CLIQUE_SIZE - 1), st.floats(10.0, 1e4))
+def test_rank_law(name, when, pick, member, bias):
+    # A 6-clique's centred matrix has rank 3 on exact ranges, and a biased
+    # member lifts s4 out of rounding.
+    config = SCHEDULE_CONFIGS[name]
+    times = sampling_times(60.0, config.period)
+    entry = next(iter_schedule(config, times[int(when * len(times))][None]))
+    assume(len(entry.cliques))
+    clique = entry.cliques[pick % len(entry.cliques)][None]
+    exact = RangeMatrix(true_ranges(entry.positions, entry.graph))
+    biased = add_bias(exact, entry.graph, FaultConfig({int(clique[0, member])}, bias))
+    s, s_biased = (np.linalg.svd(edm.geometric_center(edm.build_edm(rm, clique))[0],
+                                 compute_uv=False) for rm in (exact, biased))
+    assert s[3] + s[4] <= RANK_TOL * s[0]
+    assert s_biased[3] > RANK_TOL * s_biased[0]
 
 
 @KERNEL
