@@ -196,8 +196,9 @@ def propagate(config: ConstellationConfig, t) -> np.ndarray:
     (epoch, satellite) pair.  Deterministic pure function of (config, t).
     """
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("epoch must be finite")
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"epoch must be finite, got t={float(t[~finite].flat[0])}")
     sats = config.satellites
     # Per-satellite constants, each rounded as its scalar formula rounds it.
     a = np.array([el.a for el in sats])

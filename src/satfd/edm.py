@@ -34,8 +34,15 @@ A certificate spares the eigensolver the 6-cliques whose flags and vote it
 can prove, and a screen the training draws whose gamma_test no percentile
 reads.  Each bounds gamma_test with stacked products and solves what it
 cannot decide, so every value read has its unscreened bits and every
-decision read is the unscreened one.  Both bound s4 + s5 by the eigenvalues
-mu1, mu2 of a symmetric block of rank <= 2, trace t and Frobenius norm f:
+decision read is the unscreened one.  Neither forms G.  J projects onto
+the complement of the all-ones vector 1, so G = V M V^T for any
+orthonormal basis V (6x5) of that complement, with M = V^T G V =
+-1/2 V^T D V, and G's spectrum is M's and G's 0 on 1.  D is symmetric with
+a zero diagonal, so both read only its entries d_ij of the pairs i < j:
+each entry of M is the 15-term sum M_ab = sum_{i<j} t_ij d_ij over the
+folded table t_ij = -1/2 (V_ia V_jb + V_ja V_ib) (_fold), and |D|_F =
+sqrt(2 sum_{i<j} d_ij^2).  Both bound s4 + s5 by the eigenvalues mu1, mu2
+of a symmetric block of rank <= 2, trace t and Frobenius norm f:
 |mu1| + |mu2| = max(|t|, d) and max |mu_i| = (|t| + d) / 2 for
 d = |mu1 - mu2| = sqrt(2 f^2 - t^2) (_pair_magnitudes).  Both allow tau,
 _ROUNDING times a Frobenius norm, for the rounding they do not compute
@@ -47,52 +54,75 @@ and the vote only which entry of |u4| is largest, so
 analyze_clique_batch(..., thresholds=ts), on 6-cliques only, solves just
 the rows whose flag at some t of ts, or whose vote when some t flags them,
 the certificate cannot prove, and returns no singular values or vectors,
-which no threshold reads.  It works in a Nystrom basis (_nystrom_basis):
-U from one subspace step G P on three fixed probes P (_probes),
-orthonormalised by Cholesky-QR, A = U^T G U = L L^T, C = L^-1 U^T G and
-R = G - C^T C, with tau = _ROUNDING (|G|_F + |C|_F^2).  It argues in exact
-arithmetic on G (G 1 = 0); tau covers the distance from the matrix eigh
-solves to the one the products describe.  Let U~ and W be orthonormal
-bases of span(U) and of its complement in the complement of 1 (two columns
-for k = 6), and A' = U~^T G U~, B = U~^T G W, C' = W^T G W.  R vanishes on
-U and on 1, so R = W S W^T for S = C' - B^T A'^-1 B, the Schur complement
-of A' in [U~, W]^T G [U~, W]: S's eigenvalues sigma1, sigma2 are R's
-nonzero pair, known from tr(R) and |R|_F (_pair_magnitudes; within
-sqrt(k) tau and tau).  For |z| <= rho < a = lambda_min(A'), G has as many
-eigenvalues off 1 below z as S(z) = C' - B^T (A' - z)^-1 B has (E. V.
-Haynsworth, "Determination of the inertia of a partitioned Hermitian
-matrix", Linear Algebra Appl. 1968), and S(z) is within |z| phi of S,
-phi = |F|^2 / (a - rho), F = A'^-1/2 B.  So if max |sigma_i| <
-rho (1 - phi), G has two eigenvalues within |sigma_i| phi / (1 - phi) of
-sigma_i and three of at least rho: s4 + s5 is |sigma1| + |sigma2| to that
-relative margin.  rho is a / 2, a >= 1 / (|L^-1|_F^2 (1 + omega)) for
-omega = |U^T U - I|_F, and |F| = |C W| <= |L^-1|_F |E|_F for E =
-(I - P_U) G U, which is G U - U A to within 2 omega |A|_F.  s1 is
-lambda_max(A') to within |B| <= sqrt(lambda_max(A')) |F| (interlacing and
-Weyl), lambda_max(A') is A's to a factor 1 +- omega (Ostrowski), and A's
-is enclosed by the signs of its characteristic polynomial
-(_top_eigenvalue).  That gives lo <= gamma_test <= hi; a row's flags are
-proved when no t of ts has lo <= t < hi, and its gamma_test is then a
-value in [lo, hi].  For the vote, read only where some t flags the row, x
-is R's eigenvector of sigma, the one of sigma1, sigma2 of larger
-magnitude, less its part U A^-1 U^T G x that couples to span(U),
-normalised.  By the Davis-Kahan sin theta theorem (C. Davis & W. M.
-Kahan, SIAM J. Numer. Anal. 1970) it is within eps = sqrt(2)
-(|G x - sigma x| + 2 tau) / delta of u4, delta the distance from sigma to
-G's other eigenvalues by the enclosures above, so the vote is proved when
-sigma's eigenvalue is 4th by |lambda| with margin and the top two entries
-of |x| differ by more than 2 eps.  On campaign and detect rows the
+which no threshold reads.  Its basis is one fixed H (_COMPLEMENT): columns
+2-6 of the complete QR of 1 / sqrt(6) alone (bound_basis).  It gathers
+each clique's 15 d_ij (squared_pairs, one flat take) and folds them into
+M = H^T G H with one product by H's table (_CERTIFICATE_FOLD, the 15
+entries expanded to the 5x5); only the rows it leaves are mirrored back to
+their 6x6 D (ranging.mirror_pairs), centred and solved.  It reads each
+pair once, so it refuses a range matrix that is not exactly symmetric
+(_check_symmetric, naming the first asymmetric pair), for which the rows
+it settles and the rows eigh solves would describe different matrices;
+measure_ranges, add_bias and analyze_blocks' stacks are symmetric.
+It works in a Nystrom basis of M (_nystrom_basis): U from one subspace
+step M P on three fixed probes P (_PROBES), orthonormalised by
+Cholesky-QR, A = U^T M U = L L^T, C = L^-1 U^T M and R = M - C^T C, with
+tau = _ROUNDING (|M|_F + |C|_F^2) + _FOLD_GAP |D|_F.  It argues in exact
+arithmetic on M; tau covers the distance from the matrix eigh solves to
+H M H^T (below).  Let U~ and W be orthonormal bases of span(U) and of its
+complement (two columns), and A' = U~^T M U~, B = U~^T M W,
+C' = W^T M W.  R vanishes on U, so R = W S W^T for
+S = C' - B^T A'^-1 B, the Schur complement of A' in [U~, W]^T M [U~, W]:
+S's eigenvalues sigma1, sigma2 are R's nonzero pair, known from tr(R) and
+|R|_F (_pair_magnitudes; within sqrt(5) tau and tau).  For
+|z| <= rho < a = lambda_min(A'), M has as many eigenvalues below z as
+S(z) = C' - B^T (A' - z)^-1 B has (E. V. Haynsworth, "Determination of
+the inertia of a partitioned Hermitian matrix", Linear Algebra Appl.
+1968), and S(z) is within |z| phi of S, phi = |F|^2 / (a - rho),
+F = A'^-1/2 B.  So if max |sigma_i| < rho (1 - phi), M has two
+eigenvalues within |sigma_i| phi / (1 - phi) of sigma_i and three of at
+least rho: s4 + s5 is |sigma1| + |sigma2| to that relative margin.  rho is
+a / 2, a >= 1 / (|L^-1|_F^2 (1 + omega)) for omega = |U^T U - I|_F, and
+|F| = |C W| <= |L^-1|_F |E|_F for E = (I - P_U) M U, which is M U - U A
+to within 2 omega |A|_F.  s1 is lambda_max(A') to within
+|B| <= sqrt(lambda_max(A')) |F| (interlacing and Weyl), lambda_max(A') is
+A's to a factor 1 +- omega (Ostrowski), and A's is enclosed by the signs
+of its characteristic polynomial (_top_eigenvalue).  That gives
+lo <= gamma_test <= hi; a row's flags are proved when no t of ts has
+lo <= t < hi, and its gamma_test is then a value in [lo, hi].  For the
+vote, read only where some t flags the row, x is R's eigenvector of
+sigma, the one of sigma1, sigma2 of larger magnitude, less its part
+U A^-1 U^T M x that couples to span(U), normalised.  By the Davis-Kahan
+sin theta theorem (C. Davis & W. M. Kahan, SIAM J. Numer. Anal. 1970) it
+is within eps = sqrt(2) (|M x - sigma x| + 2 tau) / delta of M's
+eigenvector, delta the distance from sigma to M's other eigenvalues and
+G's 0 by the enclosures above, so H x, in the clique's coordinates, is
+within eps of u4, to H's rounding.  The vote is proved when sigma's
+eigenvalue is 4th by |lambda| with margin and the top two entries of
+|H x| differ by more than 2 eps.  On campaign and detect rows the
 certificate settles about 99.9% of the rows; eigh solves the rest.
+
+The fold's allowance.  With u = eps / 2, the G that eigh solves
+(geometric_center's rounded -1/2 J D J, read by its lower triangle) is
+within about 20 u |D|_F of the exact G: two 6-term products by J, whose
+entries' magnitudes sum to 5/3 in each row, and J's own rounding.  The
+folded M is within about 29 u |D|_F of d T for H's table T (15-term sums;
+sum t_ij^2 <= 1/2 per diagonal entry of M and <= 1/4 per other entry for
+orthonormal columns, so |T|_F^2 <= 15/2, and |d| = |D|_F / sqrt(2)), T's
+own three roundings add 5 u |D|_F, and H, within 1.2 eps of orthonormal
+and of orthogonal to 1, is within 2 eps of an exact basis H* of the
+complement of 1, which adds 4 u |D|_F.  So the G that eigh solves is
+within about 58 u |D|_F (29 eps) of H* M H*^T, whose spectrum is the
+folded M's and 0, and every eigenvalue moves by at most that (Weyl);
+_FOLD_GAP |D|_F, 128 eps |D|_F, covers it with room for the higher-order
+terms.
 
 The training-target screen (top_gammas): a target is a tail percentile of
 a geometry's noise draws and reads only the top few ranks.  The noiseless
 centred matrix G0 has rank 3; V (bound_basis) holds its top three
 eigenvectors and two vectors spanning the rest of its null space, all
 orthogonal to the all-ones vector, so a draw's G has the spectrum of
-M = V^T G V = -1/2 V^T D V, plus 0.  D is symmetric with a zero diagonal,
-so the screen reads only its entries d_ij of the pairs i < j: each entry
-of M is the 15-term sum M_ab = sum_{i<j} t_ij d_ij over the folded table
-t_ij = -1/2 (V_ia V_jb + V_ja V_ib), and |D|_F = sqrt(2 sum_{i<j} d_ij^2).
+M = V^T G V, folded from the draw's 15 d_ij by V's table, plus 0.
 Split M = [[A, B], [B^T, C]] (A 3x3, C 2x2) and let tau = _ROUNDING |D|_F.
 If Gershgorin's lower bound a_lo on
 eig(A) exceeds both eigenvalues mu1, mu2 of C by eta = a_lo - max |mu_i| -
@@ -114,7 +144,6 @@ The draws that are solved are mirrored back to their 6x6 matrices
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -130,24 +159,14 @@ class MissingEdgeError(ValueError):
     (a stale schedule), or its noise is larger than its range."""
 
 
-def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
-    """Squared measured ranges (m^2) of each clique, (m, k, k), zero diagonals.
-
-    The members of a clique are distinct satellite ids.  The range matrix
-    is squared once (diagonal zeroed), and every clique's block is one
-    flat take from it.  Raises MissingEdgeError, naming the first such
-    clique, if any clique pair has no positive range (range <= 0
-    off-diagonal): the clique schedule is stale for this epoch's topology,
-    or the pair's noise is larger than its range; otherwise a ValueError,
-    naming the first such clique, if a pair's squared range is not finite
-    (a NaN range, or one beyond about 1.3e154 m).
-    """
+def _squares(ranges: RangeMatrix, cliques: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The squared ranges at flat, an (m, ...) stack of indices into the
+    flattened (row-major) range matrix, row c read by cliques[c]; the
+    diagonal reads 0.  Raises MissingEdgeError, naming the first such
+    clique, if a read off-diagonal range is <= 0, else a ValueError,
+    naming the first such clique, if a read square is not finite."""
     r = ranges.r
     n = len(r)
-    # Entry (c, i, j) of flat is the index of r[cliques[c, i], cliques[c, j]]
-    # in r's flattened (row-major) storage.
-    flat = cliques * n
-    flat = flat[:, :, None] + cliques[:, None, :]
     with np.errstate(over="ignore"):
         squared = r * r
     # One check of both faults: a range <= 0, or a square that is NaN or inf.
@@ -167,6 +186,45 @@ def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
         raise ValueError(f"clique {first(~read)} has a range whose square is not finite")
     squared.flat[::n + 1] = 0.0
     return squared.take(flat)
+
+
+def build_edm(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
+    """Squared measured ranges (m^2) of each clique, (m, k, k), zero diagonals.
+
+    The members of a clique are distinct satellite ids.  The range matrix
+    is squared once (diagonal zeroed), and every clique's block is one
+    flat take from it.  Raises MissingEdgeError, naming the first such
+    clique, if any clique pair has no positive range (range <= 0
+    off-diagonal): the clique schedule is stale for this epoch's topology,
+    or the pair's noise is larger than its range; otherwise a ValueError,
+    naming the first such clique, if a pair's squared range is not finite
+    (a NaN range, or one beyond about 1.3e154 m).
+    """
+    # Entry (c, i, j) of flat is the index of r[cliques[c, i], cliques[c, j]]
+    # in r's flattened (row-major) storage.
+    flat = cliques * len(ranges.r)
+    return _squares(ranges, cliques, flat[:, :, None] + cliques[:, None, :])
+
+
+def squared_pairs(ranges: RangeMatrix, cliques: np.ndarray) -> np.ndarray:
+    """(m, k(k-1)/2) squared measured ranges d_ij of each clique's pairs
+    i < j, in pair_rows order: the upper triangles of build_edm, one flat
+    take, under its range rule."""
+    i, j = pair_rows(cliques.shape[1])
+    return _squares(ranges, cliques, cliques[:, i] * len(ranges.r) + cliques[:, j])
+
+
+def _check_symmetric(r: np.ndarray) -> None:
+    """Refuse a range matrix that is not exactly symmetric (a NaN matches a
+    NaN), naming its first asymmetric pair i < j in row-major order."""
+    if np.array_equal(r, r.T):
+        return
+    apart = (r != r.T) & ~(np.isnan(r) & np.isnan(r.T))
+    if apart.any():
+        i, j = np.argwhere(np.triu(apart))[0]
+        raise ValueError(f"an analysis under thresholds reads each pair once, so the range "
+                         f"matrix must be symmetric; r[{i}, {j}] = {float(r[i, j])!r} but "
+                         f"r[{j}, {i}] = {float(r[j, i])!r}")
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -269,25 +327,59 @@ def spectrum(g: np.ndarray) -> np.ndarray:
 # the asymmetry of the computed G and the rounding of the bound's own
 # products; each is a few hundred eps at most.
 _ROUNDING = 1e-12
+# Allowance, per unit of |D|_F, for the distance from the G that eigh solves
+# to H M H^T of the M that the certificate folds: about 29 eps to first
+# order (module docstring).
+_FOLD_GAP = 128.0 * np.finfo(float).eps
 # Relative widening of a bound, for the rounding of its last sums and
 # divisions and of gamma_test's own.
 _WIDEN = 1e-9
-# The upper triangle of the 5x5 matrix M = V^T G V that _gamma_bounds reads,
-# as (row, column) pairs: A's diagonal, A's off-diagonal, B, C's diagonal
-# and C's off-diagonal, where A is rows/columns 0-2 and C is 3-4.
+# The upper triangle of a 5x5 matrix M = V^T G V, as (row, column) pairs:
+# A's diagonal, A's off-diagonal, B, C's diagonal and C's off-diagonal, where
+# A is rows/columns 0-2 and C is 3-4 (the layout _gamma_bounds reads).
 _M_ROWS, _M_COLS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2),
                              (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4),
                              (3, 3), (4, 4), (3, 4)]).T
 
 
-@functools.cache
-def _probes(k: int) -> np.ndarray:
-    """(k, 3) fixed probe vectors, each orthogonal to the all-ones vector
-    (read-only: every call shares the array)."""
-    p = np.cos(np.outer(np.arange(1, k + 1), [1.0, 2.0, 3.0]))
-    p -= p.mean(axis=0)
-    p.setflags(write=False)
-    return p
+def bound_basis(lead: np.ndarray) -> np.ndarray:
+    """(..., k, k - 1) orthonormal bases of the complement of the all-ones
+    vector, from (..., k, p) vectors: columns 2-k of one complete QR of
+    [1/sqrt(k), lead].  For the training-target screen, lead is u1-u3 of
+    each geometry's noiseless centred matrix, (m, 6, 3), and the basis V is
+    u1-u3 without their rounding-sized component along 1 (up to sign) and
+    the rest of the null space.
+    """
+    ones = np.full(lead.shape[:-1] + (1,), 1.0 / math.sqrt(lead.shape[-2]))
+    return np.linalg.qr(np.concatenate([ones, lead], axis=-1), mode="complete")[0][..., 1:]
+
+
+def _fold(basis: np.ndarray) -> np.ndarray:
+    """(..., 15, 15) folded tables of M = V^T G V = -1/2 V^T D V for bases V,
+    (..., 6, 5), orthogonal to the all-ones vector: entry (e, p) is
+    -1/2 (V_ia V_jb + V_ja V_ib), the weight of pair p = (i, j) of
+    pair_rows in entry e = (a, b) of _M_ROWS, _M_COLS."""
+    i, j = pair_rows(basis.shape[-2])
+    vi, vj = basis[..., i, :], basis[..., j, :]
+    return -0.5 * (vi[..., _M_ROWS] * vj[..., _M_COLS]
+                   + vj[..., _M_ROWS] * vi[..., _M_COLS]).swapaxes(-1, -2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# The certificate's fixed basis H of the complement of 1 in R^6 (bound_basis
+# of no vectors), (6, 5), and its table (15, 25): one product of a clique's
+# 15 squared pair ranges with it is the row-major M = H^T G H.
+_COMPLEMENT = _read_only(bound_basis(np.zeros((CLIQUE_SIZE, 0))))
+_M_ENTRY = np.empty((5, 5), dtype=np.intp)
+_M_ENTRY[_M_ROWS, _M_COLS] = _M_ENTRY[_M_COLS, _M_ROWS] = np.arange(len(_M_ROWS))
+_CERTIFICATE_FOLD = _read_only(np.ascontiguousarray(_fold(_COMPLEMENT)[_M_ENTRY.ravel()].T))
+# Three fixed probe vectors, (5, 3), in H's coordinates (no centring: that
+# space holds no all-ones vector to avoid).
+_PROBES = _read_only(np.cos(np.outer(np.arange(1.0, CLIQUE_SIZE), [1.0, 2.0, 3.0])))
 
 
 def _carve(work: np.ndarray, *shapes: tuple) -> list[np.ndarray]:
@@ -329,19 +421,21 @@ def _pair_magnitudes(t: np.ndarray, spread: np.ndarray) -> tuple[np.ndarray, np.
     return np.maximum(spread, t), 0.5 * (t + spread)
 
 
-def _nystrom_basis(g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(U^T, U, U^T G, A, L^-1, C, R, tau) of each centred matrix of an
-    (m, k, k) stack: the certificate's Nystrom basis products (the module
+def _nystrom_basis(d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(M, U^T, U, U^T M, A, L^-1, C, R, tau) of each row of an (m, 15) stack
+    of squared pair ranges: M = H^T G H, folded from the row, and the
+    certificate's Nystrom basis products in H's coordinates (the module
     docstring); NaN rows where a Cholesky factor fails."""
-    m, k = g.shape[:2]
+    m, k = len(d), len(_PROBES)
     # One workspace for the stacked temporaries, each written with out=:
-    # R, U^T, U, U^T G, C, A (Y^T and Y^T Y in the last two until they are
-    # written), and Y, whose block then holds C^T.
-    r, ut, u, ugt, c, a, y = _carve(
-        np.empty(m * (k * k + 15 * k + 9)), (m, k, k), (m, 3, k), (m, k, 3), (m, 3, k),
-        (m, 3, k), (m, 3, 3), (m, k, 3))
+    # M, R, U^T, U, U^T M, C, A (Y^T and Y^T Y in the last two until they
+    # are written), and Y, whose block then holds C^T.
+    g, r, ut, u, ugt, c, a, y = _carve(
+        np.empty(m * (2 * k * k + 15 * k + 9)), (m, k, k), (m, k, k), (m, 3, k), (m, k, 3),
+        (m, 3, k), (m, 3, k), (m, 3, 3), (m, k, 3))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.matmul(g.reshape(m * k, k), _probes(k), out=y.reshape(m * k, 3))
+        np.matmul(d, _CERTIFICATE_FOLD, out=g.reshape(m, k * k))
+        np.matmul(g.reshape(m * k, k), _PROBES, out=y.reshape(m * k, 3))
         yt = c
         np.copyto(yt, y.transpose(0, 2, 1))
         np.matmul(_cholesky_inverse(np.matmul(yt, y, out=a)), yt, out=ut)
@@ -356,8 +450,10 @@ def _nystrom_basis(g: np.ndarray) -> tuple[np.ndarray, ...]:
         np.subtract(g, np.matmul(ct, c, out=r), out=r)
         gf = g.reshape(m, k * k)
         cf = c.reshape(m, 3 * k)
-        tau = _ROUNDING * (np.sqrt(np.vecdot(gf, gf)) + np.vecdot(cf, cf))
-    return ut, u, ugt, a, a_inv, c, r, tau
+        # |D|_F = sqrt(2 sum_{i<j} d_ij^2).
+        tau = (_ROUNDING * (np.sqrt(np.vecdot(gf, gf)) + np.vecdot(cf, cf))
+               + _FOLD_GAP * np.sqrt(2.0 * np.vecdot(d, d)))
+    return g, ut, u, ugt, a, a_inv, c, r, tau
 
 
 def _top_eigenvalue(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -394,10 +490,11 @@ def _top_eigenvalue(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _settle(
-    g: np.ndarray, thresholds: Sequence[float]
+    d: np.ndarray, thresholds: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(settled, gamma, vote) of each 6x6 centred matrix of a stack, from
-    its Nystrom basis products: the certificate of the module docstring.
+    """(settled, gamma, vote) of each 6-clique of an (m, 15) stack of
+    squared pair ranges (squared_pairs), from the Nystrom basis products of
+    its M = H^T G H: the certificate of the module docstring.
 
     A row is settled when its enclosure of eigh's gamma_test holds no
     threshold of thresholds (so gamma, a value inside it, is flagged by
@@ -405,15 +502,15 @@ def _settle(
     flags it, vote is the vertex eigh's u4 votes for.  A row no threshold
     flags has vote 0.
     """
-    m, k = g.shape[:2]
+    m, k = len(d), len(_PROBES)
     thresholds = np.asarray(thresholds, dtype=float)[:, None]
-    ut, u, ugt, a, a_inv, c, r, tau = _nystrom_basis(g)
+    g, ut, u, ugt, a, a_inv, c, r, tau = _nystrom_basis(d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # omega >= |U^T U - I|_F.
         gram = np.matmul(ut, u).reshape(m, 9)
         gram[:, ::4] -= 1.0
         omega = np.sqrt(np.vecdot(gram, gram)) + _ROUNDING
-        # |E|_F bound for E = (I - P_U) G U = G U - U A plus what U's
+        # |E|_F bound for E = (I - P_U) M U = M U - U A plus what U's
         # non-orthonormality adds.
         e = np.subtract(ugt, np.matmul(a, ut)).reshape(m, 3 * k)
         a = a.reshape(m, 9)
@@ -457,18 +554,19 @@ def _settle(
         t, r, gap = t[rows], r[rows], gap[rows]
         sigma = np.where(t < 0.0, -sigma[rows], sigma[rows])
         # The eigenvector of sigma, (R - other I) R p for a probe p, then the
-        # Nystrom correction x - U A^-1 U^T G x, which makes it nearly G's
+        # Nystrom correction x - U A^-1 U^T M x, which makes it nearly M's
         # eigenvector.
-        rp = (r.reshape(-1, k) @ _probes(k)[:, 0]).reshape(-1, k)
+        rp = (r.reshape(-1, k) @ _PROBES[:, 0]).reshape(-1, k)
         x = np.einsum("mij,mj->mi", r, rp) - (t - sigma)[:, None] * rp
         x -= np.einsum("mij,mj->mi", u[rows], np.einsum(
             "mji,mj->mi", a_inv[rows], np.einsum("mij,mj->mi", c[rows], x)))
         x /= np.sqrt(np.vecdot(x, x))[:, None]
         res = np.einsum("mij,mj->mi", g[rows], x) - sigma[:, None] * x
-        # eps bounds |x - u4| (Davis-Kahan).
+        # eps bounds |H x - u4| (Davis-Kahan, and H's rounding).
         eps = math.sqrt(2.0) * (np.sqrt(np.vecdot(res, res)) + 2.0 * tau[rows]) / gap + _ROUNDING
-        # The top two entries of |x| must differ by more than 2 eps.
-        x = np.abs(x)
+        # H x is x in the clique's six coordinates: the top two entries of
+        # |H x| must differ by more than 2 eps.
+        x = np.abs(x @ _COMPLEMENT.T)
         lead = np.arange(len(rows)), x.argmax(axis=1)
         vote = np.zeros(m, dtype=np.intp)
         vote[rows] = lead[1]
@@ -495,28 +593,12 @@ def _solve(g: np.ndarray, vectors: bool) -> tuple[np.ndarray | None, ...]:
     return s, u, gamma_from_spectrum(s), np.argmax(np.abs(u[:, :, 3]), axis=1)
 
 
-def bound_basis(lead: np.ndarray) -> np.ndarray:
-    """(m, 6, 5) bases V of the training-target screen, from u1-u3 of each
-    geometry's noiseless centred matrix, (m, 6, 3): columns 2-6 of one
-    complete QR of [1/sqrt(6), u1, u2, u3], which are u1-u3 without their
-    rounding-sized component along 1 (up to sign) and the rest of the
-    null space.
-    """
-    ones = np.full(lead.shape[:-1] + (1,), 1.0 / math.sqrt(lead.shape[-2]))
-    return np.linalg.qr(np.concatenate([ones, lead], axis=-1), mode="complete")[0][..., 1:]
-
-
 def _gamma_bounds(basis: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, n) arrays lo <= gamma_test <= hi for a (c, n, 15) stack of squared
     noisy ranges of the pairs i < j, in each geometry's bound_basis,
     (c, 6, 5)."""
-    i, j = pair_rows(basis.shape[1])
-    vi, vj = basis[:, i], basis[:, j]
-    # (c, 15, 15): row k is the folded table of entry k of M.
-    table = -0.5 * (vi[:, :, _M_ROWS] * vj[:, :, _M_COLS]
-                    + vj[:, :, _M_ROWS] * vi[:, :, _M_COLS]).transpose(0, 2, 1)
-    # (c, 15, n): row k is entry k of every draw's M.
-    m = table @ d.transpose(0, 2, 1)
+    # (c, 15, n): row e is entry e of every draw's M.
+    m = _fold(basis) @ d.transpose(0, 2, 1)
     tau = _ROUNDING * np.sqrt(2.0 * np.einsum("cnk,cnk->cn", d, d))
     diag = m[:, 0:3]
     off = np.abs(m[:, 3:6])
@@ -577,7 +659,9 @@ def analyze_clique_batch(
     Only the rows left are solved, with the gamma_test and vote they have
     without thresholds, and singular_values and left_vectors are None (the
     thresholded BatchAnalysis).  The certificate is derived for 6-cliques,
-    so thresholds take no other size.  Requires cliques of k >= 5 vertices.
+    so thresholds take no other size, and reads each pair once, so they
+    take only an exactly symmetric range matrix (a ValueError names the
+    first asymmetric pair).  Requires cliques of k >= 5 vertices.
     """
     k = cliques.shape[1]
     if k < 5:
@@ -585,16 +669,19 @@ def analyze_clique_batch(
     if thresholds is not None and not (vectors and k == CLIQUE_SIZE):
         raise ValueError(f"an analysis under thresholds needs vectors (it reads the vote) and "
                          f"{CLIQUE_SIZE}-cliques; got vectors={vectors} and {k}-cliques")
-    g = geometric_center(build_edm(ranges, cliques))
     if thresholds is None:
-        s, u, gamma, vote = _solve(g, vectors)
+        s, u, gamma, vote = _solve(geometric_center(build_edm(ranges, cliques)), vectors)
     else:
         s = u = None
-        settled, gamma, vote = _settle(g, thresholds)
+        _check_symmetric(ranges.r)
+        d = squared_pairs(ranges, cliques)
+        settled, gamma, vote = _settle(d, thresholds)
         rows = np.flatnonzero(~settled)
-        # Most calls leave no row to solve, and an empty eigh still costs a call.
+        # Most calls leave no row to solve, and an empty eigh still costs a
+        # call.  Mirrored, a row's pairs are its build_edm block: r is symmetric.
         if len(rows):
-            _, _, gamma[rows], vote[rows] = _solve(g[rows], vectors=True)
+            g = geometric_center(mirror_pairs(d[rows], k))
+            _, _, gamma[rows], vote[rows] = _solve(g, vectors=True)
     return BatchAnalysis(cliques=cliques, singular_values=s, left_vectors=u, gamma_test=gamma,
                          fault_vertex_local=vote)
 

@@ -978,6 +978,11 @@ class TestLibraryValueErrors:
         (["propagate", "--t-start", "1e16", "--t-end", "10000000000000020", "--step", "1.5"],
          "step 1.5 s is below the float spacing 2.0 s at t = 1.000000000000002e+16, "
          "so epochs would repeat"),
+        # constellation.propagate names the first epoch that is not finite.
+        (["detect", "--t0", "nan", "--threshold", "4.6e-7", "--fault-sats", "3",
+          "--magnitude", "20"], "epoch must be finite, got t=nan\n"),
+        (["graph", "--t", "nan"], "epoch must be finite, got t=nan\n"),
+        (["cliques", "--t", "inf"], "epoch must be finite, got t=inf\n"),
     ], ids=["detect-fault-sats-x", "detect-sigma-w", "calibrate-sigma-w", "detect-magnitude",
             "train-n-noise", "train-n-geometries", "calibrate-percentile-100",
             "detect-sigma-w-inf", "detect-sigma-w-nan", "detect-magnitude-inf",
@@ -988,7 +993,7 @@ class TestLibraryValueErrors:
             "calibrate-duration-nan", "detect-fault-sats-12", "detect-fault-sats--1",
             "train-sigma-w-default-size",
             "train-lr-nan-default-size", "detect-threshold-nan-dl-3", "detect-t0-1e20",
-            "propagate-t-start-1e16"])
+            "propagate-t-start-1e16", "detect-t0-nan", "graph-t-nan", "cliques-t-inf"])
     def test_error_line_not_traceback(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--config", "elfo_moon", "--out", str(out)] + argv[1:])

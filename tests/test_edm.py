@@ -58,8 +58,8 @@ def assert_same_decisions(got, want, thresholds, settled):
 
 def settled_rows(ranges, cliques, thresholds):
     """The rows of cliques that the certificate settles under thresholds
-    (edm._settle, on the centred matrices analyze_clique_batch builds)."""
-    return edm._settle(edm.geometric_center(edm.build_edm(ranges, cliques)), thresholds)[0]
+    (edm._settle, on the squared pair ranges analyze_clique_batch gathers)."""
+    return edm._settle(edm.squared_pairs(ranges, cliques), thresholds)[0]
 
 
 @contextlib.contextmanager
@@ -69,8 +69,8 @@ def recorded_settles():
     masks = []
     settle = edm._settle
 
-    def recording(g, thresholds):
-        out = settle(g, thresholds)
+    def recording(d, thresholds):
+        out = settle(d, thresholds)
         masks.append(out[0])
         return out
 
@@ -495,6 +495,77 @@ class TestBlockDiagonalStack:
                 assert all(row is None for row in rows)
             else:
                 assert np.array_equal(getattr(got, field), np.concatenate(rows))
+
+
+def elfo_epoch():
+    """(ranges, 6-cliques) of elfo_moon at t = 300 s, sigma_w 1 m, satellite
+    2 biased by 15 m."""
+    config = load_bundled("elfo_moon")
+    ps = propagate(config, 300.0)
+    graph = build_visibility_graph(ps, config.body.radius)
+    rm = measure_ranges(ps, graph, FaultConfig({2}, 15.0), 1.0, substream(5, 1))
+    return rm, list_k_cliques(graph, 6)
+
+
+class TestCertificateInput:
+    """The certificate reads each clique's 15 squared pair ranges in the
+    fixed basis H of the complement of the all-ones vector."""
+
+    def test_basis_is_orthonormal_and_centred(self):
+        h = edm._COMPLEMENT.astype(np.longdouble)
+        eps = np.finfo(float).eps
+        assert h.shape == (6, 5)
+        assert np.linalg.norm(h.T @ h - np.eye(5)) <= 2.0 * eps
+        assert np.linalg.norm(h.T @ np.ones(6)) <= 2.0 * eps
+
+    def test_pairs_are_the_upper_triangles_of_build_edm(self):
+        rm, cliques = elfo_epoch()
+        i, j = np.triu_indices(6, 1)
+        assert np.array_equal(edm.squared_pairs(rm, cliques), edm.build_edm(rm, cliques)[:, i, j])
+
+    def test_settled_rows_form_no_6x6_matrix(self):
+        """Under thresholds no build_edm runs, and geometric_center and eigh
+        see only the rows the certificate leaves, among them the rows whose
+        own gamma_test is a threshold."""
+        rm, cliques = elfo_epoch()
+        want = edm.analyze_clique_batch(rm, cliques)
+        thresholds = tuple(want.gamma_test[:3])
+        centred = []
+        center = edm.geometric_center
+
+        def recording(d):
+            centred.append(len(d))
+            return center(d)
+
+        with unittest.mock.patch.object(edm, "build_edm", side_effect=AssertionError), \
+                unittest.mock.patch.object(edm, "geometric_center", recording):
+            got = edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
+        settled = settled_rows(rm, cliques, thresholds)
+        assert not settled[:3].any() and sum(centred) == (~settled).sum()
+        assert_same_decisions(got, want, thresholds, settled)
+
+    def test_asymmetric_ranges_refused_under_thresholds(self):
+        rm, cliques = elfo_epoch()
+        rm.r[7, 3] = np.nextafter(rm.r[3, 7], np.inf)
+        rm.r[9, 8] = rm.r[8, 9] + 1.0
+        message = (f"an analysis under thresholds reads each pair once, so the range matrix "
+                   f"must be symmetric; r[3, 7] = {float(rm.r[3, 7])!r} but "
+                   f"r[7, 3] = {float(rm.r[7, 3])!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            edm.analyze_clique_batch(rm, cliques, thresholds=TREND_THRESHOLDS)
+
+    def test_asymmetric_ranges_taken_without_thresholds(self):
+        """build_edm and the unthresholded analysis read both triangles."""
+        rm, cliques = elfo_epoch()
+        a, b = cliques[0, :2]
+        rm.r[b, a] += 3.0
+        d = edm.build_edm(rm, cliques)
+        assert d[0, 1, 0] == rm.r[b, a] ** 2 != d[0, 0, 1]
+        for vectors in (True, False):
+            got = edm.analyze_clique_batch(rm, cliques, vectors=vectors)
+            want = edm._solve(edm.geometric_center(d), vectors)
+            assert np.array_equal(got.gamma_test, want[2])
+            assert np.array_equal(got.singular_values, want[0])
 
 
 class TestBatchMatchesSingle:

@@ -69,7 +69,10 @@ eigensolvers' backward error do, vote as eigh does where a threshold flags
 the row and for vertex 0 where none does, on schedule epochs of both
 bundled configs, the coplanar clique and cliques with two coincident
 satellites, at noise levels from none to 500 m, biases up to 1e6 m and
-drawn threshold tuples.
+drawn threshold tuples.  The M it folds from a clique's 15 squared pair
+ranges must be H^T G H of the G that eigh solves, to the allowance the edm
+module docstring derives, and an analysis under thresholds must refuse a
+range matrix whose two triangles differ at a drawn pair, naming the pair.
 """
 
 import contextlib
@@ -80,6 +83,7 @@ import io
 import itertools
 import math
 import multiprocessing
+import re
 import sys
 import tempfile
 import threading
@@ -122,7 +126,7 @@ from satfd.experiment import (
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 from satfd.ranging import (
     FaultConfig, RangeMatrix, add_bias, measure_ranges, mirror_pairs, pair_draws, pair_noise,
-    true_ranges,
+    pair_rows, true_ranges,
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
 from test_edm import assert_same_decisions, gathered, recorded_settles, settled_rows
@@ -1065,14 +1069,15 @@ def certified_epoch(draw):
     return measure_ranges(entry.positions, entry.graph, faults, sigma_w, rng), entry.cliques
 
 
-def assert_settled_rows_decided(g, thresholds):
-    """Run the certificate on a stack of centred 6x6 matrices, and check
-    every row it settles against the eigensolvers: its flag at each
-    threshold is that of eigh's, eigvalsh's and a perturbed eigvalsh's
-    gamma_test (solved_gammas), a flagged row's vote is eigh's and an
-    unflagged row's is 0."""
+def assert_settled_rows_decided(d, thresholds):
+    """Run the certificate on an (m, 15) stack of squared pair ranges, and
+    check every row it settles against the eigensolvers on its centred 6x6
+    matrix: its flag at each threshold is that of eigh's, eigvalsh's and a
+    perturbed eigvalsh's gamma_test (solved_gammas), a flagged row's vote
+    is eigh's and an unflagged row's is 0."""
     thresholds = np.asarray(thresholds, dtype=float)
-    settled, gamma, vote = edm._settle(g, thresholds)
+    settled, gamma, vote = edm._settle(d, thresholds)
+    g = edm.geometric_center(mirror_pairs(d, CLIQUE_SIZE))
     flags = gamma[:, None] > thresholds
     for want in solved_gammas(g):
         assert np.array_equal(flags[settled], want[settled, None] > thresholds)
@@ -1089,7 +1094,7 @@ def test_certificate_decides_as_eigh(epoch, thresholds):
     got = edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
     assert_same_decisions(got, edm.analyze_clique_batch(rm, cliques), thresholds,
                           settled_rows(rm, cliques, thresholds))
-    assert_settled_rows_decided(edm.geometric_center(edm.build_edm(rm, cliques)), thresholds)
+    assert_settled_rows_decided(edm.squared_pairs(rm, cliques), thresholds)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1110,8 +1115,45 @@ def test_certificate_decides_with_coincident_satellites(name, seed, sigma_w, mag
     r += pair_noise(rng, CLIQUE_SIZE, sigma_w, size=(8,))
     r[:, 2, :] += magnitude
     r[:, :, 2] += magnitude
-    r[:, 2, 2] = 0.0
-    assert_settled_rows_decided(edm.geometric_center(r**2), thresholds)
+    i, j = pair_rows(CLIQUE_SIZE)
+    assert_settled_rows_decided(r[:, i, j] ** 2, thresholds)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(certified_epoch())
+def test_folded_matrix_is_the_centred_matrix_in_h(epoch):
+    """The M that the certificate folds from a clique's squared pair ranges
+    is H^T G H of the G that eigh solves, and H M H^T is that G, each to
+    the allowance _FOLD_GAP |D|_F that the edm module docstring derives."""
+    rm, cliques = epoch
+    d = edm.squared_pairs(rm, cliques)
+    m = edm._nystrom_basis(d)[0]
+    g = edm.geometric_center(edm.build_edm(rm, cliques))
+    h = edm._COMPLEMENT
+    allowance = edm._FOLD_GAP * np.linalg.norm(edm.build_edm(rm, cliques), axis=(1, 2))
+    assert (np.linalg.norm(m - h.T @ g @ h, axis=(1, 2)) <= allowance).all()
+    assert (np.linalg.norm(g - h @ m @ h.T, axis=(1, 2)) <= allowance).all()
+
+
+@KERNEL
+@given(screened_epoch(), st.data())
+def test_asymmetric_pair_refused_under_thresholds(epoch, data):
+    """A range matrix whose two triangles differ at a drawn pair, by one ulp
+    or more, is refused under thresholds, naming that pair."""
+    rm, cliques = epoch
+    n = len(rm.r)
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                     .filter(lambda p: p[0] != p[1]))
+    if data.draw(st.booleans()):
+        rm.r[i, j] = np.nextafter(rm.r[i, j], np.inf)
+    else:
+        rm.r[i, j] += data.draw(st.sampled_from([-1.0, 1e-3, 5.0, 1e6]))
+    a, b = min(i, j), max(i, j)
+    message = (f"an analysis under thresholds reads each pair once, so the range matrix "
+               f"must be symmetric; r[{a}, {b}] = {float(rm.r[a, b])!r} but "
+               f"r[{b}, {a}] = {float(rm.r[b, a])!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        edm.analyze_clique_batch(rm, cliques, thresholds=(P99,))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
