@@ -8,6 +8,13 @@ the search when votes are too few (total below delta_nf) or too diffuse
 is declared faulty, every clique containing it is dropped, and the same
 cached measurements are re-examined.
 
+The rounds run over cells, not one cell at a time (vote).  A cell is a
+set of rows (one window's cliques), a flag column (one threshold's) and
+a prefix of those rows (its first epochs); its live rows at the start are
+the flagged rows of that prefix.  Each round counts the votes of every
+cell still running at once, so a campaign trial votes once for its whole
+grid and detect_faults is the vote of one cell.
+
 The threshold is either a fixed scalar (a calibrated percentile of the
 non-fault statistic) or a per-subgraph value from a trained predictor,
 evaluated on the observed subgraph's singular-value features
@@ -100,10 +107,29 @@ class FlagTable:
     voted: np.ndarray
     flagged: np.ndarray
 
-    def rows(self, index) -> "FlagTable":
-        """The table of the rows that index (an index array or a slice)
-        selects, in that order."""
-        return FlagTable(self.vertices[index], self.voted[index], self.flagged[index])
+
+@dataclass(frozen=True)
+class Votes:
+    """The rounds of every cell of one vote.
+
+    counts[r, c] is cell c's per-satellite vote count in round r, and
+    removed[r, c] the satellite it removed in that round, or n_sats from
+    the round it stopped in on.  Cell c's rounds are those up to the first
+    that removed nothing, or every row if it never stopped.
+    """
+
+    counts: np.ndarray
+    removed: np.ndarray
+
+    def outcome(self, cell: int) -> DetectionOutcome:
+        """Cell cell's removal order and per-round votes (views of counts)."""
+        n_sats = self.counts.shape[2]
+        removed = self.removed[:, cell].tolist()
+        faults = removed[:removed.index(n_sats)] if n_sats in removed else removed
+        return DetectionOutcome(
+            fault_list=tuple(faults),
+            vote_history=tuple(map(VoteState, self.counts[:len(faults) + 1, cell])),
+        )
 
 
 def is_scalar_threshold(threshold: object) -> bool:
@@ -122,13 +148,16 @@ def analysis_thresholds(thresholds: Iterable[object]) -> tuple[float, ...] | Non
     return None
 
 
-def _resolve_thresholds(params: DetectorParams, batch: edm.BatchAnalysis) -> np.ndarray:
+def _resolve_thresholds(params: DetectorParams, batches: Sequence[edm.BatchAnalysis]):
+    """The threshold of every row of batches: the scalar itself, or the
+    predictor's per-subgraph values, evaluated once per batch."""
     thr = params.gamma_threshold
     if is_scalar_threshold(thr):
-        return np.full(len(batch.cliques), float(thr))
+        return float(thr)
     # Predictor mode: features come from the observed analyses (the first
     # three singular values and vectors are nearly noise-invariant).
-    return np.asarray(thr.predict(edm.batch_features(batch)), dtype=float).reshape(-1)
+    return np.concatenate([
+        np.asarray(thr.predict(edm.batch_features(b)), dtype=float).reshape(-1) for b in batches])
 
 
 def table_from_analyses(
@@ -140,33 +169,62 @@ def table_from_analyses(
     """
     if len(batches) == 0:
         raise ValueError("detection window must have at least one epoch")
+    vertices = np.concatenate([b.cliques for b in batches])
+    local = np.concatenate([b.fault_vertex_local for b in batches])
+    gamma = np.concatenate([b.gamma_test for b in batches])
     return FlagTable(
-        vertices=np.concatenate([b.cliques for b in batches]),
-        voted=np.concatenate([b.fault_vertex_global() for b in batches]),
-        flagged=np.concatenate([b.gamma_test > _resolve_thresholds(params, b) for b in batches]),
+        vertices=vertices,
+        voted=vertices[np.arange(len(vertices)), local],
+        flagged=gamma > _resolve_thresholds(params, batches),
     )
 
 
-def _greedy(table: FlagTable, n_sats: int, params: DetectorParams) -> DetectionOutcome:
-    """Voting rounds until fewer than delta_nf live cliques are flagged or no
-    satellite holds a delta_rf share; each other round removes the top-voted
-    satellite (lowest id on ties) and drops its cliques from the live set."""
-    fault_list: list[int] = []
-    history: list[VoteState] = []
-    alive = table.flagged.copy()
-    k = table.vertices.shape[1]
+def vote(
+    vertices: np.ndarray,
+    voted: np.ndarray,
+    rows: np.ndarray,
+    cells: np.ndarray,
+    n_cells: int,
+    params: DetectorParams,
+    n_sats: int,
+) -> Votes:
+    """The greedy rounds of n_cells cells, run together.
+
+    vertices ((m, k) global ids) and voted ((m,), the id each row votes
+    for) are a table of rows; row rows[i] is live at the start of cell
+    cells[i], each (row, cell) pair given at most once.  The vote builds
+    one (m, n_sats + 1) membership matrix, so a caller passes only the
+    rows that some cell reads.  Each round one bincount gives every cell's
+    counts.  A cell stops when its total is below delta_nf or its top
+    count's share is below delta_rf; otherwise it removes the top-voted
+    satellite (lowest id on ties), and its rows that hold that satellite
+    stop voting.  At most n_sats rounds.
+    """
+    # Row j of free is False at the satellites row j holds and at column
+    # n_sats, the removal of a cell that stopped, whose pairs all drop.
+    width = n_sats + 1
+    free = np.ones((len(voted), width), dtype=bool)
+    free[np.arange(len(voted))[:, None], vertices] = False
+    free[:, n_sats] = False
+    free = free.ravel()
+    keys = cells * n_sats + voted[rows]
+    starts = rows * width  # each pair's row of free
+    counts, removed = [], []
     for _ in range(n_sats):
-        votes = VoteState(counts=np.bincount(table.voted[alive], minlength=n_sats))
-        history.append(votes)
-        if votes.total < params.delta_nf or votes.ratios.max() < params.delta_rf:
+        tally = np.bincount(keys, minlength=n_cells * n_sats).reshape(n_cells, n_sats)
+        total = tally.sum(axis=1)
+        # The share divides as VoteState.ratios does; a total below
+        # delta_nf (>= 1) makes it 0, so no division by 0 happens.
+        share = tally.max(axis=1) / np.where(total >= params.delta_nf, total, np.inf)
+        removes = share >= params.delta_rf
+        removal = np.where(removes, tally.argmax(axis=1), n_sats)
+        counts.append(tally)
+        removed.append(removal)
+        if not removes.any():
             break
-        removal = int(np.argmax(votes.counts))
-        fault_list.append(removal)
-        # A clique holds a satellite at most once, and flatnonzero ravels the
-        # comparison in C order whatever the layout of vertices, so each hit
-        # is one row of the table.
-        alive[np.flatnonzero(table.vertices == removal) // k] = False
-    return DetectionOutcome(fault_list=tuple(fault_list), vote_history=tuple(history))
+        live = free[starts + removal[cells]]
+        keys, starts, cells = keys[live], starts[live], cells[live]
+    return Votes(counts=np.array(counts), removed=np.array(removed))
 
 
 def detect_faults(
@@ -181,7 +239,8 @@ def detect_faults(
     re-examined unchanged after each removal.  Terminates in at most
     n_sats rounds.  A scalar threshold is passed to the analysis
     (analysis_thresholds), which solves only the cliques whose flag or
-    vote it cannot decide without the eigensolver.
+    vote it cannot decide without the eigensolver.  The window is the
+    one cell of a vote: its flagged rows.
     """
     if len(ranges) != len(clique_lists):
         raise ValueError("clique lists and range matrices must cover the same epochs")
@@ -190,18 +249,21 @@ def detect_faults(
         edm.analyze_clique_batch(rm, cliques, thresholds=thresholds)
         for cliques, rm in zip(clique_lists, ranges)
     ]
-    return _greedy(table_from_analyses(batches, params), len(ranges[0].r), params)
+    table = table_from_analyses(batches, params)
+    flagged = np.flatnonzero(table.flagged)
+    n_live = len(flagged)
+    return vote(table.vertices[flagged], table.voted[flagged], np.arange(n_live),
+                np.zeros(n_live, dtype=np.intp), 1, params, len(ranges[0].r)).outcome(0)
 
 
-def detect_faults_from_analyses(
-    table: FlagTable, params: DetectorParams, n_sats: int
-) -> DetectionOutcome:
-    """detect_faults on a flag table of precomputed analyses.
+def detect_faults_from_analyses(votes: Votes, cell: int) -> DetectionOutcome:
+    """The outcome of one cell of a vote, equal to detect_faults on that
+    cell's window alone.
 
     Campaign runs sweep thresholds and window lengths over the same
-    measurements: a trial builds one table per threshold from each
-    clique's one analysis, and a shorter window is a row prefix of a
-    longer one (table.rows), so no grid cell repeats an eigendecomposition
-    or a threshold evaluation.
+    measurements: a trial flags each clique's one analysis once per
+    threshold (table_from_analyses) and votes once for all its cells, so
+    no grid cell repeats an eigendecomposition, a threshold evaluation or
+    a vote; it reads each cell's outcome here.
     """
-    return _greedy(table, n_sats, params)
+    return votes.outcome(cell)

@@ -23,11 +23,14 @@ any are, on the magnitude.  A trial therefore does each piece of work once
   count, and an epoch's analyses are one analyze_clique_batch call on the
   fault configs' biased ranges stacked block-diagonally;
 * each threshold flags every analysed row once (one predictor evaluation
-  per epoch), and a cell's flag table is gathered from those rows by
-  index: the vertex and vote columns once per config, which every
-  threshold shares, and the flags once per (config, threshold);
-* each (config, threshold) has one flag table over the longest window,
-  and a detection length is a row prefix of it.
+  per epoch, table_from_analyses);
+* a cell is a row set, a flag column and a row prefix: its config's
+  window (the rows of the longest window, gathered by index), its
+  threshold's flags and its detection length's first epochs, so its live
+  rows at the start are the flagged rows of that prefix;
+* one vote (detector.vote) runs the greedy rounds of every cell of the
+  trial together, one bincount per round, and each cell's outcome is read
+  from it (detect_faults_from_analyses).
 
 A batched eigh gives each matrix the result of a batch of one, so every
 cell's verdict equals analysing that cell alone, bit for bit.  When every
@@ -44,6 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -56,11 +60,11 @@ from .cliques import EPOCH_STEP, build_clique_schedule, check_window, list_k_cli
 from .constellation import ConstellationConfig, resolve_config
 from .detector import (
     DetectorParams,
-    FlagTable,
     analysis_thresholds,
     detect_faults_from_analyses,
     is_scalar_threshold,
     table_from_analyses,
+    vote,
 )
 from .ranging import FaultConfig, add_bias, check_magnitude, check_sigma_w, measure_ranges
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, check_seed, substream
@@ -93,9 +97,14 @@ class ExperimentGrid:
             raise ValueError("fault counts must be >= 0")
         for magnitude in self.magnitudes:
             check_magnitude(magnitude)
-        labels = [thr.label for thr in self.thresholds]  # the keys of satfd report's series
-        if len(set(labels)) < len(labels):
-            raise ValueError(f"threshold labels must be distinct, got {labels}")
+        # A row of results.csv and a series of satfd report are keyed by
+        # these values, so a repeat would write two rows under one key.
+        for field, values in [("fault counts (fault_counts)", list(self.fault_counts)),
+                              ("fault magnitudes (magnitudes_m)", list(self.magnitudes)),
+                              ("threshold labels", [thr.label for thr in self.thresholds]),
+                              ("detection lengths (dl_list)", list(self.dls))]:
+            if len(set(values)) < len(values):
+                raise ValueError(f"{field} must be distinct, got {values}")
 
     def cells(self):
         """Row order of the results table."""
@@ -272,46 +281,57 @@ def _trial_cell_counts(ctx: CampaignContext, trial_id: int) -> np.ndarray:
     """(n_cells, 4) tp/fn/fp/tn contributions of one trial, in cell order.
 
     Each threshold flags every analysed row of the window once; a cell's
-    window is gathered from those rows (its vertices and votes once per
-    config), and each DL is a row prefix of it.
+    live rows are its threshold's flagged rows of its config's window, up
+    to its DL's epochs, and one vote decides every cell of the trial.
     """
     grid = ctx.grid
     t0_index, perm = ctx.trial_conditions(trial_id)
     n = ctx.n_sats
-    params = [replace(ctx.detector, gamma_threshold=thr.value) for thr in grid.thresholds]
     configs = [
         FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
         for fc in grid.fault_counts for mag in grid.magnitudes
     ]
     epochs = ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls))
-    rows = [analysed for analysed, _ in epochs]
-    tables = [table_from_analyses(rows, p) for p in params]
-    # Only the flags depend on the threshold.
-    vertices, voted = tables[0].vertices, tables[0].voted
+    analysed = [rows for rows, _ in epochs]
+    tables = [table_from_analyses(analysed, replace(ctx.detector, gamma_threshold=thr.value))
+              for thr in grid.thresholds]
     # Row c of windows lists config c's window (epochs in order) as rows of tables.
-    starts = np.cumsum([0] + [len(analysed.cliques) for analysed in rows[:-1]])
-    windows = iter(np.concatenate(
-        [source + start for (_, source), start in zip(epochs, starts)], axis=1))
+    starts = np.cumsum([0] + [len(rows.cliques) for rows in analysed[:-1]])
+    windows = np.concatenate([source + start for (_, source), start in zip(epochs, starts)], axis=1)
     # A window's first ends[d - 1] rows are its first d epochs.
     ends = np.cumsum([source.shape[1] for _, source in epochs])
-    # Axes in ExperimentGrid.cells() order: fault count, threshold, DL, magnitude.
-    shape = [len(grid.fault_counts), len(grid.thresholds), len(grid.dls), len(grid.magnitudes)]
-    counts = np.zeros(shape + [4], dtype=np.int64)
-    for fi, fc in enumerate(grid.fault_counts):
-        truth = np.zeros(n, dtype=bool)
-        truth[perm[:fc]] = True
-        for mi in range(len(grid.magnitudes)):
-            window = next(windows)
-            window_vertices, window_voted = vertices[window], voted[window]
-            for ti, (p, table) in enumerate(zip(params, tables)):
-                cell = FlagTable(window_vertices, window_voted, table.flagged[window])
-                for li, dl in enumerate(grid.dls):
-                    outcome = detect_faults_from_analyses(cell.rows(slice(ends[dl - 1])), p, n)
-                    detected = np.zeros(n, dtype=bool)
-                    detected[list(outcome.fault_list)] = True
-                    # Bins 0-3 are tp, fn, fp, tn.
-                    counts[fi, ti, li, mi] = np.bincount(2 * ~truth + ~detected, minlength=4)
-    return counts.reshape(-1, 4)
+    # Each flagged row of a (threshold, config) window gives one (row, cell)
+    # pair for each DL whose prefix holds it.
+    n_configs, n_rows = windows.shape
+    flags = np.stack([table.flagged for table in tables])[:, windows]
+    group, positions = np.nonzero(flags.reshape(len(tables) * n_configs, n_rows))
+    pair, dl = np.nonzero(positions[:, None] < ends[np.asarray(grid.dls) - 1])
+    threshold, config = np.divmod(group[pair], n_configs)
+    rows = windows[config, positions[pair]]
+    # Cell ids in ExperimentGrid.cells() order: fault count, threshold, DL, magnitude.
+    fault, magnitude = np.divmod(config, len(grid.magnitudes))
+    cells = (fault * len(grid.thresholds) + threshold) * len(grid.dls) + dl
+    cells = cells * len(grid.magnitudes) + magnitude
+    # The vote takes the rows that some cell reads, renumbered in table order.
+    read = np.zeros(len(tables[0].voted), dtype=bool)
+    read[rows] = True
+    read = np.flatnonzero(read)
+    renumbered = np.empty(len(tables[0].voted), dtype=np.intp)
+    renumbered[read] = np.arange(len(read))
+    votes = vote(tables[0].vertices[read], tables[0].voted[read], renumbered[rows], cells,
+                 grid.n_cells, ctx.detector, n)
+    found = [detect_faults_from_analyses(votes, cell).fault_list for cell in range(grid.n_cells)]
+    detected = np.zeros((grid.n_cells, n), dtype=bool)
+    detected[np.repeat(np.arange(grid.n_cells), [len(f) for f in found]),
+             list(chain.from_iterable(found))] = True
+    # truth[f, s]: satellite s is among the first fault_counts[f] of perm.
+    rank = np.empty(n, dtype=np.intp)
+    rank[perm] = np.arange(n)
+    truth = rank < np.asarray(grid.fault_counts)[:, None]
+    # Bins 4c to 4c + 3 are cell c's tp, fn, fp, tn.
+    codes = 2 * ~truth[:, None] + ~detected.reshape(len(grid.fault_counts), -1, n)
+    codes = codes.reshape(grid.n_cells, n) + 4 * np.arange(grid.n_cells)[:, None]
+    return np.bincount(codes.ravel(), minlength=4 * grid.n_cells).reshape(-1, 4)
 
 
 def _sum_trials(ctx: CampaignContext, trial_ids: range) -> np.ndarray:

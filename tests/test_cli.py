@@ -19,6 +19,8 @@ from satfd import calibration, experiment
 from satfd.cli import SUBCOMMANDS, build_parser, main
 from satfd.constellation import load_bundled, propagate
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def incomplete_models():
     """(model file object, error message): one file that lacks a field, one
@@ -310,6 +312,18 @@ class TestDetect:
         if threshold[0] == "--threshold":
             assert report["fault_list"] == [3]
 
+    @pytest.mark.parametrize("magnitude, pinned", [
+        ("20", "detect_sat3_20m.json"),  # fault list [3]
+        ("1e7", "detect_sat3_1e7m.json"),  # four removals, [11, 7, 6, 8]
+        ("1e10", "detect_sat3_1e10m.json"),  # nothing flagged, []
+    ], ids=["20m", "1e7m", "1e10m"])
+    def test_report_bytes_pinned(self, capsys, magnitude, pinned):
+        # The whole report, votes_per_round included, byte for byte.
+        rc = main(["detect", "--config", "elfo_moon", "--t0", "0", "--fault-sats", "3",
+                   "--magnitude", magnitude, "--threshold", "4.6e-7", "--dl", "1", "--seed", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == (DATA / pinned).read_text(encoding="utf-8")
+
     def test_requires_threshold_or_model(self, tmp_path):
         rc = main(["detect", "--config", "elfo_moon", "--out", str(tmp_path)])
         assert rc != 0
@@ -564,6 +578,10 @@ class TestMonteCarloAndReport:
          "threshold labels must be distinct, got ['a', 'a']"),
         ("thresholds", {"percentiles": [99.9, 99.90000001]},
          "threshold labels must be distinct, got ['p99.9', 'p99.9']"),
+        ("fault_counts", [1, 2, 1], "fault counts (fault_counts) must be distinct, got [1, 2, 1]"),
+        ("magnitudes_m", [5, 5.0],
+         "fault magnitudes (magnitudes_m) must be distinct, got [5.0, 5.0]"),
+        ("dl_list", [2, 2], "detection lengths (dl_list) must be distinct, got [2, 2]"),
         ("n_trials", 0, "n_trials must be >= 1"),
         ("sigma_w_m", math.nan, "sigma_w must be >= 0 and finite, got nan"),
         ("magnitudes_m", [math.inf], "fault magnitude must be >= 0 and finite, got inf"),
@@ -588,7 +606,8 @@ class TestMonteCarloAndReport:
             "fault_counts=[20]", "delta_nf=0", "n_trials=2.5", "fault_counts=[1.7]",
             "dl_list=[2.5]", "master_seed=1.5", "sigma_w_m=-1", "n_trials='5'",
             "fault_counts=5", "values-without-label", "values-label-repeated",
-            "percentiles-label-repeated", "n_trials=0", "sigma_w_m=NaN",
+            "percentiles-label-repeated", "fault_counts-repeated", "magnitudes_m-repeated",
+            "dl_list-repeated", "n_trials=0", "sigma_w_m=NaN",
             "magnitudes_m=[Infinity]", "timestep_s=NaN", "timestep_s=Infinity", "values=[NaN]",
             "values=[-Infinity]", "n_trials=Infinity", "n_trials=NaN", "delta_nf=Infinity",
             "master_seed=-Infinity", "fault_counts=[Infinity]", "dl_list=[NaN]",

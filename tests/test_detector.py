@@ -12,6 +12,7 @@ from satfd.detector import (
     detect_faults,
     detect_faults_from_analyses,
     table_from_analyses,
+    vote,
 )
 from satfd.linkgraph import build_visibility_graph
 from satfd.ranging import FaultConfig, RangeMatrix, measure_ranges
@@ -19,6 +20,15 @@ from satfd.seeds import substream
 
 P99 = 4.6e-7
 P999 = 5.9e-7
+
+
+def vote_alone(table, params, n_sats, index=None):
+    """The outcome of one cell: table's rows at index (every row if None),
+    live where flagged, voted on alone."""
+    rows = np.arange(len(table.voted)) if index is None else np.asarray(index)
+    rows = rows[table.flagged[rows]]
+    votes = vote(table.vertices, table.voted, rows, np.zeros_like(rows), 1, params, n_sats)
+    return detect_faults_from_analyses(votes, 0)
 
 
 def elfo_epoch(t=0.0, fault_set=frozenset(), magnitude=0.0, sigma=1.0, seed=0):
@@ -210,7 +220,7 @@ class TestFromAnalyses:
         params = DetectorParams(gamma_threshold=P99)
         direct = detect_faults([cliques], [rm], params)
         batches = [edm.analyze_clique_batch(rm, cliques)]
-        cached = detect_faults_from_analyses(table_from_analyses(batches, params), params, 12)
+        cached = vote_alone(table_from_analyses(batches, params), params, 12)
         assert direct.fault_list == cached.fault_list
         assert direct.rounds == cached.rounds
 

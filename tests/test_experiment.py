@@ -16,7 +16,6 @@ from satfd.detector import (
     DetectorParams,
     analysis_thresholds,
     detect_faults,
-    detect_faults_from_analyses,
     table_from_analyses,
 )
 from satfd.experiment import (
@@ -31,6 +30,7 @@ from satfd.experiment import (
 )
 from satfd.ranging import FaultConfig, measure_ranges
 from satfd.results import read_results_csv, write_results_csv
+from test_detector import vote_alone
 from test_edm import recorded_settles
 
 P99 = 4.6e-7
@@ -57,8 +57,7 @@ def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
     """Boolean per-satellite verdicts of one trial's one-epoch window."""
     faults = FaultConfig(fault_set=fault_set, magnitude=magnitude)
     [(rows, source)] = ctx.epoch_analyses(trial_id, t0_index, [faults], 1)
-    table = table_from_analyses([rows], params).rows(source[0])
-    outcome = detect_faults_from_analyses(table, params, ctx.n_sats)
+    outcome = vote_alone(table_from_analyses([rows], params), params, ctx.n_sats, source[0])
     classified = np.zeros(ctx.n_sats, dtype=bool)
     classified[list(outcome.fault_list)] = True
     return classified
@@ -384,20 +383,17 @@ class TestRunCampaign:
             CampaignContext(config=load_bundled("elfo_moon"), sigma_w=sigma_w,
                             grid=small_grid(), master_seed=1)
 
-    @pytest.mark.parametrize("dimension, values", [
-        ("magnitudes", (10.0, 10.0)),
-        ("dls", (2, 2)),
-        ("fault_counts", (1, 1)),
+    @pytest.mark.parametrize("dimension, values, message", [
+        ("magnitudes", (10.0, 5.0, 10.0),
+         "fault magnitudes (magnitudes_m) must be distinct, got [10.0, 5.0, 10.0]"),
+        ("dls", (2, 2), "detection lengths (dl_list) must be distinct, got [2, 2]"),
+        ("fault_counts", (1, 1), "fault counts (fault_counts) must be distinct, got [1, 1]"),
     ], ids=["magnitudes", "dls", "fault_counts"])
-    def test_repeated_grid_values_give_equal_rows(self, dimension, values):
-        # each row is found by its grid position, not by its cell values
-        single = run_campaign(make_ctx(small_grid(**{dimension: values[:1]}), seed=5),
-                              n_trials=6)
-        repeated = run_campaign(make_ctx(small_grid(**{dimension: values}), seed=5),
-                                n_trials=6)
-        assert len(single) == 1 and len(repeated) == 2
-        assert [r.counts for r in repeated] == [single[0].counts] * 2
-        assert [r.metrics for r in repeated] == [single[0].metrics] * 2
+    def test_repeated_grid_values_refused(self, dimension, values, message):
+        # A cell's values key its row of results.csv, so a repeated value
+        # would write two rows under one key.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_grid(**{dimension: values})
 
     def test_repeated_threshold_label_refused(self):
         # A label keys its rows and satfd report's series, so a second

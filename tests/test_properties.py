@@ -83,6 +83,7 @@ import io
 import itertools
 import math
 import multiprocessing
+import random
 import re
 import sys
 import tempfile
@@ -115,6 +116,7 @@ from satfd.detector import (
     detect_faults,
     detect_faults_from_analyses,
     table_from_analyses,
+    vote,
 )
 from satfd.experiment import (
     CampaignContext,
@@ -129,6 +131,7 @@ from satfd.ranging import (
     pair_rows, true_ranges,
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
+from test_detector import vote_alone
 from test_edm import assert_same_decisions, gathered, recorded_settles, settled_rows
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -519,14 +522,12 @@ def flag_window(draw):
     return n, batches
 
 
-def reference_greedy(batches, params, n_sats):
-    """Removal order and per-round counts, re-masking every removed satellite."""
-    vertices = np.concatenate([b.cliques for b in batches])
-    voted = np.concatenate([b.fault_vertex_global() for b in batches])
-    flagged = np.concatenate([b.gamma_test > params.gamma_threshold for b in batches])
+def reference_greedy(vertices, voted, live, params, n_sats):
+    """Removal order and per-round counts of the rows live at the start,
+    re-masking every removed satellite."""
     removed, history = [], []
     for _ in range(n_sats):
-        alive = flagged.copy()
+        alive = live.copy()
         for s in removed:
             alive &= ~np.any(vertices == s, axis=1)
         counts = np.bincount(voted[alive], minlength=n_sats)
@@ -536,6 +537,13 @@ def reference_greedy(batches, params, n_sats):
             break
         removed.append(int(np.argmax(counts)))
     return removed, history
+
+
+def window_table(batches, threshold):
+    """(vertices, voted, flagged) of per-epoch analyses under a scalar threshold."""
+    return (np.concatenate([b.cliques for b in batches]),
+            np.concatenate([b.fault_vertex_global() for b in batches]),
+            np.concatenate([b.gamma_test > threshold for b in batches]))
 
 
 def laid_out(vertices, layout):
@@ -558,11 +566,70 @@ def test_greedy_matches_remasking_reference(window, delta_nf, delta_rf, layout):
     params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf, gamma_threshold=0.5)
     table = table_from_analyses(batches, params)
     table = dataclasses.replace(table, vertices=laid_out(table.vertices, layout))
-    outcome = detect_faults_from_analyses(table, params, n)
-    removed, history = reference_greedy(batches, params, n)
+    rows = np.flatnonzero(table.flagged)
+    votes = vote(table.vertices, table.voted, rows, np.zeros_like(rows), 1, params, n)
+    outcome = detect_faults_from_analyses(votes, 0)
+    removed, history = reference_greedy(*window_table(batches, 0.5), params, n)
     assert list(outcome.fault_list) == removed
     assert [v.counts.tolist() for v in outcome.vote_history] == history
     assert outcome.rounds == len(history)
+
+
+@st.composite
+def vote_cells(draw):
+    """(n_sats, vertices, voted, live): a table of rows of k distinct
+    satellites (k from 1 to 6), each voting for one of its own, and cells
+    that each flag their own rows within their own row prefix (live[c] is
+    cell c's rows at the start).  With k = 1 a cell can remove every
+    satellite."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(max(k, 2), 12))
+    m = draw(st.integers(0, 40))
+    keys = draw(arrays(np.float64, (m, n), elements=st.floats(0.0, 1.0)))
+    vertices = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
+    voted = vertices[np.arange(m), draw(arrays(np.intp, m, elements=st.integers(0, k - 1)))]
+    n_cells = draw(st.integers(1, 6))
+    flags = draw(arrays(np.bool_, (n_cells, m)))
+    prefixes = draw(arrays(np.intp, n_cells, elements=st.integers(0, m)))
+    return n, vertices, voted, flags & (np.arange(m) < prefixes[:, None])
+
+
+# Cell 0 ties 2-2 between satellites 0 and 1 and removes 0 (the lower id);
+# cell 1 removes all three satellites; cell 2 holds no rows.
+VOTE_EXAMPLE = (3, np.array([[0], [0], [1], [1], [2]]), np.array([0, 0, 1, 1, 2]),
+                np.array([[1, 1, 1, 1, 0], [1, 0, 0, 1, 1], [0, 0, 0, 0, 0]], dtype=bool))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vote_cells(), st.integers(1, 6), st.floats(0.05, 0.6),
+       st.sampled_from(["C", "F", "slice"]), st.randoms(use_true_random=False))
+@example(cells=VOTE_EXAMPLE, delta_nf=1, delta_rf=0.05, layout="C",
+         order=random.Random(0))
+def test_vote_matches_reference_cell_by_cell(cells, delta_nf, delta_rf, layout, order):
+    n, vertices, voted, live = cells
+    params = DetectorParams(delta_nf=delta_nf, delta_rf=delta_rf)
+    at, rows = np.nonzero(live)
+    # The vote does not depend on the order of its (row, cell) pairs.
+    shuffled = order.sample(range(len(rows)), len(rows))
+    votes = vote(laid_out(vertices, layout), voted, rows[shuffled], at[shuffled], len(live),
+                 params, n)
+    for cell, cell_live in enumerate(live):
+        outcome = detect_faults_from_analyses(votes, cell)
+        removed, history = reference_greedy(vertices, voted, cell_live, params, n)
+        assert list(outcome.fault_list) == removed
+        assert [v.counts.tolist() for v in outcome.vote_history] == history
+        assert outcome.rounds == len(history)
+
+
+def test_vote_example_covers_ties_full_removal_and_empty_cells():
+    n, vertices, voted, live = VOTE_EXAMPLE
+    votes = vote(vertices, voted, *np.nonzero(live)[::-1], len(live),
+                 DetectorParams(delta_nf=1, delta_rf=0.05), n)
+    outcomes = [detect_faults_from_analyses(votes, cell) for cell in range(len(live))]
+    assert outcomes[0].vote_history[0].counts.tolist() == [2, 2, 0]
+    assert outcomes[0].fault_list == (0, 1)
+    assert sorted(outcomes[1].fault_list) == [0, 1, 2] and outcomes[1].rounds == n
+    assert outcomes[2].fault_list == () and outcomes[2].vote_history[0].total == 0
 
 
 SHARED_EPOCHS = 2
@@ -685,12 +752,11 @@ def campaign_on(grid):
     return ctx
 
 
-def reference_cell_counts(ctx, trial_id):
-    """(n_cells, 4) counts of one trial in cell order, each cell measured,
-    analysed (every clique solved) and detected on its own."""
+def reference_cell_outcomes(ctx, trial_id):
+    """(fault set, removal order, per-round counts) of each cell of one
+    trial in cell order, each cell measured, analysed (every clique solved)
+    and voted on alone by reference_greedy."""
     t0_index, perm = ctx.trial_conditions(trial_id)
-    n = ctx.n_sats
-    rows = []
     for fc, mag, thr, dl in ctx.grid.cells():
         faults = FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
         batches = []
@@ -700,25 +766,60 @@ def reference_cell_counts(ctx, trial_id):
             rm = measure_ranges(entry.positions, entry.graph, faults, ctx.sigma_w, rng)
             batches.append(edm.analyze_clique_batch(rm, entry.cliques))
         params = dataclasses.replace(ctx.detector, gamma_threshold=thr.value)
-        outcome = detect_faults_from_analyses(table_from_analyses(batches, params), params, n)
-        truth = np.isin(np.arange(n), perm[:fc])
-        detected = np.isin(np.arange(n), outcome.fault_list)
+        table = table_from_analyses(batches, params)
+        yield (perm[:fc], *reference_greedy(table.vertices, table.voted, table.flagged,
+                                            params, ctx.n_sats))
+
+
+def reference_cell_counts(ctx, trial_id):
+    """(n_cells, 4) counts of one trial in cell order (reference_cell_outcomes)."""
+    n = ctx.n_sats
+    rows = []
+    for faulty, removed, _ in reference_cell_outcomes(ctx, trial_id):
+        truth = np.isin(np.arange(n), faulty)
+        detected = np.isin(np.arange(n), removed)
         rows.append([np.sum(truth & detected), np.sum(truth & ~detected),
                      np.sum(~truth & detected), np.sum(~truth & ~detected)])
     return np.array(rows)
 
 
+def test_campaign_vote_counts_equal_per_cell_reference(monkeypatch):
+    """perfbench counts rounds and flagged cliques from each outcome that
+    experiment reads through detect_faults_from_analyses: one per cell and
+    trial, equal to the per-cell reference's."""
+    grid = ExperimentGrid(fault_counts=(0, 2), magnitudes=(5.0, 20.0),
+                          thresholds=(ThresholdSpec("p95", 3.58e-7), ThresholdSpec("p99", P99)),
+                          dls=(1, MAX_DL))
+    ctx = campaign_on(grid)
+    read = []
+
+    def counted(votes, cell):
+        read.append(detect_faults_from_analyses(votes, cell))
+        return read[-1]
+
+    monkeypatch.setattr(experiment, "detect_faults_from_analyses", counted)
+    n_trials = 3
+    run_campaign(ctx, n_trials=n_trials)
+    assert len(read) == grid.n_cells * n_trials
+    got = [(outcome.rounds, outcome.vote_history[0].total) for outcome in read]
+    want = [(len(history), sum(history[0]))
+            for trial_id in range(n_trials)
+            for _, _, history in reference_cell_outcomes(ctx, trial_id)]
+    # The traced totals, then the same counts cell by cell.
+    assert [sum(column) for column in zip(*got)] == [sum(column) for column in zip(*want)]
+    assert got == want
+
+
 @st.composite
 def cell_grid(draw):
     """A grid with fault counts that include 0 and every satellite, a zero
-    and a repeated magnitude, unsorted and repeated DLs, and drawn
-    thresholds (grid_thresholds) in drawn order."""
+    magnitude, unsorted magnitudes and DLs, and drawn thresholds
+    (grid_thresholds) in drawn order."""
     n = campaign_context().n_sats
     counts = draw(st.permutations([0, n] + draw(st.lists(st.integers(1, n - 1), max_size=1))))
-    drawn = draw(st.sampled_from([5.0, 20.0]))
-    magnitudes = draw(st.permutations([drawn, drawn, 0.0]))
-    dls = draw(st.lists(st.integers(1, MAX_DL), min_size=1, max_size=2))
-    dls = draw(st.permutations(dls + [dls[0]]))
+    drawn = draw(st.lists(st.sampled_from([5.0, 20.0]), min_size=1, max_size=2, unique=True))
+    magnitudes = draw(st.permutations(drawn + [0.0]))
+    dls = draw(st.lists(st.integers(1, MAX_DL), min_size=1, max_size=3, unique=True))
     thresholds = draw(st.permutations(draw(grid_thresholds())))
     return ExperimentGrid(fault_counts=tuple(counts), magnitudes=tuple(magnitudes),
                           thresholds=tuple(thresholds), dls=tuple(dls))
@@ -758,7 +859,7 @@ def test_campaign_results_do_not_depend_on_worker_count():
     grid = ExperimentGrid(
         fault_counts=(2, 1), magnitudes=(20.0,),
         thresholds=(ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())),
-        dls=(3, 1, 3),
+        dls=(3, 1),
     )
     ctx = campaign_on(grid)
     # 2 or 3 processes (at most one per usable CPU) take the 13 trials.
@@ -1173,7 +1274,7 @@ def test_screened_detection_equals_unscreened(seed, dl, faulty, magnitude, thres
     got = detect_faults([entry.cliques for entry in window], ranges, params)
     batches = [edm.analyze_clique_batch(rm, entry.cliques)
                for entry, rm in zip(window, ranges)]
-    want = detect_faults_from_analyses(table_from_analyses(batches, params), params, ctx.n_sats)
+    want = vote_alone(table_from_analyses(batches, params), params, ctx.n_sats)
     assert got.fault_list == want.fault_list
     assert [v.counts.tolist() for v in got.vote_history] == \
         [v.counts.tolist() for v in want.vote_history]
