@@ -250,6 +250,8 @@ def detect_faults(
         for cliques, rm in zip(clique_lists, ranges)
     ]
     table = table_from_analyses(batches, params)
+    # The outcome is read through Votes.outcome, not detect_faults_from_analyses,
+    # so that perfbench, which counts rounds at both, counts a window once.
     flagged = np.flatnonzero(table.flagged)
     n_live = len(flagged)
     return vote(table.vertices[flagged], table.voted[flagged], np.arange(n_live),

@@ -277,10 +277,6 @@ class BatchAnalysis:
     gamma_test: np.ndarray        # (m,)
     fault_vertex_local: np.ndarray | None  # (m,) argmax |u4| per clique, first on ties
 
-    def fault_vertex_global(self) -> np.ndarray:
-        """Map per-clique fault attributions to satellite ids."""
-        return self.cliques[np.arange(len(self.cliques)), self.fault_vertex_local]
-
 
 def batch_features(batch: BatchAnalysis) -> np.ndarray:
     """Predictor feature rows [s1, s2, s3, u1^T, u2^T, u3^T], (m, 21) for

@@ -599,6 +599,7 @@ class TestBatchMatchesSingle:
         batch = edm.analyze_clique_batch(rm, cliques)
         flagged = batch.gamma_test > 4.6e-7
         assert flagged.sum() > 20
-        votes = np.bincount(batch.fault_vertex_global()[flagged], minlength=12)
+        voted = cliques[np.arange(len(cliques)), batch.fault_vertex_local]
+        votes = np.bincount(voted[flagged], minlength=12)
         assert votes.argmax() == 7
         assert votes[7] / votes.sum() > 0.5

@@ -312,7 +312,8 @@ def test_voted_vertex_follows_permutation(clique, perm):
     u4 = np.sort(np.abs(base.left_vectors[0, :, 3]))
     assume(u4[-1] - u4[-2] > 1e-6)  # the vote is only defined for a unique largest |u4|
     permuted = edm.analyze_clique_batch(rm, np.array(perm)[None])
-    assert permuted.fault_vertex_global()[0] == base.fault_vertex_global()[0]
+    voted = [batch.cliques[0, batch.fault_vertex_local[0]] for batch in (permuted, base)]
+    assert voted[0] == voted[1]
 
 
 @KERNEL
@@ -542,7 +543,8 @@ def reference_greedy(vertices, voted, live, params, n_sats):
 def window_table(batches, threshold):
     """(vertices, voted, flagged) of per-epoch analyses under a scalar threshold."""
     return (np.concatenate([b.cliques for b in batches]),
-            np.concatenate([b.fault_vertex_global() for b in batches]),
+            np.concatenate([b.cliques[np.arange(len(b.cliques)), b.fault_vertex_local]
+                            for b in batches]),
             np.concatenate([b.gamma_test > threshold for b in batches]))
 
 
