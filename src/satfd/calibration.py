@@ -194,7 +194,9 @@ class MlpPredictor:
         acts, pre = [], []
         a = x_std
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
+            # In place: the same bits, without a second (m, width) array.
+            z = a @ w
+            z += b
             if keep:
                 acts.append(a)
                 pre.append(z)

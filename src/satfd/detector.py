@@ -192,21 +192,17 @@ def vote(
 
     vertices ((m, k) global ids) and voted ((m,), the id each row votes
     for) are a table of rows; row rows[i] is live at the start of cell
-    cells[i], each (row, cell) pair given at most once.  The vote builds
-    one (m, n_sats + 1) membership matrix, so a caller passes only the
-    rows that some cell reads.  Each round one bincount gives every cell's
-    counts.  A cell stops when its total is below delta_nf or its top
-    count's share is below delta_rf; otherwise it removes the top-voted
-    satellite (lowest id on ties), and its rows that hold that satellite
-    stop voting.  At most n_sats rounds.
+    cells[i], each (row, cell) pair given at most once.  Once some cell
+    first removes a satellite, the vote builds one (m, n_sats + 1)
+    membership matrix, so a caller passes only the rows that some cell
+    reads.  Each round one bincount gives every cell's counts.  A cell
+    stops when its total is below delta_nf or its top count's share is
+    below delta_rf; otherwise it removes the top-voted satellite (lowest
+    id on ties), and its rows that hold that satellite stop voting.  At
+    most n_sats rounds.
     """
-    # Row j of free is False at the satellites row j holds and at column
-    # n_sats, the removal of a cell that stopped, whose pairs all drop.
     width = n_sats + 1
-    free = np.ones((len(voted), width), dtype=bool)
-    free[np.arange(len(voted))[:, None], vertices] = False
-    free[:, n_sats] = False
-    free = free.ravel()
+    free = None
     keys = cells * n_sats + voted[rows]
     starts = rows * width  # each pair's row of free
     counts, removed = [], []
@@ -222,6 +218,14 @@ def vote(
         removed.append(removal)
         if not removes.any():
             break
+        if free is None:
+            # Row j of free is False at the satellites row j holds and at
+            # column n_sats, the removal of a cell that stopped, whose pairs
+            # all drop.
+            free = np.ones((len(voted), width), dtype=bool)
+            free[np.arange(len(voted))[:, None], vertices] = False
+            free[:, n_sats] = False
+            free = free.ravel()
         live = free[starts + removal[cells]]
         keys, starts, cells = keys[live], starts[live], cells[live]
     return Votes(counts=np.array(counts), removed=np.array(removed))

@@ -25,7 +25,8 @@ batch_features reads for detector and training set) run eigh, order it
 by magnitude_order and keep u1-u4.  Every function works on a stack of
 cliques: cliques are an (m, k) integer array of satellite ids, and a
 single clique is a batch of one, so the Monte-Carlo hot loops run one
-stacked LAPACK call per epoch.  build_edm squares the epoch's
+stacked LAPACK call per epoch (detect) or per chunk of whole epochs (a
+campaign trial, analyze_blocks).  build_edm squares the call's
 range matrix once and gathers every clique's block from it with one flat
 take, which gives the same bits as gathering the ranges and squaring
 them (squaring rounds each entry alone).

@@ -20,10 +20,11 @@ any are, on the magnitude.  A trial therefore does each piece of work once
   vertices is biased and otherwise its biased vertices with the config's
   magnitude, and a clique is analysed once per distinct key: the
   fault-free cliques are shared by every magnitude and nested fault
-  count, and an epoch's analyses are one analyze_clique_batch call on the
-  fault configs' biased ranges stacked block-diagonally;
+  count, and the analyses of consecutive epochs of up to CHUNK_ROWS rows
+  are one analyze_clique_batch call on the fault configs' biased ranges
+  of every epoch of the chunk, stacked block-diagonally;
 * each threshold flags every analysed row once (one predictor evaluation
-  per epoch, table_from_analyses);
+  per epoch, on that epoch's rows of its chunk, table_from_analyses);
 * a cell is a row set, a flag column and a row prefix: its config's
   window (the rows of the longest window, gathered by index), its
   threshold's flags and its detection length's first epochs, so its live
@@ -46,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -166,6 +167,35 @@ class CellResult:
 # Campaign context: everything deterministic shared by all trials.
 # ---------------------------------------------------------------------------
 
+# The most clique rows a campaign trial analyses in one analyze_clique_batch
+# call: consecutive whole epochs, or one epoch alone that holds more.  A
+# call costs a fixed 0.2-0.4 ms plus about 1 us a row and peaks at about
+# 1.9 KB a row, so 2,048 rows (two trend-grid epochs) save most of the
+# fixed cost while a call's peak stays near 4 MB.
+CHUNK_ROWS = 2048
+
+
+def _chunks(sizes: Sequence[int]) -> list[list[int]]:
+    """The indices of sizes (each epoch's rows) in consecutive runs: a run
+    takes the next epoch while its rows stay within CHUNK_ROWS, and an
+    epoch that would exceed them starts the next run."""
+    runs, total = [], 0
+    for i, size in enumerate(sizes):
+        if not runs or total + size > CHUNK_ROWS:
+            runs.append([])
+            total = 0
+        runs[-1].append(i)
+        total += size
+    return runs
+
+
+def _row_range(analysis: edm.BatchAnalysis, start: int, stop: int) -> edm.BatchAnalysis:
+    """Rows start to stop of analysis, as views (a field that is None stays None)."""
+    return edm.BatchAnalysis(*(
+        None if value is None else value[start:stop]
+        for value in (getattr(analysis, f.name) for f in fields(analysis))))
+
+
 class CampaignContext:
     """Precomputed epoch grid plus fixed detector settings for one campaign.
 
@@ -241,10 +271,14 @@ class CampaignContext:
         and rows holds no singular values or vectors (the thresholded
         edm.BatchAnalysis).
 
-        An epoch is one analyze_clique_batch call (edm.analyze_blocks): the
-        biased ranges of the b-th config with new rows are block b of one
-        block-diagonal range matrix, and a solved row has the bits of
-        analysing its block alone (a settled row, its flags and vote).
+        The epochs are analysed in chunks of whole consecutive epochs of at
+        most CHUNK_ROWS rows (_chunks), each one analyze_clique_batch call
+        (edm.analyze_blocks): the biased ranges of every config with new
+        rows of every epoch of the chunk are the blocks of one
+        block-diagonal range matrix, in epoch order and then config order,
+        and a solved row has the bits of analysing its block alone (a
+        settled row, its flags and vote).  Each epoch's rows are a view of
+        its rows of the chunk's analysis.
         """
         biased = np.zeros((len(configs), self.n_sats), dtype=bool)
         for c, faults in enumerate(configs):
@@ -253,7 +287,8 @@ class CampaignContext:
         # 1 + each config's magnitude rank, which a key holds above its vertex bits.
         ranks = np.unique([faults.magnitude for faults in configs], return_inverse=True)[1] + 1
         thresholds = analysis_thresholds(thr.value for thr in self.grid.thresholds)
-        out = []
+        # Each epoch's (range blocks, clique rows per block, source).
+        epochs = []
         for offset in range(n_epochs):
             g = t0_index + offset
             entry = self.schedule[g]
@@ -273,7 +308,17 @@ class CampaignContext:
             rows = [cliques[own[c]] for c in analysed]
             # The keys are not needed during the analysis.
             del codes, keys, first, own
-            out.append((edm.analyze_blocks(blocks, rows, thresholds=thresholds), source))
+            epochs.append((blocks, rows, source))
+        sizes = [sum(map(len, rows)) for _, rows, _ in epochs]
+        out = []
+        for run in _chunks(sizes):
+            analysed = edm.analyze_blocks([b for e in run for b in epochs[e][0]],
+                                          [r for e in run for r in epochs[e][1]],
+                                          thresholds=thresholds)
+            start = 0
+            for e in run:
+                out.append((_row_range(analysed, start, start + sizes[e]), epochs[e][2]))
+                start += sizes[e]
         return out
 
 

@@ -194,6 +194,34 @@ class TestMlp:
         )
         assert model.predict(np.zeros((1, 21))) == 0.0
 
+    @pytest.mark.parametrize("m", [1, 300, 1848])
+    def test_forward_equals_out_of_place_formula(self, m):
+        """The forward pass adds each hidden bias in place: the bits of
+        a @ w + b, with every value back-propagation reads."""
+        rng = np.random.default_rng(m)
+        model = MlpPredictor.initialize(rng)
+        model.biases = [rng.uniform(-1.0, 1.0, size=b.shape) for b in model.biases]
+        model.x_mean, model.x_std = rng.standard_normal(21), rng.uniform(0.5, 2.0, size=21)
+        model.y_mean, model.y_std = 0.3, 2.0
+        x = rng.standard_normal((m, 21))
+        x_std = (x - model.x_mean) / model.x_std
+        a, acts, pre = x_std, [], []
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            acts.append(a)
+            pre.append(a @ w + b)
+            a = np.maximum(pre[-1], 0.0)
+        acts.append(a)
+        out = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+        for keep in (True, False):
+            got, got_acts, got_pre = model._forward_std(x_std, keep=keep)
+            assert np.array_equal(got, out)
+            if keep:
+                assert all(map(np.array_equal, got_acts, acts)) and len(got_acts) == len(acts)
+                assert all(map(np.array_equal, got_pre, pre)) and len(got_pre) == len(pre)
+            else:
+                assert got_acts == [] and got_pre == []
+        assert np.array_equal(model.predict(x), np.maximum(out * model.y_std + model.y_mean, 0.0))
+
     def test_gradient_check_against_finite_differences(self):
         rng = np.random.default_rng(0)
         model = MlpPredictor.initialize(rng)

@@ -63,6 +63,19 @@ def classify(ctx, trial_id, t0_index, fault_set, params, magnitude):
     return classified
 
 
+def assert_whole_epoch_calls(calls, epochs):
+    """calls (each analysis call's rows, in call order) hold the rows of
+    epochs (each epoch's rows, in order) exactly once, in runs of whole
+    consecutive epochs, and a call holds at most experiment.CHUNK_ROWS rows
+    unless one epoch alone holds more."""
+    ends = np.cumsum(epochs).tolist()
+    bounds = np.cumsum(calls).tolist()
+    assert bounds[-1] == ends[-1] and set(bounds) <= set(ends)
+    for start, call in zip([0] + bounds[:-1], calls):
+        held = [size for size, end in zip(epochs, ends) if start < end <= start + call]
+        assert call <= experiment.CHUNK_ROWS or len(held) == 1
+
+
 class StubPredictor:
     """A per-subgraph threshold that flags no clique."""
 
@@ -103,25 +116,27 @@ class TestAnalysisFloor:
 
 class TestOneAnalysisPerEpoch:
     def count_calls(self, monkeypatch):
-        """The side of the range matrix of every analyze_clique_batch call."""
-        sides = []
+        """(side of the range matrix, rows) of every analyze_clique_batch call."""
+        calls = []
         real = edm.analyze_clique_batch
 
         def counting(ranges, cliques, **kwargs):
-            sides.append(len(ranges.r))
+            calls.append((len(ranges.r), len(cliques)))
             return real(ranges, cliques, **kwargs)
 
         monkeypatch.setattr(edm, "analyze_clique_batch", counting)
-        return sides
+        return calls
 
     def test_configs_of_an_epoch_share_one_call(self, monkeypatch):
-        sides = self.count_calls(monkeypatch)
+        calls = self.count_calls(monkeypatch)
+        # A budget of one row makes each epoch a call of its own.
+        monkeypatch.setattr(experiment, "CHUNK_ROWS", 1)
         ctx = make_ctx(small_grid())
         configs = [FaultConfig({3}, 5.0), FaultConfig({3}, 20.0), FaultConfig({3, 7}, 20.0),
                    FaultConfig()]
         epochs = ctx.epoch_analyses(1, 4, configs, 3)
         # Four blocks: the fault-free config's rows are all shared but those with 3.
-        assert sides == [4 * ctx.n_sats] * 3
+        assert [side for side, _ in calls] == [4 * ctx.n_sats] * 3
         for offset, (rows, source) in enumerate(epochs):
             assert rows.cliques.min() >= 0 and rows.cliques.max() < ctx.n_sats
             for index in source:
@@ -157,11 +172,33 @@ class TestOneAnalysisPerEpoch:
             assert np.array_equal(source[3, ~has3], source[0, ~has3])
             assert np.array_equal(source[4], source[3])
 
-    def test_trial_makes_one_call_per_epoch(self, monkeypatch):
-        sides = self.count_calls(monkeypatch)
+    def test_trial_calls_hold_whole_epochs(self, monkeypatch):
+        """A trial's calls hold whole consecutive epochs of its window
+        (665, 665 and 692 rows), each within the budget: one call per epoch
+        at a budget of one row, two at 1,400 rows, one at the default
+        budget."""
+        calls = self.count_calls(monkeypatch)
+        windows = []
+        analyses = CampaignContext.epoch_analyses
+
+        def recording(*args):
+            out = analyses(*args)
+            windows.append([len(rows.cliques) for rows, _ in out])
+            return out
+
+        monkeypatch.setattr(CampaignContext, "epoch_analyses", recording)
         ctx = make_ctx(small_grid(fault_counts=(1, 2), magnitudes=(5.0, 20.0), dls=(1, 3)))
-        experiment._trial_cell_counts(ctx, 2)
-        assert len(sides) == 3 and max(sides) > ctx.n_sats
+        counts = []
+        for budget, n_calls in [(1, 3), (1400, 2), (experiment.CHUNK_ROWS, 1)]:
+            monkeypatch.setattr(experiment, "CHUNK_ROWS", budget)
+            calls.clear()
+            windows.clear()
+            counts.append(experiment._trial_cell_counts(ctx, 2))
+            [epochs] = windows
+            assert len(calls) == n_calls and min(side for side, _ in calls) > ctx.n_sats
+            assert_whole_epoch_calls([rows for _, rows in calls], epochs)
+        assert epochs == [665, 665, 692]
+        assert all(np.array_equal(c, counts[0]) for c in counts)
 
 
 class TestComputeMetrics:
@@ -521,15 +558,17 @@ class TestCertificateReach:
             t0_index, perm = ctx.trial_conditions(trial_id)
             configs = [FaultConfig(fault_set=perm[:1].tolist(), magnitude=magnitude)
                        for magnitude in grid.magnitudes]
-            # One certificate call per epoch, on that epoch's rows.
+            # One certificate call per chunk of whole epochs, its masks
+            # covering every row of the window once.
             with recorded_settles() as masks:
                 epochs = ctx.epoch_analyses(trial_id, t0_index, configs, max(grid.dls))
-            assert len(masks) == len(epochs)
-            for (rows, _), mask in zip(epochs, masks):
+            sizes = [len(rows.cliques) for rows, _ in epochs]
+            assert_whole_epoch_calls(list(map(len, masks)), sizes)
+            assert len(masks) < len(epochs)
+            for rows, _ in epochs:
                 assert rows.singular_values is None and rows.left_vectors is None
-                assert len(mask) == len(rows.cliques)
-                analysed += len(rows.cliques)
-                settled += mask.sum()
+            analysed += sum(sizes)
+            settled += sum(mask.sum() for mask in masks)
         assert analysed > 10000
         assert settled >= 0.99 * analysed
 

@@ -132,6 +132,7 @@ from satfd.ranging import (
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
 from test_detector import vote_alone
+from test_experiment import assert_whole_epoch_calls
 from test_edm import assert_same_decisions, gathered, recorded_settles, settled_rows
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -623,6 +624,25 @@ def test_vote_matches_reference_cell_by_cell(cells, delta_nf, delta_rf, layout, 
         assert outcome.rounds == len(history)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(vote_cells(), st.floats(0.05, 0.6))
+def test_vote_without_removals_reads_no_vertex(cells, delta_rf):
+    """When no cell removes a satellite (delta_nf above every total), each
+    cell's one round is the reference's, and the vote never reads the
+    vertex table: a table of an id no satellite has gives the same votes."""
+    n, vertices, voted, live = cells
+    params = DetectorParams(delta_nf=len(voted) + 1, delta_rf=delta_rf)
+    at, rows = np.nonzero(live)
+    unknown = np.full_like(vertices, n + 1)
+    votes = vote(unknown, voted, rows, at, len(live), params, n)
+    assert votes.removed.tolist() == [[n] * len(live)]
+    for cell, cell_live in enumerate(live):
+        outcome = detect_faults_from_analyses(votes, cell)
+        removed, history = reference_greedy(vertices, voted, cell_live, params, n)
+        assert list(outcome.fault_list) == removed == []
+        assert [v.counts.tolist() for v in outcome.vote_history] == history
+
+
 def test_vote_example_covers_ties_full_removal_and_empty_cells():
     n, vertices, voted, live = VOTE_EXAMPLE
     votes = vote(vertices, voted, *np.nonzero(live)[::-1], len(live),
@@ -694,9 +714,15 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
     with recorded_settles() as masks:
         shared = ctx.epoch_analyses(trial_id, t0_index, configs, SHARED_EPOCHS)
     assert len(shared) == SHARED_EPOCHS
-    # The certificate runs once per epoch under the grid's scalar thresholds
-    # only, and its analyses then hold no values or vectors.
-    assert len(masks) == (0 if decided is None else SHARED_EPOCHS)
+    # The certificate runs under the grid's scalar thresholds only, once per
+    # chunk of whole epochs, and its analyses then hold no values or
+    # vectors.
+    sizes = [len(rows.cliques) for rows, _ in shared]
+    if decided is None:
+        assert masks == []
+    else:
+        assert_whole_epoch_calls(list(map(len, masks)), sizes)
+        masks = np.split(np.concatenate(masks), np.cumsum(sizes)[:-1])
     for offset, (rows, source) in enumerate(shared):
         g = t0_index + offset
         entry = ctx.schedule[g]
@@ -834,6 +860,51 @@ def test_trial_counts_equal_per_cell_reference(trial_id, grid):
     got = _trial_cell_counts(ctx, trial_id)
     assert got.shape == (grid.n_cells, 4)
     assert np.array_equal(got, reference_cell_counts(ctx, trial_id))
+
+
+def window_decisions(ctx, analysed):
+    """Each grid threshold's (vertices, flagged, votes of the flagged rows)
+    over a window's per-epoch analyses: what the vote reads of them."""
+    out = []
+    for thr in ctx.grid.thresholds:
+        table = table_from_analyses(analysed, dataclasses.replace(
+            ctx.detector, gamma_threshold=thr.value))
+        out.append((table.vertices, table.flagged, table.voted[table.flagged]))
+    return out
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), cell_grid(),
+       st.one_of(st.just(1), st.integers(2, 6000), st.just(10**9)))
+@example(trial_id=11, budget=5000,
+         grid=ExperimentGrid(*map(tuple, PAPER_GRID[:2]), PAPER_GRID[3], (1, MAX_DL)))
+def test_chunk_budget_changes_no_analysis(trial_id, grid, budget):
+    """A trial's analyses under any chunk budget (one row, so one epoch a
+    call; drawn; above any window) are those of one epoch a call: the same
+    cliques, sources, flags and flagged votes per epoch, and the same cell
+    counts; with a predictor, every value and vector too."""
+    ctx = campaign_on(grid)
+    t0_index, perm = ctx.trial_conditions(trial_id)
+    configs = [FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
+               for fc in grid.fault_counts for mag in grid.magnitudes]
+    decided = analysis_thresholds(thr.value for thr in grid.thresholds)
+    runs = {}
+    for chunk_rows in (1, budget):
+        with unittest.mock.patch.object(experiment, "CHUNK_ROWS", chunk_rows):
+            runs[chunk_rows] = (ctx.epoch_analyses(trial_id, t0_index, configs, MAX_DL),
+                                _trial_cell_counts(ctx, trial_id))
+    (alone, alone_counts), (chunked, chunked_counts) = runs[1], runs[budget]
+    assert np.array_equal(chunked_counts, alone_counts)
+    assert len(chunked) == len(alone) == MAX_DL
+    for (rows, source), (want, want_source) in zip(chunked, alone):
+        assert np.array_equal(source, want_source)
+        assert np.array_equal(rows.cliques, want.cliques)
+        if decided is None:
+            for name in ("singular_values", "left_vectors", "gamma_test", "fault_vertex_local"):
+                assert np.array_equal(getattr(rows, name), getattr(want, name))
+    for got, want in zip(window_decisions(ctx, [rows for rows, _ in chunked]),
+                         window_decisions(ctx, [rows for rows, _ in alone])):
+        assert all(map(np.array_equal, got, want))
 
 
 def test_trial_counts_with_cliqueless_epochs_equal_reference():
