@@ -883,6 +883,20 @@ def test_chunk_budget_changes_no_analysis(trial_id, grid, budget):
     call; drawn; above any window) are those of one epoch a call: the same
     cliques, sources, flags and flagged votes per epoch, and the same cell
     counts; with a predictor, every value and vector too."""
+    check_chunk_budget(trial_id, grid, budget)
+
+
+def test_whole_window_call_changes_no_predictor_analysis():
+    """The predictor grid's window in one call: the drawn predictor grids
+    above may all get budgets that keep each epoch alone."""
+    grid = ExperimentGrid((0, 2), (20.0, 0.0),
+                          (ThresholdSpec("p99", P99), ThresholdSpec("predicted", predictor())),
+                          (MAX_DL,))
+    check_chunk_budget(5, grid, 10**9)
+
+
+def check_chunk_budget(trial_id, grid, budget):
+    """test_chunk_budget_changes_no_analysis on one trial, grid and budget."""
     ctx = campaign_on(grid)
     t0_index, perm = ctx.trial_conditions(trial_id)
     configs = [FaultConfig(fault_set=perm[:fc].tolist(), magnitude=mag)
