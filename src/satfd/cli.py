@@ -282,12 +282,20 @@ def _cliques_parser(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_cliques)
 
 
+def _percentile_list(text: str) -> list[float]:
+    """Parse --percentiles: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _calibrate_parser(p: argparse.ArgumentParser) -> None:
     _common_flags(p)
     _seed_flag(p)
     p.add_argument("--sigma-w", type=float, default=1.0, help="range noise std (m)")
-    p.add_argument("--percentiles", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[95.0, 99.0, 99.9])
+    p.add_argument("--percentiles", type=_percentile_list, default=[95.0, 99.0, 99.9])
     p.add_argument("--step", type=float, default=EPOCH_STEP)
     p.add_argument("--duration", type=float, default=None,
                    help="sampling window (s); default one orbital period")

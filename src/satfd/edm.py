@@ -64,7 +64,7 @@ their 6x6 D (ranging.mirror_pairs), centred and solved.  It reads each
 pair once, so it refuses a range matrix that is not exactly symmetric
 (_check_symmetric, naming the first asymmetric pair), for which the rows
 it settles and the rows eigh solves would describe different matrices;
-measure_ranges, add_bias and analyze_blocks' stacks are symmetric.
+measure_ranges, add_biases and analyze_blocks' stacks are symmetric.
 It works in a Nystrom basis of M (_nystrom_basis): U from one subspace
 step M P on three fixed probes P (_PROBES), orthonormalised by
 Cholesky-QR, A = U^T M U = L L^T, C = L^-1 U^T M and R = M - C^T C, with

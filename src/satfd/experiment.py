@@ -14,15 +14,18 @@ clique's analysis depends only on which of its vertices are biased and, if
 any are, on the magnitude.  A trial therefore does each piece of work once
 (CampaignContext.epoch_analyses, _trial_cell_counts):
 
-* each epoch's noise is drawn once, and each fault config adds its bias
-  to that draw (ranging.add_bias);
+* each epoch's noise is drawn once, and the fault configs with rows of
+  their own in the epoch add their biases to that draw in one broadcast
+  (ranging.add_biases);
 * each (config, clique) row has one key, 0 when none of the clique's
   vertices is biased and otherwise its biased vertices with the config's
   magnitude, and a clique is analysed once per distinct key: the
   fault-free cliques are shared by every magnitude and nested fault
-  count, and the analyses of consecutive epochs of up to CHUNK_ROWS rows
-  are one analyze_clique_batch call on the fault configs' biased ranges
-  of every epoch of the chunk, stacked block-diagonally;
+  count.  The keys of the whole window are computed in one pass over its
+  concatenated cliques, and each epoch takes its slice of them.  The
+  analyses of consecutive epochs of up to CHUNK_ROWS rows are one
+  analyze_clique_batch call on the fault configs' biased ranges of every
+  epoch of the chunk, stacked block-diagonally;
 * each threshold flags every analysed row once (one predictor evaluation
   per epoch, on that epoch's rows of its chunk, table_from_analyses);
 * a cell is a row set, a flag column and a row prefix: its config's
@@ -67,7 +70,9 @@ from .detector import (
     table_from_analyses,
     vote,
 )
-from .ranging import FaultConfig, add_bias, check_magnitude, check_sigma_w, measure_ranges
+from .ranging import (
+    FaultConfig, add_biases, check_magnitude, check_sigma_w, fault_biases, measure_ranges,
+)
 from .seeds import EPOCH_NOISE, TRIAL_SETUP, check_seed, substream
 
 
@@ -271,6 +276,14 @@ class CampaignContext:
         and rows holds no singular values or vectors (the thresholded
         edm.BatchAnalysis).
 
+        The keys of the whole window are computed once, over its cliques
+        concatenated in epoch order: the codes are one product of the biased
+        vertices with the position weights 1 << j, and each epoch slices the
+        window's first-config and own-row arrays, which are dropped before
+        the first analysis.  Each epoch's biased ranges, one block per config
+        with new rows (config 0's always), are one broadcast of the clean
+        draw (ranging.add_biases).
+
         The epochs are analysed in chunks of whole consecutive epochs of at
         most CHUNK_ROWS rows (_chunks), each one analyze_clique_batch call
         (edm.analyze_blocks): the biased ranges of every config with new
@@ -280,35 +293,45 @@ class CampaignContext:
         settled row, its flags and vote).  Each epoch's rows are a view of
         its rows of the chunk's analysis.
         """
-        biased = np.zeros((len(configs), self.n_sats), dtype=bool)
-        for c, faults in enumerate(configs):
-            # A zero bias leaves every range as it is (add_bias).
-            biased[c, list(faults.fault_set)] = faults.magnitude != 0.0
+        biases = fault_biases(configs, self.n_sats)
+        # A zero bias leaves every range as it is (add_biases).
+        biased = biases != 0.0
         # 1 + each config's magnitude rank, which a key holds above its vertex bits.
         ranks = np.unique([faults.magnitude for faults in configs], return_inverse=True)[1] + 1
         thresholds = analysis_thresholds(thr.value for thr in self.grid.thresholds)
+        entries = [self.schedule[g] for g in range(t0_index, t0_index + n_epochs)]
+        # The window's cliques, epoch after epoch; epoch e holds rows starts[e] to starts[e + 1].
+        cliques = np.concatenate([entry.cliques for entry in entries])
+        starts = np.cumsum([0] + [len(entry.cliques) for entry in entries])
+        # (configs, window rows) codes: bit j is set when vertex j of the row is biased.
+        k = cliques.shape[1]
+        codes = np.take(biased, cliques, axis=1) @ (1 << np.arange(k))
+        keys = np.where(codes == 0, 0, codes + (ranks << k)[:, None])
+        # first[c, i]: the first config whose row i has the key of config c's;
+        # each config marks its own and the later configs' rows with its key,
+        # and an earlier config overwrites the marks of a later one.
+        first = np.empty(keys.shape, dtype=np.intp)
+        for c in reversed(range(len(configs))):
+            first[c:][keys[c:] == keys[c]] = c
+        own = first == np.arange(len(configs))[:, None]
         # Each epoch's (range blocks, clique rows per block, source).
         epochs = []
-        for offset in range(n_epochs):
-            g = t0_index + offset
-            entry = self.schedule[g]
-            cliques = entry.cliques
-            rng = substream(self.master_seed, EPOCH_NOISE, trial_id, g)
+        for e, entry in enumerate(entries):
+            rng = substream(self.master_seed, EPOCH_NOISE, trial_id, t0_index + e)
             clean = measure_ranges(entry.positions, entry.graph, FaultConfig(), self.sigma_w, rng)
-            # (configs, m) codes: bit j is set when vertex j of the row is biased.
-            k = cliques.shape[1]
-            codes = (biased[:, cliques] << np.arange(k)).sum(axis=2)
-            keys = np.where(codes == 0, 0, codes + (ranks << k)[:, None])
-            # first[c, i]: the first config whose row i has the key of config c's.
-            first = (keys[:, None] == keys[None]).argmax(axis=1)
-            own = first == np.arange(len(configs))[:, None]
-            source = (own.cumsum() - 1).reshape(own.shape)[first, np.arange(len(cliques))]
-            analysed = [c for c in range(len(configs)) if c == 0 or own[c].any()]
-            blocks = [add_bias(clean, entry.graph, configs[c]).r for c in analysed]
-            rows = [cliques[own[c]] for c in analysed]
-            # The keys are not needed during the analysis.
-            del codes, keys, first, own
+            epoch_own = own[:, starts[e]:starts[e + 1]]
+            epoch_first = first[:, starts[e]:starts[e + 1]]
+            source = (epoch_own.cumsum() - 1).reshape(epoch_own.shape)
+            source = source[epoch_first, np.arange(len(entry.cliques))]
+            # Config 0 has a block in every epoch, one of no clique too.
+            new_rows = epoch_own.any(axis=1)
+            new_rows[0] = True
+            analysed = np.flatnonzero(new_rows)
+            blocks = add_biases(clean, entry.graph, biases[analysed])
+            rows = [entry.cliques[epoch_own[c]] for c in analysed]
             epochs.append((blocks, rows, source))
+        # The keys are not needed during the analysis.
+        del cliques, codes, keys, first, own, epoch_own, epoch_first
         sizes = [sum(map(len, rows)) for _, rows, _ in epochs]
         out = []
         for run in _chunks(sizes):

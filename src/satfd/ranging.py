@@ -17,7 +17,8 @@ whether or not faults are injected.  pair_noise is its mirror into the
 (n, n) matrix (mirror_pairs, one gather).  That makes
 fault/no-fault comparisons exact and keeps parameter sweeps on the same
 noise realizations; a caller that needs several fault configurations of
-one epoch draws the noise once and biases it per configuration.
+one epoch draws the noise once and biases it for all of them in one
+broadcast (add_biases of fault_biases, whose one-config case is add_bias).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -129,20 +131,36 @@ def measure_ranges(
     return add_bias(RangeMatrix(r=r), graph, faults)
 
 
-def add_bias(ranges: RangeMatrix, graph: VisibilityGraph, faults: FaultConfig) -> RangeMatrix:
-    """ranges plus f_i + f_j on every visible edge; zero elsewhere.
+def fault_biases(configs: Sequence[FaultConfig], n: int) -> np.ndarray:
+    """(len(configs), n) biases f_k of n satellites: row c holds
+    configs[c].magnitude on its fault set and zero elsewhere.  Refuses a
+    fault id from n up."""
+    biases = np.zeros((len(configs), n))
+    for c, faults in enumerate(configs):
+        if max(faults.fault_set, default=-1) >= n:
+            raise ValueError(f"fault satellite ids must be in 0 .. {n - 1}, got {max(faults.fault_set)}")
+        biases[c][list(faults.fault_set)] = faults.magnitude
+    return biases
+
+
+def add_biases(ranges: RangeMatrix, graph: VisibilityGraph, biases: np.ndarray) -> np.ndarray:
+    """(..., n, n) stack: for each row of the (..., n) biases f, ranges
+    plus f_i + f_j on every visible edge; zero elsewhere.
 
     The bias is added in one rounding step, so biasing fault-free ranges
     gives exactly the ranges measured with the faults on the same noise:
     dist + w + f evaluates as (dist + w) + f, and adding a zero bias
-    changes no range.
+    changes no range.  Each slice of the stack has the bits of biasing
+    ranges by its row alone, so one call biases every fault config of an
+    epoch's noise draw.
     """
-    bias = np.zeros(len(ranges.r))
-    if max(faults.fault_set, default=-1) >= len(bias):
-        raise ValueError(f"fault satellite ids must be in 0 .. {len(bias) - 1}, got {max(faults.fault_set)}")
-    bias[list(faults.fault_set)] = faults.magnitude
-    # A bias sum beyond the float range is inf, which build_edm refuses by name.
+    # A bias sum beyond the float range is inf, which build_edm refuses by
+    # name.  The adjacency's false diagonal zeroes the diagonal.
     with np.errstate(over="ignore"):
-        r = np.where(graph.adjacency, ranges.r + (bias[:, None] + bias[None, :]), 0.0)
-    np.fill_diagonal(r, 0.0)
-    return RangeMatrix(r=r)
+        return np.where(graph.adjacency, ranges.r + (biases[..., :, None] + biases[..., None, :]), 0.0)
+
+
+def add_bias(ranges: RangeMatrix, graph: VisibilityGraph, faults: FaultConfig) -> RangeMatrix:
+    """ranges plus f_i + f_j on every visible edge under one fault config;
+    zero elsewhere: the one-row case of add_biases on fault_biases."""
+    return RangeMatrix(r=add_biases(ranges, graph, fault_biases([faults], len(ranges.r))[0]))

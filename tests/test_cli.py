@@ -278,6 +278,15 @@ class TestCalibrate:
         assert capsys.readouterr().err == "error: percentile must be in (0, 100)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["95,abc", "95,"])
+    def test_unparsable_percentiles_named(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--config", "elfo_moon", "--percentiles", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "satfd calibrate: error: argument --percentiles: "
+            f"expected comma-separated numbers, got {text!r}\n")
+
 
 class TestDetect:
     def test_detects_injected_fault(self, tmp_path, capsys):

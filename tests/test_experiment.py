@@ -76,6 +76,27 @@ def assert_whole_epoch_calls(calls, epochs):
         assert call <= experiment.CHUNK_ROWS or len(held) == 1
 
 
+def reference_rows(configs, cliques):
+    """(source, order, owners) of one epoch's cliques under configs, one
+    row at a time: rows are numbered in config order, then clique order; a
+    row is new unless an earlier config biases the same vertices of its
+    clique by the same magnitude, or neither biases any.  source[c, i] is
+    the number of clique i's row under configs[c], order the clique of each
+    numbered row and owners the config that numbered it."""
+    numbers, order, owners = {}, [], []
+    source = np.empty((len(configs), len(cliques)), dtype=np.intp)
+    for c, faults in enumerate(configs):
+        for i, clique in enumerate(cliques.tolist()):
+            hit = faults.fault_set.intersection(clique) if faults.magnitude else set()
+            key = (i, frozenset(hit), faults.magnitude if hit else None)
+            if key not in numbers:
+                numbers[key] = len(order)
+                order.append(i)
+                owners.append(c)
+            source[c, i] = numbers[key]
+    return source, order, owners
+
+
 class StubPredictor:
     """A per-subgraph threshold that flags no clique."""
 
@@ -151,19 +172,7 @@ class TestOneAnalysisPerEpoch:
                    FaultConfig(), FaultConfig({7}, 0.0), FaultConfig({7}, 20.0)]
         for offset, (rows, source) in enumerate(ctx.epoch_analyses(1, 4, configs, 3)):
             cliques = ctx.schedule[4 + offset].cliques
-            # Rows are numbered in config order, then clique order; a row is
-            # new unless an earlier config biases the same vertices of its
-            # clique by the same magnitude, or neither biases any.
-            numbers, order = {}, []
-            want = np.empty(source.shape, dtype=np.intp)
-            for c, faults in enumerate(configs):
-                for i, clique in enumerate(cliques.tolist()):
-                    hit = faults.fault_set.intersection(clique) if faults.magnitude else set()
-                    key = (i, frozenset(hit), faults.magnitude if hit else None)
-                    if key not in numbers:
-                        numbers[key] = len(order)
-                        order.append(i)
-                    want[c, i] = numbers[key]
+            want, order, _ = reference_rows(configs, cliques)
             assert np.array_equal(source, want)
             assert np.array_equal(rows.cliques, cliques[order])
             has3, has7 = (cliques == 3).any(axis=1), (cliques == 7).any(axis=1)

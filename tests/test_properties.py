@@ -37,7 +37,10 @@ on grids whose ends lie within a few ulps of that bound.
 A campaign trial's shared analyses (CampaignContext.epoch_analyses, which
 analyses each distinct clique measurement once) must equal, field for
 field, analysing every fault config on its own measured ranges, on drawn
-grids and on the paper's 20 configs.  A trial's cell counts (which flag
+grids and on the paper's 20 configs, and the keys it computes once for
+the whole window must give each epoch the rows, sources and bias blocks of
+a per-epoch reference, on windows of 1-5 epochs across topology changes.
+A trial's cell counts (which flag
 each analysed row once per threshold and take each detection length as a
 row prefix) must equal a reference that measures, analyses and detects
 every cell on its own, windows with epochs of no clique included, and a
@@ -132,7 +135,7 @@ from satfd.ranging import (
 )
 from satfd.seeds import EPOCH_NOISE, TRAINING, substream
 from test_detector import vote_alone
-from test_experiment import assert_whole_epoch_calls
+from test_experiment import assert_whole_epoch_calls, reference_rows
 from test_edm import assert_same_decisions, gathered, recorded_settles, settled_rows
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -750,6 +753,86 @@ def test_shared_analyses_equal_unshared(trial_id, grid):
             assert (got.fault_vertex_local[settled & ~flagged] == 0).all()
             if min(decided) == P99 and not faults.fault_set:
                 assert settled.any()
+
+
+@functools.lru_cache(maxsize=1)
+def topology_changes():
+    """The epochs of campaign_context()'s schedule whose cliques differ
+    from the previous epoch's (the schedule lists cliques once per
+    distinct adjacency)."""
+    schedule = campaign_context().schedule
+    return [g for g in range(1, len(schedule)) if schedule[g].cliques is not schedule[g - 1].cliques]
+
+
+@st.composite
+def keyed_window(draw):
+    """(t0 index, epochs, fault configs) of a window: 1-5 epochs, half of
+    them placed to cross a topology change, and 1-6 configs whose fault
+    sets are runs of one permutation (nested when they start at 0, disjoint
+    when they do not overlap), with repeated and zero magnitudes and the
+    fault-free config."""
+    ctx = campaign_context()
+    n_epochs = draw(st.integers(1, 5))
+    last = len(ctx.schedule) - n_epochs
+    crossing = [g - before for g in topology_changes() for before in range(1, n_epochs)
+                if g - before <= last]
+    if crossing and draw(st.booleans()):
+        t0_index = draw(st.sampled_from(crossing))
+    else:
+        t0_index = draw(st.integers(0, last))
+    perm = draw(st.permutations(range(ctx.n_sats)))
+    run = st.lists(st.integers(0, ctx.n_sats), min_size=2, max_size=2).map(
+        lambda ends: perm[min(ends):max(ends)])
+    config = st.one_of(st.just(FaultConfig()),
+                       st.builds(FaultConfig, run, st.sampled_from([0.0, 5.0, 20.0])))
+    return t0_index, n_epochs, draw(st.lists(config, min_size=1, max_size=6))
+
+
+# Nested ({4} and {4, 9}), disjoint ({4} and {2, 6}) and fault-free
+# configs with a repeated and a zero magnitude, over a window that crosses
+# the topology change at epoch 8.
+KEYED_EXAMPLE = (6, 4, [FaultConfig({4}, 20.0), FaultConfig({4, 9}, 20.0), FaultConfig(),
+                        FaultConfig({2, 6}, 5.0), FaultConfig({4}, 0.0), FaultConfig({4}, 5.0)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(keyed_window(), st.integers(0, 10**6))
+@example(window=KEYED_EXAMPLE, trial_id=3)
+def test_window_keys_equal_per_epoch_reference(window, trial_id):
+    """epoch_analyses keys its whole window in one pass: each epoch's
+    (rows, source) equals the per-epoch reference (reference_rows), and
+    each epoch's blocks are config 0's and those of every config that
+    numbers a row, each its config's bias of the epoch's draw, with its
+    new rows."""
+    t0_index, n_epochs, configs = window
+    ctx = campaign_context()
+    calls = []
+    analyze_blocks = edm.analyze_blocks
+
+    def recording(blocks, rows, **kwargs):
+        calls.append((list(blocks), list(rows)))
+        return analyze_blocks(blocks, rows, **kwargs)
+
+    with unittest.mock.patch.object(edm, "analyze_blocks", recording):
+        got = ctx.epoch_analyses(trial_id, t0_index, configs, n_epochs)
+    assert len(got) == n_epochs
+    blocks = [block for call_blocks, _ in calls for block in call_blocks]
+    rows = [part for _, call_rows in calls for part in call_rows]
+    want_blocks, want_rows = [], []
+    for offset, (analysed, source) in enumerate(got):
+        g = t0_index + offset
+        entry = ctx.schedule[g]
+        want, order, owners = reference_rows(configs, entry.cliques)
+        assert np.array_equal(source, want)
+        assert np.array_equal(analysed.cliques, entry.cliques[order])
+        rng = substream(ctx.master_seed, EPOCH_NOISE, trial_id, g)
+        clean = measure_ranges(entry.positions, entry.graph, FaultConfig(), ctx.sigma_w, rng)
+        for c in sorted(set(owners) | {0}):
+            want_blocks.append(add_bias(clean, entry.graph, configs[c]).r)
+            want_rows.append(entry.cliques[[i for i, o in zip(order, owners) if o == c]])
+    assert len(blocks) == len(want_blocks)
+    assert all(map(np.array_equal, blocks, want_blocks))
+    assert all(map(np.array_equal, rows, want_rows))
 
 
 P99 = 4.6e-7

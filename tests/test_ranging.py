@@ -5,8 +5,8 @@ import pytest
 
 from satfd.linkgraph import VisibilityGraph, build_visibility_graph
 from satfd.ranging import (
-    FaultConfig, RangeMatrix, add_bias, measure_ranges, mirror_pairs, pair_draws, pair_noise,
-    true_ranges,
+    FaultConfig, RangeMatrix, add_bias, add_biases, fault_biases, measure_ranges, mirror_pairs,
+    pair_draws, pair_noise, true_ranges,
 )
 from satfd.seeds import substream
 
@@ -117,6 +117,68 @@ class TestMeasureRanges:
         noise = pair_noise(substream(5, 9), len(ps), 1.5)
         want = add_bias(RangeMatrix(true_ranges(ps, graph) + noise), graph, faults)
         assert np.array_equal(measure_ranges(ps, graph, faults, 1.5, substream(5, 9)).r, want.r)
+
+
+def biased_alone(ranges, graph, faults):
+    """The bias rule on one config, entry by entry: a bias vector, its sum
+    on every visible edge, zeros elsewhere."""
+    bias = np.zeros(len(ranges.r))
+    bias[list(faults.fault_set)] = faults.magnitude
+    r = np.where(graph.adjacency, ranges.r + (bias[:, None] + bias[None, :]), 0.0)
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+class TestBiasBroadcast:
+    # Nested, disjoint and overlapping fault sets, a repeated magnitude, a
+    # zero magnitude and the fault-free config.
+    CONFIGS = [FaultConfig({3}, 20.0), FaultConfig({3, 7}, 20.0), FaultConfig({0, 11}, 5.0),
+               FaultConfig({7, 8, 9}, 2.5), FaultConfig({5}, 0.0), FaultConfig()]
+
+    def test_blocks_equal_one_add_bias_per_config(self):
+        ps, graph = cluster(7, n=12)
+        clean = measure_ranges(ps, graph, FaultConfig(), 1.0, substream(4, 9))
+        blocks = add_biases(clean, graph, fault_biases(self.CONFIGS, 12))
+        assert blocks.shape == (len(self.CONFIGS), 12, 12)
+        for block, faults in zip(blocks, self.CONFIGS):
+            assert np.array_equal(block, add_bias(clean, graph, faults).r)
+            assert np.array_equal(block, biased_alone(clean, graph, faults))
+        # Any subset of the rows gives those rows' blocks.
+        picked = [5, 1, 3]
+        assert np.array_equal(add_biases(clean, graph, fault_biases(self.CONFIGS, 12)[picked]),
+                              blocks[picked])
+
+    def test_biases_hold_each_magnitude_on_its_fault_set(self):
+        biases = fault_biases(self.CONFIGS, 12)
+        assert biases.shape == (len(self.CONFIGS), 12)
+        for row, faults in zip(biases, self.CONFIGS):
+            assert np.array_equal(np.flatnonzero(row), sorted(faults.fault_set)
+                                  if faults.magnitude else [])
+            assert (row[list(faults.fault_set)] == faults.magnitude).all()
+
+    @pytest.mark.parametrize("configs", [[FaultConfig({12}, 5.0)],
+                                         [FaultConfig({1}, 5.0), FaultConfig({2, 40}, 0.0)]])
+    def test_id_beyond_the_satellites_refused(self, configs):
+        bad = max(configs[-1].fault_set)
+        with pytest.raises(ValueError, match=rf"^fault satellite ids must be in 0 \.\. 11, got {bad}$"):
+            fault_biases(configs, 12)
+
+    def test_overflowing_bias_sum_is_inf_without_a_warning(self):
+        # Warnings are errors in the test run, so a RuntimeWarning would fail here.
+        ps, graph = cluster(n=12)
+        clean = measure_ranges(ps, graph, FaultConfig(), 1.0, substream(0, 9))
+        faults = FaultConfig({0, 1}, 1e308)
+        [block] = add_biases(clean, graph, fault_biases([faults], 12))
+        assert graph.adjacency[0, 1] and block[0, 1] == block[1, 0] == math.inf
+        assert np.isfinite(block[2:, 2:]).all()
+        assert np.array_equal(add_bias(clean, graph, faults).r, block)
+
+    def test_zero_bias_leaves_the_ranges(self):
+        ps, graph = cluster(2, n=12)
+        clean = measure_ranges(ps, graph, FaultConfig(), 1.0, substream(3, 9))
+        configs = [FaultConfig(), FaultConfig({4, 6}, 0.0)]
+        for block in add_biases(clean, graph, fault_biases(configs, 12)):
+            assert np.array_equal(block, clean.r)
 
 
 class TestRangeModel:
