@@ -148,14 +148,6 @@ class TestBiasBroadcast:
         assert np.array_equal(add_biases(clean, graph, fault_biases(self.CONFIGS, 12)[picked]),
                               blocks[picked])
 
-    def test_biases_hold_each_magnitude_on_its_fault_set(self):
-        biases = fault_biases(self.CONFIGS, 12)
-        assert biases.shape == (len(self.CONFIGS), 12)
-        for row, faults in zip(biases, self.CONFIGS):
-            assert np.array_equal(np.flatnonzero(row), sorted(faults.fault_set)
-                                  if faults.magnitude else [])
-            assert (row[list(faults.fault_set)] == faults.magnitude).all()
-
     @pytest.mark.parametrize("configs", [[FaultConfig({12}, 5.0)],
                                          [FaultConfig({1}, 5.0), FaultConfig({2, 40}, 0.0)]])
     def test_id_beyond_the_satellites_refused(self, configs):
